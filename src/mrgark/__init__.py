@@ -12,7 +12,6 @@ from .assembly import (
     GarkMatrix,
     StageSchedule,
     assemble,
-    assembled_weights,
     check_decoupled,
     check_internal_consistency,
     check_stiff_accuracy,
@@ -29,6 +28,7 @@ from .stepping import (
     WorkCounters,
     error_estimates,
     error_norm,
+    integrate_fixed,
     newton_solve,
     step,
 )
@@ -40,12 +40,12 @@ __all__ = [
     "__version__",
     "ButcherTableau", "CouplingRule", "MethodFlag", "MrGarkMethod", "TableauKind",
     "METHOD_NAMES", "registry_lookup", "list_methods", "eval_coupling",
-    "GarkMatrix", "StageSchedule", "assemble", "assembled_weights",
+    "GarkMatrix", "StageSchedule", "assemble",
     "check_internal_consistency", "check_telescopic", "check_decoupled",
     "check_stiff_accuracy", "derive_schedule",
     "ConditionCatalog", "ResidualReport", "residuals", "block_form_residuals", "classify",
     "RegionGrid", "stability_value", "scan_region",
     "PartitionedOde", "StepResult", "Tolerances", "WorkCounters",
-    "step", "newton_solve", "error_estimates", "error_norm",
+    "step", "integrate_fixed", "newton_solve", "error_estimates", "error_norm",
     "AdaptivityState", "ControllerConfig", "balancing_update", "efficiency_update", "drive",
 ]

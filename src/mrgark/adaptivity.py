@@ -27,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import NewtonDivergence, NonFiniteState, StepSizeUnderflow
+from .errors import InvalidInput, NewtonDivergence, NonFiniteState, StepSizeUnderflow
 from .stepping import PartitionedOde, Tolerances, error_estimates, step
 from .tableaux import MrGarkMethod
 
@@ -62,10 +62,12 @@ class ControllerConfig:
 
     def __post_init__(self):
         if not 0 < self.fac <= 1:
-            raise ValueError("fac must lie in (0, 1]")
+            raise InvalidInput("fac must lie in (0, 1]")
         lo, hi = self.efficiency_window
         if lo > 0 or hi < 0 or hi < lo:
-            raise ValueError("efficiency window must contain 0")
+            raise InvalidInput("efficiency window must contain 0")
+        if not (np.all(np.asarray(self.abs_tol) >= 0.0) and np.all(np.asarray(self.rel_tol) >= 0.0)):
+            raise InvalidInput("abs_tol and rel_tol must be >= 0 and not NaN")
 
     def resolved_m_bounds(self) -> tuple[int, int]:
         if self.m_bounds is not None:
@@ -185,8 +187,8 @@ def drive(
     M0: int | None = None,
 ) -> DriveResult:
     """Integrate adaptively from t0 to t_end; the final time is hit exactly."""
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
+    if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
+        raise InvalidInput(f"need finite t0 < t_end, got t0={t0!r}, t_end={t_end!r}")
     span = t_end - t0
     lo, hi = config.resolved_m_bounds()
     state = AdaptivityState(
@@ -208,8 +210,11 @@ def drive(
         H_eff = min(state.H, t_end - t)
         try:
             result = step(method, ode, y, t, H_eff, state.M, fsal_carry=carry)
+            estimates = error_estimates(result, tolerances)
         except (NonFiniteState, NewtonDivergence):
-            # blow-up inside the step: no usable estimate, shrink and retry
+            estimates = None
+        if estimates is None or not math.isfinite(sum(estimates)):
+            # blow-up inside the step, or no finite estimate of it: shrink and retry
             state.rejected += 1
             rejects_in_a_row += 1
             carry = None
@@ -220,7 +225,7 @@ def drive(
                 raise StepSizeUnderflow(f"{rejects_in_a_row} consecutive rejections at t={t}")
             state.H = H_eff * config.failure_shrink
             continue
-        eps_total, eps_slow, eps_fast = error_estimates(result, tolerances)
+        eps_total, eps_slow, eps_fast = estimates
         # the estimates belong to the step actually taken
         state.H = H_eff
         state.eps_total, state.eps_slow, state.eps_fast = eps_total, eps_slow, eps_fast

@@ -22,12 +22,12 @@ __all__ = [
     "StageSchedule",
     "ConsistencyReport",
     "assemble",
-    "assembled_weights",
     "check_internal_consistency",
     "check_telescopic",
     "check_decoupled",
     "check_stiff_accuracy",
     "derive_schedule",
+    "place_slow_stages",
 ]
 
 #: assembled tableaus get unwieldy beyond this; integration streams micro-steps
@@ -144,11 +144,6 @@ def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
     return GarkMatrix(M=M, s_f=s_f, s_s=s_s, A=A, b=b, c=c)
 
 
-def assembled_weights(g: GarkMatrix, w_fast: np.ndarray, w_slow: np.ndarray) -> np.ndarray:
-    """Full weight vector for an arbitrary (fast, slow) weight pair."""
-    return np.concatenate([np.tile(np.asarray(w_fast) / g.M, g.M), np.asarray(w_slow)])
-
-
 def check_internal_consistency(g: GarkMatrix, tol: float = 1e-10) -> ConsistencyReport:
     """Row sums of each coupling super-block must reproduce the abscissae.
 
@@ -188,65 +183,63 @@ def check_stiff_accuracy(method: MrGarkMethod, M: int, partition: str, tol: floa
     return bool(np.max(np.abs(g.A[row] - g.b)) < tol)
 
 
-def derive_schedule(g: GarkMatrix, method: MrGarkMethod) -> StageSchedule:
-    """Topologically order the stages, computing slow stages eagerly.
+def _last_nonzero(block: np.ndarray) -> np.ndarray:
+    """Column of the last nonzero entry of each row, -1 for an all-zero row."""
+    nz = block != 0.0
+    return np.where(nz.any(axis=1), nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1), -1)
 
-    A stage depends on every other stage whose column in its row is nonzero
-    (exact-zero test: the coefficients are constructed, not computed).  A
-    nonzero diagonal marks an implicit stage, admissible only inside an SDIRK
-    partition.  Among ready stages, slow stages are emitted first (in index
-    order), then fast stages in (micro-step, stage) order; this is the
-    sequence in which a streaming implementation can run the method.
+
+def place_slow_stages(method: MrGarkMethod, fs_blocks, sf_blocks) -> tuple[tuple, tuple[int, ...]]:
+    """Place each slow stage, in index order, right after the last fast stage feeding it.
+
+    ``fs_blocks`` and ``sf_blocks`` hold A^{fs,lambda} and A^{sf,lambda} (any
+    positive scaling) for lambda = 1..M; only their zero pattern is read, in
+    O(M*s_f*s_s).  Returns the slow stages to compute before each fast stage
+    (lambda-1)*s_f + i, and those left for after the last micro-step.
     """
-    s = g.stage_count
+    s_f, s_s = method.stage_counts
+    for base, label in ((method.fast, "fast"), (method.slow, "slow")):
+        if np.any(np.triu(base.A, 1) != 0.0):
+            raise CoupledMethod(f"{method.name}: {label} stages depend on later {label} stages")
+        if base.kind is not TableauKind.SDIRK and np.any(np.diag(base.A) != 0.0):
+            raise CoupledMethod(f"{method.name}: a {label} stage is implicit but its partition is explicit")
+    # last fast stage feeding each slow stage; slow stages each fast stage needs
+    last_feed = np.full(s_s, -1)
+    needs: list[int] = []
+    for lam, (fs, sf) in enumerate(zip(fs_blocks, sf_blocks)):
+        feed = _last_nonzero(sf)
+        last_feed = np.where(feed >= 0, lam * s_f + feed, last_feed)
+        needs.extend((_last_nonzero(fs) + 1).tolist())
+    last_feed = last_feed.tolist()
+    before, done = [], 0
+    for k, need in enumerate(needs):
+        start = done
+        while done < s_s and last_feed[done] < k:
+            done += 1
+        if need > done:
+            raise CoupledMethod(f"{method.name}: stage dependencies are cyclic at M={len(fs_blocks)}; "
+                                "no decoupled evaluation order exists")
+        before.append(tuple(range(start, done)))
+    return tuple(before), tuple(range(done, s_s))
+
+
+def derive_schedule(g: GarkMatrix, method: MrGarkMethod) -> StageSchedule:
+    """Evaluation order of the assembled stages, as the stepper runs them.
+
+    Ready slow stages go first, in index order, then the next fast stage (see
+    :func:`place_slow_stages`).  Cyclic dependencies, or an implicit stage in
+    an explicit partition, raise :class:`CoupledMethod`.
+    """
     n_fast = g.M * g.s_f
-    A = g.A
-
-    implicit = frozenset(int(i) for i in np.flatnonzero(np.diag(A) != 0.0))
-    for i in implicit:
-        part = method.fast if i < n_fast else method.slow
-        if part.kind is not TableauKind.SDIRK:
-            raise CoupledMethod(f"stage {i} is implicit but its partition is explicit")
-
-    deps = [set(np.flatnonzero(A[i] != 0.0)) - {i} for i in range(s)]
-    done = np.zeros(s, dtype=bool)
+    rows = [slice(r0, r0 + g.s_f) for r0 in range(0, n_fast, g.s_f)]
+    before, trailing = place_slow_stages(method, [g.A[r, n_fast:] for r in rows], [g.A[n_fast:, r] for r in rows])
     order: list[int] = []
-    next_fast = 0  # fast stages always run in natural order
-    next_slow = n_fast
-
-    while len(order) < s:
-        progressed = False
-        while next_slow < s and deps[next_slow] <= set(np.flatnonzero(done)):
-            done[next_slow] = True
-            order.append(next_slow)
-            next_slow += 1
-            progressed = True
-        if next_fast < n_fast:
-            ready = deps[next_fast] <= set(np.flatnonzero(done))
-            if ready:
-                done[next_fast] = True
-                order.append(next_fast)
-                next_fast += 1
-                progressed = True
-                continue
-        if not progressed:
-            raise CoupledMethod(
-                f"{method.name}: stage dependencies are cyclic at M={g.M}; "
-                "no decoupled evaluation order exists"
-            )
-
-    slow_positions = []
-    for j in range(g.s_s):
-        pos = order.index(n_fast + j)
-        prior_fast = [i for i in order[:pos] if i < n_fast]
-        if prior_fast:
-            last = max(prior_fast)
-            slow_positions.append((last // g.s_f + 1, last % g.s_f + 1))
-        else:
-            slow_positions.append((1, 0))
-
-    return StageSchedule(
-        order=tuple(order),
-        slow_positions=tuple(slow_positions),
-        implicit_stages=implicit,
-    )
+    slow_positions: list[tuple[int, int]] = [(g.M, g.s_f)] * g.s_s
+    for k, slow in enumerate(before):
+        for j in slow:
+            order.append(n_fast + j)
+            slow_positions[j] = ((k - 1) // g.s_f + 1, (k - 1) % g.s_f + 1) if k else (1, 0)
+        order.append(k)
+    order.extend(n_fast + j for j in trailing)
+    implicit = frozenset(int(i) for i in np.flatnonzero(np.diag(g.A) != 0.0))
+    return StageSchedule(tuple(order), tuple(slow_positions), implicit)

@@ -33,9 +33,9 @@ from .assembly import (
 from .errors import MrGarkError, UnknownMethod
 from .order import classify, residuals
 from .problems import PROBLEM_NAMES, make_problem, reference_error
-from .schemes import METHOD_NAMES, registry_lookup
+from .schemes import METHOD_NAMES, list_methods, registry_lookup
 from .stability import scan_region
-from .stepping import Tolerances, error_estimates, step
+from .stepping import Tolerances, error_estimates, integrate_fixed
 from .tableaux import MethodFlag, TableauKind
 
 __all__ = ["main"]
@@ -80,10 +80,7 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def cmd_list_methods(args) -> int:
-    for name, p, p_hat, flags in (
-        (m.name, m.order, m.embedded_order, m.flags)
-        for m in (registry_lookup(n) for n in METHOD_NAMES)
-    ):
+    for name, p, p_hat, flags in list_methods():
         tags = ",".join(sorted(f.value for f in flags)) or "-"
         print(f"{name:16s} order {p}({p_hat})  {tags}")
     return 0
@@ -193,17 +190,6 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _fixed_run(method, ode, y0, t0, t_end, H, M):
-    t, y = t0, np.array(y0, dtype=float)
-    carry = None
-    n_steps = int(round((t_end - t0) / H))
-    actual_h = (t_end - t0) / n_steps
-    for _ in range(n_steps):
-        res = step(method, ode, y, t, actual_h, M, fsal_carry=carry)
-        y, t, carry = res.y_next, res.t, res.fsal_carry
-    return y
-
-
 def cmd_converge(args) -> int:
     method = registry_lookup(args.method)
     problem = make_problem(args.problem, **json.loads(args.problem_params))
@@ -216,12 +202,12 @@ def cmd_converge(args) -> int:
         errs = []
         for H in ladder:
             try:
-                y_T = _fixed_run(method, ode, y0, 0.0, args.t_end, H, M)
+                y_T = integrate_fixed(method, ode, y0, 0.0, args.t_end, H, M).y_next
                 if hasattr(problem, "exact"):
                     err = reference_error(problem, y_T, args.t_end)
                 else:
                     h_ref = min(ladder) / 64.0
-                    y_ref = _fixed_run(method, ode, y0, 0.0, args.t_end, h_ref, M)
+                    y_ref = integrate_fixed(method, ode, y0, 0.0, args.t_end, h_ref, M).y_next
                     err = reference_error(problem, y_T, args.t_end, reference_state=y_ref)
                 errs.append(err)
                 rows.append([method.name, M, f"{H:.10g}", f"{err:.6e}", ""])
@@ -300,20 +286,12 @@ def cmd_integrate(args) -> int:
         )
         ts, ys = result.ts, result.ys
     else:
-        t, y = 0.0, y0.copy()
-        ts_list, ys_list = [t], [y.copy()]
-        carry = None
-        n_steps = max(1, int(round(args.t_end / args.H)))
-        H = args.t_end / n_steps
-        eps_last = None
-        for _ in range(n_steps):
-            res = step(method, ode, y, t, H, args.M, fsal_carry=carry)
-            eps_last = error_estimates(res, tolerances)
-            y, t, carry = res.y_next, res.t, res.fsal_carry
-            ts_list.append(t)
-            ys_list.append(y.copy())
-        summary.update(H=H, M=args.M, steps=n_steps, final_error_estimates=eps_last)
-        ts, ys = np.array(ts_list), np.array(ys_list)
+        states = [(0.0, y0)]
+        last = integrate_fixed(method, ode, y0, 0.0, args.t_end, args.H, args.M,
+                               on_step=lambda r: states.append((r.t, r.y_next)))
+        summary.update(H=last.H, M=args.M, steps=len(states) - 1,
+                       final_error_estimates=error_estimates(last, tolerances))
+        ts, ys = np.array([t for t, _ in states]), np.array([y for _, y in states])
 
     traj_path = out / "trajectory.csv"
     with open(traj_path, "w", newline="") as fh:

@@ -5,6 +5,10 @@ class MrGarkError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidInput(MrGarkError, ValueError):
+    """An argument of a public entry point is out of its domain."""
+
+
 class UnknownMethod(MrGarkError):
     """Requested method name is not in the registry."""
 

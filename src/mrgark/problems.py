@@ -58,7 +58,6 @@ class LinearTwoRate:
             f_fast=self.f_fast,
             jac_slow=lambda y: np.array([[self.lambda_slow]]),
             jac_fast=lambda y: np.array([[self.lambda_fast]]),
-            exact_solution=self.exact,
         )
 
 

@@ -29,17 +29,6 @@ def all_methods():
     return [mg.registry_lookup(name) for name in mg.METHOD_NAMES]
 
 
-def fixed_run(method, ode, y0, t_end, H, M, t0=0.0):
-    """Fixed-step integration helper; H is snapped so t_end is hit exactly."""
-    n = max(1, int(round((t_end - t0) / H)))
-    h = (t_end - t0) / n
-    t, y, carry = t0, np.array(y0, dtype=float), None
-    for _ in range(n):
-        r = mg.step(method, ode, y, t, h, M, fsal_carry=carry)
-        y, t, carry = r.y_next, r.t, r.fsal_carry
-    return y
-
-
 def cached_reference(key: str, compute):
     """Disk-cached reference state (expensive fine-step runs)."""
     CACHE_DIR.mkdir(exist_ok=True)

@@ -19,7 +19,7 @@ from mrgark.problems import GrayScott, LinearTwoRate
 from mrgark.stability import stability_value
 from mrgark.tableaux import MethodFlag, TableauKind
 
-from conftest import cached_reference, fixed_run, record_criterion
+from conftest import cached_reference, record_criterion
 
 ALL_M = list(range(1, 9))
 SQRT2 = math.sqrt(2.0)
@@ -250,7 +250,7 @@ def test_criterion_6a_linear_convergence():
             errs = []
             pred = []
             for H in ladder:
-                y = fixed_run(method, ode, [1.0], 1.0, H, M)[0]
+                y = mg.integrate_fixed(method, ode, [1.0], 0.0, 1.0, H, M).y_next[0]
                 errs.append(abs(y - exact) / abs(exact))
                 # exact-propagation prediction from the stability function:
                 # the same error the theory assigns to this (method, M, H)
@@ -278,7 +278,7 @@ def test_criterion_6a_linear_convergence():
 
 
 def _gs_fixed(method, gs, y0, H, M, T=0.5):
-    return fixed_run(method, gs.to_ode(), y0, T, H, M)
+    return mg.integrate_fixed(method, gs.to_ode(), y0, 0.0, T, H, M).y_next
 
 
 def test_criterion_6b_gray_scott_convergence():

@@ -9,8 +9,8 @@ from mrgark.adaptivity import (
     drive,
     efficiency_update,
 )
-from mrgark.errors import StepSizeUnderflow
-from mrgark.problems import CoupledNonlinearScalar, LinearTwoRate
+from mrgark.errors import InvalidInput, StepSizeUnderflow
+from mrgark.problems import CoupledNonlinearScalar, GrayScott, LinearTwoRate
 
 
 def make_state(H=0.1, M=4, eps=(0.5, 0.3, 0.3), costs=(1.0, 1.0)):
@@ -204,3 +204,45 @@ def test_drive_requires_forward_span():
     with pytest.raises(ValueError):
         drive(mg.registry_lookup("EX-EX 2(1)A"), LinearTwoRate().to_ode(),
               np.array([1.0]), 1.0, 1.0, cfg)
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [-1e-6, np.nan, np.array([1e-6, -1.0])])
+def test_config_rejects_negative_or_nan_tolerances(field, value):
+    with pytest.raises(InvalidInput):
+        ControllerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("t0, t_end", [(0.0, np.inf), (np.nan, 1.0), (-np.inf, 0.0)])
+def test_drive_rejects_non_finite_span(t0, t_end):
+    with pytest.raises(InvalidInput):
+        drive(mg.registry_lookup("EX-EX 2(1)A"), LinearTwoRate().to_ode(),
+              np.array([1.0]), t0, t_end, ControllerConfig())
+
+
+def test_drive_treats_non_finite_estimate_as_failed_step():
+    # zero tolerances make every nonzero deviation an infinite estimate
+    cfg = ControllerConfig(strategy="balancing", abs_tol=0.0, rel_tol=0.0, max_rejects_per_step=3)
+    with pytest.raises(StepSizeUnderflow):
+        drive(mg.registry_lookup("EX-EX 2(1)A"), LinearTwoRate().to_ode(),
+              np.array([1.0]), 0.0, 1.0, cfg, H0=0.1, M0=2)
+
+
+def test_drive_zero_abs_tol_on_vanishing_component():
+    # v is exactly zero off the seed square, so 0/0 enters the scaled norm; the
+    # relative error of the v front stays O(1) as H shrinks, so the controller
+    # must give up with a toolkit error instead of crashing on a NaN estimate
+    gs = GrayScott(n=16, diffusion_mode="linear")
+    cfg = ControllerConfig(strategy="balancing", abs_tol=0.0, rel_tol=1e-3)
+    with np.errstate(invalid="ignore"), pytest.raises(StepSizeUnderflow):
+        drive(mg.registry_lookup("EX-EX 3(2)4s-A"), gs.to_ode(), gs.initial_condition(),
+              0.0, 0.05, cfg, H0=0.01, M0=2)
+
+
+def test_drive_zero_abs_tol_on_zero_state_lands_on_t_end():
+    cfg = ControllerConfig(strategy="balancing", abs_tol=0.0, rel_tol=1e-6)
+    with np.errstate(invalid="ignore"):
+        res = drive(mg.registry_lookup("EX-EX 2(1)A"), LinearTwoRate().to_ode(),
+                    np.array([0.0]), 0.0, 1.0, cfg, H0=0.1, M0=2)
+    assert res.ts[-1] == 1.0
+    assert all(r.eps_total == 0.0 and r.accepted for r in res.state.trace)

@@ -159,3 +159,15 @@ def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
     code, _, _ = run(["dump-tableau", "EX-EX 2(1)A", "--M", "1"], capsys)
     assert code == 0
     assert (tmp_path / "env" / "tableau.json").exists()
+
+
+def test_converge_step_larger_than_span(tmp_path, capsys):
+    # H = 3 > t_end rounds to zero steps; the run takes one step instead
+    code, _, err = run(
+        ["--out-dir", str(tmp_path), "converge", "--method", "EX-EX 2(1)A",
+         "--h-ladder", "3,1/8", "--t-end", "1"],
+        capsys,
+    )
+    assert code == 0, err
+    rows = list(csv.DictReader(open(tmp_path / "convergence.csv")))
+    assert len(rows) == 4 and all(r["error"] for r in rows)

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 import mrgark as mg
-from mrgark.errors import CoupledMethod, NewtonDivergence, NonFiniteState
+from mrgark import stepping
+from mrgark.errors import CoupledMethod, InvalidInput, NewtonDivergence, NonFiniteState
 from mrgark.problems import CoupledNonlinearScalar, LinearTwoRate
 from mrgark.stepping import (
     FsalCarry,
     PartitionedOde,
     Tolerances,
     error_estimates,
+    _step_plan,
     error_norm,
+    integrate_fixed,
     newton_solve,
     step,
 )
@@ -150,12 +153,6 @@ def test_slow_error_estimate_order():
     assert 2.0**2 == pytest.approx(ratio, rel=0.35)
 
 
-def test_coupling_indicator_vanishes_algebraically():
-    m = mg.registry_lookup("EX-EX 3(2)4s-A")
-    r = step(m, CoupledNonlinearScalar().to_ode(), np.array([0.5]), 0.0, 0.05, 3)
-    assert np.max(np.abs(r.coupling_indicator)) < 1e-14
-
-
 @pytest.mark.parametrize("name", [n for n in mg.METHOD_NAMES if n.startswith("EX-EX")])
 @pytest.mark.parametrize("M", [1, 3, 5])
 def test_work_accounting_explicit(name, M):
@@ -266,8 +263,13 @@ def test_coupled_method_guard_in_streaming_engine():
         sf_coupling=CouplingRule((2, 2), sf),
         order=2, embedded_order=1,
     )
+    calls = []
+    ode = PartitionedOde(1, f_slow=lambda y: calls.append("slow") or -y,
+                         f_fast=lambda y: calls.append("fast") or -y)
     with pytest.raises(CoupledMethod):
-        step(bad, LINEAR.to_ode(), np.array([1.0]), 0.0, 0.1, 2)
+        step(bad, ode, np.array([1.0]), 0.0, 0.1, 2)
+    # rejected when the plan is compiled, before any right-hand side runs
+    assert calls == []
 
 
 def test_step_rejects_bad_arguments():
@@ -276,3 +278,116 @@ def test_step_rejects_bad_arguments():
         step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, -0.1, 2)
     with pytest.raises(ValueError):
         step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 0.1, 0)
+
+
+@pytest.mark.parametrize("M", [2.5, True, "2", None])
+def test_step_rejects_non_integer_m(M):
+    m = mg.registry_lookup("EX-EX 2(1)A")
+    with pytest.raises(InvalidInput):
+        step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 0.1, M)
+
+
+@pytest.mark.parametrize("H", [np.nan, np.inf, 0.0, "0.1"])
+def test_step_rejects_non_finite_or_non_positive_h(H):
+    m = mg.registry_lookup("EX-EX 2(1)A")
+    with pytest.raises(InvalidInput):
+        step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, H, 2)
+
+
+def test_step_accepts_numpy_integer_m():
+    m = mg.registry_lookup("EX-EX 2(1)A")
+    r = step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 0.1, np.int64(3))
+    assert r.M == 3 and type(r.M) is int
+    np.testing.assert_array_equal(r.y_next, step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 0.1, 3).y_next)
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+@pytest.mark.parametrize("M", list(range(1, 9)))
+def test_step_plan_matches_derived_schedule(name, M):
+    m = mg.registry_lookup(name)
+    s_f, s_s = m.stage_counts
+    plan = _step_plan(m, M)
+    positions = {j: (M, s_f) for j in plan.trailing}
+    for lam, stages in enumerate(plan.before, 1):
+        for i, slow in enumerate(stages):
+            # run right after the previous fast stage, (1, 0) before the first
+            previous = (lam, i) if i else ((lam - 1, s_f) if lam > 1 else (1, 0))
+            positions.update((j, previous) for j in slow)
+    assert sorted(positions) == list(range(s_s))
+    schedule = mg.derive_schedule(mg.assemble(m, M), m)
+    assert tuple(positions[j] for j in range(s_s)) == schedule.slow_positions
+    for lam in range(1, M + 1):
+        assert plan.fs[lam - 1] is m.coupling("fs", lam, M)
+        sf = m.coupling("sf", lam, M)
+        scattered = np.zeros_like(sf)
+        for i, targets in enumerate(plan.scatter[lam - 1]):
+            for j, a in targets:
+                scattered[j, i] = a
+        np.testing.assert_array_equal(scattered, sf)
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+def test_step_plan_compiles_up_to_controller_cap(name):
+    # the efficiency controller may pick any M up to 100
+    m = mg.registry_lookup(name)
+    for M in (16, 33, 64, 100):
+        plan = _step_plan(m, M)
+        assert len(plan.fs) == len(plan.before) == len(plan.scatter) == M
+
+
+def test_implicit_stages_go_through_module_newton_solve(monkeypatch):
+    calls = []
+    original = stepping.newton_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "newton_solve", counting)
+    m = mg.registry_lookup("EX-IM 2(1)A")
+    r = step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 0.05, 3)
+    assert len(calls) == r.counters.newton_iterations == m.slow.stage_count
+
+
+def test_newton_scalar_division_matches_lu_solve():
+    rng = np.random.default_rng(7)
+    j = rng.standard_normal(2000) * 10.0 ** rng.uniform(-8, 8, 2000)
+    g = rng.standard_normal(2000) * 10.0 ** rng.uniform(-8, 8, 2000)
+    for jj, gg in zip(j, g):
+        assert (-np.array([gg]) / jj)[0] == np.linalg.solve(np.array([[jj]]), -np.array([gg]))[0]
+
+
+def test_newton_singular_scalar_raises():
+    with pytest.raises(NewtonDivergence):
+        newton_solve(lambda y: np.array([1.0]), np.array([0.0]), jac=lambda y: np.array([[0.0]]))
+
+
+def test_error_norm_zero_over_zero_is_no_deviation():
+    tol = Tolerances(abs_tol=0.0, rel_tol=1e-3)
+    x = np.array([0.0, 1.0])
+    assert error_norm(x, np.array([0.0, 1.0 + 1e-3]), tol) == pytest.approx(np.sqrt(0.5) / (1 + 1e-3))
+    assert error_norm(x, x, tol) == 0.0
+
+
+def test_error_norm_non_finite_state_is_infinite():
+    tol = Tolerances(abs_tol=1e-6, rel_tol=1e-6)
+    with np.errstate(invalid="ignore"):
+        assert error_norm(np.array([1.0, np.nan]), np.array([1.0, 1.0]), tol) == np.inf
+    assert error_norm(np.array([1.0]), np.array([2.0]), Tolerances(0.0, 0.0)) == np.inf
+
+
+def test_integrate_fixed_snaps_step_and_reports_each():
+    m = mg.registry_lookup("EX-EX 2(1)A")
+    seen = []
+    last = integrate_fixed(m, LINEAR.to_ode(), [1.0], 0.0, 1.0, 0.3, 2, on_step=seen.append)
+    assert len(seen) == 3 and seen[-1] is last
+    assert last.H == 1.0 / 3 and last.t == pytest.approx(1.0, abs=1e-15)
+    # a step larger than the span still takes one step
+    assert integrate_fixed(m, LINEAR.to_ode(), [1.0], 0.0, 1.0, 3.0, 2).H == 1.0
+
+
+@pytest.mark.parametrize("t0, t_end, H", [(0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (0.0, np.inf, 0.1),
+                                          (1.0, 0.0, 0.1), (np.nan, 1.0, 0.1)])
+def test_integrate_fixed_rejects_bad_spans(t0, t_end, H):
+    with pytest.raises(InvalidInput):
+        integrate_fixed(mg.registry_lookup("EX-EX 2(1)A"), LINEAR.to_ode(), [1.0], t0, t_end, H, 2)
