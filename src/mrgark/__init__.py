@@ -19,7 +19,7 @@ from .assembly import (
     derive_schedule,
 )
 from .order import ConditionCatalog, ResidualReport, block_form_residuals, classify, residuals
-from .schemes import METHOD_NAMES, eval_coupling, list_methods, registry_lookup
+from .schemes import METHOD_NAMES, list_methods, registry_lookup
 from .stability import RegionGrid, scan_region, stability_value
 from .stepping import (
     PartitionedOde,
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "ButcherTableau", "CouplingRule", "MethodFlag", "MrGarkMethod", "TableauKind",
-    "METHOD_NAMES", "registry_lookup", "list_methods", "eval_coupling",
+    "METHOD_NAMES", "registry_lookup", "list_methods",
     "GarkMatrix", "StageSchedule", "assemble",
     "check_internal_consistency", "check_telescopic", "check_decoupled",
     "check_stiff_accuracy", "derive_schedule",

@@ -14,16 +14,19 @@ Three strategies are provided:
 
 A step is accepted when the total scaled error estimate is at most one.  The
 controller is also re-run after a rejection, using the failing step's
-estimates.  Costs t_s (per slow stage set) and t_f (per micro-step) are
-measured online around the right-hand-side evaluations, or pinned to a
-synthetic ratio for reproducible experiments.
+estimates.  A step that fails outright (non-finite state, Newton divergence,
+non-finite estimate) is rejected too, but H is halved and M kept.  Each update
+keeps H_new / H within [0.5, 2].  Costs t_s (per slow stage set) and t_f (per
+micro-step) are measured online around the right-hand-side evaluations, or
+pinned to a synthetic ratio for reproducible experiments.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -42,30 +45,38 @@ __all__ = [
 ]
 
 Strategy = Literal["balancing", "efficiency", "classic-h"]
+ExponentMode = Literal["paper", "classic"]
+
+#: bounds on H_new / H per update; a failed step shrinks H by the lower one
+_STEP_SCALE_LIMITS = (0.5, 2.0)
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
     strategy: Strategy = "efficiency"
     fac: float = 0.9
-    step_scale_limits: tuple[float, float] = (0.5, 2.0)
     m_bounds: tuple[int, int] | None = None  # default (2,10) balancing, (1,100) otherwise
     efficiency_window: tuple[int, int] = (-1, 2)  # relative to current M, clamped to >= 1
     abs_tol: float | np.ndarray = 1e-6
     rel_tol: float | np.ndarray = 1e-6
-    exponent_mode: Literal["paper", "classic"] = "paper"
+    exponent_mode: ExponentMode = "paper"
     synthetic_cost_ratio: float | None = None  # t_slow / t_fast; None = measure online
     max_rejects_per_step: int = 20
-    #: H shrink factor when a step fails outright (overflow, Newton divergence)
-    #: and no error estimate exists to feed the controller
-    failure_shrink: float = 0.5
 
     def __post_init__(self):
+        if self.strategy not in get_args(Strategy):
+            raise InvalidInput(f"unknown strategy {self.strategy!r}")
+        if self.exponent_mode not in get_args(ExponentMode):
+            raise InvalidInput(f"unknown exponent_mode {self.exponent_mode!r}")
         if not 0 < self.fac <= 1:
             raise InvalidInput("fac must lie in (0, 1]")
+        if self.m_bounds is not None and not 1 <= self.m_bounds[0] <= self.m_bounds[1]:
+            raise InvalidInput(f"m_bounds must satisfy 1 <= lo <= hi, got {self.m_bounds!r}")
         lo, hi = self.efficiency_window
         if lo > 0 or hi < 0 or hi < lo:
             raise InvalidInput("efficiency window must contain 0")
+        if self.synthetic_cost_ratio is not None and not 0 < self.synthetic_cost_ratio < math.inf:
+            raise InvalidInput(f"synthetic_cost_ratio must be finite and > 0, got {self.synthetic_cost_ratio!r}")
         if not (np.all(np.asarray(self.abs_tol) >= 0.0) and np.all(np.asarray(self.rel_tol) >= 0.0)):
             raise InvalidInput("abs_tol and rel_tol must be >= 0 and not NaN")
 
@@ -111,37 +122,55 @@ class DriveResult:
     state: AdaptivityState
 
 
-def _h_exponent(p: int, mode: str) -> float:
-    return 1.0 / p if mode == "paper" else 1.0 / (p + 1)
-
-
-def _clamp_h(H: float, H_new: float, config: ControllerConfig) -> float:
-    lo, hi = config.step_scale_limits
+def _clamp_h(H: float, H_new: float) -> float:
+    lo, hi = _STEP_SCALE_LIMITS
     return float(min(max(H_new, lo * H), hi * H))
 
 
-def balancing_update(state: AdaptivityState, p: int, q: int, config: ControllerConfig) -> tuple[float, int]:
-    """Macro-step from the total estimate, M from the fast/slow balance."""
-    lo, hi = config.resolved_m_bounds()
+def _check_estimates(state: AdaptivityState) -> None:
+    if math.isnan(state.eps_total + state.eps_slow + state.eps_fast):
+        raise InvalidInput(f"NaN error estimate: {(state.eps_total, state.eps_slow, state.eps_fast)}")
+
+
+def _total_error_h(state: AdaptivityState, p: int, config: ControllerConfig) -> float:
+    """fac * H * eps_total**(-k) with k = 1/p ("paper") or 1/(p+1), clamped; top growth if eps_total <= 0."""
+    _check_estimates(state)
     if state.eps_total <= 0.0:
-        return _clamp_h(state.H, math.inf, config), state.M
-    H_new = config.fac * state.H * state.eps_total ** (-_h_exponent(p, config.exponent_mode))
+        return _clamp_h(state.H, math.inf)
+    k = 1.0 / p if config.exponent_mode == "paper" else 1.0 / (p + 1)
+    # a subnormal estimate would overflow the power; the clamp caps the growth anyway
+    eps = max(state.eps_total, sys.float_info.min)
+    return _clamp_h(state.H, config.fac * state.H * eps ** (-k))
+
+
+def balancing_update(state: AdaptivityState, p: int, q: int, config: ControllerConfig) -> tuple[float, int]:
+    """Macro-step from the total estimate, M from the fast/slow balance.
+
+    An infinite or overflowing fast/slow ratio sends M to the upper bound;
+    both estimates infinite leave M as it is.
+    """
+    H_new = _total_error_h(state, p, config)
+    if state.eps_total <= 0.0:
+        return H_new, state.M
+    lo, hi = config.resolved_m_bounds()
     if state.eps_slow <= 0.0:
         M_new = hi if state.eps_fast > 0.0 else state.M
     else:
-        M_new = round(state.M * (state.eps_fast / state.eps_slow) ** (1.0 / q))
-    return _clamp_h(state.H, H_new, config), int(min(max(M_new, lo), hi))
+        scaled = state.M * (state.eps_fast / state.eps_slow) ** (1.0 / q)
+        M_new = state.M if math.isnan(scaled) else hi if scaled == math.inf else round(scaled)
+    return H_new, int(min(max(M_new, lo), hi))
 
 
 def efficiency_update(state: AdaptivityState, q: int, config: ControllerConfig) -> tuple[float, int]:
     """Pick M in a window to minimize projected cost, then solve for H."""
+    _check_estimates(state)
     lo, hi = config.resolved_m_bounds()
     wlo, whi = config.efficiency_window
     window = [m for m in range(max(1, state.M + wlo), state.M + whi + 1) if lo <= m <= hi]
     if not window:
         window = [min(max(state.M, lo), hi)]
     if state.eps_total <= 0.0:
-        return _clamp_h(state.H, math.inf, config), state.M
+        return _clamp_h(state.H, math.inf), state.M
 
     def projected_eps(m_new: int) -> float:
         return state.eps_slow + state.eps_fast * (state.M / m_new) ** q
@@ -152,16 +181,9 @@ def efficiency_update(state: AdaptivityState, q: int, config: ControllerConfig) 
     M_new = min(window, key=lambda m: (objective(m), m))
     eps_proj = projected_eps(M_new)
     if eps_proj <= 0.0:
-        return _clamp_h(state.H, math.inf, config), M_new
+        return _clamp_h(state.H, math.inf), M_new
     H_new = config.fac * state.H * eps_proj ** (-1.0 / (q + 1))
-    return _clamp_h(state.H, H_new, config), M_new
-
-
-def _classic_update(state: AdaptivityState, p: int, config: ControllerConfig) -> tuple[float, int]:
-    if state.eps_total <= 0.0:
-        return _clamp_h(state.H, math.inf, config), state.M
-    H_new = config.fac * state.H * state.eps_total ** (-_h_exponent(p, config.exponent_mode))
-    return _clamp_h(state.H, H_new, config), state.M
+    return _clamp_h(state.H, H_new), M_new
 
 
 def _controller(state: AdaptivityState, method: MrGarkMethod, config: ControllerConfig) -> tuple[float, int]:
@@ -171,9 +193,7 @@ def _controller(state: AdaptivityState, method: MrGarkMethod, config: Controller
         return balancing_update(state, p, q, config)
     if config.strategy == "efficiency":
         return efficiency_update(state, q, config)
-    if config.strategy == "classic-h":
-        return _classic_update(state, p, config)
-    raise ValueError(f"unknown strategy {config.strategy!r}")
+    return _total_error_h(state, p, config), state.M
 
 
 def drive(
@@ -203,8 +223,9 @@ def drive(
     ys = [y.copy()]
     carry = None
     rejects_in_a_row = 0
+    t_last = t_end - 1e-14 * span  # a step reaching past this ends the run
 
-    while t < t_end - 1e-14 * span:
+    while t < t_last:
         if state.H < 1e-14 * span:
             raise StepSizeUnderflow(f"H={state.H} at t={t}")
         H_eff = min(state.H, t_end - t)
@@ -213,36 +234,16 @@ def drive(
             estimates = error_estimates(result, tolerances)
         except (NonFiniteState, NewtonDivergence):
             estimates = None
-        if estimates is None or not math.isfinite(sum(estimates)):
-            # blow-up inside the step, or no finite estimate of it: shrink and retry
-            state.rejected += 1
-            rejects_in_a_row += 1
-            carry = None
-            state.trace.append(
-                TraceRecord(t, H_eff, state.M, math.inf, math.inf, math.inf, False)
-            )
-            if rejects_in_a_row > config.max_rejects_per_step:
-                raise StepSizeUnderflow(f"{rejects_in_a_row} consecutive rejections at t={t}")
-            state.H = H_eff * config.failure_shrink
-            continue
-        eps_total, eps_slow, eps_fast = estimates
-        # the estimates belong to the step actually taken
-        state.H = H_eff
-        state.eps_total, state.eps_slow, state.eps_fast = eps_total, eps_slow, eps_fast
-        if config.synthetic_cost_ratio is not None:
-            state.t_slow, state.t_fast = config.synthetic_cost_ratio, 1.0
-        elif result.t_fast > 0.0 and result.t_slow > 0.0:
-            state.t_slow = result.t_slow
-            state.t_fast = result.t_fast / state.M
-
+        # a blow-up inside the step, or no finite estimate of it, is a failed step
+        failed = estimates is None or not math.isfinite(sum(estimates))
+        eps_total, eps_slow, eps_fast = (math.inf,) * 3 if failed else estimates
         accepted = eps_total <= 1.0
-        state.trace.append(
-            TraceRecord(t, H_eff, state.M, eps_total, eps_slow, eps_fast, accepted)
-        )
+        state.trace.append(TraceRecord(t, H_eff, state.M, eps_total, eps_slow, eps_fast, accepted))
         if accepted:
             state.accepted += 1
             rejects_in_a_row = 0
-            t += H_eff
+            # t + (t_end - t) can round an ulp away from t_end
+            t = t_end if t + H_eff >= t_last else t + H_eff
             y = result.y_next
             carry = result.fsal_carry
             ts.append(t)
@@ -252,9 +253,19 @@ def drive(
             rejects_in_a_row += 1
             carry = None
             if rejects_in_a_row > config.max_rejects_per_step:
-                raise StepSizeUnderflow(
-                    f"{rejects_in_a_row} consecutive rejections at t={t}"
-                )
+                raise StepSizeUnderflow(f"{rejects_in_a_row} consecutive rejections at t={t}")
+        if failed:
+            # no estimate to feed the controller: shrink H, keep M
+            state.H = H_eff * _STEP_SCALE_LIMITS[0]
+            continue
+        # the estimates belong to the step actually taken
+        state.H = H_eff
+        state.eps_total, state.eps_slow, state.eps_fast = eps_total, eps_slow, eps_fast
+        if config.synthetic_cost_ratio is not None:
+            state.t_slow, state.t_fast = config.synthetic_cost_ratio, 1.0
+        elif result.t_fast > 0.0 and result.t_slow > 0.0:
+            state.t_slow = result.t_slow
+            state.t_fast = result.t_fast / state.M
         state.H, state.M = _controller(state, method, config)
 
     return DriveResult(ts=np.array(ts), ys=np.array(ys), state=state)

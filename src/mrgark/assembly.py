@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoupledMethod, NotImplicitPartition
+from .errors import CoupledMethod, InvalidInput, NotImplicitPartition
 from .tableaux import MrGarkMethod, TableauKind
 
 __all__ = [
@@ -118,7 +118,7 @@ class ConsistencyReport:
 def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
     """Build the full tableau of the multirate pair at ratio ``M``."""
     if not 1 <= M <= MAX_ASSEMBLED_M:
-        raise ValueError(f"M must be in 1..{MAX_ASSEMBLED_M}, got {M}")
+        raise InvalidInput(f"M must be in 1..{MAX_ASSEMBLED_M}, got {M}")
     s_f, s_s = method.stage_counts
     n_fast = M * s_f
     s = n_fast + s_s

@@ -30,7 +30,7 @@ from .assembly import (
     check_telescopic,
     derive_schedule,
 )
-from .errors import MrGarkError, UnknownMethod
+from .errors import InvalidInput, MrGarkError, UnknownMethod
 from .order import classify, residuals
 from .problems import PROBLEM_NAMES, make_problem, reference_error
 from .schemes import METHOD_NAMES, list_methods, registry_lookup
@@ -200,17 +200,17 @@ def cmd_converge(args) -> int:
     rows = []
     for M in _parse_sweep(args.M):
         errs = []
+        y_ref = None  # fine reference run, made once per M when there is no exact solution
         for H in ladder:
             try:
                 y_T = integrate_fixed(method, ode, y0, 0.0, args.t_end, H, M).y_next
-                if hasattr(problem, "exact"):
-                    err = reference_error(problem, y_T, args.t_end)
-                else:
-                    h_ref = min(ladder) / 64.0
-                    y_ref = integrate_fixed(method, ode, y0, 0.0, args.t_end, h_ref, M).y_next
-                    err = reference_error(problem, y_T, args.t_end, reference_state=y_ref)
+                if y_ref is None and not hasattr(problem, "exact"):
+                    y_ref = integrate_fixed(method, ode, y0, 0.0, args.t_end, min(ladder) / 64.0, M).y_next
+                err = reference_error(problem, y_T, args.t_end, reference_state=y_ref)
                 errs.append(err)
                 rows.append([method.name, M, f"{H:.10g}", f"{err:.6e}", ""])
+            except InvalidInput:
+                raise  # a bad M or H is a usage error, not a row of the table
             except MrGarkError as exc:
                 errs.append(math.nan)
                 rows.append([method.name, M, f"{H:.10g}", "", f"{type(exc).__name__}"])
@@ -364,10 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=float, default=0.01)
     p.add_argument("--M", type=int, default=2)
     p.add_argument("--t-end", type=float, default=1.0)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--fixed", action="store_true", default=True)
-    group.add_argument("--adaptive", choices=("balancing", "efficiency", "classic", "classic-h"),
-                       default=None)
+    p.add_argument("--adaptive", choices=("balancing", "efficiency", "classic", "classic-h"),
+                   default=None, help="adaptive strategy; fixed steps of --H when omitted")
     p.add_argument("--abstol", type=float, default=1e-6)
     p.add_argument("--reltol", type=float, default=1e-6)
     p.add_argument("--ts-tf-ratio", type=float, default=None,
@@ -381,12 +379,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UnknownMethod as exc:
-        print(f"UnknownMethod: {exc}", file=sys.stderr)
-        return 2
     except MrGarkError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (UnknownMethod, InvalidInput)) else 1
 
 
 if __name__ == "__main__":

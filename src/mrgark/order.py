@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from .assembly import GarkMatrix, assemble
+from .errors import InvalidInput
 from .schemes import registry_lookup
 from .tableaux import MrGarkMethod
 
@@ -76,23 +77,6 @@ class ResidualReport:
     weights: str
     entries: tuple[ResidualEntry, ...]
 
-    @property
-    def note(self) -> str | None:
-        """Interpretation caveat for mixed weight pairs.
-
-        The mixed estimators isolate the slow/fast error only up to coupling
-        trees rooted in the corresponding color; for methods that are not
-        naturally adaptive, part of the coupling error is attributed to the
-        slow or fast group here.
-        """
-        if self.weights in ("mixed-slow-hat", "mixed-fast-hat"):
-            part = "slow" if self.weights == "mixed-slow-hat" else "fast"
-            return (
-                f"mixed pair: residuals attribute coupling trees with a "
-                f"{part}-colored root to the {part} group"
-            )
-        return None
-
     def max_abs(self, order: int | None = None, group: str | None = None) -> float:
         vals = [
             abs(e.residual)
@@ -100,10 +84,6 @@ class ResidualReport:
             if (order is None or e.order == order) and (group is None or e.group == group)
         ]
         return max(vals) if vals else 0.0
-
-    @property
-    def max_abs_by_group(self) -> dict[str, float]:
-        return {grp: self.max_abs(group=grp) for grp in ("slow", "fast", "coupling")}
 
     def entry(self, cond_id: str) -> ResidualEntry:
         for e in self.entries:
@@ -170,14 +150,6 @@ class ConditionCatalog:
 
     conditions: tuple[Condition, ...] = _build_catalog()
 
-    @classmethod
-    def up_to(cls, order: int) -> Iterable[Condition]:
-        return (c for c in cls.conditions if c.order <= order)
-
-    @classmethod
-    def coupling_ids(cls, order: int) -> list[str]:
-        return [c.id for c in cls.conditions if c.order == order and c.group == "coupling"]
-
 
 def _weight_pair(method: MrGarkMethod, which: WeightPair) -> tuple[np.ndarray, np.ndarray]:
     table = {
@@ -198,7 +170,13 @@ def residuals(
     weights: WeightPair = "main",
     g: GarkMatrix | None = None,
 ) -> ResidualReport:
-    """Evaluate the full catalog on the assembled tableau."""
+    """Evaluate the full catalog on the assembled tableau.
+
+    The mixed pairs isolate the slow or fast error only up to coupling trees:
+    for methods that are not naturally adaptive, ``mixed-slow-hat`` counts
+    the coupling trees with a slow-colored root in the slow group, and
+    ``mixed-fast-hat`` those with a fast-colored root in the fast group.
+    """
     if g is None:
         g = assemble(method, M)
     wf, ws = _weight_pair(method, weights)
@@ -304,7 +282,7 @@ def classify(
     if isinstance(method, str):
         method = registry_lookup(method)
     if not M_sweep:
-        raise ValueError("M_sweep must be non-empty")
+        raise InvalidInput("M_sweep must be non-empty")
 
     main = [residuals(method, M, "main") for M in M_sweep]
     emb = [residuals(method, M, "embedded") for M in M_sweep]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoReference, NonFiniteInput
+from .errors import InvalidInput, NoReference, NonFiniteInput
 from .stepping import PartitionedOde
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "CoupledNonlinearScalar",
     "GrayScott",
     "rhs_parts",
-    "initial_condition",
     "reference_error",
     "make_problem",
     "PROBLEM_NAMES",
@@ -120,11 +119,11 @@ class GrayScott:
 
     def __post_init__(self):
         if self.n % 8:
-            raise ValueError("grid size must be divisible by 8")
+            raise InvalidInput("grid size must be divisible by 8")
         if self.diffusion_mode not in ("linear", "nonlinear"):
-            raise ValueError("diffusion_mode must be 'linear' or 'nonlinear'")
+            raise InvalidInput("diffusion_mode must be 'linear' or 'nonlinear'")
         if self.boundary not in ("neumann", "periodic"):
-            raise ValueError("boundary must be 'neumann' or 'periodic'")
+            raise InvalidInput("boundary must be 'neumann' or 'periodic'")
         x = self.cell_centers()
         self._sin_grid = np.sin(np.pi * x)[:, None] * np.sin(np.pi * x)[None, :]
 
@@ -189,11 +188,6 @@ class GrayScott:
         v[lo:hi, lo:hi] = 0.25
         return np.concatenate([u.ravel(), v.ravel()])
 
-    def mass(self, y: np.ndarray) -> tuple[float, float]:
-        u, v = self.split(y)
-        cell = self.spacing**2
-        return float(u.sum() * cell), float(v.sum() * cell)
-
     def diffusion_jacobian(self) -> np.ndarray:
         """Dense Jacobian of the diffusion part; linear mode only.
 
@@ -239,10 +233,6 @@ def rhs_parts(problem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(problem.f_slow(y), dtype=float), np.asarray(problem.f_fast(y), dtype=float)
 
 
-def initial_condition(problem) -> np.ndarray:
-    return problem.initial_condition()
-
-
 def reference_error(problem, y_T: np.ndarray, T: float, reference_state: np.ndarray | None = None) -> float:
     """Relative L2 error against the exact solution or a supplied reference."""
     y_T = np.asarray(y_T, dtype=float)
@@ -269,5 +259,8 @@ def make_problem(name: str, **params):
     try:
         cls = _PROBLEMS[name]
     except KeyError:
-        raise ValueError(f"unknown problem {name!r}; known: {', '.join(PROBLEM_NAMES)}") from None
-    return cls(**params)
+        raise InvalidInput(f"unknown problem {name!r}; known: {', '.join(PROBLEM_NAMES)}") from None
+    try:
+        return cls(**params)
+    except TypeError as exc:
+        raise InvalidInput(f"bad parameters for {name}: {exc}") from None

@@ -36,7 +36,6 @@ __all__ = [
     "METHOD_NAMES",
     "registry_lookup",
     "list_methods",
-    "eval_coupling",
     "SDIRK3_GAMMA",
     "sdirk3_gamma_closed_form",
 ]
@@ -947,8 +946,3 @@ def list_methods() -> list[tuple[str, int, int, frozenset[MethodFlag]]]:
         m = registry_lookup(name)
         out.append((m.name, m.order, m.embedded_order, m.flags))
     return out
-
-
-def eval_coupling(method: MrGarkMethod, side: str, lam: int, M: int) -> np.ndarray:
-    """Numeric coupling block A^{fs,lambda} or A^{sf,lambda} for the given M."""
-    return method.coupling("fs" if side.lower() in ("fs", "fast-slow") else "sf", lam, M)

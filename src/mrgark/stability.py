@@ -15,12 +15,13 @@ matching the step-size ratio.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import GarkMatrix
-from .errors import SingularResolvent
+from .errors import InvalidInput, SingularResolvent
 
 __all__ = ["RegionGrid", "stability_value", "scan_region"]
 
@@ -82,7 +83,9 @@ def scan_region(
 ) -> RegionGrid:
     """Scan |R| over the angular box; singular cells become NaN."""
     if n_theta < 2 or n_rho < 2:
-        raise ValueError("need at least 2 samples per axis")
+        raise InvalidInput("need at least 2 samples per axis")
+    if not 0 < rho_max < math.inf:
+        raise InvalidInput(f"rho_max must be finite and > 0, got {rho_max!r}")
     theta = np.linspace(np.pi / 2, 3 * np.pi / 2, n_theta)
     rho = np.linspace(0.0, rho_max, n_rho)
     s = g.stage_count

@@ -93,8 +93,6 @@ class StepResult:
     t: float
     H: float
     M: int
-    slow_stages: list[np.ndarray]
-    fast_stages: list[list[np.ndarray]] | None
     t_slow: float
     t_fast: float
     counters: WorkCounters
@@ -196,13 +194,13 @@ def step(
     H: float,
     M: int,
     *,
-    newton_tol: float = 1e-12,
-    newton_max_iter: int = 50,
-    use_fsal: bool = True,
     fsal_carry: FsalCarry | None = None,
-    keep_fast_stages: bool = False,
 ) -> StepResult:
-    """Advance one macro-step of size H with M fast micro-steps."""
+    """Advance one macro-step of size H with M fast micro-steps.
+
+    Methods with the first-same-as-last flag reuse the last fast-stage RHS,
+    within the step and from ``fsal_carry`` when it belongs to ``y_n``.
+    """
     M = _check_step_size(H, M)
     plan = _step_plan(method, M)
     y_n = np.asarray(y_n, dtype=float)
@@ -229,23 +227,19 @@ def step(
     def solve_stage(rhs_known, a_diag, f, jac_fn):
         nonlocal newton_iterations
         jac = None if jac_fn is None else lambda y: np.eye(y.size) - a_diag * np.asarray(jac_fn(y), dtype=float)
-        res = newton_solve(lambda y: y - a_diag * f(y) - rhs_known, rhs_known, jac,
-                           tol=newton_tol, max_iter=newton_max_iter)
+        res = newton_solve(lambda y: y - a_diag * f(y) - rhs_known, rhs_known, jac)
         newton_iterations += res.iterations
         return res.y
 
-    slow_Y: list[np.ndarray | None] = [None] * s_s
     # slow-stage RHS values, and per slow stage the sum of a_sf * F over fast stages so far
     slow_F, sf_acc = np.zeros((s_s, n)), np.zeros((s_s, n))
 
     def compute_slow(j):
         rhs = y_n + H * (slow_F[:j].T @ Ass[j, :j]) + h * sf_acc[j]
         Y = solve_stage(rhs, H * method.slow.gamma, f_slow, ode.jac_slow) if slow_implicit else rhs
-        slow_Y[j] = Y
         slow_F[j] = f_slow(Y)
 
-    fsal = use_fsal and method.has_flag(MethodFlag.FSAL)
-    fast_history: list[list[np.ndarray]] | None = [] if keep_fast_stages else None
+    fsal = method.has_flag(MethodFlag.FSAL)
     f_prev_last: np.ndarray | None = None
     if fsal and fsal_carry is not None and np.array_equal(fsal_carry.y_next, y_n):
         f_prev_last = fsal_carry.f_fast_last
@@ -257,7 +251,6 @@ def step(
     with np.errstate(over="ignore", invalid="ignore"):
         for lam, (Afs, before, scatter) in enumerate(zip(plan.fs, plan.before, plan.scatter), 1):
             fast_F = np.zeros((s_f, n))
-            stage_Y: list[np.ndarray] = []
             for i in range(s_f):
                 for j in before[i]:
                     compute_slow(j)
@@ -269,8 +262,6 @@ def step(
                     Y = rhs
                     F = f_prev_last if i == 0 and f_prev_last is not None else f_fast(Y)
                 fast_F[i] = F
-                if keep_fast_stages:
-                    stage_Y.append(Y)
                 for j, a in scatter[i]:
                     sf_acc[j] += a * F
             if fsal:
@@ -281,8 +272,6 @@ def step(
             ytilde = ytilde + h * increment
             if not np.isfinite(ytilde).all():
                 raise NonFiniteState(f"fast solution non-finite in micro-step {lam}")
-            if fast_history is not None:
-                fast_history.append(stage_Y)
         for j in plan.trailing:
             compute_slow(j)
 
@@ -302,8 +291,6 @@ def step(
         t=t_n + H,
         H=H,
         M=M,
-        slow_stages=slow_Y,
-        fast_stages=fast_history,
         t_slow=seconds[0],
         t_fast=seconds[1],
         counters=WorkCounters(calls[1], calls[0], newton_iterations),

@@ -119,6 +119,12 @@ def test_config_validation():
         ControllerConfig(fac=0.0)
     with pytest.raises(ValueError):
         ControllerConfig(efficiency_window=(1, 2))
+    for bad in (dict(strategy="bogus"), dict(exponent_mode="bogus"), dict(m_bounds=(5, 2)),
+                dict(m_bounds=(0, 3)), dict(synthetic_cost_ratio=-1.0),
+                dict(synthetic_cost_ratio=np.nan), dict(synthetic_cost_ratio=np.inf)):
+        with pytest.raises(InvalidInput):
+            ControllerConfig(**bad)
+    ControllerConfig(m_bounds=(3, 3), synthetic_cost_ratio=0.5)
 
 
 def test_drive_smoke_loose_tolerance():
@@ -197,6 +203,16 @@ def test_drive_rejects_then_recovers():
                 prob.initial_condition(), 0.0, 0.5, cfg, H0=0.5, M0=2)
     assert res.state.rejected >= 1
     assert res.ts[-1] == pytest.approx(0.5, abs=1e-14)
+
+
+def test_drive_lands_exactly_on_t_end():
+    # t0 + (t_end - t0) rounds one ulp below t_end for these values
+    t0, t_end = 0.2927830460426045, 1.7500340857016023
+    cfg = ControllerConfig(strategy="classic-h", abs_tol=1e-2, rel_tol=1e-2)
+    res = drive(mg.registry_lookup("EX-EX 2(1)A"), LinearTwoRate(-1e-3, -1e-4).to_ode(),
+                np.array([1.0]), t0, t_end, cfg, H0=10.0, M0=2)
+    assert res.state.accepted == 1
+    assert res.ts[-1] == t_end
 
 
 def test_drive_requires_forward_span():

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from mrgark import cli
 from mrgark.cli import main
+from mrgark.stepping import integrate_fixed
 
 
 def run(args, capsys):
@@ -171,3 +173,37 @@ def test_converge_step_larger_than_span(tmp_path, capsys):
     assert code == 0, err
     rows = list(csv.DictReader(open(tmp_path / "convergence.csv")))
     assert len(rows) == 4 and all(r["error"] for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "EX-EX 2(1)A", "--M", "0"],
+    ["dump-tableau", "EX-EX 2(1)A", "--M", "0"],
+    ["verify", "EX-EX 2(1)A", "--M-sweep", "0:2"],
+    ["converge", "--method", "EX-EX 2(1)A", "--M", "0", "--h-ladder", "1/8"],
+    ["stability", "EX-EX 2(1)A", "--n-theta", "1"],
+    ["stability", "EX-EX 2(1)A", "--rho-max", "nan", "--n-theta", "3", "--n-rho", "3"],
+    ["stability", "EX-EX 2(1)A", "--rho-max", "-6", "--n-theta", "3", "--n-rho", "3"],
+    ["integrate", "--method", "EX-EX 2(1)A", "--problem-params", '{"bogus": 1}'],
+])
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("InvalidInput: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_converge_runs_the_reference_once_per_M(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[5])  # H
+        return integrate_fixed(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_fixed", counted)
+    ladder = ["1/8", "1/16", "1/32"]
+    code, _, err = run(["--out-dir", str(tmp_path), "converge", "--method", "EX-EX 2(1)A",
+                        "--problem", "coupled-scalar", "--M", "2,3", "--h-ladder", ",".join(ladder),
+                        "--t-end", "0.25"], capsys)
+    assert code == 0, err
+    assert len(calls) == 2 * (len(ladder) + 1)
+    assert calls.count(1 / 32 / 64) == 2  # one reference run per M

@@ -6,7 +6,6 @@ from mrgark.problems import (
     CoupledNonlinearScalar,
     GrayScott,
     LinearTwoRate,
-    initial_condition,
     make_problem,
     reference_error,
     rhs_parts,
@@ -23,7 +22,7 @@ def test_linear_two_rate_parts_and_exact():
 
 def test_rhs_parts_sum_is_full_rhs():
     gs = GrayScott(n=8)
-    y = initial_condition(gs)
+    y = gs.initial_condition()
     fs, ff = rhs_parts(gs, y)
     np.testing.assert_allclose(fs + ff, gs.reaction(y) + gs.diffusion(y), atol=1e-15)
 

@@ -40,9 +40,9 @@ def test_sdirk3_gamma_closed_form_matches_printed_value():
 def test_type_s_split_index():
     # c2 = 2/3, M = 3 -> the slow-fast blocks stop after micro-step floor(2) = 2
     m = mg.registry_lookup("EX-EX 2(1)S")
-    assert np.any(mg.eval_coupling(m, "sf", 2, 3))
-    assert not np.any(mg.eval_coupling(m, "sf", 3, 3))
-    assert np.any(mg.eval_coupling(m, "sf", 1, 3))
+    assert np.any(m.coupling("sf", 2, 3))
+    assert not np.any(m.coupling("sf", 3, 3))
+    assert np.any(m.coupling("sf", 1, 3))
 
 
 def test_type_s_parameter_override():
@@ -63,20 +63,20 @@ def test_unknown_method():
 def test_lambda_out_of_range():
     m = mg.registry_lookup("EX-EX 2(1)A")
     with pytest.raises(LambdaOutOfRange):
-        mg.eval_coupling(m, "fs", 5, 4)
+        m.coupling("fs", 5, 4)
     with pytest.raises(LambdaOutOfRange):
-        mg.eval_coupling(m, "fs", 0, 4)
+        m.coupling("fs", 0, 4)
 
 
 def test_eval_coupling_examples():
     m = mg.registry_lookup("EX-EX 2(1)A")
     np.testing.assert_allclose(
-        mg.eval_coupling(m, "fs", 1, 4), [[0.0, 0.0], [1.0 / 6.0, 0.0]], atol=0
+        m.coupling("fs", 1, 4), [[0.0, 0.0], [1.0 / 6.0, 0.0]], atol=0
     )
-    assert not np.any(mg.eval_coupling(m, "sf", 2, 4))
+    assert not np.any(m.coupling("sf", 2, 4))
     imex = mg.registry_lookup("IM-EX 2(1)A")
     np.testing.assert_allclose(
-        mg.eval_coupling(imex, "sf", 1, 2), [[0.0, 0.0], [2.0 / 3.0, 0.0]], atol=0
+        imex.coupling("sf", 1, 2), [[0.0, 0.0], [2.0 / 3.0, 0.0]], atol=0
     )
 
 
@@ -89,8 +89,8 @@ def test_row_sums_reproduce_abscissae(name, M):
     # coupling shapes hold for every (lambda, M)
     s_f, s_s = m.stage_counts
     for lam in range(1, M + 1):
-        assert mg.eval_coupling(m, "fs", lam, M).shape == (s_f, s_s)
-        assert mg.eval_coupling(m, "sf", lam, M).shape == (s_s, s_f)
+        assert m.coupling("fs", lam, M).shape == (s_f, s_s)
+        assert m.coupling("sf", lam, M).shape == (s_s, s_f)
 
 
 @pytest.mark.parametrize("name", [n for n in mg.METHOD_NAMES if n.endswith("A")])
@@ -100,7 +100,7 @@ def test_type_a_couplings_affine_in_lambda(name):
     m = mg.registry_lookup(name)
     M = 6
     for side in ("fs", "sf"):
-        blocks = {lam: mg.eval_coupling(m, side, lam, M) for lam in range(1, M + 1)}
+        blocks = {lam: m.coupling(side, lam, M) for lam in range(1, M + 1)}
         # stay inside the generic branch: above lambda = 1 and below lambda = M
         for lam in (3, 4):
             second_diff = blocks[lam + 1] - 2 * blocks[lam] + blocks[lam - 1]
@@ -128,8 +128,8 @@ def test_flags_match_declarations():
 
 def test_coupling_rules_are_deterministic():
     m = mg.registry_lookup("EX-EX 3(2)4s-A")
-    a = mg.eval_coupling(m, "fs", 3, 5)
-    b = mg.eval_coupling(m, "fs", 3, 5)
+    a = m.coupling("fs", 3, 5)
+    b = m.coupling("fs", 3, 5)
     assert np.array_equal(a, b)
     assert not a.flags.writeable
 
