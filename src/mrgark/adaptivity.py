@@ -3,14 +3,15 @@
 Three strategies are provided:
 
 * ``balancing``: H follows the classical embedded-error rule
-  H_new = fac * H * eps_total**(-1/p); M is then rescaled so the projected
-  slow and fast error contributions balance,
+  H_new = fac * H * eps_total**(-1/p) with fac = 0.9; M is then rescaled so
+  the projected slow and fast error contributions balance,
   M_new = round(M * (eps_fast/eps_slow)**(1/q)) with q = min(p, p_hat).
 * ``efficiency``: M_new minimizes the projected cost per unit progress,
-  (t_s + M'*t_f) * (eps_slow + eps_fast*(M/M')**q)**(1/(q+1)), over a small
-  integer window around the current M; H_new then activates the accuracy
-  constraint for that M.
+  (t_s + M'*t_f) * (eps_slow + eps_fast*(M/M')**q)**(1/(q+1)), over
+  M' in M-1..M+2; H_new then activates the accuracy constraint for that M.
 * ``classic-h``: M stays fixed and only H is controlled.
+
+M stays within [2, 10] under ``balancing`` and within [1, 100] otherwise.
 
 A step is accepted when the total scaled error estimate is at most one.  The
 controller is also re-run after a rejection, using the failing step's
@@ -45,45 +46,32 @@ __all__ = [
 ]
 
 Strategy = Literal["balancing", "efficiency", "classic-h"]
-ExponentMode = Literal["paper", "classic"]
 
 #: bounds on H_new / H per update; a failed step shrinks H by the lower one
 _STEP_SCALE_LIMITS = (0.5, 2.0)
+#: safety factor on the H that the error model predicts
+_FAC = 0.9
+#: inclusive bounds on M for each strategy
+_M_BOUNDS = {"balancing": (2, 10), "efficiency": (1, 100), "classic-h": (1, 100)}
+#: the efficiency controller's candidate M, relative to the current M
+_EFFICIENCY_WINDOW = (-1, 2)
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
     strategy: Strategy = "efficiency"
-    fac: float = 0.9
-    m_bounds: tuple[int, int] | None = None  # default (2,10) balancing, (1,100) otherwise
-    efficiency_window: tuple[int, int] = (-1, 2)  # relative to current M, clamped to >= 1
     abs_tol: float | np.ndarray = 1e-6
     rel_tol: float | np.ndarray = 1e-6
-    exponent_mode: ExponentMode = "paper"
     synthetic_cost_ratio: float | None = None  # t_slow / t_fast; None = measure online
     max_rejects_per_step: int = 20
 
     def __post_init__(self):
         if self.strategy not in get_args(Strategy):
             raise InvalidInput(f"unknown strategy {self.strategy!r}")
-        if self.exponent_mode not in get_args(ExponentMode):
-            raise InvalidInput(f"unknown exponent_mode {self.exponent_mode!r}")
-        if not 0 < self.fac <= 1:
-            raise InvalidInput("fac must lie in (0, 1]")
-        if self.m_bounds is not None and not 1 <= self.m_bounds[0] <= self.m_bounds[1]:
-            raise InvalidInput(f"m_bounds must satisfy 1 <= lo <= hi, got {self.m_bounds!r}")
-        lo, hi = self.efficiency_window
-        if lo > 0 or hi < 0 or hi < lo:
-            raise InvalidInput("efficiency window must contain 0")
         if self.synthetic_cost_ratio is not None and not 0 < self.synthetic_cost_ratio < math.inf:
             raise InvalidInput(f"synthetic_cost_ratio must be finite and > 0, got {self.synthetic_cost_ratio!r}")
         if not (np.all(np.asarray(self.abs_tol) >= 0.0) and np.all(np.asarray(self.rel_tol) >= 0.0)):
             raise InvalidInput("abs_tol and rel_tol must be >= 0 and not NaN")
-
-    def resolved_m_bounds(self) -> tuple[int, int]:
-        if self.m_bounds is not None:
-            return self.m_bounds
-        return (2, 10) if self.strategy == "balancing" else (1, 100)
 
     def tolerances(self) -> Tolerances:
         return Tolerances(abs_tol=self.abs_tol, rel_tol=self.rel_tol)
@@ -132,15 +120,14 @@ def _check_estimates(state: AdaptivityState) -> None:
         raise InvalidInput(f"NaN error estimate: {(state.eps_total, state.eps_slow, state.eps_fast)}")
 
 
-def _total_error_h(state: AdaptivityState, p: int, config: ControllerConfig) -> float:
-    """fac * H * eps_total**(-k) with k = 1/p ("paper") or 1/(p+1), clamped; top growth if eps_total <= 0."""
+def _total_error_h(state: AdaptivityState, p: int) -> float:
+    """fac * H * eps_total**(-1/p), clamped; top growth if eps_total <= 0."""
     _check_estimates(state)
     if state.eps_total <= 0.0:
         return _clamp_h(state.H, math.inf)
-    k = 1.0 / p if config.exponent_mode == "paper" else 1.0 / (p + 1)
     # a subnormal estimate would overflow the power; the clamp caps the growth anyway
     eps = max(state.eps_total, sys.float_info.min)
-    return _clamp_h(state.H, config.fac * state.H * eps ** (-k))
+    return _clamp_h(state.H, _FAC * state.H * eps ** (-1.0 / p))
 
 
 def balancing_update(state: AdaptivityState, p: int, q: int, config: ControllerConfig) -> tuple[float, int]:
@@ -149,10 +136,10 @@ def balancing_update(state: AdaptivityState, p: int, q: int, config: ControllerC
     An infinite or overflowing fast/slow ratio sends M to the upper bound;
     both estimates infinite leave M as it is.
     """
-    H_new = _total_error_h(state, p, config)
+    H_new = _total_error_h(state, p)
     if state.eps_total <= 0.0:
         return H_new, state.M
-    lo, hi = config.resolved_m_bounds()
+    lo, hi = _M_BOUNDS[config.strategy]
     if state.eps_slow <= 0.0:
         M_new = hi if state.eps_fast > 0.0 else state.M
     else:
@@ -164,8 +151,8 @@ def balancing_update(state: AdaptivityState, p: int, q: int, config: ControllerC
 def efficiency_update(state: AdaptivityState, q: int, config: ControllerConfig) -> tuple[float, int]:
     """Pick M in a window to minimize projected cost, then solve for H."""
     _check_estimates(state)
-    lo, hi = config.resolved_m_bounds()
-    wlo, whi = config.efficiency_window
+    lo, hi = _M_BOUNDS[config.strategy]
+    wlo, whi = _EFFICIENCY_WINDOW
     window = [m for m in range(max(1, state.M + wlo), state.M + whi + 1) if lo <= m <= hi]
     if not window:
         window = [min(max(state.M, lo), hi)]
@@ -182,7 +169,7 @@ def efficiency_update(state: AdaptivityState, q: int, config: ControllerConfig) 
     eps_proj = projected_eps(M_new)
     if eps_proj <= 0.0:
         return _clamp_h(state.H, math.inf), M_new
-    H_new = config.fac * state.H * eps_proj ** (-1.0 / (q + 1))
+    H_new = _FAC * state.H * eps_proj ** (-1.0 / (q + 1))
     return _clamp_h(state.H, H_new), M_new
 
 
@@ -193,7 +180,7 @@ def _controller(state: AdaptivityState, method: MrGarkMethod, config: Controller
         return balancing_update(state, p, q, config)
     if config.strategy == "efficiency":
         return efficiency_update(state, q, config)
-    return _total_error_h(state, p, config), state.M
+    return _total_error_h(state, p), state.M
 
 
 def drive(
@@ -210,7 +197,7 @@ def drive(
     if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
         raise InvalidInput(f"need finite t0 < t_end, got t0={t0!r}, t_end={t_end!r}")
     span = t_end - t0
-    lo, hi = config.resolved_m_bounds()
+    lo, hi = _M_BOUNDS[config.strategy]
     state = AdaptivityState(
         H=H0 if H0 is not None else span / 100.0,
         M=int(min(max(M0 if M0 is not None else lo, lo), hi)),

@@ -2,8 +2,10 @@
 
 Subcommands: list-methods, dump-tableau, verify, converge, stability,
 integrate.  Numeric grids and traces go to CSV, run manifests and summaries
-to JSON, so outputs are plot-ready and diff-able.  Every run is fully
-deterministic: identical configurations produce byte-identical files.
+to JSON, so outputs are plot-ready and diff-able.  Identical configurations
+produce byte-identical files, except ``integrate --adaptive efficiency``
+without ``--ts-tf-ratio``, whose cost model times RHS calls; its manifest
+records ``cost_source: wall-clock`` and makes no reproducibility claim.
 
 Exit codes: 0 success, 1 numerical/verification failure, 2 usage error.
 """
@@ -51,7 +53,9 @@ def _out_dir(args) -> Path:
 def _write_manifest(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["tool_version"] = __version__
-    payload["determinism"] = "outputs are seed-free and reproducible bit-for-bit"
+    payload["determinism"] = ("H and M follow timed RHS calls, so outputs vary from run to run"
+                              if payload.get("cost_source") == "wall-clock"
+                              else "outputs are seed-free and reproducible bit-for-bit")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -59,24 +63,38 @@ def _write_manifest(path: Path, payload: dict) -> None:
 
 def _parse_sweep(text: str) -> list[int]:
     """Parse '1:8' (inclusive range) or '2,4,8' (explicit list)."""
-    if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        lo, colon, hi = text.partition(":")
+        out = list(range(int(lo), int(hi) + 1)) if colon else [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        out = []
+    if not out:
+        raise InvalidInput(f"bad M list {text!r}: want 'lo:hi' or 'M1,M2,...'")
+    return out
 
 
 def _parse_floats(text: str) -> list[float]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if "/" in tok:
-            num, den = tok.split("/")
-            out.append(float(num) / float(den))
-        else:
-            out.append(float(tok))
+    """Parse an H ladder: distinct numbers or fractions 'p/q', comma separated."""
+    try:
+        out = []
+        for num, slash, den in (tok.partition("/") for tok in text.split(",") if tok.strip()):
+            out.append(float(num) / float(den) if slash else float(num))
+    except (ValueError, ZeroDivisionError):
+        out = []
+    if not out or len(set(out)) < len(out):
+        raise InvalidInput(f"bad H ladder {text!r}: want distinct numbers or fractions p/q")
     return out
+
+
+def _parse_problem(args):
+    """Build --problem with the keyword arguments in the --problem-params JSON object."""
+    try:
+        params = json.loads(args.problem_params)
+    except json.JSONDecodeError:
+        params = None
+    if not isinstance(params, dict):
+        raise InvalidInput(f"--problem-params must be a JSON object, got {args.problem_params!r}")
+    return make_problem(args.problem, **params)
 
 
 def cmd_list_methods(args) -> int:
@@ -148,7 +166,7 @@ def _verify_one(name: str, sweep: list[int], weights: str, rows: list, failures:
             base = method.slow if part == "slow" else method.fast
             if base.kind is TableauKind.SDIRK and method.has_flag(flag) and not check_stiff_accuracy(method, M, part):
                 failures.append(f"{name} M={M}: stiff accuracy fails in {part} partition")
-        rep = residuals(method, M, weights)
+        rep = residuals(method, M, weights, g=g)
         for e in rep.entries:
             rows.append([name, M, weights, e.id, e.order, e.group, f"{e.value:.17g}", f"{e.rhs:.17g}", f"{e.residual:.3e}"])
 
@@ -192,7 +210,7 @@ def cmd_verify(args) -> int:
 
 def cmd_converge(args) -> int:
     method = registry_lookup(args.method)
-    problem = make_problem(args.problem, **json.loads(args.problem_params))
+    problem = _parse_problem(args)
     ode = problem.to_ode()
     y0 = problem.initial_condition()
     ladder = _parse_floats(args.h_ladder)
@@ -250,14 +268,14 @@ def cmd_stability(args) -> int:
 
 def cmd_integrate(args) -> int:
     method = registry_lookup(args.method)
-    problem = make_problem(args.problem, **json.loads(args.problem_params))
+    problem = _parse_problem(args)
     ode = problem.to_ode()
     y0 = problem.initial_condition()
     out = _out_dir(args)
     tolerances = Tolerances(abs_tol=args.abstol, rel_tol=args.reltol)
     summary: dict = {
         "command": "integrate", "method": method.name, "problem": args.problem,
-        "t_end": args.t_end, "abstol": args.abstol, "reltol": args.reltol,
+        "t_end": args.t_end, "abstol": args.abstol, "reltol": args.reltol, "cost_source": None,
     }
 
     if args.adaptive:
@@ -278,6 +296,8 @@ def cmd_integrate(args) -> int:
                             f"{r.eps_slow:.6e}", f"{r.eps_fast:.6e}", int(r.accepted)])
         summary.update(
             strategy=strategy,
+            # only the efficiency controller reads the costs
+            cost_source=None if strategy != "efficiency" else "wall-clock" if args.ts_tf_ratio is None else "synthetic",
             accepted=result.state.accepted,
             rejected=result.state.rejected,
             final_H=result.state.H,

@@ -142,14 +142,8 @@ class GrayScott:
         n2 = self.n * self.n
         return y[:n2].reshape(self.n, self.n), y[n2:].reshape(self.n, self.n)
 
-    # pointwise diffusion coefficients of the nonlinear variant
-    def epsilon_u(self, x, y, u):
-        return self.eps_u * np.exp(-u / 100.0) * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    def epsilon_v(self, x, y, v):
-        return self.eps_v * np.exp(-v / 100.0) * np.sin(np.pi * x) * np.sin(np.pi * y)
-
     def _eps_fields(self, u, v) -> tuple[np.ndarray, np.ndarray]:
+        """Diffusion coefficients per cell: eps, or eps * exp(-w/100) * sin(pi x) sin(pi y)."""
         if self.diffusion_mode == "linear":
             shape = np.ones_like(u)
             return self.eps_u * shape, self.eps_v * shape

@@ -29,24 +29,40 @@ __all__ = ["RegionGrid", "stability_value", "scan_region"]
 STABLE_TOL = 1e-12
 
 
-def _z_diagonal(g: GarkMatrix, z_f: complex, z_s: complex) -> np.ndarray:
-    z = np.empty(g.stage_count, dtype=complex)
-    z[: g.M * g.s_f] = z_f
-    z[g.M * g.s_f:] = z_s
-    return z
+def _stability_values(g: GarkMatrix, z_f: np.ndarray, z_s: np.ndarray) -> np.ndarray:
+    """R at each (z_f[i, k], z_s[i, k]), one batched dense solve of size s per row i.
+
+    NaN where the resolvent is singular or R is not finite.  A row whose batch
+    solve fails is re-solved cell by cell.
+    """
+    n_fast = g.M * g.s_f
+    eye = np.eye(g.stage_count, dtype=complex)
+    ones = np.ones((z_f.shape[1], g.stage_count, 1), dtype=complex)
+    out = np.empty(z_f.shape, dtype=complex)
+    for i in range(z_f.shape[0]):
+        z = np.empty((z_f.shape[1], g.stage_count), dtype=complex)
+        z[:, :n_fast] = z_f[i, :, None]
+        z[:, n_fast:] = z_s[i, :, None]
+        lhs = eye - g.A * z[:, None, :]
+        try:
+            x = np.linalg.solve(lhs, ones)
+        except np.linalg.LinAlgError:
+            x = np.full_like(ones, np.nan)
+            for k, cell in enumerate(lhs):
+                try:
+                    x[k] = np.linalg.solve(cell, ones[k])
+                except np.linalg.LinAlgError:
+                    pass
+        out[i] = 1.0 + ((g.b * z)[:, None, :] @ x)[:, 0, 0]
+    out[~np.isfinite(out)] = np.nan
+    return out
 
 
 def stability_value(g: GarkMatrix, z_f: complex, z_s: complex) -> complex:
-    """Evaluate R(z_f, z_s) via one dense complex solve of size s."""
-    z = _z_diagonal(g, z_f, z_s)
-    lhs = np.eye(g.stage_count, dtype=complex) - g.A * z[np.newaxis, :]
-    try:
-        x = np.linalg.solve(lhs, np.ones(g.stage_count, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(str(exc)) from None
-    r = 1.0 + (g.b * z) @ x
-    if not np.isfinite(r.real) or not np.isfinite(r.imag):
-        raise SingularResolvent(f"non-finite stability value at z_f={z_f}, z_s={z_s}")
+    """R(z_f, z_s) by one dense complex solve of size s; SingularResolvent if singular or not finite."""
+    r = _stability_values(g, np.full((1, 1), z_f, dtype=complex), np.full((1, 1), z_s, dtype=complex))[0, 0]
+    if np.isnan(r):
+        raise SingularResolvent(f"singular resolvent or non-finite R at z_f={z_f}, z_s={z_s}")
     return complex(r)
 
 
@@ -88,32 +104,11 @@ def scan_region(
         raise InvalidInput(f"rho_max must be finite and > 0, got {rho_max!r}")
     theta = np.linspace(np.pi / 2, 3 * np.pi / 2, n_theta)
     rho = np.linspace(0.0, rho_max, n_rho)
-    s = g.stage_count
-    eye = np.eye(s, dtype=complex)
-    ones = np.ones(s, dtype=complex)
-    values = np.empty((n_theta, n_theta, n_rho))
-
-    for i, tf in enumerate(theta):
-        for j, ts in enumerate(theta):
-            zf = g.M * rho * np.exp(-1j * tf)
-            zs = rho * np.exp(-1j * ts)
-            z = np.empty((n_rho, s), dtype=complex)
-            z[:, : g.M * g.s_f] = zf[:, None]
-            z[:, g.M * g.s_f:] = zs[:, None]
-            lhs = eye[None, :, :] - g.A[None, :, :] * z[:, None, :]
-            try:
-                x = np.linalg.solve(lhs, np.tile(ones, (n_rho, 1))[:, :, None])[:, :, 0]
-                r = 1.0 + np.einsum("ks,ks->k", g.b[None, :] * z, x)
-                col = np.abs(r)
-                col[~np.isfinite(col)] = np.nan
-            except np.linalg.LinAlgError:
-                # batch solve failed somewhere; fall back cell by cell
-                col = np.empty(n_rho)
-                for k in range(n_rho):
-                    try:
-                        col[k] = abs(stability_value(g, complex(zf[k]), complex(zs[k])))
-                    except SingularResolvent:
-                        col[k] = np.nan
-            values[i, j, :] = col
-
+    # one scalar exp per angle, so a cell's z is bit-equal to g.M * rho * np.exp(-1j * theta_f)
+    turns = [np.exp(-1j * t) for t in theta]
+    z_f = np.array([g.M * rho * e for e in turns])
+    z_s = np.array([rho * e for e in turns])
+    # row (i, j) holds the rho line at theta_f[i], theta_s[j]
+    R = _stability_values(g, np.repeat(z_f, n_theta, axis=0), np.tile(z_s, (n_theta, 1)))
+    values = np.abs(R).reshape(n_theta, n_theta, n_rho)
     return RegionGrid(theta_f=theta, theta_s=theta, rho=rho, values=values)

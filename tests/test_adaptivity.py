@@ -3,6 +3,7 @@ import pytest
 
 import mrgark as mg
 from mrgark.adaptivity import (
+    _M_BOUNDS,
     AdaptivityState,
     ControllerConfig,
     balancing_update,
@@ -28,24 +29,17 @@ def test_balancing_keeps_m_when_errors_balance():
 
 
 def test_balancing_m_formula():
-    cfg = ControllerConfig(strategy="balancing", m_bounds=(1, 100))
+    cfg = ControllerConfig(strategy="balancing")
     state = make_state(M=4, eps=(0.5, 0.4, 0.1))  # eps_fast/eps_slow = 1/4
     _, M_new = balancing_update(state, p=2, q=2, config=cfg)
     assert M_new == round(4 * (0.25) ** 0.5) == 2
 
 
 def test_balancing_h_formula():
-    cfg = ControllerConfig(strategy="balancing", fac=0.9)
+    cfg = ControllerConfig(strategy="balancing")
     state = make_state(H=1.0, eps=(1.0, 0.5, 0.5))
     H_new, _ = balancing_update(state, p=2, q=1, config=cfg)
     assert H_new == pytest.approx(0.9)
-
-
-def test_balancing_classic_exponent_mode():
-    cfg = ControllerConfig(strategy="balancing", fac=1.0, exponent_mode="classic")
-    state = make_state(H=1.0, eps=(2.0, 1.0, 1.0))
-    H_new, _ = balancing_update(state, p=1, q=1, config=cfg)
-    assert H_new == pytest.approx(2.0 ** -0.5)  # exponent -1/(p+1), inside the clamp
 
 
 def test_zero_error_estimate_grows_h_keeps_m():
@@ -57,18 +51,23 @@ def test_zero_error_estimate_grows_h_keeps_m():
 
 
 def test_balancing_default_m_bounds():
+    assert _M_BOUNDS == {"balancing": (2, 10), "efficiency": (1, 100), "classic-h": (1, 100)}
     cfg = ControllerConfig(strategy="balancing")
-    assert cfg.resolved_m_bounds() == (2, 10)
-    assert ControllerConfig(strategy="efficiency").resolved_m_bounds() == (1, 100)
+    # a lopsided fast/slow split pushes M to either bound, and no further
+    assert balancing_update(make_state(M=4, eps=(0.5, 1e-6, 0.5)), p=2, q=1, config=cfg)[1] == 10
+    assert balancing_update(make_state(M=4, eps=(0.5, 0.5, 1e-6)), p=2, q=1, config=cfg)[1] == 2
+    cfg = ControllerConfig(strategy="efficiency")
+    assert efficiency_update(make_state(M=100, costs=(1.0, 1e-12)), q=2, config=cfg)[1] == 100
+    assert efficiency_update(make_state(M=1, costs=(1e-12, 1.0)), q=2, config=cfg)[1] == 1
 
 
 def test_efficiency_h_constraint_active():
-    cfg = ControllerConfig(strategy="efficiency", fac=1.0, m_bounds=(4, 4),
-                           efficiency_window=(0, 0))
-    state = make_state(H=0.3, M=4, eps=(1.0, 0.5, 0.5))
+    cfg = ControllerConfig(strategy="efficiency")
+    # t_s = 8 t_f makes M = 4 the cheapest of the window 3..6
+    state = make_state(H=0.3, M=4, eps=(1.0, 0.5, 0.5), costs=(8.0, 1.0))
     H_new, M_new = efficiency_update(state, q=2, config=cfg)
     assert M_new == 4
-    assert H_new == pytest.approx(0.3)  # eps_slow + eps_fast*(M/M)^q = 1 already
+    assert H_new == pytest.approx(0.9 * 0.3)  # eps_slow + eps_fast*(M/M)^q = 1 already
 
 
 def test_efficiency_free_fast_cost_pushes_window_cap():
@@ -115,16 +114,14 @@ def test_balancing_and_efficiency_near_neutral_when_balanced():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ControllerConfig(fac=0.0)
-    with pytest.raises(ValueError):
-        ControllerConfig(efficiency_window=(1, 2))
-    for bad in (dict(strategy="bogus"), dict(exponent_mode="bogus"), dict(m_bounds=(5, 2)),
-                dict(m_bounds=(0, 3)), dict(synthetic_cost_ratio=-1.0),
+    for bad in (dict(strategy="bogus"), dict(synthetic_cost_ratio=-1.0),
                 dict(synthetic_cost_ratio=np.nan), dict(synthetic_cost_ratio=np.inf)):
         with pytest.raises(InvalidInput):
             ControllerConfig(**bad)
-    ControllerConfig(m_bounds=(3, 3), synthetic_cost_ratio=0.5)
+    ControllerConfig(synthetic_cost_ratio=0.5)
+    for fixed in ("fac", "m_bounds", "efficiency_window", "exponent_mode"):
+        with pytest.raises(TypeError):
+            ControllerConfig(**{fixed: None})
 
 
 def test_drive_smoke_loose_tolerance():
@@ -152,7 +149,7 @@ def test_drive_accept_rule_and_trace():
     ts = [r.t for r in accepted]
     assert ts == sorted(ts)
     # bounds respected throughout
-    lo, hi = cfg.resolved_m_bounds()
+    lo, hi = _M_BOUNDS["balancing"]
     assert all(lo <= r.M <= hi for r in res.state.trace)
 
 

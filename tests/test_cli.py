@@ -145,6 +145,20 @@ def test_integrate_adaptive_trace(tmp_path, capsys):
     assert all(float(r["eps_total"]) <= 1.0 for r in accepted)
 
 
+@pytest.mark.parametrize("extra, cost_source, reproducible", [
+    (["--ts-tf-ratio", "20"], "synthetic", True),
+    ([], "wall-clock", False),
+])
+def test_integrate_manifest_records_cost_source(extra, cost_source, reproducible, tmp_path, capsys):
+    code, _, _ = run(["--out-dir", str(tmp_path), "integrate", "--method", "EX-IM 2(1)A",
+                      "--adaptive", "efficiency", "--problem", "coupled-scalar", "--t-end", "0.2"] + extra,
+                     capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "integrate_manifest.json").read_text())
+    assert manifest["cost_source"] == cost_source
+    assert ("bit-for-bit" in manifest["determinism"]) == reproducible
+
+
 def test_outputs_are_byte_identical(tmp_path, capsys):
     args = ["converge", "--method", "EX-EX 3(2)3s-A", "--M", "2",
             "--h-ladder", "1/8,1/16", "--t-end", "0.5"]
@@ -184,6 +198,15 @@ def test_converge_step_larger_than_span(tmp_path, capsys):
     ["stability", "EX-EX 2(1)A", "--rho-max", "nan", "--n-theta", "3", "--n-rho", "3"],
     ["stability", "EX-EX 2(1)A", "--rho-max", "-6", "--n-theta", "3", "--n-rho", "3"],
     ["integrate", "--method", "EX-EX 2(1)A", "--problem-params", '{"bogus": 1}'],
+    ["integrate", "--method", "EX-EX 2(1)A", "--problem-params", "{bad"],
+    ["integrate", "--method", "EX-EX 2(1)A", "--problem-params", "[1]"],
+    ["converge", "--method", "EX-EX 2(1)A", "--h-ladder", "1/0"],
+    ["verify", "EX-EX 2(1)A", "--M-sweep", "x"],
+    ["converge", "--method", "EX-EX 2(1)A", "--M", "2,x"],
+    ["converge", "--method", "EX-EX 2(1)A", "--h-ladder", "1/8,1/8"],
+    ["converge", "--method", "EX-EX 2(1)A", "--h-ladder", ","],
+    ["converge", "--method", "EX-EX 2(1)A", "--M", ","],
+    ["converge", "--method", "EX-EX 2(1)A", "--problem-params", '"x"'],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)

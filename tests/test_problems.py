@@ -51,9 +51,15 @@ def test_gray_scott_initial_condition_block():
 
 
 def test_gray_scott_nonlinear_coefficient_at_center():
+    # eps * exp(-u/100) * sin(pi x) sin(pi y) at the cell centres, as `diffusion` uses it
     gs = GrayScott(n=32)
-    assert gs.epsilon_u(0.5, 0.5, 0.0) == pytest.approx(0.0625, abs=1e-15)
-    assert gs.epsilon_v(0.5, 0.5, 0.0) == pytest.approx(0.0312, abs=1e-15)
+    assert (gs.eps_u, gs.eps_v) == (0.0625, 0.0312)
+    u, v = np.random.default_rng(5).uniform(0.0, 1.0, (2, 32, 32))
+    sx = np.sin(np.pi * gs.cell_centers())
+    eu, ev = gs._eps_fields(u, v)
+    for eps, w, field in ((gs.eps_u, u, eu), (gs.eps_v, v, ev)):
+        expected = eps * np.exp(-w / 100.0) * sx[:, None] * sx[None, :]
+        np.testing.assert_allclose(field, expected, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import mrgark as mg  # noqa: E402
 from mrgark.adaptivity import (  # noqa: E402
+    _M_BOUNDS,
     AdaptivityState,
     ControllerConfig,
     balancing_update,
@@ -58,23 +59,22 @@ ESTIMATES = st.one_of(st.just(0.0), st.just(np.inf), st.floats(min_value=0.0, ma
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(
-    exponent_mode=st.sampled_from(["paper", "classic"]),
-    bounds=st.tuples(st.integers(1, 12), st.integers(0, 12)).map(lambda b: (b[0], b[0] + b[1])),
-    M_offset=st.integers(0, 12),
+    strategy=st.sampled_from(["balancing", "efficiency", "classic-h"]),
+    M_offset=st.integers(0, 120),
     H=st.floats(min_value=1e-12, max_value=1e6),
     eps=st.tuples(ESTIMATES, ESTIMATES, ESTIMATES),
     costs=st.tuples(st.floats(1e-9, 1e3), st.floats(1e-9, 1e3)),
     p=st.integers(1, 4),
     q=st.integers(1, 4),
 )
-@example("paper", (2, 10), 2, 0.1, (np.inf, np.inf, np.inf), (1.0, 1.0), 2, 2)
-@example("paper", (2, 10), 2, 0.1, (np.inf, 0.5, np.inf), (1.0, 1.0), 2, 2)
-@example("paper", (2, 10), 2, 0.1, (1e-300, 1e-300, 1e300), (1.0, 1.0), 2, 1)
-@example("paper", (1, 100), 3, 0.1, (5e-324, 5e-324, 0.0), (1.0, 1.0), 1, 1)
-def test_controller_updates_are_total(exponent_mode, bounds, M_offset, H, eps, costs, p, q):
+@example("balancing", 2, 0.1, (np.inf, np.inf, np.inf), (1.0, 1.0), 2, 2)
+@example("balancing", 2, 0.1, (np.inf, 0.5, np.inf), (1.0, 1.0), 2, 2)
+@example("balancing", 2, 0.1, (1e-300, 1e-300, 1e300), (1.0, 1.0), 2, 1)
+@example("efficiency", 3, 0.1, (5e-324, 5e-324, 0.0), (1.0, 1.0), 1, 1)
+def test_controller_updates_are_total(strategy, M_offset, H, eps, costs, p, q):
     # estimates from 0 to inf, subnormals and overflowing fast/slow ratios included
-    cfg = ControllerConfig(exponent_mode=exponent_mode, m_bounds=bounds)
-    lo, hi = bounds
+    cfg = ControllerConfig(strategy=strategy)
+    lo, hi = _M_BOUNDS[strategy]
     state = AdaptivityState(H=H, M=min(lo + M_offset, hi))
     state.eps_total, state.eps_slow, state.eps_fast = eps
     state.t_slow, state.t_fast = costs

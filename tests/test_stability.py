@@ -3,7 +3,7 @@ import pytest
 
 import mrgark as mg
 from mrgark.errors import SingularResolvent
-from mrgark.stability import scan_region, stability_value
+from mrgark.stability import _stability_values, scan_region, stability_value
 
 
 def base_polynomial(tab, z):
@@ -154,3 +154,33 @@ def test_singular_resolvent_raises():
     gamma = m.fast.gamma
     with pytest.raises(SingularResolvent):
         stability_value(g, 1.0 / (gamma / 1), 0.0)
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+@pytest.mark.parametrize("M", [1, 3, 16])
+def test_scan_cells_equal_stability_value(name, M):
+    # the scan and the single-cell evaluation share one evaluator: equal bit for bit
+    g = mg.assemble(mg.registry_lookup(name), M)
+    grid = scan_region(g, n_theta=5, n_rho=7)
+    for i, tf in enumerate(grid.theta_f):
+        for j, ts in enumerate(grid.theta_s):
+            z_f = g.M * grid.rho * np.exp(-1j * tf)
+            z_s = grid.rho * np.exp(-1j * ts)
+            for k in range(len(grid.rho)):
+                try:
+                    expected = np.abs(stability_value(g, complex(z_f[k]), complex(z_s[k])))
+                except SingularResolvent:
+                    expected = np.nan
+                assert grid.values[i, j, k] == expected or np.isnan(grid.values[i, j, k]) and np.isnan(expected)
+
+
+def test_singular_cell_is_nan_and_leaves_its_row_exact():
+    # 1 - gamma * z_f = 0 makes the batch solve of the row fail; the row is re-solved cell by cell
+    m = mg.registry_lookup("IM-EX 2(1)A")
+    g = mg.assemble(m, 1)
+    z_f = np.array([[-1.0, 1.0 / m.fast.gamma, 0.5 + 0.5j, -3j]])
+    z_s = np.array([[-0.5, 0.2, -1j, -2.0 + 0j]])
+    row = _stability_values(g, z_f, z_s)[0]
+    assert np.isnan(row[1])
+    for k in (0, 2, 3):
+        assert row[k] == stability_value(g, complex(z_f[0, k]), complex(z_s[0, k]))
