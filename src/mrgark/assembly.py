@@ -170,15 +170,20 @@ def check_decoupled(g: GarkMatrix) -> bool:
     return not np.any((g.A_sf != 0.0) & (g.A_fs.T != 0.0))
 
 
-def check_stiff_accuracy(method: MrGarkMethod, M: int, partition: str, tol: float = 1e-13) -> bool:
-    """Last stage row of the implicit partition must equal the full weights."""
+def check_stiff_accuracy(method: MrGarkMethod, M: int, partition: str, tol: float = 1e-13,
+                         g: GarkMatrix | None = None) -> bool:
+    """Last stage row of the implicit partition must equal the full weights.
+
+    ``g`` is the tableau assembled at M, when the caller has it.
+    """
     part = partition.lower()
     if part not in ("fast", "slow"):
         raise ValueError("partition must be 'fast' or 'slow'")
     base = method.fast if part == "fast" else method.slow
     if base.kind is not TableauKind.SDIRK:
         raise NotImplicitPartition(f"{method.name}: {part} partition is explicit")
-    g = assemble(method, M)
+    if g is None:
+        g = assemble(method, M)
     row = g.fast_row(M, g.s_f) if part == "fast" else g.slow_row(g.s_s)
     return bool(np.max(np.abs(g.A[row] - g.b)) < tol)
 

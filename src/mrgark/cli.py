@@ -151,6 +151,7 @@ def cmd_dump_tableau(args) -> int:
 
 def _verify_one(name: str, sweep: list[int], weights: str, rows: list, failures: list) -> None:
     method = registry_lookup(name)
+    classify_reports = []  # (main, embedded) per M, so classify neither assembles nor recomputes them
     for M in sweep:
         g = assemble(method, M)
         rep = check_internal_consistency(g)
@@ -164,15 +165,16 @@ def _verify_one(name: str, sweep: list[int], weights: str, rows: list, failures:
             failures.append(f"{name} M={M}: schedule: {exc}")
         for part, flag in (("slow", MethodFlag.STIFFLY_ACCURATE_SLOW), ("fast", MethodFlag.STIFFLY_ACCURATE_FAST)):
             base = method.slow if part == "slow" else method.fast
-            if base.kind is TableauKind.SDIRK and method.has_flag(flag) and not check_stiff_accuracy(method, M, part):
+            if base.kind is TableauKind.SDIRK and method.has_flag(flag) and not check_stiff_accuracy(method, M, part, g=g):
                 failures.append(f"{name} M={M}: stiff accuracy fails in {part} partition")
-        rep = residuals(method, M, weights, g=g)
-        for e in rep.entries:
+        reports = {w: residuals(method, M, w, g=g) for w in dict.fromkeys(("main", "embedded", weights))}
+        classify_reports.append((reports["main"], reports["embedded"]))
+        for e in reports[weights].entries:
             rows.append([name, M, weights, e.id, e.order, e.group, f"{e.value:.17g}", f"{e.rhs:.17g}", f"{e.residual:.3e}"])
 
     if check_telescopic(method) != method.has_flag(MethodFlag.TELESCOPIC):
         failures.append(f"{name}: telescopic flag does not match the tableaus")
-    cls = classify(method, sweep)
+    cls = classify(method, classify_reports)
     if (cls.verified_order, cls.verified_embedded_order) != (method.order, method.embedded_order):
         failures.append(
             f"{name}: verified order {cls.verified_order}({cls.verified_embedded_order}) "

@@ -265,10 +265,14 @@ class Classification:
 
 def classify(
     method: MrGarkMethod | str,
-    M_sweep: Sequence[int] = tuple(range(1, 9)),
+    M_sweep: Sequence[int | tuple[ResidualReport, ResidualReport]] = tuple(range(1, 9)),
     tol: float = CLASSIFY_TOL,
 ) -> Classification:
     """Verify order, embedded order and natural adaptivity over an M sweep.
+
+    Each sweep entry is a multirate ratio M, or the ("main", "embedded")
+    residual reports a caller already computed for one M; a ratio is
+    assembled once for both reports.
 
     ``verified_order`` is the largest q <= 4 with every order-<=q residual
     below ``tol`` for all swept M, using the main weights; the embedded order
@@ -284,8 +288,13 @@ def classify(
     if not M_sweep:
         raise InvalidInput("M_sweep must be non-empty")
 
-    main = [residuals(method, M, "main") for M in M_sweep]
-    emb = [residuals(method, M, "embedded") for M in M_sweep]
+    main, emb = [], []
+    for entry in M_sweep:
+        if not isinstance(entry, tuple):
+            g = assemble(method, entry)
+            entry = residuals(method, entry, "main", g=g), residuals(method, entry, "embedded", g=g)
+        main.append(entry[0])
+        emb.append(entry[1])
 
     def verified(reports) -> int:
         q = 0

@@ -105,7 +105,14 @@ def _periodic_div_flux(field: np.ndarray, eps: np.ndarray, h: float, axis: int) 
 
 @dataclass(eq=False)
 class GrayScott:
-    """Gray-Scott model, reaction fast / diffusion slow (unless swapped)."""
+    """Gray-Scott model, reaction fast / diffusion slow (unless swapped).
+
+    :meth:`to_ode` wires every Jacobian the model has onto the partition that
+    holds its term: :meth:`reaction_jacobian` always, and in linear mode the
+    constant :meth:`diffusion_jacobian`, built on first use and shared by all
+    of the problem's ODEs.  Nonlinear diffusion has none, so implicit stages
+    there finite-difference it.
+    """
 
     n: int = 32
     feed: float = 0.0180
@@ -116,6 +123,7 @@ class GrayScott:
     boundary: str = "neumann"  # or "periodic"
     swap_roles: bool = False
     _sin_grid: np.ndarray = field(init=False, repr=False)
+    _diffusion_jac: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.n % 8:
@@ -206,16 +214,35 @@ class GrayScott:
         bot = np.concatenate([z, self.eps_v * lap], axis=1)
         return np.concatenate([top, bot], axis=0)
 
+    def reaction_jacobian(self, y: np.ndarray) -> np.ndarray:
+        """Dense Jacobian of :meth:`reaction` at y: a 2x2 block per cell, coupling u and v."""
+        u, v = self.split(np.asarray(y, dtype=float))
+        u, v = u.ravel(), v.ravel()
+        n2 = u.size
+        cell = np.arange(n2)
+        j = np.zeros((2 * n2, 2 * n2))
+        j[cell, cell] = -v * v - self.feed
+        j[cell, cell + n2] = -2.0 * u * v
+        j[cell + n2, cell] = v * v
+        j[cell + n2, cell + n2] = 2.0 * u * v - (self.feed + self.kill)
+        return j
+
+    def _shared_diffusion_jacobian(self, y: np.ndarray) -> np.ndarray:
+        if self._diffusion_jac is None:
+            self._diffusion_jac = self.diffusion_jacobian()
+        return self._diffusion_jac
+
     def to_ode(self) -> PartitionedOde:
-        jac_slow = None
-        if self.diffusion_mode == "linear" and not self.swap_roles:
-            j = self.diffusion_jacobian()
-            jac_slow = lambda y: j
+        jac_diffusion = self._shared_diffusion_jacobian if self.diffusion_mode == "linear" else None
+        jac_slow, jac_fast = jac_diffusion, self.reaction_jacobian
+        if self.swap_roles:
+            jac_slow, jac_fast = jac_fast, jac_slow
         return PartitionedOde(
             dimension=self.dimension,
             f_slow=self.f_slow,
             f_fast=self.f_fast,
             jac_slow=jac_slow,
+            jac_fast=jac_fast,
         )
 
 

@@ -11,6 +11,14 @@ solution and into one accumulator per weight vector, so all four solutions
 (main, embedded, and both mixed pairs used to split the error estimate) come
 from the same stage evaluations at no extra cost.
 
+Implicit (SDIRK) stages are solved by simplified Newton, :func:`newton_solve`.
+Every implicit stage of a partition has the same Newton matrix I - a*J, with
+a = h*gamma fast or H*gamma slow, so one matrix per partition is built at its
+first implicit stage and reused by the later stages and micro-steps of the
+step.  It is rebuilt only after an update that cuts the residual norm by less
+than :data:`NEWTON_RATE`, and dropped when the step ends.  Size-1 systems
+rebuild it every iteration.
+
 For methods with the first-same-as-last property the value of the last fast
 stage of each micro-step equals the first stage of the next one, so its
 right-hand side is reused across micro-steps and across accepted macro-steps.
@@ -40,6 +48,7 @@ __all__ = [
     "FsalCarry",
     "newton_solve",
     "NewtonResult",
+    "NEWTON_RATE",
     "step",
     "integrate_fixed",
     "error_norm",
@@ -48,6 +57,8 @@ __all__ = [
 
 #: forward-difference Jacobian increment, relative to 1 + |y_i|
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+#: a reused Newton matrix is rebuilt after an update that cuts ||G|| by less than this factor
+NEWTON_RATE = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +85,7 @@ class WorkCounters:
     fast_evals: int = 0
     slow_evals: int = 0
     newton_iterations: int = 0
+    jacobians: int = 0  # Newton matrices built, analytic or finite-difference (those RHS calls are in *_evals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +114,8 @@ class StepResult:
 class NewtonResult(NamedTuple):
     y: np.ndarray
     iterations: int
+    matrix: np.ndarray | None  # dG/dy last used, or the one passed in if no update was needed
+    jacobians: int  # Newton matrices built, analytic or finite-difference
 
 
 def newton_solve(
@@ -110,49 +124,89 @@ def newton_solve(
     jac: Callable[[np.ndarray], np.ndarray] | None = None,
     tol: float = 1e-12,
     max_iter: int = 50,
+    matrix: np.ndarray | None = None,
 ) -> NewtonResult:
     """Solve G(y) = 0 for 1-D y; converged when ||G|| <= tol * (1 + ||y||).
 
+    Simplified Newton (Hairer & Wanner, *Solving ODEs II*, IV.8): the Newton
+    matrix dG/dy is ``matrix`` when given (one an earlier solve returned), or
+    is built at the first iterate, and is reused while each update cuts ||G||
+    by the factor :data:`NEWTON_RATE`.  After an update that does not, it is
+    rebuilt at the new iterate.  An update through a reused matrix that makes
+    ||G|| grow, or the iterate or residual non-finite, is discarded and
+    retried with a matrix built at the iterate it started from; with such a
+    fresh matrix the update is a full Newton step, and only then does a
+    non-finite result raise :class:`NewtonDivergence`.  Size-1 systems rebuild
+    on every iteration: there a rebuild costs less than the residual call a
+    reused matrix would add.  Affine systems converge in a single update with
+    an exact matrix.
+
     ``jac`` returns dG/dy; omitted, a forward-difference approximation with
-    increment sqrt(eps) * (1 + |y_i|) is used.  Affine systems converge in a
-    single update.
+    increment sqrt(eps) * (1 + |y_i|) is used, at one residual call per
+    column.  The result carries the matrix last used, for the next solve with
+    the same dG/dy, and the number of matrices built.
     """
     y = np.array(y_guess, dtype=float)
     y_norm = math.sqrt(y.dot(y))
+    g = np.asarray(residual(y), dtype=float)
+    g_norm = math.sqrt(g.dot(g))
+    if _non_finite(g, g_norm):
+        raise NewtonDivergence("residual is non-finite")
+    rebuild, fresh, builds = matrix is None, False, 0
     for iteration in range(max_iter + 1):
-        g = np.asarray(residual(y), dtype=float)
-        g_norm = math.sqrt(g.dot(g))
-        # a non-finite norm is a non-finite entry or an overflowing square sum
-        if not math.isfinite(g_norm) and not np.isfinite(g).all():
-            raise NewtonDivergence("residual is non-finite")
         if g_norm <= tol * (1.0 + y_norm):
-            return NewtonResult(y, iteration)
+            return NewtonResult(y, iteration, matrix, builds)
         if iteration == max_iter:
             break
-        if jac is not None:
-            j = np.asarray(jac(y), dtype=float)
-        else:
-            j = np.empty((y.size, y.size))
-            for i in range(y.size):
-                dy = _SQRT_EPS * (1.0 + abs(y[i]))
-                yp = y.copy()
-                yp[i] += dy
-                j[:, i] = (np.asarray(residual(yp)) - g) / dy
+        if rebuild or y.size == 1:
+            matrix = _newton_matrix(residual, y, g, jac)
+            rebuild, fresh, builds = False, True, builds + 1
         if y.size == 1:
             # what the LU solve computes for a 1x1 system, without its overhead
-            if j[0, 0] == 0.0:
+            if matrix[0, 0] == 0.0:
                 raise NewtonDivergence("singular Newton matrix")
-            delta = -g / j[0, 0]
+            delta = -g / matrix[0, 0]
         else:
             try:
-                delta = np.linalg.solve(j, -g)
+                delta = np.linalg.solve(matrix, -g)
             except np.linalg.LinAlgError as exc:
+                # a reused matrix has solved before, so this one is fresh
                 raise NewtonDivergence(f"singular Newton matrix: {exc}") from None
-        y = y + delta
-        y_norm = math.sqrt(y.dot(y))
-        if not math.isfinite(y_norm) and not np.isfinite(y).all():
-            raise NewtonDivergence("iterate is non-finite")
+        y_new = y + delta
+        y_new_norm = math.sqrt(y_new.dot(y_new))
+        if _non_finite(y_new, y_new_norm):
+            if fresh:
+                raise NewtonDivergence("iterate is non-finite")
+            rebuild = True
+            continue
+        g_new = np.asarray(residual(y_new), dtype=float)
+        g_new_norm = math.sqrt(g_new.dot(g_new))
+        if not fresh and not g_new_norm < g_norm:
+            rebuild = True
+            continue
+        if _non_finite(g_new, g_new_norm):
+            raise NewtonDivergence("residual is non-finite")
+        rebuild = g_new_norm > NEWTON_RATE * g_norm
+        y, y_norm, g, g_norm, fresh = y_new, y_new_norm, g_new, g_new_norm, False
     raise NewtonDivergence(f"no convergence in {max_iter} iterations")
+
+
+def _non_finite(v: np.ndarray, v_norm: float) -> bool:
+    # a non-finite norm is a non-finite entry or an overflowing square sum
+    return not math.isfinite(v_norm) and not np.isfinite(v).all()
+
+
+def _newton_matrix(residual, y: np.ndarray, g: np.ndarray, jac) -> np.ndarray:
+    """dG/dy at y from ``jac``, or by forward differences of the residual (g = G(y))."""
+    if jac is not None:
+        return np.asarray(jac(y), dtype=float)
+    j = np.empty((y.size, y.size))
+    for i in range(y.size):
+        dy = _SQRT_EPS * (1.0 + abs(y[i]))
+        yp = y.copy()
+        yp[i] += dy
+        j[:, i] = (np.asarray(residual(yp)) - g) / dy
+    return j
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +265,10 @@ def step(
     fast_implicit, slow_implicit = method.fast.is_implicit, method.slow.is_implicit
 
     calls, seconds = [0, 0], [0.0, 0.0]  # RHS calls and time per partition: [slow, fast]
-    newton_iterations = 0
+    newton_iterations = jacobians = 0
+    # per partition [slow, fast]: I - a*J, built at its first implicit stage and
+    # reused by the later ones, since a = h*gamma is the same for all of them
+    matrices: list[np.ndarray | None] = [None, None]
 
     def timed(fn, part):
         def call(y):
@@ -224,11 +281,19 @@ def step(
 
     f_slow, f_fast = timed(ode.f_slow, 0), timed(ode.f_fast, 1)
 
-    def solve_stage(rhs_known, a_diag, f, jac_fn):
-        nonlocal newton_iterations
-        jac = None if jac_fn is None else lambda y: np.eye(y.size) - a_diag * np.asarray(jac_fn(y), dtype=float)
-        res = newton_solve(lambda y: y - a_diag * f(y) - rhs_known, rhs_known, jac)
+    def solve_stage(rhs_known, a_diag, part, f, jac_fn):
+        nonlocal newton_iterations, jacobians
+
+        def jac(y):
+            m = np.asarray(jac_fn(y), dtype=float) * -a_diag  # a copy: the problem may share its J
+            m.flat[:: y.size + 1] += 1.0
+            return m
+
+        res = newton_solve(lambda y: y - a_diag * f(y) - rhs_known, rhs_known,
+                           None if jac_fn is None else jac, matrix=matrices[part])
+        matrices[part] = res.matrix
         newton_iterations += res.iterations
+        jacobians += res.jacobians
         return res.y
 
     # slow-stage RHS values, and per slow stage the sum of a_sf * F over fast stages so far
@@ -236,7 +301,7 @@ def step(
 
     def compute_slow(j):
         rhs = y_n + H * (slow_F[:j].T @ Ass[j, :j]) + h * sf_acc[j]
-        Y = solve_stage(rhs, H * method.slow.gamma, f_slow, ode.jac_slow) if slow_implicit else rhs
+        Y = solve_stage(rhs, H * method.slow.gamma, 0, f_slow, ode.jac_slow) if slow_implicit else rhs
         slow_F[j] = f_slow(Y)
 
     fsal = method.has_flag(MethodFlag.FSAL)
@@ -256,7 +321,7 @@ def step(
                     compute_slow(j)
                 rhs = ytilde + H * (slow_F.T @ Afs[i]) + h * (fast_F[:i].T @ Aff[i, :i])
                 if fast_implicit:
-                    Y = solve_stage(rhs, h * method.fast.gamma, f_fast, ode.jac_fast)
+                    Y = solve_stage(rhs, h * method.fast.gamma, 1, f_fast, ode.jac_fast)
                     F = f_fast(Y)
                 else:
                     Y = rhs
@@ -293,7 +358,7 @@ def step(
         M=M,
         t_slow=seconds[0],
         t_fast=seconds[1],
-        counters=WorkCounters(calls[1], calls[0], newton_iterations),
+        counters=WorkCounters(calls[1], calls[0], newton_iterations, jacobians),
         fsal_carry=carry,
     )
 

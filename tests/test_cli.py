@@ -43,6 +43,34 @@ def test_verify_all_twelve(tmp_path, capsys):
     assert "12 methods" in out
 
 
+@pytest.mark.parametrize("name", ["EX-EX 4(3)A", "EX-IM 3(2)A"])
+def test_verify_assembles_each_m_once(name, tmp_path, capsys, monkeypatch):
+    from mrgark import assembly, order
+
+    assembled, main_reports = [], []
+
+    def counting_assemble(original):
+        def wrapper(method, M):
+            assembled.append(M)
+            return original(method, M)
+        return wrapper
+
+    def counting_residuals(original):
+        def wrapper(method, M, weights="main", g=None):
+            if weights == "main":
+                main_reports.append(M)
+            return original(method, M, weights, g=g)
+        return wrapper
+
+    for module in (cli, order, assembly):
+        monkeypatch.setattr(module, "assemble", counting_assemble(module.assemble))
+    for module in (cli, order):
+        monkeypatch.setattr(module, "residuals", counting_residuals(module.residuals))
+    code, _, err = run(["--out-dir", str(tmp_path), "verify", name, "--M-sweep", "1:3"], capsys)
+    assert code == 0, err
+    assert assembled == main_reports == [1, 2, 3]
+
+
 def test_verify_unknown_method_exits_2(tmp_path, capsys):
     code, _, err = run(["--out-dir", str(tmp_path), "verify", "EX-EX 7(7)X"], capsys)
     assert code == 2

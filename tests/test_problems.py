@@ -98,6 +98,50 @@ def test_nonlinear_jacobian_not_available():
     assert gs.to_ode().jac_slow is None
 
 
+def _central_difference_jacobian(f, y, dy=1e-6):
+    cols = []
+    for i in range(y.size):
+        e = np.zeros(y.size)
+        e[i] = dy
+        cols.append((f(y + e) - f(y - e)) / (2 * dy))
+    return np.stack(cols, axis=1)
+
+
+def _perturbed_state(gs):
+    rng = np.random.default_rng(3)
+    return gs.initial_condition() + 0.05 * rng.standard_normal(gs.dimension)
+
+
+def test_reaction_jacobian_against_finite_differences():
+    gs = GrayScott(n=8)
+    y = _perturbed_state(gs)
+    J = gs.reaction_jacobian(y)
+    np.testing.assert_allclose(J, _central_difference_jacobian(gs.reaction, y), rtol=0, atol=1e-8)
+    # one 2x2 block per cell: u_i couples to itself and to v_i only
+    assert np.count_nonzero(J) <= 4 * gs.n * gs.n
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+@pytest.mark.parametrize("swap", [False, True])
+def test_to_ode_wires_each_jacobian_to_its_partition(mode, swap):
+    gs = GrayScott(n=8, diffusion_mode=mode, swap_roles=swap)
+    ode = gs.to_ode()
+    y = _perturbed_state(gs)
+    parts = {"diffusion": (ode.f_fast, ode.jac_fast) if swap else (ode.f_slow, ode.jac_slow),
+             "reaction": (ode.f_slow, ode.jac_slow) if swap else (ode.f_fast, ode.jac_fast)}
+    for term, (f, jac) in parts.items():
+        if term == "diffusion" and mode == "nonlinear":
+            assert jac is None
+            continue
+        J = jac(y)
+        np.testing.assert_allclose(J, _central_difference_jacobian(f, y), rtol=0, atol=1e-7 * np.abs(J).max())
+    if mode == "linear":
+        # one diffusion matrix per problem, shared by all of its ODEs
+        diffusion_jac = parts["diffusion"][1]
+        other = gs.to_ode()
+        assert diffusion_jac(y) is (other.jac_fast if swap else other.jac_slow)(2 * y)
+
+
 def test_reference_error_requires_reference():
     gs = GrayScott(n=8)
     with pytest.raises(NoReference):

@@ -4,7 +4,7 @@ import pytest
 import mrgark as mg
 from mrgark import stepping
 from mrgark.errors import CoupledMethod, InvalidInput, NewtonDivergence, NonFiniteState
-from mrgark.problems import CoupledNonlinearScalar, LinearTwoRate
+from mrgark.problems import CoupledNonlinearScalar, GrayScott, LinearTwoRate
 from mrgark.stepping import (
     FsalCarry,
     PartitionedOde,
@@ -348,6 +348,105 @@ def test_newton_scalar_division_matches_lu_solve():
     g = rng.standard_normal(2000) * 10.0 ** rng.uniform(-8, 8, 2000)
     for jj, gg in zip(j, g):
         assert (-np.array([gg]) / jj)[0] == np.linalg.solve(np.array([[jj]]), -np.array([gg]))[0]
+
+
+def test_newton_reuses_a_passed_matrix():
+    A = np.array([[2.0, 1.0], [0.0, 3.0]])
+    dG = lambda y: np.eye(2) - 0.1 * A
+    first = newton_solve(lambda y: y - 0.1 * (A @ y) - 1.0, np.zeros(2), jac=dG)
+    assert (first.iterations, first.jacobians) == (1, 1)
+    c = np.array([1.0, -1.0])
+    again = newton_solve(lambda y: y - 0.1 * (A @ y) - c, np.zeros(2), jac=dG, matrix=first.matrix)
+    assert (again.iterations, again.jacobians) == (1, 0)
+    np.testing.assert_allclose(again.y, np.linalg.solve(dG(None), c), rtol=1e-14)
+
+
+@pytest.mark.parametrize("stale", [1e-3 * np.eye(2), 1e-320 * np.eye(2)], ids=["overshoot", "overflow"])
+def test_newton_retries_a_bad_reused_matrix_with_a_fresh_one(stale):
+    # the reused matrix makes ||G|| grow (or the iterate overflow): that update is
+    # discarded and redone with a matrix built at the same iterate
+    A = np.array([[2.0, 1.0], [0.0, 3.0]])
+    c = np.array([1.0, -1.0])
+    with np.errstate(over="ignore"):
+        res = newton_solve(lambda y: y - 0.1 * (A @ y) - c, np.zeros(2),
+                           jac=lambda y: np.eye(2) - 0.1 * A, matrix=stale)
+    assert (res.iterations, res.jacobians) == (2, 1)
+    np.testing.assert_allclose(res.y, np.linalg.solve(np.eye(2) - 0.1 * A, c), rtol=1e-14)
+
+
+@pytest.mark.parametrize("with_jac", [True, False])
+def test_newton_divergence_on_stagnation_vector(with_jac):
+    # y_i^2 + 1 has no real root: every path ends in NewtonDivergence
+    jac = (lambda y: np.diag(2.0 * y)) if with_jac else None
+    with pytest.raises(NewtonDivergence):
+        newton_solve(lambda y: y**2 + 1.0, np.array([0.5, -0.3]), jac=jac)
+
+
+def test_newton_size_one_rebuilds_every_iteration():
+    m = mg.registry_lookup("IM-EX 3(2)A")
+    r = step(m, CoupledNonlinearScalar().to_ode(), np.array([0.5]), 0.0, 0.2, 3)
+    assert r.counters.newton_iterations > 3 * m.fast.stage_count  # nonlinear: several per stage
+    assert r.counters.jacobians == r.counters.newton_iterations
+
+
+def _without_jacobians(ode):
+    return PartitionedOde(ode.dimension, f_slow=ode.f_slow, f_fast=ode.f_fast)
+
+
+def test_one_newton_matrix_per_implicit_partition_per_step():
+    gs = GrayScott(n=8)  # nonlinear diffusion, reaction fast
+    m = mg.registry_lookup("IM-EX 2(1)A")
+    r = step(m, _without_jacobians(gs.to_ode()), gs.initial_condition(), 0.0, 0.02, 4)
+    assert r.counters.jacobians == 1
+    # one finite-difference matrix (dim calls) serves all 4 * s_f implicit stages
+    assert r.counters.fast_evals < 2 * gs.dimension
+    assert r.counters.newton_iterations >= 4 * m.fast.stage_count
+
+
+IMPLICIT_PAIRS = [name for name in mg.METHOD_NAMES if not name.startswith("EX-EX")]
+
+
+@pytest.mark.parametrize("name", IMPLICIT_PAIRS)
+@pytest.mark.parametrize("M", [1, 2, 4])
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_finite_difference_newton_matrix_matches_analytic(name, M, mode):
+    gs = GrayScott(n=8, diffusion_mode=mode)
+    m = mg.registry_lookup(name)
+    y0 = gs.initial_condition()
+    analytic = step(m, gs.to_ode(), y0, 0.0, 0.02, M)
+    fd = step(m, _without_jacobians(gs.to_ode()), y0, 0.0, 0.02, M)
+    for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+        a, b = getattr(analytic, field), getattr(fd, field)
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a), field
+
+
+def _full_newton(residual, y_guess, jac=None, tol=1e-12, max_iter=50, matrix=None):
+    """Reference solver: a fresh analytic matrix and a dense solve every iteration."""
+    y = np.array(y_guess, dtype=float)
+    for iteration in range(max_iter + 1):
+        g = residual(y)
+        if np.linalg.norm(g) <= tol * (1.0 + np.linalg.norm(y)):
+            return stepping.NewtonResult(y, iteration, None, iteration)
+        y = y - np.linalg.solve(jac(y), g)
+    raise NewtonDivergence("reference did not converge")
+
+
+def test_stalling_newton_matrix_is_rebuilt(monkeypatch):
+    # stiff cubic decay: far from the stage solution the slope at the first
+    # guess is too steep, so the matrix built there contracts too slowly
+    k = np.array([[-200.0, 10.0], [5.0, -100.0]])
+    ode = PartitionedOde(2, f_slow=lambda y: -0.5 * y,
+                         f_fast=lambda y: k.diagonal() * y**3 + (k - np.diag(k.diagonal())) @ y,
+                         jac_fast=lambda y: np.diag(3.0 * k.diagonal() * y**2) + (k - np.diag(k.diagonal())))
+    m = mg.registry_lookup("IM-EX 3(2)A")
+    y0 = np.array([1.5, -1.0])
+    r = step(m, ode, y0, 0.0, 0.2, 2)
+    assert r.counters.jacobians >= 2
+    monkeypatch.setattr(stepping, "newton_solve", _full_newton)
+    ref = step(m, ode, y0, 0.0, 0.2, 2)
+    # both stop at ||G|| <= 1e-12 (1 + ||y||) per stage, so they agree to a few 1e-12
+    for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+        np.testing.assert_allclose(getattr(r, field), getattr(ref, field), rtol=1e-10, atol=0)
 
 
 def test_newton_singular_scalar_raises():
