@@ -31,6 +31,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
+from .assembly import _check_count
 from .errors import InvalidInput, NewtonDivergence, NonFiniteState, StepSizeUnderflow
 from .stepping import PartitionedOde, Tolerances, error_estimates, step
 from .tableaux import MrGarkMethod
@@ -55,6 +56,8 @@ _FAC = 0.9
 _M_BOUNDS = {"balancing": (2, 10), "efficiency": (1, 100), "classic-h": (1, 100)}
 #: the efficiency controller's candidate M, relative to the current M
 _EFFICIENCY_WINDOW = (-1, 2)
+#: consecutive rejections after which drive gives up with StepSizeUnderflow
+_MAX_REJECTS_PER_STEP = 20
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ class ControllerConfig:
     abs_tol: float | np.ndarray = 1e-6
     rel_tol: float | np.ndarray = 1e-6
     synthetic_cost_ratio: float | None = None  # t_slow / t_fast; None = measure online
-    max_rejects_per_step: int = 20
 
     def __post_init__(self):
         if self.strategy not in get_args(Strategy):
@@ -200,7 +202,7 @@ def drive(
     lo, hi = _M_BOUNDS[config.strategy]
     state = AdaptivityState(
         H=H0 if H0 is not None else span / 100.0,
-        M=int(min(max(M0 if M0 is not None else lo, lo), hi)),
+        M=min(max(_check_count(M0) if M0 is not None else lo, lo), hi),
     )
     tolerances = config.tolerances()
 
@@ -239,7 +241,7 @@ def drive(
             state.rejected += 1
             rejects_in_a_row += 1
             carry = None
-            if rejects_in_a_row > config.max_rejects_per_step:
+            if rejects_in_a_row > _MAX_REJECTS_PER_STEP:
                 raise StepSizeUnderflow(f"{rejects_in_a_row} consecutive rejections at t={t}")
         if failed:
             # no estimate to feed the controller: shrink H, keep M

@@ -10,6 +10,8 @@ families fill the off-diagonal super-blocks (slow-fast blocks scaled by 1/M).
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,14 @@ __all__ = [
 #: assembled tableaus get unwieldy beyond this; integration streams micro-steps
 #: instead of materializing the matrix, so the cap only guards this module.
 MAX_ASSEMBLED_M = 10_000
+
+
+def _check_count(value, name: str = "M", least: int = 1) -> int:
+    """``value`` as an int; InvalidInput unless it is an integer >= ``least`` (numpy integers count, bools do not)."""
+    n = operator.index(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else least - 1
+    if n < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +127,8 @@ class ConsistencyReport:
 
 def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
     """Build the full tableau of the multirate pair at ratio ``M``."""
-    if not 1 <= M <= MAX_ASSEMBLED_M:
+    M = _check_count(M)
+    if M > MAX_ASSEMBLED_M:
         raise InvalidInput(f"M must be in 1..{MAX_ASSEMBLED_M}, got {M}")
     s_f, s_s = method.stage_counts
     n_fast = M * s_f
@@ -176,9 +187,9 @@ def check_stiff_accuracy(method: MrGarkMethod, M: int, partition: str, tol: floa
 
     ``g`` is the tableau assembled at M, when the caller has it.
     """
-    part = partition.lower()
+    part = partition.lower() if isinstance(partition, str) else partition
     if part not in ("fast", "slow"):
-        raise ValueError("partition must be 'fast' or 'slow'")
+        raise InvalidInput(f"partition must be 'fast' or 'slow', got {partition!r}")
     base = method.fast if part == "fast" else method.slow
     if base.kind is not TableauKind.SDIRK:
         raise NotImplicitPartition(f"{method.name}: {part} partition is explicit")

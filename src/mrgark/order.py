@@ -1,16 +1,19 @@
 """Order-condition residuals for multirate GARK methods, up to order 4.
 
-The catalog covers, for an internally consistent pair:
+One catalog states every condition once, in GARK form: weights dotted with
+products of the four super-blocks and powers of the abscissae.  It covers, for
+an internally consistent pair:
 
 * per-partition base conditions of orders 1..4 (weights dotted with powers of
   the assembled abscissae and powers of the same-partition super-block), and
 * the two order-3 plus ten order-4 coupled conditions that involve both
   coupling super-blocks.
 
-Each condition can be evaluated two ways: on the assembled tableau
-("matrix form"), or as sums over the per-micro-step coupling blocks
-("block form") that never materialize the full matrix.  The two agree up to
-roundoff; the block form is the one usable at large M.
+The catalog is evaluated with two sets of operators: the super-blocks of the
+assembled tableau ("matrix form", the reference), or operators built from the
+base tableaus and the per-micro-step coupling blocks ("block form"), which
+never assemble the tableau and cost O(M).  Both report all 28 conditions with
+the same ids and rhs, and agree up to roundoff.
 
 Residual sign convention: ``value - rhs``.
 """
@@ -23,7 +26,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .assembly import GarkMatrix, assemble
+from .assembly import GarkMatrix, _check_count, assemble
 from .errors import InvalidInput
 from .schemes import registry_lookup
 from .tableaux import MrGarkMethod
@@ -99,7 +102,7 @@ def _build_catalog() -> tuple[Condition, ...]:
     def add(cid, order, group, rhs, fn):
         conds.append(Condition(cid, order, group, rhs, fn))
 
-    # ctx keys: bf, bs (assembled weights), cf, cs, Aff, Afs, Asf, Ass
+    # ctx keys: bf, bs (assembled weights), cf, cs, and the super-blocks Aff, Afs, Asf, Ass
     add("slow:b.1", 1, "slow", F(1), lambda x: x["bs"].sum())
     add("fast:b.1", 1, "fast", F(1), lambda x: x["bf"].sum())
     add("slow:b.c", 2, "slow", F(1, 2), lambda x: x["bs"] @ x["cs"])
@@ -161,7 +164,7 @@ def _weight_pair(method: MrGarkMethod, which: WeightPair) -> tuple[np.ndarray, n
     try:
         return table[which]
     except KeyError:
-        raise ValueError(f"unknown weight pair {which!r}") from None
+        raise InvalidInput(f"unknown weight pair {which!r}") from None
 
 
 def residuals(
@@ -179,79 +182,56 @@ def residuals(
     """
     if g is None:
         g = assemble(method, M)
-    wf, ws = _weight_pair(method, weights)
-    ctx = {
-        "bf": np.tile(wf / g.M, g.M),
-        "bs": ws,
-        "cf": g.c_fast,
-        "cs": g.c_slow,
-        "Aff": g.A_ff,
-        "Afs": g.A_fs,
-        "Asf": g.A_sf,
-        "Ass": g.A_ss,
-    }
-    entries = tuple(
-        ResidualEntry(c.id, c.order, c.group, float(c.matrix_eval(ctx)), float(c.rhs))
-        for c in ConditionCatalog.conditions
-    )
-    return ResidualReport(method.name, M, weights, entries)
+    elif g.M != M:
+        raise InvalidInput(f"tableau assembled at M={g.M}, residuals asked at M={M!r}")
+    ctx = dict(cf=g.c_fast, cs=g.c_slow, Aff=g.A_ff, Afs=g.A_fs, Asf=g.A_sf, Ass=g.A_ss)
+    return _report(method, M, weights, ctx)
+
+
+class _BlockOperator:
+    """The fast super-block A_ff, applied to a vector micro-step by micro-step.
+
+    Its diagonal blocks are (1/M)*A_f, and every earlier micro-step adds the
+    telescoping rank-one block (1/M)*1*b_f^T below them, which one cumulative
+    sum over the micro-steps covers: O(M*s_f^2) work, no (M*s_f)^2 matrix.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, M: int):
+        self.A, self.b, self.M = A, b, M
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        v = v.reshape(self.M, -1)
+        done = np.cumsum(v @ self.b)  # b_f . v summed over micro-steps 1..lambda
+        earlier = np.concatenate(([0.0], done[:-1]))
+        return ((v @ self.A.T + earlier[:, None]) / self.M).ravel()
 
 
 def block_form_residuals(method: MrGarkMethod, M: int, weights: WeightPair = "main") -> ResidualReport:
-    """Evaluate the twelve coupled conditions from the per-lambda blocks.
+    """Evaluate the full catalog without assembling the tableau.
 
-    Sums run over the coupling blocks directly; values are normalized by the
-    telescoping powers of M so the entries are directly comparable with
-    :func:`residuals` output (same ids, same rhs).
+    A_ff is a :class:`_BlockOperator`; A_fs and A_sf are the A^{fs,lambda}
+    and A^{sf,lambda}/M stacked over the micro-steps, O(M) in size.  Same
+    ids, rhs and values as :func:`residuals`, up to roundoff.
     """
+    M = _check_count(M)
+    ctx = dict(
+        cf=np.concatenate([(method.fast.c + lam) / M for lam in range(M)]),
+        cs=method.slow.c,
+        Aff=_BlockOperator(method.fast.A, method.fast.b, M),
+        Afs=np.concatenate([method.coupling("fs", lam, M) for lam in range(1, M + 1)]),
+        Asf=np.concatenate([method.coupling("sf", lam, M) / M for lam in range(1, M + 1)], axis=1),
+        Ass=method.slow.A,
+    )
+    return _report(method, M, weights, ctx)
+
+
+def _report(method: MrGarkMethod, M: int, weights: WeightPair, ctx: dict) -> ResidualReport:
+    """Every catalog condition, on the super-blocks and abscissae in ``ctx`` and the ``weights`` pair."""
     wf, ws = _weight_pair(method, weights)
-    bf_base = method.fast.b  # telescoping weights inside the fast super-block
-    Aff, Ass = method.fast.A, method.slow.A
-    cf, cs = method.fast.c, method.slow.c
-    s_f = method.fast.stage_count
-    one = np.ones(s_f)
-
-    fs = [method.coupling("fs", lam, M) for lam in range(1, M + 1)]
-    sf = [method.coupling("sf", lam, M) for lam in range(1, M + 1)]
-
-    # per-lambda building blocks
-    fs_cs = [A @ cs for A in fs]                      # A^{fs,l} c^s
-    sf_shift = [sf[l] @ ((l) * one + cf) for l in range(M)]  # A^{sf,l+1}((l)1+c^f)
-
-    v = {}
-    v["coupling:b.Afs.c"] = sum(wf @ fs_cs[l] for l in range(M)) / M
-    v["coupling:b.Asf.c"] = sum(ws @ sf_shift[l] for l in range(M)) / M**2
-    v["coupling:b.(cxAfs.c)"] = (
-        sum(l * (wf @ fs_cs[l]) for l in range(M))
-        + sum(wf @ (cf * fs_cs[l]) for l in range(M))
-    ) / M**2
-    v["coupling:b.(cxAsf.c)"] = sum(ws @ (cs * sf_shift[l]) for l in range(M)) / M**2
-    v["coupling:b.Afs.c^2"] = sum(wf @ (fs[l] @ cs**2) for l in range(M)) / M
-    v["coupling:b.Asf.c^2"] = (
-        sum(ws @ (sf[l] @ cf**2) for l in range(M))
-        + sum(l**2 * (ws @ (sf[l] @ one)) for l in range(M))
-        + 2 * sum(l * (ws @ (sf[l] @ cf)) for l in range(M))
-    ) / M**3
-    v["coupling:b.Ass.Asf.c"] = sum(ws @ (Ass @ sf_shift[l]) for l in range(M)) / M**2
-    v["coupling:b.Asf.Afs.c"] = sum(ws @ (sf[l] @ fs_cs[l]) for l in range(M)) / M
-    v["coupling:b.Asf.Aff.c"] = (
-        sum(l**2 / 2 * (ws @ (sf[l] @ one)) for l in range(M))
-        + sum(l * (ws @ (sf[l] @ cf)) for l in range(M))
-        + sum(ws @ (sf[l] @ (Aff @ cf)) for l in range(M))
-    ) / M**3
-    v["coupling:b.Aff.Afs.c"] = (
-        float(wf.sum()) * sum((bf_base @ fs_cs[k]) for l in range(M) for k in range(l))
-        + sum(wf @ (Aff @ fs_cs[l]) for l in range(M))
-    ) / M**2
-    v["coupling:b.Afs.Ass.c"] = sum(wf @ (fs[l] @ (Ass @ cs)) for l in range(M)) / M
-    v["coupling:b.Afs.Asf.c"] = (
-        sum(wf @ (fs[l] @ sf_shift[k]) for l in range(M) for k in range(M))
-    ) / M**3
-
+    ctx = dict(ctx, bf=np.tile(wf / M, M), bs=ws)
     entries = tuple(
-        ResidualEntry(c.id, c.order, c.group, float(v[c.id]), float(c.rhs))
+        ResidualEntry(c.id, c.order, c.group, float(c.matrix_eval(ctx)), float(c.rhs))
         for c in ConditionCatalog.conditions
-        if c.group == "coupling"
     )
     return ResidualReport(method.name, M, weights, entries)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import GarkMatrix
+from .assembly import GarkMatrix, _check_count
 from .errors import InvalidInput, SingularResolvent
 
 __all__ = ["RegionGrid", "stability_value", "scan_region"]
@@ -98,8 +98,7 @@ def scan_region(
     n_rho: int = 129,
 ) -> RegionGrid:
     """Scan |R| over the angular box; singular cells become NaN."""
-    if n_theta < 2 or n_rho < 2:
-        raise InvalidInput("need at least 2 samples per axis")
+    n_theta, n_rho = _check_count(n_theta, "n_theta", 2), _check_count(n_rho, "n_rho", 2)
     if not 0 < rho_max < math.inf:
         raise InvalidInput(f"rho_max must be finite and > 0, got {rho_max!r}")
     theta = np.linspace(np.pi / 2, 3 * np.pi / 2, n_theta)

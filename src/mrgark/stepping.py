@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assembly import place_slow_stages
+from .assembly import _check_count, place_slow_stages
 from .errors import InvalidInput, NewtonDivergence, NonFiniteState
 from .tableaux import MethodFlag, MrGarkMethod
 
@@ -230,16 +229,6 @@ def _step_plan(method: MrGarkMethod, M: int) -> _StepPlan:
     return _StepPlan(fs, tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), scatter, trailing)
 
 
-def _check_step_size(H: float, M: int) -> int:
-    """Return M as an int; InvalidInput unless M is an integer >= 1 and 0 < H < inf."""
-    M_int = operator.index(M) if isinstance(M, numbers.Integral) and not isinstance(M, bool) else 0
-    if M_int < 1:
-        raise InvalidInput(f"M must be an integer >= 1, got {M!r}")
-    if not (isinstance(H, numbers.Real) and 0 < H < math.inf):
-        raise InvalidInput(f"H must be finite and > 0, got {H!r}")
-    return M_int
-
-
 def step(
     method: MrGarkMethod,
     ode: PartitionedOde,
@@ -255,7 +244,9 @@ def step(
     Methods with the first-same-as-last flag reuse the last fast-stage RHS,
     within the step and from ``fsal_carry`` when it belongs to ``y_n``.
     """
-    M = _check_step_size(H, M)
+    M = _check_count(M)
+    if not (isinstance(H, numbers.Real) and 0 < H < math.inf):
+        raise InvalidInput(f"H must be finite and > 0, got {H!r}")
     plan = _step_plan(method, M)
     y_n = np.asarray(y_n, dtype=float)
     n = y_n.size

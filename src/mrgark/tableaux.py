@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import LambdaOutOfRange
+from .errors import InvalidInput, LambdaOutOfRange
 
 __all__ = [
     "TableauKind",
@@ -160,5 +160,5 @@ class MrGarkMethod:
     def coupling(self, side: str, lam: int, M: int) -> np.ndarray:
         """Return A^{fs,lambda} (side="fs") or A^{sf,lambda} (side="sf")."""
         if side not in ("fs", "sf"):
-            raise ValueError("side must be 'fs' or 'sf'")
+            raise InvalidInput(f"side must be 'fs' or 'sf', got {side!r}")
         return self._coupling_cached(side, lam, M)

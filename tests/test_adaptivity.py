@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mrgark as mg
+from mrgark import adaptivity
 from mrgark.adaptivity import (
     _M_BOUNDS,
     AdaptivityState,
@@ -119,7 +120,7 @@ def test_config_validation():
         with pytest.raises(InvalidInput):
             ControllerConfig(**bad)
     ControllerConfig(synthetic_cost_ratio=0.5)
-    for fixed in ("fac", "m_bounds", "efficiency_window", "exponent_mode"):
+    for fixed in ("fac", "m_bounds", "efficiency_window", "exponent_mode", "max_rejects_per_step"):
         with pytest.raises(TypeError):
             ControllerConfig(**{fixed: None})
 
@@ -151,6 +152,22 @@ def test_drive_accept_rule_and_trace():
     # bounds respected throughout
     lo, hi = _M_BOUNDS["balancing"]
     assert all(lo <= r.M <= hi for r in res.state.trace)
+
+
+@pytest.mark.parametrize("M0", [2.7, True, 0, -1, "2"])
+def test_drive_rejects_non_integer_or_non_positive_m0(M0):
+    with pytest.raises(InvalidInput):
+        drive(mg.registry_lookup("EX-EX 2(1)A"), LinearTwoRate().to_ode(),
+              np.array([1.0]), 0.0, 1.0, ControllerConfig(), M0=M0)
+
+
+def test_drive_clamps_integer_m0_into_bounds():
+    cfg = ControllerConfig(strategy="balancing", abs_tol=1e-2, rel_tol=1e-2)
+    lo, hi = _M_BOUNDS["balancing"]
+    for M0, first in ((1, lo), (np.int64(50), hi)):
+        res = drive(mg.registry_lookup("EX-EX 2(1)A"), LinearTwoRate().to_ode(),
+                    np.array([1.0]), 0.0, 0.1, cfg, M0=M0)
+        assert res.state.trace[0].M == first and type(res.state.trace[0].M) is int
 
 
 def test_drive_tolerance_ordering():
@@ -233,9 +250,10 @@ def test_drive_rejects_non_finite_span(t0, t_end):
               np.array([1.0]), t0, t_end, ControllerConfig())
 
 
-def test_drive_treats_non_finite_estimate_as_failed_step():
+def test_drive_treats_non_finite_estimate_as_failed_step(monkeypatch):
     # zero tolerances make every nonzero deviation an infinite estimate
-    cfg = ControllerConfig(strategy="balancing", abs_tol=0.0, rel_tol=0.0, max_rejects_per_step=3)
+    monkeypatch.setattr(adaptivity, "_MAX_REJECTS_PER_STEP", 3)
+    cfg = ControllerConfig(strategy="balancing", abs_tol=0.0, rel_tol=0.0)
     with pytest.raises(StepSizeUnderflow):
         drive(mg.registry_lookup("EX-EX 2(1)A"), LinearTwoRate().to_ode(),
               np.array([1.0]), 0.0, 1.0, cfg, H0=0.1, M0=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mrgark as mg
-from mrgark.errors import CoupledMethod, NotImplicitPartition
+from mrgark.errors import CoupledMethod, InvalidInput, NotImplicitPartition
 from mrgark.tableaux import ButcherTableau, CouplingRule, MrGarkMethod, TableauKind
 
 ALL_M = list(range(1, 9))
@@ -80,6 +80,9 @@ def test_stiff_accuracy_examples():
     np.testing.assert_allclose(slow.A[-1], slow.b, atol=1e-15)
     with pytest.raises(NotImplicitPartition):
         mg.check_stiff_accuracy(mg.registry_lookup("EX-EX 2(1)A"), 2, "fast")
+    for bad in ("middle", None):
+        with pytest.raises(InvalidInput):
+            mg.check_stiff_accuracy(mg.registry_lookup("EX-IM 2(1)A"), 2, bad)
 
 
 @pytest.mark.parametrize(
@@ -183,3 +186,8 @@ def test_assemble_m_cap():
         mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), 10_001)
     with pytest.raises(ValueError):
         mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), 0)
+    for M in (2.5, True, -1, "2", None):
+        with pytest.raises(InvalidInput):
+            mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), M)
+    g = mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), np.int64(3))
+    assert g.M == 3 and type(g.M) is int

@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -12,3 +14,18 @@ MODULES = [mrgark] + [importlib.import_module(f"mrgark.{info.name}") for info in
 def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing
+
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.mark.skipif(not SPANS.exists(), reason="no perfbench/ in this checkout")
+def test_benchmark_span_targets_resolve():
+    # the benchmark tracer patches each target through owner.__dict__[attr]
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans._patch_targets()
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, *_ in targets
+               if attr not in vars(owner)]
+    assert targets and not missing

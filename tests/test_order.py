@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import mrgark as mg
+from mrgark import order
+from mrgark.errors import InvalidInput
 from mrgark.order import ConditionCatalog, block_form_residuals, classify, residuals
 
 SQRT2 = math.sqrt(2.0)
@@ -60,6 +62,44 @@ def test_block_form_agrees_with_matrix_form(name, M):
     rb = block_form_residuals(m, M)
     for e in rb.entries:
         assert abs(e.value - ra.entry(e.id).value) < 1e-10
+
+
+WEIGHT_PAIRS = ("main", "embedded", "mixed-slow-hat", "mixed-fast-hat")
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+@pytest.mark.parametrize("M", [16, 32])
+def test_block_form_matches_matrix_form_at_larger_m(name, M):
+    m = mg.registry_lookup(name)
+    for weights in WEIGHT_PAIRS:
+        ra, rb = residuals(m, M, weights), block_form_residuals(m, M, weights)
+        for e in rb.entries:
+            value = ra.entry(e.id).value
+            assert abs(e.value - value) <= 1e-12 * (1 + abs(value)), (weights, e.id)
+
+
+def test_block_form_returns_every_catalog_condition():
+    r = block_form_residuals(mg.registry_lookup("EX-IM 3(2)A"), 3, "embedded")
+    assert [(e.id, e.order, e.group, e.rhs) for e in r.entries] == [
+        (c.id, c.order, c.group, float(c.rhs)) for c in ConditionCatalog.conditions
+    ]
+    assert (r.method, r.M, r.weights) == ("EX-IM 3(2)A", 3, "embedded")
+
+
+def test_block_form_never_assembles(monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("block form assembled the tableau")
+
+    monkeypatch.setattr(order, "assemble", no_assembly)
+    monkeypatch.setattr(mg, "assemble", no_assembly)
+    r = block_form_residuals(mg.registry_lookup("EX-EX 4(3)A"), 64)
+    assert r.max_abs(order=3) < 1e-12
+
+
+@pytest.mark.parametrize("M", [-1, 0, 2.5, True, "2", None])
+def test_block_form_rejects_bad_m(M):
+    with pytest.raises(InvalidInput):
+        block_form_residuals(mg.registry_lookup("EX-EX 2(1)A"), M)
 
 
 def test_block_form_example_order3_fs():
@@ -146,3 +186,15 @@ def test_weight_pairs_change_the_report():
 def test_classify_requires_nonempty_sweep():
     with pytest.raises(ValueError):
         classify("EX-EX 2(1)A", [])
+
+
+@pytest.mark.parametrize("evaluate", [residuals, block_form_residuals])
+def test_unknown_weight_pair_is_invalid_input(evaluate):
+    with pytest.raises(InvalidInput):
+        evaluate(mg.registry_lookup("EX-EX 2(1)A"), 2, "hat")
+
+
+def test_residuals_reject_a_tableau_assembled_at_another_m():
+    m = mg.registry_lookup("EX-EX 2(1)A")
+    with pytest.raises(InvalidInput):
+        residuals(m, 3, g=mg.assemble(m, 2))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import mrgark as mg  # noqa: E402
+from mrgark import adaptivity  # noqa: E402
 from mrgark.adaptivity import (  # noqa: E402
     _M_BOUNDS,
     AdaptivityState,
@@ -106,11 +108,11 @@ def test_controller_updates_reject_nan_estimates(update, eps):
 )
 def test_drive_lands_on_t_end_or_raises(name, strategy, lambdas, t0, span, H0, M0, tol):
     t_end = t0 + span
-    cfg = ControllerConfig(strategy=strategy, abs_tol=tol, rel_tol=tol, synthetic_cost_ratio=5.0,
-                           max_rejects_per_step=8)
+    cfg = ControllerConfig(strategy=strategy, abs_tol=tol, rel_tol=tol, synthetic_cost_ratio=5.0)
     try:
-        res = drive(mg.registry_lookup(name), LinearTwoRate(*lambdas).to_ode(), np.array([1.0]),
-                    t0, t_end, cfg, H0=H0, M0=M0)
+        with mock.patch.object(adaptivity, "_MAX_REJECTS_PER_STEP", 8):
+            res = drive(mg.registry_lookup(name), LinearTwoRate(*lambdas).to_ode(), np.array([1.0]),
+                        t0, t_end, cfg, H0=H0, M0=M0)
     except MrGarkError:
         return
     assert res.ts[-1] == t_end

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mrgark as mg
-from mrgark.errors import SingularResolvent
+from mrgark.errors import InvalidInput, SingularResolvent
 from mrgark.stability import _stability_values, scan_region, stability_value
 
 
@@ -135,6 +135,9 @@ def test_scan_region_validates_grid():
     g = mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), 1)
     with pytest.raises(ValueError):
         scan_region(g, n_theta=1)
+    for bad in (dict(n_theta=2.5), dict(n_rho=2.5), dict(n_theta=True), dict(n_rho="3")):
+        with pytest.raises(InvalidInput):
+            scan_region(g, **bad)
 
 
 def test_region_csv_round_trip(tmp_path):

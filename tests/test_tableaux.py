@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mrgark as mg
-from mrgark.errors import LambdaOutOfRange, UnknownMethod
+from mrgark.errors import InvalidInput, LambdaOutOfRange, UnknownMethod
 from mrgark.schemes import SDIRK3_GAMMA, sdirk3_gamma_closed_form
 from mrgark.tableaux import MethodFlag, TableauKind
 
@@ -66,6 +66,8 @@ def test_lambda_out_of_range():
         m.coupling("fs", 5, 4)
     with pytest.raises(LambdaOutOfRange):
         m.coupling("fs", 0, 4)
+    with pytest.raises(InvalidInput):
+        m.coupling("ff", 1, 4)
 
 
 def test_eval_coupling_examples():
