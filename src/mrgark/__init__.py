@@ -10,7 +10,6 @@ multirate ratio M.
 from .adaptivity import AdaptivityState, ControllerConfig, balancing_update, drive, efficiency_update
 from .assembly import (
     GarkMatrix,
-    StageSchedule,
     assemble,
     check_decoupled,
     check_internal_consistency,
@@ -32,15 +31,15 @@ from .stepping import (
     newton_solve,
     step,
 )
-from .tableaux import ButcherTableau, CouplingRule, MethodFlag, MrGarkMethod, TableauKind
+from .tableaux import ButcherTableau, MethodFlag, MrGarkMethod, TableauKind
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ButcherTableau", "CouplingRule", "MethodFlag", "MrGarkMethod", "TableauKind",
+    "ButcherTableau", "MethodFlag", "MrGarkMethod", "TableauKind",
     "METHOD_NAMES", "registry_lookup", "list_methods",
-    "GarkMatrix", "StageSchedule", "assemble",
+    "GarkMatrix", "assemble",
     "check_internal_consistency", "check_telescopic", "check_decoupled",
     "check_stiff_accuracy", "derive_schedule",
     "ConditionCatalog", "ResidualReport", "residuals", "block_form_residuals", "classify",

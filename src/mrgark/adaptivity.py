@@ -25,16 +25,16 @@ pinned to a synthetic ratio for reproducible experiments.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Literal, get_args
 
 import numpy as np
 
-from .assembly import _check_count
 from .errors import InvalidInput, NewtonDivergence, NonFiniteState, StepSizeUnderflow
 from .stepping import PartitionedOde, Tolerances, error_estimates, step
-from .tableaux import MrGarkMethod
+from .tableaux import MrGarkMethod, _check_count
 
 __all__ = [
     "ControllerConfig",
@@ -195,9 +195,11 @@ def drive(
     H0: float | None = None,
     M0: int | None = None,
 ) -> DriveResult:
-    """Integrate adaptively from t0 to t_end; the final time is hit exactly."""
+    """Integrate adaptively from t0 to t_end, from a first step H0 > 0 (default span/100); t_end is hit exactly."""
     if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
         raise InvalidInput(f"need finite t0 < t_end, got t0={t0!r}, t_end={t_end!r}")
+    if H0 is not None and not (isinstance(H0, numbers.Real) and 0 < H0 < math.inf):
+        raise InvalidInput(f"H0 must be finite and > 0, got {H0!r}")
     span = t_end - t0
     lo, hi = _M_BOUNDS[config.strategy]
     state = AdaptivityState(

@@ -10,18 +10,15 @@ families fill the off-diagonal super-blocks (slow-fast blocks scaled by 1/M).
 
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoupledMethod, InvalidInput, NotImplicitPartition
-from .tableaux import MrGarkMethod, TableauKind
+from .tableaux import MrGarkMethod, TableauKind, _check_count
 
 __all__ = [
     "GarkMatrix",
-    "StageSchedule",
     "ConsistencyReport",
     "assemble",
     "check_internal_consistency",
@@ -35,14 +32,6 @@ __all__ = [
 #: assembled tableaus get unwieldy beyond this; integration streams micro-steps
 #: instead of materializing the matrix, so the cap only guards this module.
 MAX_ASSEMBLED_M = 10_000
-
-
-def _check_count(value, name: str = "M", least: int = 1) -> int:
-    """``value`` as an int; InvalidInput unless it is an integer >= ``least`` (numpy integers count, bools do not)."""
-    n = operator.index(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else least - 1
-    if n < least:
-        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
-    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,14 +48,6 @@ class GarkMatrix:
     @property
     def stage_count(self) -> int:
         return self.M * self.s_f + self.s_s
-
-    def fast_row(self, lam: int, stage: int) -> int:
-        """Global row of fast stage ``stage`` (1-based) in micro-step ``lam``."""
-        return (lam - 1) * self.s_f + stage - 1
-
-    def slow_row(self, stage: int) -> int:
-        """Global row of slow stage ``stage`` (1-based)."""
-        return self.M * self.s_f + stage - 1
 
     # superblock views used by the order-condition evaluators
     @property
@@ -99,22 +80,6 @@ class GarkMatrix:
 
 
 @dataclass(frozen=True)
-class StageSchedule:
-    """Evaluation order of the assembled stages.
-
-    ``order`` lists global stage indices (0-based) in computation sequence;
-    the permuted matrix A[order][:, order] is lower triangular for decoupled
-    methods, strictly so when both base methods are explicit.
-    ``slow_positions[j] = (L_j, I_j)``: slow stage j+1 runs right after fast
-    stage I_j of micro-step L_j (I_j = 0 means before that micro-step starts).
-    """
-
-    order: tuple[int, ...]
-    slow_positions: tuple[tuple[int, int], ...]
-    implicit_stages: frozenset[int]
-
-
-@dataclass(frozen=True)
 class ConsistencyReport:
     max_fs_residual: float
     max_sf_residual: float
@@ -135,6 +100,7 @@ def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
     s = n_fast + s_s
     A = np.zeros((s, s))
     bf, bs = method.fast.b, method.slow.b
+    fs, sf = method.couplings(M)
 
     for lam in range(1, M + 1):
         r0 = (lam - 1) * s_f
@@ -142,8 +108,8 @@ def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
         for kap in range(1, lam):
             c0 = (kap - 1) * s_f
             A[r0:r0 + s_f, c0:c0 + s_f] = np.tile(bf / M, (s_f, 1))
-        A[r0:r0 + s_f, n_fast:] = method.coupling("fs", lam, M)
-        A[n_fast:, r0:r0 + s_f] = method.coupling("sf", lam, M) / M
+    A[:n_fast, n_fast:] = fs.reshape(n_fast, s_s)
+    A[n_fast:, :n_fast] = np.concatenate(sf / M, axis=1)
     A[n_fast:, n_fast:] = method.slow.A
 
     b = np.concatenate([np.tile(bf / M, M), bs])
@@ -181,11 +147,11 @@ def check_decoupled(g: GarkMatrix) -> bool:
     return not np.any((g.A_sf != 0.0) & (g.A_fs.T != 0.0))
 
 
-def check_stiff_accuracy(method: MrGarkMethod, M: int, partition: str, tol: float = 1e-13,
-                         g: GarkMatrix | None = None) -> bool:
+def check_stiff_accuracy(method: MrGarkMethod, M: int, partition: str, tol: float = 1e-13) -> bool:
     """Last stage row of the implicit partition must equal the full weights.
 
-    ``g`` is the tableau assembled at M, when the caller has it.
+    Compares, with the same floats, the blocks of the assembled row that can
+    differ from b: its earlier micro-steps hold (1/M) b_f, equal to b exactly.
     """
     part = partition.lower() if isinstance(partition, str) else partition
     if part not in ("fast", "slow"):
@@ -193,10 +159,13 @@ def check_stiff_accuracy(method: MrGarkMethod, M: int, partition: str, tol: floa
     base = method.fast if part == "fast" else method.slow
     if base.kind is not TableauKind.SDIRK:
         raise NotImplicitPartition(f"{method.name}: {part} partition is explicit")
-    if g is None:
-        g = assemble(method, M)
-    row = g.fast_row(M, g.s_f) if part == "fast" else g.slow_row(g.s_s)
-    return bool(np.max(np.abs(g.A[row] - g.b)) < tol)
+    fs, sf = method.couplings(M)
+    bf, bs = method.fast.b / M, method.slow.b
+    if part == "fast":
+        gap = max(np.max(np.abs(method.fast.A[-1] / M - bf)), np.max(np.abs(fs[-1, -1] - bs)))
+    else:
+        gap = max(np.max(np.abs(sf[:, -1] / M - bf)), np.max(np.abs(method.slow.A[-1] - bs)))
+    return bool(gap < tol)
 
 
 def _last_nonzero(block: np.ndarray) -> np.ndarray:
@@ -208,8 +177,8 @@ def _last_nonzero(block: np.ndarray) -> np.ndarray:
 def place_slow_stages(method: MrGarkMethod, fs_blocks, sf_blocks) -> tuple[tuple, tuple[int, ...]]:
     """Place each slow stage, in index order, right after the last fast stage feeding it.
 
-    ``fs_blocks`` and ``sf_blocks`` hold A^{fs,lambda} and A^{sf,lambda} (any
-    positive scaling) for lambda = 1..M; only their zero pattern is read, in
+    ``fs_blocks`` and ``sf_blocks`` are the stacks of
+    :meth:`MrGarkMethod.couplings`; only their zero pattern is read, in
     O(M*s_f*s_s).  Returns the slow stages to compute before each fast stage
     (lambda-1)*s_f + i, and those left for after the last micro-step.
     """
@@ -239,23 +208,21 @@ def place_slow_stages(method: MrGarkMethod, fs_blocks, sf_blocks) -> tuple[tuple
     return tuple(before), tuple(range(done, s_s))
 
 
-def derive_schedule(g: GarkMatrix, method: MrGarkMethod) -> StageSchedule:
+def derive_schedule(method: MrGarkMethod, M: int) -> tuple[int, ...]:
     """Evaluation order of the assembled stages, as the stepper runs them.
 
+    Global stage indices (0-based: fast stage i of micro-step lambda is
+    (lambda-1)*s_f + i, slow stage j is M*s_f + j) in computation order.
     Ready slow stages go first, in index order, then the next fast stage (see
-    :func:`place_slow_stages`).  Cyclic dependencies, or an implicit stage in
-    an explicit partition, raise :class:`CoupledMethod`.
+    :func:`place_slow_stages`), so the permuted assembled tableau is lower
+    triangular.  Cyclic dependencies, or an implicit stage in an explicit
+    partition, raise :class:`CoupledMethod`.
     """
-    n_fast = g.M * g.s_f
-    rows = [slice(r0, r0 + g.s_f) for r0 in range(0, n_fast, g.s_f)]
-    before, trailing = place_slow_stages(method, [g.A[r, n_fast:] for r in rows], [g.A[n_fast:, r] for r in rows])
+    before, trailing = place_slow_stages(method, *method.couplings(M))
+    n_fast = M * method.fast.stage_count
     order: list[int] = []
-    slow_positions: list[tuple[int, int]] = [(g.M, g.s_f)] * g.s_s
     for k, slow in enumerate(before):
-        for j in slow:
-            order.append(n_fast + j)
-            slow_positions[j] = ((k - 1) // g.s_f + 1, (k - 1) % g.s_f + 1) if k else (1, 0)
+        order.extend(n_fast + j for j in slow)
         order.append(k)
     order.extend(n_fast + j for j in trailing)
-    implicit = frozenset(int(i) for i in np.flatnonzero(np.diag(g.A) != 0.0))
-    return StageSchedule(tuple(order), tuple(slow_positions), implicit)
+    return tuple(order)

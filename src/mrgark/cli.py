@@ -130,8 +130,8 @@ def cmd_dump_tableau(args) -> int:
                 "c": method.slow.c.tolist(),
                 "kind": method.slow.kind.value,
             },
-            "fs_coupling": [method.coupling("fs", lam, args.M).tolist() for lam in range(1, args.M + 1)],
-            "sf_coupling": [method.coupling("sf", lam, args.M).tolist() for lam in range(1, args.M + 1)],
+            "fs_coupling": method.couplings(args.M)[0].tolist(),
+            "sf_coupling": method.couplings(args.M)[1].tolist(),
             "assembled": {"A": g.A.tolist(), "b": g.b.tolist(), "c": g.c.tolist()},
         }
         path = out / (args.out or "tableau.json")
@@ -160,12 +160,12 @@ def _verify_one(name: str, sweep: list[int], weights: str, rows: list, failures:
         if not check_decoupled(g):
             failures.append(f"{name} M={M}: coupling sparsity not complementary")
         try:
-            derive_schedule(g, method)
+            derive_schedule(method, M)
         except MrGarkError as exc:
             failures.append(f"{name} M={M}: schedule: {exc}")
         for part, flag in (("slow", MethodFlag.STIFFLY_ACCURATE_SLOW), ("fast", MethodFlag.STIFFLY_ACCURATE_FAST)):
             base = method.slow if part == "slow" else method.fast
-            if base.kind is TableauKind.SDIRK and method.has_flag(flag) and not check_stiff_accuracy(method, M, part, g=g):
+            if base.kind is TableauKind.SDIRK and method.has_flag(flag) and not check_stiff_accuracy(method, M, part):
                 failures.append(f"{name} M={M}: stiff accuracy fails in {part} partition")
         reports = {w: residuals(method, M, w, g=g) for w in dict.fromkeys(("main", "embedded", weights))}
         classify_reports.append((reports["main"], reports["embedded"]))

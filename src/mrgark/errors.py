@@ -37,10 +37,6 @@ class NonFiniteState(MrGarkError):
     """A stage or step produced NaN/Inf state entries."""
 
 
-class NonFiniteInput(MrGarkError):
-    """Right-hand side evaluated at a non-finite state."""
-
-
 class StepSizeUnderflow(MrGarkError):
     """Adaptive controller drove the macro-step below the resolvable size."""
 

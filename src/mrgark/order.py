@@ -26,10 +26,10 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .assembly import GarkMatrix, _check_count, assemble
+from .assembly import GarkMatrix, assemble
 from .errors import InvalidInput
 from .schemes import registry_lookup
-from .tableaux import MrGarkMethod
+from .tableaux import MrGarkMethod, _check_count
 
 __all__ = [
     "Condition",
@@ -209,17 +209,19 @@ class _BlockOperator:
 def block_form_residuals(method: MrGarkMethod, M: int, weights: WeightPair = "main") -> ResidualReport:
     """Evaluate the full catalog without assembling the tableau.
 
-    A_ff is a :class:`_BlockOperator`; A_fs and A_sf are the A^{fs,lambda}
-    and A^{sf,lambda}/M stacked over the micro-steps, O(M) in size.  Same
-    ids, rhs and values as :func:`residuals`, up to roundoff.
+    A_ff is a :class:`_BlockOperator`; A_fs and A_sf are the stacks of
+    :meth:`MrGarkMethod.couplings` laid end to end (A^{sf,lambda} scaled by
+    1/M), O(M) in size.  Same ids, rhs and values as :func:`residuals`, up to
+    roundoff.
     """
     M = _check_count(M)
+    fs, sf = method.couplings(M)
     ctx = dict(
         cf=np.concatenate([(method.fast.c + lam) / M for lam in range(M)]),
         cs=method.slow.c,
         Aff=_BlockOperator(method.fast.A, method.fast.b, M),
-        Afs=np.concatenate([method.coupling("fs", lam, M) for lam in range(1, M + 1)]),
-        Asf=np.concatenate([method.coupling("sf", lam, M) / M for lam in range(1, M + 1)], axis=1),
+        Afs=fs.reshape(M * method.fast.stage_count, -1),
+        Asf=np.concatenate(sf / M, axis=1),
         Ass=method.slow.A,
     )
     return _report(method, M, weights, ctx)

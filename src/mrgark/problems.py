@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NoReference, NonFiniteInput
+from .errors import InvalidInput, NoReference
 from .stepping import PartitionedOde
 
 __all__ = [
     "LinearTwoRate",
     "CoupledNonlinearScalar",
     "GrayScott",
-    "rhs_parts",
     "reference_error",
     "make_problem",
     "PROBLEM_NAMES",
@@ -244,14 +243,6 @@ class GrayScott:
             jac_slow=jac_slow,
             jac_fast=jac_fast,
         )
-
-
-def rhs_parts(problem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f_slow(y), f_fast(y)); rejects non-finite input states."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteInput("state contains NaN/Inf")
-    return np.asarray(problem.f_slow(y), dtype=float), np.asarray(problem.f_fast(y), dtype=float)
 
 
 def reference_error(problem, y_T: np.ndarray, T: float, reference_state: np.ndarray | None = None) -> float:

@@ -11,11 +11,11 @@ makes the printed values round-trip bit-exactly to double.
 Naming convention: ``FAST-SLOW p(phat)[stages-]type`` where FAST/SLOW is EX or
 IM, ``p`` the order, ``phat`` the embedded order, and type A (optimized for
 accuracy) or S (optimized for simplicity/stability).  Type-S schemes carry a
-free abscissa ``c2``; the split index ``L2 = floor(c2*M)`` controls which
-micro-steps see which slow stages.
+free abscissa ``c2``, listed in the method's ``free_parameters``; the split
+index ``L2 = floor(c2*M)`` controls which micro-steps see which slow stages.
 
 M = 1 degenerates to single-rate stepping.  For the telescopic (EX-EX) pairs
-the coupling rules then return the base tableau itself, which makes one
+the coupling evaluators then return the base tableau itself, which makes one
 macro-step identical to one step of the base method applied to the full
 right-hand side.  The published lambda-formulas target M >= 2 and do not all
 remain meaningful at M = 1 (several carry 1/(M-1) or 1/L2 factors).
@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnknownMethod
-from .tableaux import ButcherTableau, CouplingRule, MethodFlag, MrGarkMethod, TableauKind
+from .errors import InvalidInput, UnknownMethod
+from .tableaux import ButcherTableau, MethodFlag, MrGarkMethod, TableauKind
 
 __all__ = [
     "METHOD_NAMES",
@@ -260,14 +260,14 @@ def _sdirk4_6s() -> ButcherTableau:
 
 
 # ---------------------------------------------------------------------------
-# coupling rules
+# coupling families
 # ---------------------------------------------------------------------------
 # Evaluators take (lam, M) with ints and build matrices in exact rational
 # arithmetic; float enters only through sqrt(2)/gamma where unavoidable.
 
 
 def _collapse_at_m1(base_A: np.ndarray, rule: Callable[[int, int], np.ndarray]):
-    """Wrap a telescopic coupling rule so M = 1 returns the base tableau."""
+    """Wrap a telescopic coupling evaluator so M = 1 returns the base tableau."""
 
     def wrapped(lam: int, M: int) -> np.ndarray:
         if M == 1:
@@ -302,8 +302,8 @@ def _exex21a() -> MrGarkMethod:
     return MrGarkMethod(
         name="EX-EX 2(1)A",
         fast=base, slow=base,
-        fs_coupling=CouplingRule((2, 2), _collapse_at_m1(base.A, fs)),
-        sf_coupling=CouplingRule((2, 2), _collapse_at_m1(base.A, sf)),
+        fs_coupling=_collapse_at_m1(base.A, fs),
+        sf_coupling=_collapse_at_m1(base.A, sf),
         order=2, embedded_order=1,
         flags=frozenset({MethodFlag.TELESCOPIC, MethodFlag.NATURALLY_ADAPTIVE}),
     )
@@ -312,7 +312,7 @@ def _exex21a() -> MrGarkMethod:
 def _exex21s(c2: F = F(2, 3)) -> MrGarkMethod:
     c2 = F(c2)
     if not 0 < c2 < 1:
-        raise ValueError("c2 must lie in (0, 1)")
+        raise InvalidInput(f"c2 must lie in (0, 1), got {c2}")
     base = ButcherTableau(
         A=_mat([[0, 0], [c2, 0]]),
         b=_vec([(2 * c2 - 1) / (2 * c2), 1 / (2 * c2)]),
@@ -349,10 +349,11 @@ def _exex21s(c2: F = F(2, 3)) -> MrGarkMethod:
     return MrGarkMethod(
         name="EX-EX 2(1)S",
         fast=base, slow=base,
-        fs_coupling=CouplingRule((2, 2), _collapse_at_m1(base.A, fs), {"c2": float(c2)}),
-        sf_coupling=CouplingRule((2, 2), _collapse_at_m1(base.A, sf), {"c2": float(c2)}),
+        fs_coupling=_collapse_at_m1(base.A, fs),
+        sf_coupling=_collapse_at_m1(base.A, sf),
         order=2, embedded_order=1,
         flags=frozenset({MethodFlag.TELESCOPIC, MethodFlag.NATURALLY_ADAPTIVE}),
+        free_parameters={"c2": float(c2)},
     )
 
 
@@ -371,8 +372,8 @@ def _exim21a() -> MrGarkMethod:
     return MrGarkMethod(
         name="EX-IM 2(1)A",
         fast=fast, slow=slow,
-        fs_coupling=CouplingRule((2, 2), fs),
-        sf_coupling=CouplingRule((2, 2), sf),
+        fs_coupling=fs,
+        sf_coupling=sf,
         order=2, embedded_order=1,
         flags=frozenset({MethodFlag.STIFFLY_ACCURATE_SLOW}),
     )
@@ -393,8 +394,8 @@ def _imex21a() -> MrGarkMethod:
     return MrGarkMethod(
         name="IM-EX 2(1)A",
         fast=fast, slow=slow,
-        fs_coupling=CouplingRule((2, 2), fs),
-        sf_coupling=CouplingRule((2, 2), sf),
+        fs_coupling=fs,
+        sf_coupling=sf,
         order=2, embedded_order=1,
         flags=frozenset({MethodFlag.STIFFLY_ACCURATE_FAST}),
     )
@@ -448,8 +449,8 @@ def _exex32a_3s() -> MrGarkMethod:
     return MrGarkMethod(
         name="EX-EX 3(2)3s-A",
         fast=base, slow=base,
-        fs_coupling=CouplingRule((3, 3), _collapse_at_m1(base.A, fs)),
-        sf_coupling=CouplingRule((3, 3), _collapse_at_m1(base.A, sf)),
+        fs_coupling=_collapse_at_m1(base.A, fs),
+        sf_coupling=_collapse_at_m1(base.A, sf),
         order=3, embedded_order=2,
         flags=frozenset({MethodFlag.TELESCOPIC}),
     )
@@ -517,8 +518,8 @@ def _exex32a_4s() -> MrGarkMethod:
     return MrGarkMethod(
         name="EX-EX 3(2)4s-A",
         fast=base, slow=base,
-        fs_coupling=CouplingRule((4, 4), _collapse_at_m1(base.A, fs)),
-        sf_coupling=CouplingRule((4, 4), _collapse_at_m1(base.A, sf)),
+        fs_coupling=_collapse_at_m1(base.A, fs),
+        sf_coupling=_collapse_at_m1(base.A, sf),
         order=3, embedded_order=2,
         flags=frozenset({MethodFlag.TELESCOPIC, MethodFlag.NATURALLY_ADAPTIVE}),
     )
@@ -528,7 +529,7 @@ def _exex32s(c2: F = F(1, 2), b_hat_2: F = F(1, 2)) -> MrGarkMethod:
     c2 = F(c2)
     b_hat_2 = F(b_hat_2)
     if not 0 < c2 < 1 or c2 == F(2, 3):
-        raise ValueError("c2 must lie in (0, 1) and differ from 2/3")
+        raise InvalidInput(f"c2 must lie in (0, 1) and differ from 2/3, got {c2}")
     # base family with c3 = 1
     A = [
         [0, 0, 0],
@@ -583,14 +584,14 @@ def _exex32s(c2: F = F(1, 2), b_hat_2: F = F(1, 2)) -> MrGarkMethod:
             ],
         ])
 
-    params = {"c2": float(c2), "b_hat_2": float(b_hat_2)}
     return MrGarkMethod(
         name="EX-EX 3(2)S",
         fast=base, slow=base,
-        fs_coupling=CouplingRule((3, 3), _collapse_at_m1(base.A, fs), params),
-        sf_coupling=CouplingRule((3, 3), _collapse_at_m1(base.A, sf), params),
+        fs_coupling=_collapse_at_m1(base.A, fs),
+        sf_coupling=_collapse_at_m1(base.A, sf),
         order=3, embedded_order=2,
         flags=frozenset({MethodFlag.TELESCOPIC}),
+        free_parameters={"c2": float(c2), "b_hat_2": float(b_hat_2)},
     )
 
 
@@ -676,8 +677,8 @@ def _exex43a() -> MrGarkMethod:
     return MrGarkMethod(
         name="EX-EX 4(3)A",
         fast=base, slow=base,
-        fs_coupling=CouplingRule((5, 5), _collapse_at_m1(base.A, fs)),
-        sf_coupling=CouplingRule((5, 5), _collapse_at_m1(base.A, sf)),
+        fs_coupling=_collapse_at_m1(base.A, fs),
+        sf_coupling=_collapse_at_m1(base.A, sf),
         order=4, embedded_order=3,
         flags=frozenset({MethodFlag.TELESCOPIC, MethodFlag.FSAL}),
     )
@@ -719,8 +720,8 @@ def _exim32a() -> MrGarkMethod:
     return MrGarkMethod(
         name="EX-IM 3(2)A",
         fast=fast, slow=slow,
-        fs_coupling=CouplingRule((3, 3), fs),
-        sf_coupling=CouplingRule((3, 3), sf),
+        fs_coupling=fs,
+        sf_coupling=sf,
         order=3, embedded_order=2,
         flags=frozenset({MethodFlag.STIFFLY_ACCURATE_SLOW}),
     )
@@ -760,8 +761,8 @@ def _imex32a() -> MrGarkMethod:
     return MrGarkMethod(
         name="IM-EX 3(2)A",
         fast=fast, slow=slow,
-        fs_coupling=CouplingRule((3, 3), fs),
-        sf_coupling=CouplingRule((3, 3), sf),
+        fs_coupling=fs,
+        sf_coupling=sf,
         order=3, embedded_order=2,
         flags=frozenset({MethodFlag.STIFFLY_ACCURATE_FAST}),
     )
@@ -817,8 +818,8 @@ def _exim43a() -> MrGarkMethod:
     return MrGarkMethod(
         name="EX-IM 4(3)A",
         fast=fast, slow=slow,
-        fs_coupling=CouplingRule((6, 5), fs),
-        sf_coupling=CouplingRule((5, 6), sf),
+        fs_coupling=fs,
+        sf_coupling=sf,
         order=4, embedded_order=3,
         flags=frozenset({MethodFlag.STIFFLY_ACCURATE_SLOW}),
     )
@@ -890,8 +891,8 @@ def _imex42a() -> MrGarkMethod:
     return MrGarkMethod(
         name="IM-EX 4(2)A",
         fast=fast, slow=slow,
-        fs_coupling=CouplingRule((6, 4), fs),
-        sf_coupling=CouplingRule((4, 6), sf),
+        fs_coupling=fs,
+        sf_coupling=sf,
         order=4, embedded_order=2,
         flags=frozenset({MethodFlag.STIFFLY_ACCURATE_FAST}),
     )
@@ -924,19 +925,27 @@ _DEFAULT_CACHE: dict[str, MrGarkMethod] = {}
 def registry_lookup(name: str, **free_parameters) -> MrGarkMethod:
     """Return the registered method ``name``.
 
-    Type-S schemes accept free-parameter overrides (``c2``, and ``b_hat_2``
-    for the third-order one); all other methods take none.  Default instances
-    are cached and shared (they are immutable).
+    Type-S schemes accept overrides of their ``free_parameters`` (``c2``,
+    and ``b_hat_2`` for the third-order one); all other methods take none.  A
+    bad override raises :class:`InvalidInput`.  Default instances are cached
+    and shared (they are immutable).
     """
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise UnknownMethod(f"unknown method {name!r}; known: {', '.join(METHOD_NAMES)}") from None
+    if name not in _DEFAULT_CACHE:
+        _DEFAULT_CACHE[name] = builder()
     if not free_parameters:
-        if name not in _DEFAULT_CACHE:
-            _DEFAULT_CACHE[name] = builder()
         return _DEFAULT_CACHE[name]
-    return builder(**free_parameters)
+    known = sorted(_DEFAULT_CACHE[name].free_parameters)
+    if not set(free_parameters) <= set(known):
+        raise InvalidInput(f"{name} has free parameters {known}, got {sorted(free_parameters)}")
+    try:
+        values = {key: F(value) for key, value in free_parameters.items()}
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InvalidInput(f"{name}: free parameters must be finite rationals, got {free_parameters}") from None
+    return builder(**values)
 
 
 def list_methods() -> list[tuple[str, int, int, frozenset[MethodFlag]]]:

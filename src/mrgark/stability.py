@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import GarkMatrix, _check_count
+from .assembly import GarkMatrix
 from .errors import InvalidInput, SingularResolvent
+from .tableaux import _check_count
 
 __all__ = ["RegionGrid", "stability_value", "scan_region"]
 

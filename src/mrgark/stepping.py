@@ -1,9 +1,10 @@
 """One macro-step of a multirate GARK method, streamed micro-step by micro-step.
 
 The engine never materializes the assembled tableau.  The first step at a
-given (method, M) compiles a plan, cached from then on: the blocks
-A^{fs,lambda}, and per fast stage the slow stages to compute right before it
-and the (slow stage, A^{sf,lambda} weight) pairs its right-hand side feeds.
+given (method, M) compiles a plan, cached from then on: the stacked blocks
+A^{fs,lambda} of :meth:`MrGarkMethod.couplings`, and per fast stage the slow
+stages to compute right before it and the (slow stage, A^{sf,lambda} weight)
+pairs its right-hand side feeds.
 It is the stage order of :func:`assembly.derive_schedule` (both come from
 :func:`assembly.place_slow_stages`), so a cyclic method is rejected before any
 right-hand side runs.  Each fast-stage value is folded into the running fast
@@ -35,9 +36,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assembly import _check_count, place_slow_stages
+from .assembly import place_slow_stages
 from .errors import InvalidInput, NewtonDivergence, NonFiniteState
-from .tableaux import MethodFlag, MrGarkMethod
+from .tableaux import MethodFlag, MrGarkMethod, _check_count
 
 __all__ = [
     "PartitionedOde",
@@ -212,7 +213,7 @@ def _newton_matrix(residual, y: np.ndarray, g: np.ndarray, jac) -> np.ndarray:
 class _StepPlan:
     """Stage order and coupling data of one (method, M); see the module docstring."""
 
-    fs: tuple[np.ndarray, ...]  # A^{fs,lambda}, lambda = 1..M
+    fs: np.ndarray  # (M, s_f, s_s): fs[lambda-1] = A^{fs,lambda}
     before: tuple[tuple[tuple[int, ...], ...], ...]  # [lambda-1][i]: slow stages to compute first
     scatter: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]  # [lambda-1][i]: (j, a_sf)
     trailing: tuple[int, ...]  # slow stages after the last micro-step
@@ -221,8 +222,7 @@ class _StepPlan:
 @lru_cache(maxsize=4096)
 def _step_plan(method: MrGarkMethod, M: int) -> _StepPlan:
     s_f = method.fast.stage_count
-    fs = tuple(method.coupling("fs", lam, M) for lam in range(1, M + 1))
-    sf = [method.coupling("sf", lam, M) for lam in range(1, M + 1)]
+    fs, sf = method.couplings(M)
     before, trailing = place_slow_stages(method, fs, sf)
     scatter = tuple(tuple(tuple((int(j), float(a[j, i])) for j in np.flatnonzero(a[:, i]))
                           for i in range(s_f)) for a in sf)

@@ -1,16 +1,19 @@
-"""Core method data types: Butcher tableaus, coupling rules, and multirate pairs.
+"""Core method data types: Butcher tableaus and multirate pairs.
 
 A multirate GARK method advances a two-way additively partitioned ODE with a
 slow base Runge-Kutta method taking one macro-step H while the fast base
 method takes M micro-steps of size h = H/M.  The cross coupling is described
 by two families of matrices, one per micro-step index lambda: a fast-slow
 block (slow information entering fast stages) and a slow-fast block (fast
-information entering slow stages).  Both are functions of (lambda, M).
+information entering slow stages).  Both are functions of (lambda, M);
+every consumer reads the whole family at one M from :meth:`MrGarkMethod.couplings`.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -23,7 +26,6 @@ __all__ = [
     "TableauKind",
     "MethodFlag",
     "ButcherTableau",
-    "CouplingRule",
     "MrGarkMethod",
 ]
 
@@ -44,6 +46,14 @@ class MethodFlag(enum.Enum):
     STIFFLY_ACCURATE_SLOW = "stiffly-accurate-slow"
     STIFFLY_ACCURATE_FAST = "stiffly-accurate-fast"
     FSAL = "fsal"
+
+
+def _check_count(value, name: str = "M", least: int = 1) -> int:
+    """``value`` as an int; InvalidInput unless it is an integer >= ``least`` (numpy integers count, bools do not)."""
+    n = operator.index(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else least - 1
+    if n < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+    return n
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -99,48 +109,26 @@ class ButcherTableau:
 
 
 @dataclass(frozen=True, eq=False)
-class CouplingRule:
-    """Evaluator for one family of coupling blocks, parameterized by (lambda, M).
-
-    ``evaluator`` must be a deterministic pure function returning a matrix of
-    the declared ``shape`` for every 1 <= lambda <= M.  ``free_parameters``
-    records named constants baked into the rule (e.g. the abscissa c2 of the
-    type-S schemes) so they can be reported and round-tripped.
-    """
-
-    shape: tuple[int, int]
-    evaluator: Callable[[int, int], np.ndarray]
-    free_parameters: Mapping[str, float] = field(default_factory=dict)
-
-    def __call__(self, lam: int, M: int) -> np.ndarray:
-        if M < 1:
-            raise LambdaOutOfRange(f"M must be >= 1, got {M}")
-        if not 1 <= lam <= M:
-            raise LambdaOutOfRange(f"lambda={lam} outside 1..{M}")
-        out = np.asarray(self.evaluator(lam, M), dtype=float)
-        if out.shape != self.shape:
-            raise ValueError(f"coupling evaluator returned shape {out.shape}, declared {self.shape}")
-        return out
-
-
-@dataclass(frozen=True, eq=False)
 class MrGarkMethod:
-    """A fast/slow base pair plus both coupling rules and declared metadata.
+    """A fast/slow base pair plus both coupling families and declared metadata.
 
     ``name`` follows the multirate GARK naming convention
     ``FAST-SLOW p(phat) [stages] type``, e.g. ``"EX-IM 2(1)A"``.
     ``order`` is the order of the main solution, ``embedded_order`` that of
-    the embedded solution used for error estimation.
+    the embedded solution used for error estimation.  ``fs_coupling`` and
+    ``sf_coupling`` are pure functions (lambda, M) -> block; ``free_parameters``
+    names the constants baked into them (the type-S abscissa c2, ...).
     """
 
     name: str
     fast: ButcherTableau
     slow: ButcherTableau
-    fs_coupling: CouplingRule
-    sf_coupling: CouplingRule
+    fs_coupling: Callable[[int, int], np.ndarray]
+    sf_coupling: Callable[[int, int], np.ndarray]
     order: int
     embedded_order: int
     flags: frozenset[MethodFlag] = frozenset()
+    free_parameters: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def stage_counts(self) -> tuple[int, int]:
@@ -150,15 +138,24 @@ class MrGarkMethod:
     def has_flag(self, flag: MethodFlag) -> bool:
         return flag in self.flags
 
-    # Coupling matrices are pure functions of (lambda, M); memoize them since
-    # integrators request the same blocks once per micro-step.
-    @lru_cache(maxsize=4096)
-    def _coupling_cached(self, side: str, lam: int, M: int) -> np.ndarray:
-        rule = self.fs_coupling if side == "fs" else self.sf_coupling
-        return _freeze(rule(lam, M))
-
     def coupling(self, side: str, lam: int, M: int) -> np.ndarray:
-        """Return A^{fs,lambda} (side="fs") or A^{sf,lambda} (side="sf")."""
+        """Evaluate A^{fs,lambda} (side="fs") or A^{sf,lambda} (side="sf"), read-only."""
         if side not in ("fs", "sf"):
             raise InvalidInput(f"side must be 'fs' or 'sf', got {side!r}")
-        return self._coupling_cached(side, lam, M)
+        if not 1 <= lam <= M:
+            raise LambdaOutOfRange(f"lambda={lam} outside 1..{M}")
+        s_f, s_s = self.stage_counts
+        shape, rule = ((s_f, s_s), self.fs_coupling) if side == "fs" else ((s_s, s_f), self.sf_coupling)
+        out = _freeze(rule(lam, M))
+        if out.shape != shape:
+            raise InvalidInput(f"{self.name}: {side} coupling returned shape {out.shape}, stage counts give {shape}")
+        return out
+
+    # typed: a bool or float M is its own key, so it is checked, not served a cached int's stacks
+    @lru_cache(maxsize=1024, typed=True)
+    def couplings(self, M: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only stacks ``fs`` (M, s_f, s_s) and ``sf`` (M, s_s, s_f) with
+        ``fs[lambda-1]`` = A^{fs,lambda}, ``sf[lambda-1]`` = A^{sf,lambda}; cached per (method, M)."""
+        M = _check_count(M)
+        return tuple(_freeze(np.stack([self.coupling(side, lam, M) for lam in range(1, M + 1)]))
+                     for side in ("fs", "sf"))

@@ -161,6 +161,13 @@ def test_drive_rejects_non_integer_or_non_positive_m0(M0):
               np.array([1.0]), 0.0, 1.0, ControllerConfig(), M0=M0)
 
 
+@pytest.mark.parametrize("H0", [-1.0, 0.0, np.nan, np.inf, "0.1"])
+def test_drive_rejects_non_finite_or_non_positive_h0(H0):
+    with pytest.raises(InvalidInput):
+        drive(mg.registry_lookup("EX-EX 2(1)A"), LinearTwoRate().to_ode(),
+              np.array([1.0]), 0.0, 1.0, ControllerConfig(), H0=H0)
+
+
 def test_drive_clamps_integer_m0_into_bounds():
     cfg = ControllerConfig(strategy="balancing", abs_tol=1e-2, rel_tol=1e-2)
     lo, hi = _M_BOUNDS["balancing"]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import mrgark as mg
+from mrgark import assembly, order
 from mrgark.errors import CoupledMethod, InvalidInput, NotImplicitPartition
-from mrgark.tableaux import ButcherTableau, CouplingRule, MrGarkMethod, TableauKind
+from mrgark.tableaux import ButcherTableau, MrGarkMethod, TableauKind
 
 ALL_M = list(range(1, 9))
 
@@ -97,15 +98,15 @@ def test_stiff_accuracy_all_implicit_methods(name, part, M):
 
 def test_schedule_reproduces_printed_permutation():
     m = mg.registry_lookup("EX-EX 2(1)A")
-    schedule = mg.derive_schedule(mg.assemble(m, 3), m)
-    assert [i + 1 for i in schedule.order] == [7, 1, 2, 8, 3, 4, 5, 6]
+    assert [i + 1 for i in mg.derive_schedule(m, 3)] == [7, 1, 2, 8, 3, 4, 5, 6]
 
 
 def test_schedule_type_s_slow_stage_after_block():
     # c2 = 2/3, M = 4 -> L2 = 2: slow stage 2 runs right after micro-step 2
     m = mg.registry_lookup("EX-EX 2(1)S")
-    schedule = mg.derive_schedule(mg.assemble(m, 4), m)
-    assert schedule.slow_positions[1] == (2, 2)
+    order = mg.derive_schedule(m, 4)
+    # slow stage 2 (global index 4*2 + 1) follows fast stage 2 of micro-step 2 (index 3)
+    assert order[order.index(9) - 1] == 3
 
 
 @pytest.mark.parametrize("name", mg.METHOD_NAMES)
@@ -113,8 +114,7 @@ def test_schedule_type_s_slow_stage_after_block():
 def test_schedule_triangularity(name, M):
     m = mg.registry_lookup(name)
     g = mg.assemble(m, M)
-    schedule = mg.derive_schedule(g, m)
-    perm = np.array(schedule.order)
+    perm = np.array(mg.derive_schedule(m, M))
     P = g.A[np.ix_(perm, perm)]
     assert not np.any(np.triu(P, 1) != 0.0), "permuted tableau must be lower triangular"
     diag = np.flatnonzero(np.diag(P) != 0.0)
@@ -154,8 +154,8 @@ def test_corrupted_coupling_fails_internal_consistency():
         name="broken",
         fast=base,
         slow=base,
-        fs_coupling=CouplingRule((2, 2), lambda lam, M: np.zeros((2, 2))),
-        sf_coupling=CouplingRule((2, 2), lambda lam, M: np.zeros((2, 2))),
+        fs_coupling=lambda lam, M: np.zeros((2, 2)),
+        sf_coupling=lambda lam, M: np.zeros((2, 2)),
         order=2,
         embedded_order=1,
     )
@@ -170,15 +170,15 @@ def test_synthetic_overlap_is_coupled():
         name="overlap",
         fast=base,
         slow=base,
-        fs_coupling=CouplingRule((2, 2), lambda lam, M: np.array([[0.5, 0.0], [0.5, 0.0]])),
-        sf_coupling=CouplingRule((2, 2), lambda lam, M: np.array([[0.5, 0.0], [0.5, 0.0]])),
+        fs_coupling=lambda lam, M: np.array([[0.5, 0.0], [0.5, 0.0]]),
+        sf_coupling=lambda lam, M: np.array([[0.5, 0.0], [0.5, 0.0]]),
         order=2,
         embedded_order=1,
     )
     g = mg.assemble(overlap, 1)
     assert not mg.check_decoupled(g)
     with pytest.raises(CoupledMethod):
-        mg.derive_schedule(g, overlap)
+        mg.derive_schedule(overlap, 1)
 
 
 def test_assemble_m_cap():
@@ -191,3 +191,19 @@ def test_assemble_m_cap():
             mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), M)
     g = mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), np.int64(3))
     assert g.M == 3 and type(g.M) is int
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+def test_schedule_stiff_accuracy_and_block_form_never_assemble(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled the tableau")
+
+    monkeypatch.setattr(assembly, "assemble", refuse)
+    monkeypatch.setattr(order, "assemble", refuse)
+    m = mg.registry_lookup(name)
+    for M in (1, 3):
+        mg.derive_schedule(m, M)
+        mg.block_form_residuals(m, M)
+        for part, base in (("fast", m.fast), ("slow", m.slow)):
+            if base.is_implicit:
+                mg.check_stiff_accuracy(m, M, part)

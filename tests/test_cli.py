@@ -228,6 +228,8 @@ def test_converge_step_larger_than_span(tmp_path, capsys):
     ["integrate", "--method", "EX-EX 2(1)A", "--problem-params", '{"bogus": 1}'],
     ["integrate", "--method", "EX-EX 2(1)A", "--problem-params", "{bad"],
     ["integrate", "--method", "EX-EX 2(1)A", "--problem-params", "[1]"],
+    ["integrate", "--method", "EX-EX 2(1)A", "--adaptive", "balancing", "--H", "-1"],
+    ["integrate", "--method", "EX-EX 2(1)A", "--adaptive", "balancing", "--H", "0"],
     ["converge", "--method", "EX-EX 2(1)A", "--h-ladder", "1/0"],
     ["verify", "EX-EX 2(1)A", "--M-sweep", "x"],
     ["converge", "--method", "EX-EX 2(1)A", "--M", "2,x"],

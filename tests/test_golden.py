@@ -1,0 +1,49 @@
+"""Bit-for-bit guard on the assembled tableaus and stage orders.
+
+Each digest is the sha256 of the little-endian float64 bytes of the
+assembled A, b and c, followed by the little-endian int64 stage order of
+:func:`derive_schedule`, for M = 1, 2, 3, 8 in turn.  Assembly is exact
+rational-to-double conversion plus copies and single divisions by M, so the
+digests do not depend on the BLAS build; residuals and step results, which
+do, are deliberately left out.  A refactor that changes any byte fails here.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import mrgark as mg
+
+GOLDEN_M = (1, 2, 3, 8)
+
+GOLDEN = {
+    "EX-EX 2(1)A": "a8e69eaf4e01bb02b1609b6ca1dcde285ad11ac82172c37ca22520b503df5134",
+    "EX-EX 2(1)S": "3f4b6b9a2b849a9e2c05eca3ec2e24cb1623adab2b13f922a47a44ee794a3cd6",
+    "EX-EX 3(2)3s-A": "188079c41e79809eef029a0ff0427770641a967b293d54bac6764cb2b552b3ff",
+    "EX-EX 3(2)4s-A": "1a35acf89e98294e09732a48eb9f4cd87906ab5c99ada9e28dc7c71992a2144f",
+    "EX-EX 3(2)S": "329872c4a5066d6d8eaf57a5d6601793b03825cbbf627aa13458afd88cdbc169",
+    "EX-EX 4(3)A": "d0dac600f73382ec7480da9a82b70ef04d1f120bb3d14ae23b8c2155e3d535ff",
+    "EX-IM 2(1)A": "008979e818813994116f214102051ea56d478a48ebc958f0498fec569ab4fc8c",
+    "EX-IM 3(2)A": "d6fac827f6c6f8ae41e089c44c4b137122014f19dddbabeed9341ec7de748e79",
+    "EX-IM 4(3)A": "2495c7e3aae6b17a479d5ef063014e1a6b59bd6288c3a11cbacbca933a30728d",
+    "IM-EX 2(1)A": "b039db9e6446346bf56ac7ca76081c34652ee9723b1c7d699ac75621b2122d0c",
+    "IM-EX 3(2)A": "1dc04ed5719511050cc1f424bdf097b19da1560bf2a2748a65debead603153cd",
+    "IM-EX 4(2)A": "9e19f80e60133346120c0197d765c3ab53d21de0df428a3dd7d40a8db941f7f0",
+}
+
+
+def test_golden_covers_the_registry():
+    assert tuple(GOLDEN) == mg.METHOD_NAMES
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+def test_assembly_and_schedule_digest(name):
+    method = mg.registry_lookup(name)
+    digest = hashlib.sha256()
+    for M in GOLDEN_M:
+        g = mg.assemble(method, M)
+        for a in (g.A, g.b, g.c):
+            digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        digest.update(np.array(mg.derive_schedule(method, M), dtype="<i8").tobytes())
+    assert digest.hexdigest() == GOLDEN[name]

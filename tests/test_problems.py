@@ -1,41 +1,36 @@
 import numpy as np
 import pytest
 
-from mrgark.errors import NoReference, NonFiniteInput
+from mrgark.errors import NoReference
 from mrgark.problems import (
     CoupledNonlinearScalar,
     GrayScott,
     LinearTwoRate,
     make_problem,
     reference_error,
-    rhs_parts,
 )
 
 
 def test_linear_two_rate_parts_and_exact():
     prob = LinearTwoRate(-10.0, -1.0)
-    fs, ff = rhs_parts(prob, np.array([1.0]))
+    y = np.array([1.0])
+    fs, ff = prob.f_slow(y), prob.f_fast(y)
     assert fs[0] == -1.0 and ff[0] == -10.0
     assert prob.exact(1.0)[0] == pytest.approx(np.exp(-11.0), rel=1e-15)
     assert reference_error(prob, prob.exact(1.0), 1.0) == 0.0
 
 
-def test_rhs_parts_sum_is_full_rhs():
+def test_split_sum_is_full_rhs():
     gs = GrayScott(n=8)
     y = gs.initial_condition()
-    fs, ff = rhs_parts(gs, y)
+    fs, ff = gs.f_slow(y), gs.f_fast(y)
     np.testing.assert_allclose(fs + ff, gs.reaction(y) + gs.diffusion(y), atol=1e-15)
-
-
-def test_rhs_parts_rejects_nonfinite():
-    with pytest.raises(NonFiniteInput):
-        rhs_parts(LinearTwoRate(), np.array([np.nan]))
 
 
 def test_gray_scott_trivial_equilibrium():
     gs = GrayScott(n=8)
     y = np.concatenate([np.ones(64), np.zeros(64)])
-    fs, ff = rhs_parts(gs, y)
+    fs, ff = gs.f_slow(y), gs.f_fast(y)
     assert np.max(np.abs(fs)) == 0.0
     assert np.max(np.abs(ff)) == 0.0
 

@@ -35,7 +35,7 @@ def exact_stability_value(method, M, z_fast, z_slow):
     z = [Fraction(z_fast) if i < n_fast else Fraction(z_slow) for i in range(g.stage_count)]
     A = [[Fraction(a) if a != 0.0 else None for a in row] for row in g.A.tolist()]
     zY = {}  # z_j Y_j of the stages solved so far
-    for i in mg.derive_schedule(g, method).order:
+    for i in mg.derive_schedule(method, M):
         known = 1 + sum(A[i][j] * zY[j] for j in zY if A[i][j] is not None)
         zY[i] = z[i] * known / (1 - (A[i][i] or 0) * z[i])
     return 1 + sum(Fraction(g.b[i]) * zY[i] for i in zY)

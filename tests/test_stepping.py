@@ -16,7 +16,7 @@ from mrgark.stepping import (
     newton_solve,
     step,
 )
-from mrgark.tableaux import ButcherTableau, CouplingRule, MethodFlag, MrGarkMethod, TableauKind
+from mrgark.tableaux import ButcherTableau, MethodFlag, MrGarkMethod, TableauKind
 
 LINEAR = LinearTwoRate(-10.0, -1.0)
 
@@ -252,8 +252,8 @@ def test_coupled_method_guard_in_streaming_engine():
 
     bad = MrGarkMethod(
         name="cyclic", fast=base, slow=base,
-        fs_coupling=CouplingRule((2, 2), fs),
-        sf_coupling=CouplingRule((2, 2), sf),
+        fs_coupling=fs,
+        sf_coupling=sf,
         order=2, embedded_order=1,
     )
     calls = []
@@ -300,23 +300,23 @@ def test_step_plan_matches_derived_schedule(name, M):
     m = mg.registry_lookup(name)
     s_f, s_s = m.stage_counts
     plan = _step_plan(m, M)
-    positions = {j: (M, s_f) for j in plan.trailing}
-    for lam, stages in enumerate(plan.before, 1):
+    # the order the plan runs the stages in: each fast stage after the slow stages it needs
+    order = []
+    for lam, stages in enumerate(plan.before):
         for i, slow in enumerate(stages):
-            # run right after the previous fast stage, (1, 0) before the first
-            previous = (lam, i) if i else ((lam - 1, s_f) if lam > 1 else (1, 0))
-            positions.update((j, previous) for j in slow)
-    assert sorted(positions) == list(range(s_s))
-    schedule = mg.derive_schedule(mg.assemble(m, M), m)
-    assert tuple(positions[j] for j in range(s_s)) == schedule.slow_positions
+            order.extend(M * s_f + j for j in slow)
+            order.append(lam * s_f + i)
+    order.extend(M * s_f + j for j in plan.trailing)
+    assert sorted(order) == list(range(M * s_f + s_s))
+    assert tuple(order) == mg.derive_schedule(m, M)
+    fs, sf = m.couplings(M)
+    assert plan.fs is fs
     for lam in range(1, M + 1):
-        assert plan.fs[lam - 1] is m.coupling("fs", lam, M)
-        sf = m.coupling("sf", lam, M)
-        scattered = np.zeros_like(sf)
+        scattered = np.zeros_like(sf[lam - 1])
         for i, targets in enumerate(plan.scatter[lam - 1]):
             for j, a in targets:
                 scattered[j, i] = a
-        np.testing.assert_array_equal(scattered, sf)
+        np.testing.assert_array_equal(scattered, m.coupling("sf", lam, M))
 
 
 @pytest.mark.parametrize("name", mg.METHOD_NAMES)

@@ -48,11 +48,22 @@ def test_type_s_split_index():
 def test_type_s_parameter_override():
     m = mg.registry_lookup("EX-EX 2(1)S", c2="1/2")
     assert m.fast.c[1] == 0.5
-    assert m.fs_coupling.free_parameters["c2"] == 0.5
+    assert m.free_parameters == {"c2": 0.5}
+    assert mg.registry_lookup("EX-EX 2(1)S").free_parameters == {"c2": 2 / 3}
+    assert mg.registry_lookup("EX-EX 3(2)S").free_parameters == {"c2": 0.5, "b_hat_2": 0.5}
+    assert mg.registry_lookup("EX-EX 2(1)A").free_parameters == {}
     with pytest.raises(ValueError):
         mg.registry_lookup("EX-EX 2(1)S", c2=2)
     with pytest.raises(ValueError):
         mg.registry_lookup("EX-EX 3(2)S", c2="2/3")  # base tableau degenerates
+    bad = [
+        ("EX-EX 2(1)A", {"c2": 0.5}),  # no free parameters
+        ("EX-EX 2(1)S", {"b_hat_2": 0.5}),  # only the third-order pair has it
+        ("EX-EX 3(2)S", {"c2": "2/3"}),
+    ] + [("EX-EX 2(1)S", {"c2": c2}) for c2 in ("abc", float("nan"), float("inf"), None, "1/0", 0, 2)]
+    for name, overrides in bad:
+        with pytest.raises(InvalidInput):
+            mg.registry_lookup(name, **overrides)
 
 
 def test_unknown_method():
@@ -146,3 +157,38 @@ def test_big_rational_coefficients_round_trip():
     den = 2195453146940870392428577778808091404375
     assert m.fast.b_hat[0] == float(Fraction(num, den))
     assert m.fast.A[4, 0] == float(Fraction(num, den))
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+@pytest.mark.parametrize("M", [1, 2, 5, 8])
+def test_couplings_stack_the_blocks(name, M):
+    m = mg.registry_lookup(name)
+    s_f, s_s = m.stage_counts
+    fs, sf = m.couplings(M)
+    assert fs.shape == (M, s_f, s_s) and sf.shape == (M, s_s, s_f)
+    assert not fs.flags.writeable and not sf.flags.writeable
+    assert m.couplings(M)[0] is fs  # cached per (method, M)
+    for lam in range(1, M + 1):
+        assert np.array_equal(fs[lam - 1], m.coupling("fs", lam, M))
+        assert np.array_equal(sf[lam - 1], m.coupling("sf", lam, M))
+
+
+@pytest.mark.parametrize("M", [0, -1, 2.0, True, "2", None])
+def test_couplings_reject_bad_m(M):
+    with pytest.raises(InvalidInput):
+        mg.registry_lookup("EX-EX 2(1)A").couplings(M)
+
+
+def test_coupling_of_the_wrong_shape_is_invalid_input():
+    base = mg.registry_lookup("EX-EX 2(1)A").fast
+    wrong = mg.MrGarkMethod(
+        name="wrong shape", fast=base, slow=base,
+        fs_coupling=lambda lam, M: np.zeros((2, 3)),
+        sf_coupling=lambda lam, M: np.zeros((2, 2)),
+        order=2, embedded_order=1,
+    )
+    with pytest.raises(InvalidInput):
+        wrong.coupling("fs", 1, 2)
+    with pytest.raises(InvalidInput):
+        wrong.couplings(2)
+    assert wrong.coupling("sf", 1, 2).shape == (2, 2)
