@@ -72,8 +72,7 @@ class ControllerConfig:
             raise InvalidInput(f"unknown strategy {self.strategy!r}")
         if self.synthetic_cost_ratio is not None and not 0 < self.synthetic_cost_ratio < math.inf:
             raise InvalidInput(f"synthetic_cost_ratio must be finite and > 0, got {self.synthetic_cost_ratio!r}")
-        if not (np.all(np.asarray(self.abs_tol) >= 0.0) and np.all(np.asarray(self.rel_tol) >= 0.0)):
-            raise InvalidInput("abs_tol and rel_tol must be >= 0 and not NaN")
+        self.tolerances()  # Tolerances checks abs_tol and rel_tol
 
     def tolerances(self) -> Tolerances:
         return Tolerances(abs_tol=self.abs_tol, rel_tol=self.rel_tol)

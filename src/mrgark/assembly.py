@@ -5,7 +5,9 @@ assembled method has s = M*s_f + s_s stages.  Fast stage i of micro-step
 lambda sits at global row (lambda-1)*s_f + i, the slow stages occupy the last
 s_s rows.  The fast diagonal carries (1/M)*A_ff, completed micro-steps below
 it contribute the telescoping rank-one blocks (1/M)*1*b_f^T, and the coupling
-families fill the off-diagonal super-blocks (slow-fast blocks scaled by 1/M).
+super-blocks fill the off-diagonal corners.  :func:`coupling_superblocks` lays
+those out in O(M); assembly, the block-form residuals and the structure checks
+all read it, so no check builds the dense tableau.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "GarkMatrix",
     "ConsistencyReport",
     "assemble",
+    "coupling_superblocks",
     "check_internal_consistency",
     "check_telescopic",
     "check_decoupled",
@@ -32,6 +35,9 @@ __all__ = [
 #: assembled tableaus get unwieldy beyond this; integration streams micro-steps
 #: instead of materializing the matrix, so the cap only guards this module.
 MAX_ASSEMBLED_M = 10_000
+#: bounds on the consistency residuals and the stiff-accuracy gap (roundoff for every registered pair)
+CONSISTENCY_TOL = 1e-10
+STIFF_ACCURACY_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,45 +55,27 @@ class GarkMatrix:
     def stage_count(self) -> int:
         return self.M * self.s_f + self.s_s
 
-    # superblock views used by the order-condition evaluators
-    @property
-    def A_ff(self) -> np.ndarray:
-        n = self.M * self.s_f
-        return self.A[:n, :n]
-
-    @property
-    def A_fs(self) -> np.ndarray:
-        n = self.M * self.s_f
-        return self.A[:n, n:]
-
-    @property
-    def A_sf(self) -> np.ndarray:
-        n = self.M * self.s_f
-        return self.A[n:, :n]
-
-    @property
-    def A_ss(self) -> np.ndarray:
-        n = self.M * self.s_f
-        return self.A[n:, n:]
-
-    @property
-    def c_fast(self) -> np.ndarray:
-        return self.c[: self.M * self.s_f]
-
-    @property
-    def c_slow(self) -> np.ndarray:
-        return self.c[self.M * self.s_f:]
-
 
 @dataclass(frozen=True)
 class ConsistencyReport:
     max_fs_residual: float
     max_sf_residual: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_fs_residual < self.tol and self.max_sf_residual < self.tol
+        return self.max_fs_residual < CONSISTENCY_TOL and self.max_sf_residual < CONSISTENCY_TOL
+
+
+def coupling_superblocks(method: MrGarkMethod, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fast abscissae and the coupling super-blocks A_fs, A_sf, laid out in O(M).
+
+    From :meth:`MrGarkMethod.couplings`: micro-step lambda's abscissae are
+    (c_f + lambda - 1)/M, A_fs (M*s_f, s_s) stacks the A^{fs,lambda}, and
+    A_sf (s_s, M*s_f) puts the A^{sf,lambda}/M end to end.
+    """
+    fs, sf = method.couplings(M)
+    c_fast = ((method.fast.c + np.arange(M)[:, None]) / M).ravel()
+    return c_fast, fs.reshape(M * method.fast.stage_count, -1), np.concatenate(sf / M, axis=1)
 
 
 def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
@@ -96,41 +84,35 @@ def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
     if M > MAX_ASSEMBLED_M:
         raise InvalidInput(f"M must be in 1..{MAX_ASSEMBLED_M}, got {M}")
     s_f, s_s = method.stage_counts
-    n_fast = M * s_f
-    s = n_fast + s_s
-    A = np.zeros((s, s))
-    bf, bs = method.fast.b, method.slow.b
-    fs, sf = method.couplings(M)
+    n = M * s_f
+    c_fast, A_fs, A_sf = coupling_superblocks(method, M)
+    A = np.zeros((n + s_s, n + s_s))
+    # A_ff as blocks[lambda, kappa] = (s_f, s_f) block; splitting axes keeps it a view of A
+    blocks = A[:n, :n].reshape(M, s_f, M, s_f).transpose(0, 2, 1, 3)
+    blocks[np.tri(M, k=-1, dtype=bool)] = method.fast.b / M
+    blocks[np.arange(M), np.arange(M)] = method.fast.A / M
+    A[:n, n:] = A_fs
+    A[n:, :n] = A_sf
+    A[n:, n:] = method.slow.A
 
-    for lam in range(1, M + 1):
-        r0 = (lam - 1) * s_f
-        A[r0:r0 + s_f, r0:r0 + s_f] = method.fast.A / M
-        for kap in range(1, lam):
-            c0 = (kap - 1) * s_f
-            A[r0:r0 + s_f, c0:c0 + s_f] = np.tile(bf / M, (s_f, 1))
-    A[:n_fast, n_fast:] = fs.reshape(n_fast, s_s)
-    A[n_fast:, :n_fast] = np.concatenate(sf / M, axis=1)
-    A[n_fast:, n_fast:] = method.slow.A
-
-    b = np.concatenate([np.tile(bf / M, M), bs])
-    c_fast = np.concatenate([(method.fast.c + lam) / M for lam in range(M)])
+    b = np.concatenate([np.tile(method.fast.b / M, M), method.slow.b])
     c = np.concatenate([c_fast, method.slow.c])
-    A.flags.writeable = False
-    b.flags.writeable = False
-    c.flags.writeable = False
+    for a in (A, b, c):
+        a.flags.writeable = False
     return GarkMatrix(M=M, s_f=s_f, s_s=s_s, A=A, b=b, c=c)
 
 
-def check_internal_consistency(g: GarkMatrix, tol: float = 1e-10) -> ConsistencyReport:
+def check_internal_consistency(method: MrGarkMethod, M: int) -> ConsistencyReport:
     """Row sums of each coupling super-block must reproduce the abscissae.
 
     Fast and slow right-hand sides are then sampled at identical points in
     time, which is what reduces the coupled order conditions to the small
     catalog handled by the order module.
     """
-    fs = float(np.max(np.abs(g.A_fs.sum(axis=1) - g.c_fast)))
-    sf = float(np.max(np.abs(g.A_sf.sum(axis=1) - g.c_slow)))
-    return ConsistencyReport(max_fs_residual=fs, max_sf_residual=sf, tol=tol)
+    c_fast, A_fs, A_sf = coupling_superblocks(method, M)
+    fs = float(np.max(np.abs(A_fs.sum(axis=1) - c_fast)))
+    sf = float(np.max(np.abs(A_sf.sum(axis=1) - method.slow.c)))
+    return ConsistencyReport(max_fs_residual=fs, max_sf_residual=sf)
 
 
 def check_telescopic(method: MrGarkMethod) -> bool:
@@ -142,12 +124,13 @@ def check_telescopic(method: MrGarkMethod) -> bool:
     )
 
 
-def check_decoupled(g: GarkMatrix) -> bool:
+def check_decoupled(method: MrGarkMethod, M: int) -> bool:
     """Sparsity complementarity: A_sf and A_fs^T share no nonzero position."""
-    return not np.any((g.A_sf != 0.0) & (g.A_fs.T != 0.0))
+    _, A_fs, A_sf = coupling_superblocks(method, M)
+    return not np.any((A_sf != 0.0) & (A_fs.T != 0.0))
 
 
-def check_stiff_accuracy(method: MrGarkMethod, M: int, partition: str, tol: float = 1e-13) -> bool:
+def check_stiff_accuracy(method: MrGarkMethod, M: int, partition: str) -> bool:
     """Last stage row of the implicit partition must equal the full weights.
 
     Compares, with the same floats, the blocks of the assembled row that can
@@ -165,7 +148,7 @@ def check_stiff_accuracy(method: MrGarkMethod, M: int, partition: str, tol: floa
         gap = max(np.max(np.abs(method.fast.A[-1] / M - bf)), np.max(np.abs(fs[-1, -1] - bs)))
     else:
         gap = max(np.max(np.abs(sf[:, -1] / M - bf)), np.max(np.abs(method.slow.A[-1] - bs)))
-    return bool(gap < tol)
+    return bool(gap < STIFF_ACCURACY_TOL)
 
 
 def _last_nonzero(block: np.ndarray) -> np.ndarray:

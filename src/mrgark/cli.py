@@ -116,20 +116,9 @@ def cmd_dump_tableau(args) -> int:
             "order": method.order,
             "embedded_order": method.embedded_order,
             "flags": sorted(f.value for f in method.flags),
-            "fast": {
-                "A": method.fast.A.tolist(),
-                "b": method.fast.b.tolist(),
-                "b_hat": method.fast.b_hat.tolist(),
-                "c": method.fast.c.tolist(),
-                "kind": method.fast.kind.value,
-            },
-            "slow": {
-                "A": method.slow.A.tolist(),
-                "b": method.slow.b.tolist(),
-                "b_hat": method.slow.b_hat.tolist(),
-                "c": method.slow.c.tolist(),
-                "kind": method.slow.kind.value,
-            },
+            **{part: {"A": base.A.tolist(), "b": base.b.tolist(), "b_hat": base.b_hat.tolist(),
+                      "c": base.c.tolist(), "kind": base.kind.value}
+               for part, base in (("fast", method.fast), ("slow", method.slow))},
             "fs_coupling": method.couplings(args.M)[0].tolist(),
             "sf_coupling": method.couplings(args.M)[1].tolist(),
             "assembled": {"A": g.A.tolist(), "b": g.b.tolist(), "c": g.c.tolist()},
@@ -154,10 +143,10 @@ def _verify_one(name: str, sweep: list[int], weights: str, rows: list, failures:
     classify_reports = []  # (main, embedded) per M, so classify neither assembles nor recomputes them
     for M in sweep:
         g = assemble(method, M)
-        rep = check_internal_consistency(g)
+        rep = check_internal_consistency(method, M)
         if not rep.passed:
             failures.append(f"{name} M={M}: internal consistency residual {max(rep.max_fs_residual, rep.max_sf_residual):.2e}")
-        if not check_decoupled(g):
+        if not check_decoupled(method, M):
             failures.append(f"{name} M={M}: coupling sparsity not complementary")
         try:
             derive_schedule(method, M)

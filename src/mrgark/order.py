@@ -26,9 +26,8 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .assembly import GarkMatrix, assemble
+from .assembly import GarkMatrix, assemble, coupling_superblocks
 from .errors import InvalidInput
-from .schemes import registry_lookup
 from .tableaux import MrGarkMethod, _check_count
 
 __all__ = [
@@ -184,7 +183,8 @@ def residuals(
         g = assemble(method, M)
     elif g.M != M:
         raise InvalidInput(f"tableau assembled at M={g.M}, residuals asked at M={M!r}")
-    ctx = dict(cf=g.c_fast, cs=g.c_slow, Aff=g.A_ff, Afs=g.A_fs, Asf=g.A_sf, Ass=g.A_ss)
+    n, A = M * g.s_f, g.A
+    ctx = dict(cf=g.c[:n], cs=g.c[n:], Aff=A[:n, :n], Afs=A[:n, n:], Asf=A[n:, :n], Ass=A[n:, n:])
     return _report(method, M, weights, ctx)
 
 
@@ -209,21 +209,14 @@ class _BlockOperator:
 def block_form_residuals(method: MrGarkMethod, M: int, weights: WeightPair = "main") -> ResidualReport:
     """Evaluate the full catalog without assembling the tableau.
 
-    A_ff is a :class:`_BlockOperator`; A_fs and A_sf are the stacks of
-    :meth:`MrGarkMethod.couplings` laid end to end (A^{sf,lambda} scaled by
-    1/M), O(M) in size.  Same ids, rhs and values as :func:`residuals`, up to
-    roundoff.
+    A_ff is a :class:`_BlockOperator`; the fast abscissae, A_fs and A_sf are
+    those of :func:`assembly.coupling_superblocks`, O(M) in size.  Same ids,
+    rhs and values as :func:`residuals`, up to roundoff.
     """
     M = _check_count(M)
-    fs, sf = method.couplings(M)
-    ctx = dict(
-        cf=np.concatenate([(method.fast.c + lam) / M for lam in range(M)]),
-        cs=method.slow.c,
-        Aff=_BlockOperator(method.fast.A, method.fast.b, M),
-        Afs=fs.reshape(M * method.fast.stage_count, -1),
-        Asf=np.concatenate(sf / M, axis=1),
-        Ass=method.slow.A,
-    )
+    cf, Afs, Asf = coupling_superblocks(method, M)
+    ctx = dict(cf=cf, cs=method.slow.c, Aff=_BlockOperator(method.fast.A, method.fast.b, M),
+               Afs=Afs, Asf=Asf, Ass=method.slow.A)
     return _report(method, M, weights, ctx)
 
 
@@ -246,9 +239,8 @@ class Classification:
 
 
 def classify(
-    method: MrGarkMethod | str,
+    method: MrGarkMethod,
     M_sweep: Sequence[int | tuple[ResidualReport, ResidualReport]] = tuple(range(1, 9)),
-    tol: float = CLASSIFY_TOL,
 ) -> Classification:
     """Verify order, embedded order and natural adaptivity over an M sweep.
 
@@ -257,7 +249,7 @@ def classify(
     assembled once for both reports.
 
     ``verified_order`` is the largest q <= 4 with every order-<=q residual
-    below ``tol`` for all swept M, using the main weights; the embedded order
+    below ``CLASSIFY_TOL`` for all swept M, using the main weights; the embedded order
     uses the embedded weights.  Natural adaptivity asks the coupling residuals
     one order above the verified order to vanish as well; it is a property of
     genuinely multirate operation, so only swept values M >= 2 enter that
@@ -265,8 +257,6 @@ def classify(
     which cannot cancel cross terms).  Orders above 4 are outside the catalog,
     so a verified order of 4 reports ``naturally_adaptive=False``.
     """
-    if isinstance(method, str):
-        method = registry_lookup(method)
     if not M_sweep:
         raise InvalidInput("M_sweep must be non-empty")
 
@@ -281,7 +271,7 @@ def classify(
     def verified(reports) -> int:
         q = 0
         for order in (1, 2, 3, 4):
-            if all(r.max_abs(order=order) < tol for r in reports):
+            if all(r.max_abs(order=order) < CLASSIFY_TOL for r in reports):
                 q = order
             else:
                 break
@@ -293,7 +283,7 @@ def classify(
     nat = False
     if 1 <= p <= 3:
         nat = all(
-            r.max_abs(order=p + 1, group="coupling") < tol
+            r.max_abs(order=p + 1, group="coupling") < CLASSIFY_TOL
             for r in main
             if r.M >= 2
         )

@@ -14,12 +14,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import InvalidInput, NoReference
 from .stepping import PartitionedOde
+from .tableaux import _check_count
 
 __all__ = [
     "LinearTwoRate",
@@ -31,11 +33,22 @@ __all__ = [
 ]
 
 
+def _check_reals(problem, names) -> None:
+    """InvalidInput unless each named parameter of ``problem`` is a finite real (bools are not)."""
+    for name in names:
+        value = getattr(problem, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise InvalidInput(f"{type(problem).__name__}: {name} must be a finite real, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinearTwoRate:
     lambda_fast: float = -10.0
     lambda_slow: float = -1.0
     y0: float = 1.0
+
+    def __post_init__(self):
+        _check_reals(self, (f.name for f in fields(self)))
 
     def initial_condition(self) -> np.ndarray:
         return np.array([self.y0])
@@ -64,6 +77,9 @@ class CoupledNonlinearScalar:
     """Scalar split with genuinely interacting nonlinear partitions."""
 
     y0: float = 0.5
+
+    def __post_init__(self):
+        _check_reals(self, (f.name for f in fields(self)))
 
     def initial_condition(self) -> np.ndarray:
         return np.array([self.y0])
@@ -125,8 +141,11 @@ class GrayScott:
     _diffusion_jac: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if self.n % 8:
-            raise InvalidInput("grid size must be divisible by 8")
+        if _check_count(self.n, "n", 8) % 8:
+            raise InvalidInput(f"grid size n must be divisible by 8, got {self.n}")
+        _check_reals(self, ("feed", "kill", "eps_u", "eps_v"))
+        if not isinstance(self.swap_roles, bool):
+            raise InvalidInput(f"swap_roles must be a bool, got {self.swap_roles!r}")
         if self.diffusion_mode not in ("linear", "nonlinear"):
             raise InvalidInput("diffusion_mode must be 'linear' or 'nonlinear'")
         if self.boundary not in ("neumann", "periodic"):

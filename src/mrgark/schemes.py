@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as F
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -919,7 +920,11 @@ _BUILDERS: dict[str, Callable[..., MrGarkMethod]] = {
 
 METHOD_NAMES: tuple[str, ...] = tuple(_BUILDERS)
 
-_DEFAULT_CACHE: dict[str, MrGarkMethod] = {}
+
+@cache
+def _build(name: str, overrides: tuple[tuple[str, F], ...]) -> MrGarkMethod:
+    """One shared (immutable) instance per name and set of rational overrides."""
+    return _BUILDERS[name](**dict(overrides))
 
 
 def registry_lookup(name: str, **free_parameters) -> MrGarkMethod:
@@ -927,25 +932,21 @@ def registry_lookup(name: str, **free_parameters) -> MrGarkMethod:
 
     Type-S schemes accept overrides of their ``free_parameters`` (``c2``,
     and ``b_hat_2`` for the third-order one); all other methods take none.  A
-    bad override raises :class:`InvalidInput`.  Default instances are cached
-    and shared (they are immutable).
+    bad override raises :class:`InvalidInput`.  Instances are immutable and
+    shared: ``c2=0.5`` and ``c2="1/2"`` (equal rationals) give the same one.
     """
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise UnknownMethod(f"unknown method {name!r}; known: {', '.join(METHOD_NAMES)}") from None
-    if name not in _DEFAULT_CACHE:
-        _DEFAULT_CACHE[name] = builder()
+    if name not in _BUILDERS:
+        raise UnknownMethod(f"unknown method {name!r}; known: {', '.join(METHOD_NAMES)}")
     if not free_parameters:
-        return _DEFAULT_CACHE[name]
-    known = sorted(_DEFAULT_CACHE[name].free_parameters)
+        return _build(name, ())
+    known = sorted(_build(name, ()).free_parameters)
     if not set(free_parameters) <= set(known):
         raise InvalidInput(f"{name} has free parameters {known}, got {sorted(free_parameters)}")
     try:
         values = {key: F(value) for key, value in free_parameters.items()}
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InvalidInput(f"{name}: free parameters must be finite rationals, got {free_parameters}") from None
-    return builder(**values)
+    return _build(name, tuple(sorted(values.items())))
 
 
 def list_methods() -> list[tuple[str, int, int, frozenset[MethodFlag]]]:

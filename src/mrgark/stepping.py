@@ -59,6 +59,9 @@ __all__ = [
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 #: a reused Newton matrix is rebuilt after an update that cuts ||G|| by less than this factor
 NEWTON_RATE = 0.1
+#: Newton converges when ||G|| <= NEWTON_TOL * (1 + ||y||), and fails after NEWTON_MAX_ITER updates
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +81,10 @@ class Tolerances:
 
     abs_tol: float | np.ndarray = 1e-6
     rel_tol: float | np.ndarray = 1e-6
+
+    def __post_init__(self):
+        if not (np.all(np.asarray(self.abs_tol) >= 0.0) and np.all(np.asarray(self.rel_tol) >= 0.0)):
+            raise InvalidInput("abs_tol and rel_tol must be >= 0 and not NaN")
 
 
 @dataclass
@@ -122,11 +129,9 @@ def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     y_guess: np.ndarray,
     jac: Callable[[np.ndarray], np.ndarray] | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 50,
     matrix: np.ndarray | None = None,
 ) -> NewtonResult:
-    """Solve G(y) = 0 for 1-D y; converged when ||G|| <= tol * (1 + ||y||).
+    """Solve G(y) = 0 for 1-D y; converged when ||G|| <= :data:`NEWTON_TOL` * (1 + ||y||).
 
     Simplified Newton (Hairer & Wanner, *Solving ODEs II*, IV.8): the Newton
     matrix dG/dy is ``matrix`` when given (one an earlier solve returned), or
@@ -153,10 +158,10 @@ def newton_solve(
     if _non_finite(g, g_norm):
         raise NewtonDivergence("residual is non-finite")
     rebuild, fresh, builds = matrix is None, False, 0
-    for iteration in range(max_iter + 1):
-        if g_norm <= tol * (1.0 + y_norm):
+    for iteration in range(NEWTON_MAX_ITER + 1):
+        if g_norm <= NEWTON_TOL * (1.0 + y_norm):
             return NewtonResult(y, iteration, matrix, builds)
-        if iteration == max_iter:
+        if iteration == NEWTON_MAX_ITER:
             break
         if rebuild or y.size == 1:
             matrix = _newton_matrix(residual, y, g, jac)
@@ -188,7 +193,7 @@ def newton_solve(
             raise NewtonDivergence("residual is non-finite")
         rebuild = g_new_norm > NEWTON_RATE * g_norm
         y, y_norm, g, g_norm, fresh = y_new, y_new_norm, g_new, g_new_norm, False
-    raise NewtonDivergence(f"no convergence in {max_iter} iterations")
+    raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
 def _non_finite(v: np.ndarray, v_norm: float) -> bool:

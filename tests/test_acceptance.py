@@ -160,8 +160,8 @@ def test_criterion_4_structure_suite():
         assert mg.check_telescopic(method) == method.has_flag(MethodFlag.TELESCOPIC), name
         for M in ALL_M:
             g = mg.assemble(method, M)
-            assert mg.check_internal_consistency(g).passed, (name, M)
-            assert mg.check_decoupled(g), (name, M)
+            assert mg.check_internal_consistency(method, M).passed, (name, M)
+            assert mg.check_decoupled(method, M), (name, M)
             perm = np.array(mg.derive_schedule(method, M))
             P = g.A[np.ix_(perm, perm)]
             assert not np.any(np.triu(P, 1) != 0.0), (name, M)

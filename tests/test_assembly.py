@@ -42,6 +42,18 @@ def test_assemble_m1_is_two_by_two_block():
         np.testing.assert_array_equal(g.A[s_f:, s_f:], m.slow.A)
 
 
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+@pytest.mark.parametrize("M", [1, 2, 5, 8, 33])
+def test_coupling_superblocks_are_the_assembled_blocks(name, M):
+    m = mg.registry_lookup(name)
+    g = mg.assemble(m, M)
+    n = M * g.s_f
+    c_fast, A_fs, A_sf = assembly.coupling_superblocks(m, M)
+    assert np.array_equal(c_fast, g.c[:n])
+    assert np.array_equal(A_fs, g.A[:n, n:])
+    assert np.array_equal(A_sf, g.A[n:, :n])
+
+
 def test_fast_abscissae_example():
     g = mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), 2)
     np.testing.assert_allclose(g.c, [0, 1 / 3, 1 / 2, 5 / 6, 0, 2 / 3], atol=1e-15)
@@ -50,8 +62,7 @@ def test_fast_abscissae_example():
 @pytest.mark.parametrize("name", mg.METHOD_NAMES)
 @pytest.mark.parametrize("M", ALL_M)
 def test_internal_consistency_all_methods(name, M):
-    g = mg.assemble(mg.registry_lookup(name), M)
-    report = mg.check_internal_consistency(g)
+    report = mg.check_internal_consistency(mg.registry_lookup(name), M)
     assert report.passed
     assert max(report.max_fs_residual, report.max_sf_residual) < 1e-13
 
@@ -59,7 +70,7 @@ def test_internal_consistency_all_methods(name, M):
 @pytest.mark.parametrize("name", mg.METHOD_NAMES)
 @pytest.mark.parametrize("M", ALL_M)
 def test_decoupled_all_methods(name, M):
-    assert mg.check_decoupled(mg.assemble(mg.registry_lookup(name), M))
+    assert mg.check_decoupled(mg.registry_lookup(name), M)
 
 
 @pytest.mark.parametrize("name", mg.METHOD_NAMES)
@@ -159,7 +170,7 @@ def test_corrupted_coupling_fails_internal_consistency():
         order=2,
         embedded_order=1,
     )
-    report = mg.check_internal_consistency(mg.assemble(broken, 1))
+    report = mg.check_internal_consistency(broken, 1)
     assert not report.passed
     assert report.max_fs_residual == pytest.approx(2 / 3)  # max entry of c_fast
 
@@ -175,8 +186,7 @@ def test_synthetic_overlap_is_coupled():
         order=2,
         embedded_order=1,
     )
-    g = mg.assemble(overlap, 1)
-    assert not mg.check_decoupled(g)
+    assert not mg.check_decoupled(overlap, 1)
     with pytest.raises(CoupledMethod):
         mg.derive_schedule(overlap, 1)
 
@@ -204,6 +214,7 @@ def test_schedule_stiff_accuracy_and_block_form_never_assemble(name, monkeypatch
     for M in (1, 3):
         mg.derive_schedule(m, M)
         mg.block_form_residuals(m, M)
+        assert mg.check_internal_consistency(m, M).passed and mg.check_decoupled(m, M)
         for part, base in (("fast", m.fast), ("slow", m.slow)):
             if base.is_implicit:
                 mg.check_stiff_accuracy(m, M, part)

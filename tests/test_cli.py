@@ -237,6 +237,14 @@ def test_converge_step_larger_than_span(tmp_path, capsys):
     ["converge", "--method", "EX-EX 2(1)A", "--h-ladder", ","],
     ["converge", "--method", "EX-EX 2(1)A", "--M", ","],
     ["converge", "--method", "EX-EX 2(1)A", "--problem-params", '"x"'],
+    ["integrate", "--method", "EX-EX 2(1)A", "--problem", "gray-scott", "--problem-params", '{"n": 0}'],
+    ["integrate", "--method", "EX-EX 2(1)A", "--problem", "gray-scott", "--problem-params", '{"n": -8}'],
+    ["integrate", "--method", "EX-EX 2(1)A", "--problem", "gray-scott", "--problem-params", '{"n": 8.0}'],
+    ["integrate", "--method", "EX-EX 2(1)A", "--problem", "gray-scott", "--problem-params", '{"feed": null}'],
+    ["integrate", "--method", "EX-EX 2(1)A", "--problem", "gray-scott", "--problem-params", '{"swap_roles": "no"}'],
+    ["integrate", "--method", "EX-EX 2(1)A", "--problem-params", '{"lambda_fast": "x"}'],
+    ["integrate", "--method", "EX-EX 2(1)A", "--abstol", "nan"],
+    ["integrate", "--method", "EX-EX 2(1)A", "--abstol", "-1"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)

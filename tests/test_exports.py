@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -29,3 +31,17 @@ def test_benchmark_span_targets_resolve():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, *_ in targets
                if attr not in vars(owner)]
     assert targets and not missing
+
+
+def test_tolerances_are_module_constants_not_keywords():
+    from mrgark import assembly, order, stepping
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(stepping.newton_solve) == ["residual", "y_guess", "jac", "matrix"]
+    assert params(assembly.check_internal_consistency) == ["method", "M"]
+    assert params(assembly.check_decoupled) == ["method", "M"]
+    assert params(assembly.check_stiff_accuracy) == ["method", "M", "partition"]
+    assert params(order.classify) == ["method", "M_sweep"]
+    assert [f.name for f in dataclasses.fields(assembly.ConsistencyReport)] == ["max_fs_residual", "max_sf_residual"]

@@ -2,7 +2,8 @@
 
 Each digest is the sha256 of the little-endian float64 bytes of the
 assembled A, b and c, followed by the little-endian int64 stage order of
-:func:`derive_schedule`, for M = 1, 2, 3, 8 in turn.  Assembly is exact
+:func:`derive_schedule`, for M = 1, 2, 3, 8 in turn (and, in a second set,
+for M = 33, 100).  Assembly is exact
 rational-to-double conversion plus copies and single divisions by M, so the
 digests do not depend on the BLAS build; residuals and step results, which
 do, are deliberately left out.  A refactor that changes any byte fails here.
@@ -33,8 +34,39 @@ GOLDEN = {
 }
 
 
+GOLDEN_LARGE_M = (33, 100)
+
+GOLDEN_LARGE = {
+    "EX-EX 2(1)A": "db7ba4fba2dcd4cf3a075b2bda0138fa5640345322f579a85a71e62232ec6f5c",
+    "EX-EX 2(1)S": "8169e6ec3dbfee5ee810da748a5ff86588619f371428f992cb236170e2680339",
+    "EX-EX 3(2)3s-A": "6184ec404994f6ddde69978ff19ffc6d19b65ba2259cea2a05e8572591f6280e",
+    "EX-EX 3(2)4s-A": "fa3b371131b09923eb08675f2f69abdcb6dbd32927223634eb635df332963749",
+    "EX-EX 3(2)S": "245b4a552bbeb38c3a1392c871ad4f754838e38a6870950ef34dd95d7c227859",
+    "EX-EX 4(3)A": "22e7645d46aee1b25327ab83e261fd8071b4027fd358b3c6a5a303b41c3d7f79",
+    "EX-IM 2(1)A": "53592f0023b8b660ffa32a08bc40148405fbbdb122236087086a6dce0fff8015",
+    "EX-IM 3(2)A": "f3719c21ed99d2b025c53227f4dc304c4e3302bc5b753fbe664023ba4dc74a34",
+    "EX-IM 4(3)A": "fcdd377764f11d1fdeb814e3001dda533dd3af37192aa4ed5fee1b04a7f01c09",
+    "IM-EX 2(1)A": "70de6c686da654a45f5366f9188b9618b6a5426e89d3b4197bab53350545e7a7",
+    "IM-EX 3(2)A": "f89ac005c52f96dadc9bd50273655fa0d84d0124a32972d32fed30446b42b0af",
+    "IM-EX 4(2)A": "0608b77a54af71c8f7a07061a00557e75e3f10bf40cd8f6350df41985a04618b",
+}
+
+
 def test_golden_covers_the_registry():
     assert tuple(GOLDEN) == mg.METHOD_NAMES
+    assert tuple(GOLDEN_LARGE) == mg.METHOD_NAMES
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+def test_assembly_and_schedule_digest_at_large_m(name):
+    method = mg.registry_lookup(name)
+    digest = hashlib.sha256()
+    for M in GOLDEN_LARGE_M:
+        g = mg.assemble(method, M)
+        for a in (g.A, g.b, g.c):
+            digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        digest.update(np.array(mg.derive_schedule(method, M), dtype="<i8").tobytes())
+    assert digest.hexdigest() == GOLDEN_LARGE[name]
 
 
 @pytest.mark.parametrize("name", mg.METHOD_NAMES)

@@ -140,7 +140,7 @@ def test_m1_block_form_collapses_to_single_rate():
     ],
 )
 def test_classify_all_methods(name, expected):
-    cls = classify(name, ALL_M)
+    cls = classify(mg.registry_lookup(name), ALL_M)
     assert (cls.verified_order, cls.verified_embedded_order, cls.naturally_adaptive) == expected
 
 
@@ -185,7 +185,7 @@ def test_weight_pairs_change_the_report():
 
 def test_classify_requires_nonempty_sweep():
     with pytest.raises(ValueError):
-        classify("EX-EX 2(1)A", [])
+        classify(mg.registry_lookup("EX-EX 2(1)A"), [])
 
 
 @pytest.mark.parametrize("evaluate", [residuals, block_form_residuals])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrgark.errors import NoReference
+from mrgark.errors import InvalidInput, NoReference
 from mrgark.problems import (
     CoupledNonlinearScalar,
     GrayScott,
@@ -160,3 +160,23 @@ def test_gray_scott_validates_config():
         GrayScott(n=8, diffusion_mode="cubic")
     with pytest.raises(ValueError):
         GrayScott(n=8, boundary="dirichlet")
+
+
+@pytest.mark.parametrize("cls,params", [
+    (GrayScott, {"n": 0}),
+    (GrayScott, {"n": -8}),
+    (GrayScott, {"n": 8.0}),
+    (GrayScott, {"n": True}),
+    (GrayScott, {"feed": None}),
+    (GrayScott, {"kill": float("nan")}),
+    (GrayScott, {"eps_u": float("inf")}),
+    (GrayScott, {"eps_v": "0.03"}),
+    (GrayScott, {"swap_roles": "no"}),
+    (LinearTwoRate, {"lambda_fast": "x"}),
+    (LinearTwoRate, {"lambda_slow": float("nan")}),
+    (LinearTwoRate, {"y0": False}),
+    (CoupledNonlinearScalar, {"y0": None}),
+])
+def test_problem_parameters_are_checked_at_construction(cls, params):
+    with pytest.raises(InvalidInput):
+        cls(**params)

@@ -104,7 +104,7 @@ def test_newton_scalar_quadratic_vs_bisection_oracle():
     oracle = 0.5 * (lo + hi)
     assert oracle == pytest.approx(5.0 - np.sqrt(15.0), abs=1e-12)
 
-    res = newton_solve(lambda y: g(y), np.array([1.0]), tol=1e-12)
+    res = newton_solve(lambda y: g(y), np.array([1.0]))
     assert res.iterations <= 5
     assert res.y[0] == pytest.approx(oracle, abs=1e-10)
 
@@ -117,7 +117,15 @@ def test_newton_divergence_on_nonfinite():
 def test_newton_divergence_on_stagnation():
     # gradient vanishes at the guess and the iteration cycles without converging
     with pytest.raises(NewtonDivergence):
-        newton_solve(lambda y: np.array([y[0] ** 2 + 1.0]), np.array([0.5]), max_iter=8)
+        newton_solve(lambda y: np.array([y[0] ** 2 + 1.0]), np.array([0.5]))
+
+
+@pytest.mark.parametrize("abs_tol,rel_tol", [
+    (float("nan"), 1e-6), (-1.0, 1e-6), (1e-6, float("nan")), (1e-6, -1e-9), (np.array([1e-6, np.nan]), 1e-6),
+])
+def test_tolerances_reject_negative_or_nan(abs_tol, rel_tol):
+    with pytest.raises(InvalidInput):
+        Tolerances(abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def test_error_norm_examples():

@@ -1,10 +1,12 @@
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
 import mrgark as mg
 from mrgark.errors import InvalidInput, LambdaOutOfRange, UnknownMethod
 from mrgark.schemes import SDIRK3_GAMMA, sdirk3_gamma_closed_form
-from mrgark.tableaux import MethodFlag, TableauKind
+from mrgark.tableaux import MethodFlag, MrGarkMethod, TableauKind
 
 
 def test_registry_has_twelve_methods():
@@ -64,6 +66,16 @@ def test_type_s_parameter_override():
     for name, overrides in bad:
         with pytest.raises(InvalidInput):
             mg.registry_lookup(name, **overrides)
+
+
+def test_equal_overrides_share_one_instance_and_its_couplings():
+    half = mg.registry_lookup("EX-EX 2(1)S", c2=0.5)
+    assert half is mg.registry_lookup("EX-EX 2(1)S", c2="1/2") is mg.registry_lookup("EX-EX 2(1)S", c2=F(1, 2))
+    assert half is not mg.registry_lookup("EX-EX 2(1)S")
+    half.couplings(7)
+    hits = MrGarkMethod.couplings.cache_info().hits
+    mg.registry_lookup("EX-EX 2(1)S", c2="1/2").couplings(7)
+    assert MrGarkMethod.couplings.cache_info().hits == hits + 1
 
 
 def test_unknown_method():
