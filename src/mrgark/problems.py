@@ -8,7 +8,10 @@
   n-by-n grid over the unit square, second-order flux-form diffusion with
   zero-flux (or periodic) closure, with either constant or state- and
   position-dependent diffusion coefficients.  Reaction is the fast partition,
-  diffusion the slow one; ``swap_roles`` flips that assignment.
+  diffusion the slow one; ``swap_roles`` flips that assignment.  Its
+  Jacobians are structured (:class:`ReactionJacobian`,
+  :class:`DiffusionJacobian`), so implicit stages solve I - a*J exactly
+  without forming it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidInput, NoReference
+from .errors import InvalidInput, NewtonDivergence, NoReference
 from .stepping import PartitionedOde
 from .tableaux import _check_count
 
@@ -27,6 +30,8 @@ __all__ = [
     "LinearTwoRate",
     "CoupledNonlinearScalar",
     "GrayScott",
+    "ReactionJacobian",
+    "DiffusionJacobian",
     "reference_error",
     "make_problem",
     "PROBLEM_NAMES",
@@ -118,15 +123,98 @@ def _periodic_div_flux(field: np.ndarray, eps: np.ndarray, h: float, axis: int) 
     return (face - np.roll(face, 1, axis=axis)) / h
 
 
+def _check_shifted(factors: np.ndarray) -> np.ndarray:
+    """The divisors of a structured shifted solve; NewtonDivergence if one is zero or non-finite."""
+    if not (np.isfinite(factors).all() and factors.all()):
+        raise NewtonDivergence("singular Newton matrix")
+    return factors
+
+
+class ReactionJacobian:
+    """Jacobian of :meth:`GrayScott.reaction` at one state: a 2x2 block per cell.
+
+    ``shifted_solver(a)`` solves (I - a*J) x = r cell by cell with Cramer's
+    rule; ``np.asarray(J)`` is the dense (2n^2 x 2n^2) matrix.
+    """
+
+    def __init__(self, problem: GrayScott, y: np.ndarray):
+        u, v = problem.split(np.asarray(y, dtype=float))
+        uv, vv = (u * v).ravel(), (v * v).ravel()
+        # the block [[du'/du, du'/dv], [dv'/du, dv'/dv]] of each cell
+        self.blocks = (-vv - problem.feed, -2.0 * uv, vv, 2.0 * uv - (problem.feed + problem.kill))
+
+    def shifted_solver(self, a: float):
+        j11, j12, j21, j22 = self.blocks
+        m11, m12, m21, m22 = 1.0 - a * j11, -a * j12, -a * j21, 1.0 - a * j22
+        det = _check_shifted(m11 * m22 - m12 * m21)
+        n2 = det.size
+
+        def solve(r):
+            ru, rv = r[:n2], r[n2:]
+            return np.concatenate([(m22 * ru - m12 * rv) / det, (m11 * rv - m21 * ru) / det])
+
+        return solve
+
+    def __array__(self, dtype=None, copy=None):
+        n2 = self.blocks[0].size
+        cell = np.arange(n2)
+        j = np.zeros((2 * n2, 2 * n2))
+        for (row, col), entries in zip(((0, 0), (0, n2), (n2, 0), (n2, n2)), self.blocks):
+            j[cell + row, cell + col] = entries
+        return j if dtype is None else j.astype(dtype)
+
+
+class DiffusionJacobian:
+    """Constant Jacobian of linear Gray-Scott diffusion: eps_w (L (x) I + I (x) L) / h^2 per species w.
+
+    Held as the eigendecomposition L = Q diag(mu) Q^T of the symmetric n x n
+    1-D operator, so ``shifted_solver(a)`` is the fast diagonalization method
+    (Lynch, Rice & Thomas, *Numer. Math.* 6, 1964): per species, Q^T R Q, a
+    divide by 1 - a eps_w (mu_i + mu_j) / h^2, then Q (...) Q^T.
+    ``np.asarray(J)`` is the dense (2n^2 x 2n^2) matrix.
+    """
+
+    def __init__(self, problem: GrayScott):
+        n = problem.n
+        L = np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1.0), -1)
+        if problem.boundary == "neumann":
+            L -= np.diag(np.concatenate([[1.0], np.full(n - 2, 2.0), [1.0]]))
+        else:
+            L -= 2.0 * np.eye(n)
+            L[0, -1] += 1.0
+            L[-1, 0] += 1.0
+        mu, self.Q = np.linalg.eigh(L)
+        self.L, self.h = L, problem.spacing
+        self.eigenvalues = (mu[:, None] + mu[None, :]) / self.h**2  # of the 2-D operator, per (i, j)
+        self.eps = np.array([problem.eps_u, problem.eps_v])[:, None, None]
+
+    def shifted_solver(self, a: float):
+        factors = _check_shifted(1.0 - (a * self.eps) * self.eigenvalues)
+        Q = self.Q
+
+        def solve(r):
+            return (Q @ ((Q.T @ r.reshape(factors.shape) @ Q) / factors) @ Q.T).ravel()
+
+        return solve
+
+    def __array__(self, dtype=None, copy=None):
+        eye = np.eye(self.L.shape[0])
+        lap = (np.kron(self.L, eye) + np.kron(eye, self.L)) / self.h**2
+        j = np.kron(np.diag(self.eps.ravel()), lap)
+        return j if dtype is None else j.astype(dtype)
+
+
 @dataclass(eq=False)
 class GrayScott:
     """Gray-Scott model, reaction fast / diffusion slow (unless swapped).
 
     :meth:`to_ode` wires every Jacobian the model has onto the partition that
-    holds its term: :meth:`reaction_jacobian` always, and in linear mode the
-    constant :meth:`diffusion_jacobian`, built on first use and shared by all
-    of the problem's ODEs.  Nonlinear diffusion has none, so implicit stages
-    there finite-difference it.
+    holds its term, as a structured Jacobian whose shifted systems
+    I - a*J have an exact cheap solve: the :class:`ReactionJacobian` at y
+    always (2x2 Cramer per cell), and in linear mode the constant
+    :class:`DiffusionJacobian` (fast diagonalization), built on first use and
+    shared by all of the problem's ODEs.  Nonlinear diffusion has none, so
+    implicit stages there finite-difference a dense matrix.
     """
 
     n: int = 32
@@ -138,7 +226,7 @@ class GrayScott:
     boundary: str = "neumann"  # or "periodic"
     swap_roles: bool = False
     _sin_grid: np.ndarray = field(init=False, repr=False)
-    _diffusion_jac: np.ndarray | None = field(init=False, repr=False, default=None)
+    _diffusion_jac: DiffusionJacobian | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if _check_count(self.n, "n", 8) % 8:
@@ -208,50 +296,20 @@ class GrayScott:
         v[lo:hi, lo:hi] = 0.25
         return np.concatenate([u.ravel(), v.ravel()])
 
-    def diffusion_jacobian(self) -> np.ndarray:
-        """Dense Jacobian of the diffusion part; linear mode only.
-
-        Built from the 1-D flux-form operator via Kronecker products, so it is
-        exactly the matrix applied by :meth:`diffusion`.  Dense storage: meant
-        for modest grids (tests, implicit experiments), not production sizes.
-        """
+    def diffusion_jacobian(self) -> DiffusionJacobian:
+        """Jacobian of :meth:`diffusion`, linear mode only; built once and shared."""
         if self.diffusion_mode != "linear":
             raise NotImplementedError("analytic Jacobian is provided for linear diffusion only")
-        n, h = self.n, self.spacing
-        L = np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1.0), -1)
-        if self.boundary == "neumann":
-            L -= np.diag(np.concatenate([[1.0], np.full(n - 2, 2.0), [1.0]]))
-        else:
-            L -= 2.0 * np.eye(n)
-            L[0, -1] += 1.0
-            L[-1, 0] += 1.0
-        eye = np.eye(n)
-        lap = (np.kron(L, eye) + np.kron(eye, L)) / h**2
-        z = np.zeros_like(lap)
-        top = np.concatenate([self.eps_u * lap, z], axis=1)
-        bot = np.concatenate([z, self.eps_v * lap], axis=1)
-        return np.concatenate([top, bot], axis=0)
-
-    def reaction_jacobian(self, y: np.ndarray) -> np.ndarray:
-        """Dense Jacobian of :meth:`reaction` at y: a 2x2 block per cell, coupling u and v."""
-        u, v = self.split(np.asarray(y, dtype=float))
-        u, v = u.ravel(), v.ravel()
-        n2 = u.size
-        cell = np.arange(n2)
-        j = np.zeros((2 * n2, 2 * n2))
-        j[cell, cell] = -v * v - self.feed
-        j[cell, cell + n2] = -2.0 * u * v
-        j[cell + n2, cell] = v * v
-        j[cell + n2, cell + n2] = 2.0 * u * v - (self.feed + self.kill)
-        return j
-
-    def _shared_diffusion_jacobian(self, y: np.ndarray) -> np.ndarray:
         if self._diffusion_jac is None:
-            self._diffusion_jac = self.diffusion_jacobian()
+            self._diffusion_jac = DiffusionJacobian(self)
         return self._diffusion_jac
 
+    def reaction_jacobian(self, y: np.ndarray) -> ReactionJacobian:
+        """Jacobian of :meth:`reaction` at y."""
+        return ReactionJacobian(self, y)
+
     def to_ode(self) -> PartitionedOde:
-        jac_diffusion = self._shared_diffusion_jacobian if self.diffusion_mode == "linear" else None
+        jac_diffusion = (lambda y: self.diffusion_jacobian()) if self.diffusion_mode == "linear" else None
         jac_slow, jac_fast = jac_diffusion, self.reaction_jacobian
         if self.swap_roles:
             jac_slow, jac_fast = jac_fast, jac_slow

@@ -18,7 +18,10 @@ a = h*gamma fast or H*gamma slow, so one matrix per partition is built at its
 first implicit stage and reused by the later stages and micro-steps of the
 step.  It is rebuilt only after an update that cuts the residual norm by less
 than :data:`NEWTON_RATE`, and dropped when the step ends.  Size-1 systems
-rebuild it every iteration.
+rebuild it every iteration.  A partition's ``jac`` returns J either as a dense
+array, from which I - a*J is formed and solved by LU, or as a
+:class:`StructuredJacobian`, whose ``shifted_solver(a)`` is the exact solve of
+(I - a*J) x = r; that solver is then what is built, reused and rebuilt.
 
 For methods with the first-same-as-last property the value of the last fast
 stage of each micro-step equals the first stage of the next one, so its
@@ -32,7 +35,7 @@ import numbers
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .tableaux import MethodFlag, MrGarkMethod, _check_count
 
 __all__ = [
     "PartitionedOde",
+    "StructuredJacobian",
     "Tolerances",
     "WorkCounters",
     "StepResult",
@@ -64,15 +68,27 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
 
+class StructuredJacobian(Protocol):
+    """A Jacobian J held in a form with an exact solve of its shifted systems."""
+
+    def shifted_solver(self, a: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve r -> x of (I - a*J) x = r; raises NewtonDivergence if that system is singular."""
+
+
 @dataclass(frozen=True, eq=False)
 class PartitionedOde:
-    """Additively partitioned autonomous ODE y' = f_slow(y) + f_fast(y)."""
+    """Additively partitioned autonomous ODE y' = f_slow(y) + f_fast(y).
+
+    ``jac_slow``/``jac_fast`` return the partition's Jacobian at y: a dense
+    (dimension x dimension) array, or, for systems of size > 1, a
+    :class:`StructuredJacobian`.  Omitted, implicit stages finite-difference it.
+    """
 
     dimension: int
     f_slow: Callable[[np.ndarray], np.ndarray]
     f_fast: Callable[[np.ndarray], np.ndarray]
-    jac_slow: Callable[[np.ndarray], np.ndarray] | None = None
-    jac_fast: Callable[[np.ndarray], np.ndarray] | None = None
+    jac_slow: Callable[[np.ndarray], np.ndarray | StructuredJacobian] | None = None
+    jac_fast: Callable[[np.ndarray], np.ndarray | StructuredJacobian] | None = None
 
 
 @dataclass(frozen=True)
@@ -83,7 +99,11 @@ class Tolerances:
     rel_tol: float | np.ndarray = 1e-6
 
     def __post_init__(self):
-        if not (np.all(np.asarray(self.abs_tol) >= 0.0) and np.all(np.asarray(self.rel_tol) >= 0.0)):
+        try:
+            abs_tol, rel_tol = np.asarray(self.abs_tol, dtype=float), np.asarray(self.rel_tol, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"abs_tol and rel_tol must be real, got {self.abs_tol!r}, {self.rel_tol!r}") from None
+        if not (np.all(abs_tol >= 0.0) and np.all(rel_tol >= 0.0)):
             raise InvalidInput("abs_tol and rel_tol must be >= 0 and not NaN")
 
 
@@ -92,7 +112,7 @@ class WorkCounters:
     fast_evals: int = 0
     slow_evals: int = 0
     newton_iterations: int = 0
-    jacobians: int = 0  # Newton matrices built, analytic or finite-difference (those RHS calls are in *_evals)
+    jacobians: int = 0  # Newton matrices or solvers built, analytic or finite-difference (FD RHS calls are in *_evals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,15 +141,15 @@ class StepResult:
 class NewtonResult(NamedTuple):
     y: np.ndarray
     iterations: int
-    matrix: np.ndarray | None  # dG/dy last used, or the one passed in if no update was needed
-    jacobians: int  # Newton matrices built, analytic or finite-difference
+    matrix: np.ndarray | Callable[[np.ndarray], np.ndarray] | None  # dG/dy last used, or the one passed in
+    jacobians: int  # Newton matrices or solvers built, analytic or finite-difference
 
 
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     y_guess: np.ndarray,
-    jac: Callable[[np.ndarray], np.ndarray] | None = None,
-    matrix: np.ndarray | None = None,
+    jac: Callable[[np.ndarray], np.ndarray | Callable[[np.ndarray], np.ndarray]] | None = None,
+    matrix: np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> NewtonResult:
     """Solve G(y) = 0 for 1-D y; converged when ||G|| <= :data:`NEWTON_TOL` * (1 + ||y||).
 
@@ -146,10 +166,14 @@ def newton_solve(
     reused matrix would add.  Affine systems converge in a single update with
     an exact matrix.
 
-    ``jac`` returns dG/dy; omitted, a forward-difference approximation with
-    increment sqrt(eps) * (1 + |y_i|) is used, at one residual call per
-    column.  The result carries the matrix last used, for the next solve with
-    the same dG/dy, and the number of matrices built.
+    ``jac`` returns dG/dy, held in one of two ways: a dense array, solved by
+    LU (by division at size 1), or, for systems of size > 1, a *solve*
+    callable, so that the update is ``solve(-g)``; a solve of a singular
+    system raises :class:`NewtonDivergence`.  Omitted, dG/dy is a dense
+    forward-difference approximation with increment sqrt(eps) * (1 + |y_i|),
+    at one residual call per column.  ``matrix`` and the returned matrix are
+    held the same way.  The result carries the matrix last used, for the next
+    solve with the same dG/dy, and the number of matrices built.
     """
     y = np.array(y_guess, dtype=float)
     y_norm = math.sqrt(y.dot(y))
@@ -171,6 +195,8 @@ def newton_solve(
             if matrix[0, 0] == 0.0:
                 raise NewtonDivergence("singular Newton matrix")
             delta = -g / matrix[0, 0]
+        elif callable(matrix):
+            delta = matrix(-g)
         else:
             try:
                 delta = np.linalg.solve(matrix, -g)
@@ -201,10 +227,15 @@ def _non_finite(v: np.ndarray, v_norm: float) -> bool:
     return not math.isfinite(v_norm) and not np.isfinite(v).all()
 
 
-def _newton_matrix(residual, y: np.ndarray, g: np.ndarray, jac) -> np.ndarray:
+def _newton_matrix(residual, y: np.ndarray, g: np.ndarray, jac):
     """dG/dy at y from ``jac``, or by forward differences of the residual (g = G(y))."""
     if jac is not None:
-        return np.asarray(jac(y), dtype=float)
+        m = jac(y)
+        if not callable(m):
+            return np.asarray(m, dtype=float)
+        if y.size == 1:
+            raise InvalidInput("a solve callable for dG/dy needs a system of size > 1")
+        return m
     j = np.empty((y.size, y.size))
     for i in range(y.size):
         dy = _SQRT_EPS * (1.0 + abs(y[i]))
@@ -262,9 +293,9 @@ def step(
 
     calls, seconds = [0, 0], [0.0, 0.0]  # RHS calls and time per partition: [slow, fast]
     newton_iterations = jacobians = 0
-    # per partition [slow, fast]: I - a*J, built at its first implicit stage and
-    # reused by the later ones, since a = h*gamma is the same for all of them
-    matrices: list[np.ndarray | None] = [None, None]
+    # per partition [slow, fast]: I - a*J or its solver, built at its first implicit
+    # stage and reused by the later ones, since a = h*gamma is the same for all of them
+    matrices: list[np.ndarray | Callable | None] = [None, None]
 
     def timed(fn, part):
         def call(y):
@@ -281,7 +312,11 @@ def step(
         nonlocal newton_iterations, jacobians
 
         def jac(y):
-            m = np.asarray(jac_fn(y), dtype=float) * -a_diag  # a copy: the problem may share its J
+            J = jac_fn(y)
+            shifted_solver = getattr(J, "shifted_solver", None)
+            if shifted_solver is not None:
+                return shifted_solver(a_diag)
+            m = np.asarray(J, dtype=float) * -a_diag  # a copy: the problem may share its J
             m.flat[:: y.size + 1] += 1.0
             return m
 
@@ -382,9 +417,8 @@ def error_norm(x: np.ndarray, y: np.ndarray, tolerances: Tolerances) -> float:
     """Scaled RMS deviation: values <= 1 mean "within tolerance"; never NaN."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    scale = np.asarray(tolerances.abs_tol) + np.asarray(tolerances.rel_tol) * np.maximum(
-        np.abs(x), np.abs(y)
-    )
+    abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
+    scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(y))
     value = float(np.sqrt(np.mean(((x - y) / scale) ** 2)))
     if math.isnan(value):
         # 0/0 where states and tolerance all vanish is no deviation; a NaN state is no estimate

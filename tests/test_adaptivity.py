@@ -244,7 +244,7 @@ def test_drive_requires_forward_span():
 
 
 @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
-@pytest.mark.parametrize("value", [-1e-6, np.nan, np.array([1e-6, -1.0])])
+@pytest.mark.parametrize("value", [-1e-6, np.nan, np.array([1e-6, -1.0]), "x", None])
 def test_config_rejects_negative_or_nan_tolerances(field, value):
     with pytest.raises(InvalidInput):
         ControllerConfig(**{field: value})

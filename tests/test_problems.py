@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrgark.errors import InvalidInput, NoReference
+from mrgark.errors import InvalidInput, NewtonDivergence, NoReference
 from mrgark.problems import (
     CoupledNonlinearScalar,
     GrayScott,
@@ -9,6 +9,7 @@ from mrgark.problems import (
     make_problem,
     reference_error,
 )
+from mrgark.stepping import newton_solve
 
 
 def test_linear_two_rate_parts_and_exact():
@@ -80,7 +81,7 @@ def test_gray_scott_pure_subdynamics():
 
 def test_linear_diffusion_jacobian_symmetric_and_consistent():
     gs = GrayScott(n=8, diffusion_mode="linear")
-    J = gs.diffusion_jacobian()
+    J = np.asarray(gs.diffusion_jacobian())
     assert np.max(np.abs(J - J.T)) < 1e-13
     y = gs.initial_condition()
     np.testing.assert_allclose(J @ y, gs.diffusion(y), atol=1e-12)
@@ -110,10 +111,49 @@ def _perturbed_state(gs):
 def test_reaction_jacobian_against_finite_differences():
     gs = GrayScott(n=8)
     y = _perturbed_state(gs)
-    J = gs.reaction_jacobian(y)
+    J = np.asarray(gs.reaction_jacobian(y))
     np.testing.assert_allclose(J, _central_difference_jacobian(gs.reaction, y), rtol=0, atol=1e-8)
     # one 2x2 block per cell: u_i couples to itself and to v_i only
     assert np.count_nonzero(J) <= 4 * gs.n * gs.n
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+@pytest.mark.parametrize("term", ["reaction", "diffusion"])
+def test_structured_shifted_solve_matches_dense_solve(term, boundary, n):
+    gs = GrayScott(n=n, diffusion_mode="linear", boundary=boundary)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        y = gs.initial_condition() + 0.2 * rng.standard_normal(gs.dimension)
+        J = gs.reaction_jacobian(y) if term == "reaction" else gs.diffusion_jacobian()
+        a = 10.0 ** rng.uniform(-5.0, 0.0)
+        r = rng.standard_normal(gs.dimension)
+        x = J.shifted_solver(a)(r)
+        expected = np.linalg.solve(np.eye(gs.dimension) - a * np.asarray(J), r)
+        assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("a", [-2.0, np.inf, np.nan], ids=["zero", "inf", "nan"])
+def test_singular_reaction_shifted_solve_raises(a):
+    # feed = 1/2 and v = 0: the u-row of I - a*J is 1 + a/2 = 0 exactly at a = -2
+    gs = GrayScott(n=8, feed=0.5)
+    y = np.concatenate([np.full(64, 0.7), np.zeros(64)])
+    J = gs.reaction_jacobian(y)
+    # the structured solve fails as the dense path does on the same system
+    for jac in (lambda z: J.shifted_solver(a), lambda z: np.eye(128) - a * np.asarray(J)):
+        with pytest.raises(NewtonDivergence), np.errstate(invalid="ignore"):
+            newton_solve(lambda z: z - 0.1 * gs.reaction(z) - 1.0, y, jac=jac)
+
+
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+@pytest.mark.parametrize("a", [np.inf, np.nan])
+def test_singular_diffusion_shifted_solve_raises(a, boundary):
+    # a*eps*0 is NaN on the constant mode, and -inf on every other one
+    gs = GrayScott(n=8, diffusion_mode="linear", boundary=boundary)
+    J = gs.diffusion_jacobian()
+    with pytest.raises(NewtonDivergence), np.errstate(invalid="ignore"):
+        newton_solve(lambda z: z - 0.1 * gs.diffusion(z) - 1.0, gs.initial_condition(),
+                     jac=lambda z: J.shifted_solver(a))
 
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])

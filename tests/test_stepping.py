@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,7 @@ def test_newton_divergence_on_stagnation():
 
 @pytest.mark.parametrize("abs_tol,rel_tol", [
     (float("nan"), 1e-6), (-1.0, 1e-6), (1e-6, float("nan")), (1e-6, -1e-9), (np.array([1e-6, np.nan]), 1e-6),
+    ("x", 1e-6), (None, 1e-6), (1e-6, 1j), (1e-6, [1e-6, "x"]),
 ])
 def test_tolerances_reject_negative_or_nan(abs_tol, rel_tol):
     with pytest.raises(InvalidInput):
@@ -455,6 +458,45 @@ def test_stalling_newton_matrix_is_rebuilt(monkeypatch):
     # both stop at ||G|| <= 1e-12 (1 + ||y||) per stage, so they agree to a few 1e-12
     for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
         np.testing.assert_allclose(getattr(r, field), getattr(ref, field), rtol=1e-10, atol=0)
+
+
+def _dense_jacobians(ode):
+    """``ode`` with each structured Jacobian replaced by its dense matrix."""
+    dense = lambda jac: None if jac is None else (lambda y: np.asarray(jac(y)))
+    return PartitionedOde(ode.dimension, f_slow=ode.f_slow, f_fast=ode.f_fast,
+                          jac_slow=dense(ode.jac_slow), jac_fast=dense(ode.jac_fast))
+
+
+@pytest.mark.parametrize("name", IMPLICIT_PAIRS)
+@pytest.mark.parametrize("M", [1, 2, 4])
+def test_structured_newton_solves_match_dense(name, M):
+    m = mg.registry_lookup(name)
+    for n, boundary, mode, swap in itertools.product((8, 16), ("neumann", "periodic"),
+                                                     ("linear", "nonlinear"), (False, True)):
+        if mode == "nonlinear" and swap == m.fast.is_implicit:
+            continue  # nonlinear diffusion is implicit: both runs take the same finite-difference path
+        gs = GrayScott(n=n, diffusion_mode=mode, boundary=boundary, swap_roles=swap)
+        y0 = gs.initial_condition()
+        structured = step(m, gs.to_ode(), y0, 0.0, 0.02, M)
+        dense = step(m, _dense_jacobians(gs.to_ode()), y0, 0.0, 0.02, M)
+        case = (n, boundary, mode, swap)
+        assert structured.counters == dense.counters, case
+        for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+            a, b = getattr(structured, field), getattr(dense, field)
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (field, case)
+
+
+def test_implicit_gray_scott_at_128_squared():
+    # the dense diffusion matrix here would be 32768^2 doubles, about 8.6 GB
+    gs = GrayScott(n=128, diffusion_mode="linear", swap_roles=True)
+    r = step(mg.registry_lookup("IM-EX 2(1)A"), gs.to_ode(), gs.initial_condition(), 0.0, 1e-3, 2)
+    assert r.counters.jacobians == 1
+    assert np.isfinite(r.y_next).all()
+
+
+def test_solve_callable_for_a_size_one_system_is_rejected():
+    with pytest.raises(InvalidInput):
+        newton_solve(lambda y: 2.0 * y - 1.0, np.array([0.0]), jac=lambda y: (lambda r: r / 2.0))
 
 
 def test_newton_singular_scalar_raises():
