@@ -10,8 +10,9 @@
   position-dependent diffusion coefficients.  Reaction is the fast partition,
   diffusion the slow one; ``swap_roles`` flips that assignment.  Its
   Jacobians are structured (:class:`ReactionJacobian`,
-  :class:`DiffusionJacobian`), so implicit stages solve I - a*J exactly
-  without forming it.
+  :class:`DiffusionJacobian` for linear diffusion,
+  :class:`NonlinearDiffusionJacobian` for nonlinear diffusion), so implicit
+  stages solve I - a*J without a dense 2n^2 x 2n^2 matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "GrayScott",
     "ReactionJacobian",
     "DiffusionJacobian",
+    "NonlinearDiffusionJacobian",
     "reference_error",
     "make_problem",
     "PROBLEM_NAMES",
@@ -204,17 +206,82 @@ class DiffusionJacobian:
         return j if dtype is None else j.astype(dtype)
 
 
-@dataclass(eq=False)
+def _face_cells(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (a, b) of the two cells of each interior (or wrapped) face, b after a."""
+    idx = np.arange(n * n).reshape(n, n)
+    if boundary == "neumann":
+        pairs = ((idx[:-1, :], idx[1:, :]), (idx[:, :-1], idx[:, 1:]))
+    else:
+        pairs = ((idx, np.roll(idx, -1, axis=0)), (idx, np.roll(idx, -1, axis=1)))
+    return tuple(np.concatenate([p[k].ravel() for p in pairs]) for k in (0, 1))
+
+
+class NonlinearDiffusionJacobian:
+    """Jacobian of nonlinear Gray-Scott diffusion at one state: one n^2 x n^2 5-point block per species.
+
+    A face between cells a and b carries the flux (e_a + e_b)/2 * (w_b - w_a)/h
+    with e = eps_w exp(-w/100) sin(pi x) sin(pi y), so e' = -e/100; the two
+    species do not couple.  ``shifted_solver(a)`` inverts I - a*J_w for both
+    species in one batched ``np.linalg.inv``, so each solve is a batched
+    matvec; simplified Newton judges convergence on ||G||, so the inverse only
+    sets the contraction rate.  ``np.asarray(J)`` is the dense
+    (2n^2 x 2n^2) block-diagonal matrix.
+    """
+
+    def __init__(self, problem: GrayScott, y: np.ndarray):
+        if problem.diffusion_mode != "nonlinear":
+            raise InvalidInput("NonlinearDiffusionJacobian needs diffusion_mode='nonlinear'")
+        u, v = problem.split(np.asarray(y, dtype=float))
+        w = np.stack([u.ravel(), v.ravel()])
+        e = np.stack([f.ravel() for f in problem._eps_fields(u, v)])
+        a, b = _face_cells(problem.n, problem.boundary)
+        h2 = problem.spacing**2
+        slope, mean = w[:, b] - w[:, a], 0.5 * (e[:, a] + e[:, b])
+        # derivatives of flux/h by w_a and by w_b; cell a gains flux/h and cell b loses it
+        d_a = (-0.005 * e[:, a] * slope - mean) / h2
+        d_b = (-0.005 * e[:, b] * slope + mean) / h2
+        n2 = problem.n**2
+        self.blocks = np.zeros((2, n2, n2))
+        self.blocks[:, a, b] = d_b
+        self.blocks[:, b, a] = -d_a
+        for s in range(2):
+            self.blocks[s].flat[:: n2 + 1] = np.bincount(a, d_a[s], n2) - np.bincount(b, d_b[s], n2)
+
+    def shifted_solver(self, a: float):
+        m = self.blocks * -a
+        cell = np.arange(m.shape[1])
+        m[:, cell, cell] += 1.0
+        if not np.isfinite(m).all():
+            raise NewtonDivergence("singular Newton matrix")
+        try:
+            inverse = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            raise NewtonDivergence("singular Newton matrix") from None
+
+        def solve(r):
+            return (inverse @ r.reshape(2, -1, 1)).ravel()
+
+        return solve
+
+    def __array__(self, dtype=None, copy=None):
+        n2 = self.blocks.shape[1]
+        j = np.zeros((2 * n2, 2 * n2))
+        j[:n2, :n2], j[n2:, n2:] = self.blocks
+        return j if dtype is None else j.astype(dtype)
+
+
+@dataclass(frozen=True, eq=False)
 class GrayScott:
     """Gray-Scott model, reaction fast / diffusion slow (unless swapped).
 
-    :meth:`to_ode` wires every Jacobian the model has onto the partition that
-    holds its term, as a structured Jacobian whose shifted systems
-    I - a*J have an exact cheap solve: the :class:`ReactionJacobian` at y
-    always (2x2 Cramer per cell), and in linear mode the constant
-    :class:`DiffusionJacobian` (fast diagonalization), built on first use and
-    shared by all of the problem's ODEs.  Nonlinear diffusion has none, so
-    implicit stages there finite-difference a dense matrix.
+    :meth:`to_ode` wires both Jacobians onto the partitions that hold their
+    terms, as structured Jacobians whose shifted systems I - a*J have an exact
+    cheap solve: the :class:`ReactionJacobian` at y (2x2 Cramer per cell), and
+    for diffusion either the constant :class:`DiffusionJacobian` (linear mode,
+    fast diagonalization; built on first use and shared by all of the
+    problem's ODEs) or the :class:`NonlinearDiffusionJacobian` at y (one
+    inverted 5-point block per species).  The fields are frozen, since that
+    shared Jacobian and the sin(pi x) sin(pi y) grid are derived from them.
     """
 
     n: int = 32
@@ -239,7 +306,7 @@ class GrayScott:
         if self.boundary not in ("neumann", "periodic"):
             raise InvalidInput("boundary must be 'neumann' or 'periodic'")
         x = self.cell_centers()
-        self._sin_grid = np.sin(np.pi * x)[:, None] * np.sin(np.pi * x)[None, :]
+        object.__setattr__(self, "_sin_grid", np.sin(np.pi * x)[:, None] * np.sin(np.pi * x)[None, :])
 
     @property
     def dimension(self) -> int:
@@ -296,12 +363,14 @@ class GrayScott:
         v[lo:hi, lo:hi] = 0.25
         return np.concatenate([u.ravel(), v.ravel()])
 
-    def diffusion_jacobian(self) -> DiffusionJacobian:
-        """Jacobian of :meth:`diffusion`, linear mode only; built once and shared."""
-        if self.diffusion_mode != "linear":
-            raise NotImplementedError("analytic Jacobian is provided for linear diffusion only")
+    def diffusion_jacobian(self, y: np.ndarray | None = None) -> DiffusionJacobian | NonlinearDiffusionJacobian:
+        """Jacobian of :meth:`diffusion` at y; linear diffusion's is constant, built once and shared (y optional)."""
+        if self.diffusion_mode == "nonlinear":
+            if y is None:
+                raise InvalidInput("nonlinear diffusion has a Jacobian at a state only; pass y")
+            return NonlinearDiffusionJacobian(self, y)
         if self._diffusion_jac is None:
-            self._diffusion_jac = DiffusionJacobian(self)
+            object.__setattr__(self, "_diffusion_jac", DiffusionJacobian(self))
         return self._diffusion_jac
 
     def reaction_jacobian(self, y: np.ndarray) -> ReactionJacobian:
@@ -309,8 +378,7 @@ class GrayScott:
         return ReactionJacobian(self, y)
 
     def to_ode(self) -> PartitionedOde:
-        jac_diffusion = (lambda y: self.diffusion_jacobian()) if self.diffusion_mode == "linear" else None
-        jac_slow, jac_fast = jac_diffusion, self.reaction_jacobian
+        jac_slow, jac_fast = self.diffusion_jacobian, self.reaction_jacobian
         if self.swap_roles:
             jac_slow, jac_fast = jac_fast, jac_slow
         return PartitionedOde(

@@ -418,14 +418,14 @@ def error_norm(x: np.ndarray, y: np.ndarray, tolerances: Tolerances) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
-    scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(y))
-    value = float(np.sqrt(np.mean(((x - y) / scale) ** 2)))
-    if math.isnan(value):
-        # 0/0 where states and tolerance all vanish is no deviation; a NaN state is no estimate
-        with np.errstate(invalid="ignore", divide="ignore"):
+    # a zero scale or a non-finite state is settled below, without warnings
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(y))
+        value = float(np.sqrt(np.mean(((x - y) / scale) ** 2)))
+        if math.isnan(value):
+            # 0/0 where states and tolerance all vanish is no deviation; a NaN state is no estimate
             value = float(np.sqrt(np.mean(np.where(x == y, 0.0, (x - y) / scale) ** 2)))
-        value = math.inf if math.isnan(value) else value
-    return value
+    return math.inf if math.isnan(value) else value
 
 
 def error_estimates(result: StepResult, tolerances: Tolerances) -> tuple[float, float, float]:

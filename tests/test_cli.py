@@ -8,6 +8,11 @@ from mrgark.cli import main
 from mrgark.stepping import integrate_fixed
 
 
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -27,7 +32,7 @@ def test_verify_single_method(tmp_path, capsys):
         ["--out-dir", str(tmp_path), "verify", "EX-EX 2(1)A", "--M-sweep", "1:8"], capsys
     )
     assert code == 0, err
-    rows = list(csv.DictReader(open(tmp_path / "residuals.csv")))
+    rows = csv_rows(tmp_path / "residuals.csv")
     assert {r["M"] for r in rows} == {str(m) for m in range(1, 9)}
     assert all(abs(float(r["residual"])) < 1e-9
                for r in rows if int(r["order"]) <= 2)
@@ -113,7 +118,7 @@ def test_converge_csv(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "convergence.csv")))
+    rows = csv_rows(tmp_path / "convergence.csv")
     assert len(rows) == 8
     # the finest successive ratio per M is the asymptotic one
     for M in ("2", "4"):
@@ -128,7 +133,7 @@ def test_converge_third_order_method(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "convergence.csv")))
+    rows = csv_rows(tmp_path / "convergence.csv")
     last = rows[-1]
     assert 2.6 <= float(last["observed_order"]) <= 3.4
 
@@ -140,7 +145,7 @@ def test_converge_single_h_leaves_order_empty(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "convergence.csv")))
+    rows = csv_rows(tmp_path / "convergence.csv")
     assert rows[0]["observed_order"] == ""
 
 
@@ -154,7 +159,7 @@ def test_integrate_fixed(tmp_path, capsys):
     summary = json.loads((tmp_path / "integrate_manifest.json").read_text())
     assert summary["steps"] == 10
     assert summary["reference_error"] < 1e-3
-    rows = list(csv.DictReader(open(tmp_path / "trajectory.csv")))
+    rows = csv_rows(tmp_path / "trajectory.csv")
     assert len(rows) == 11
 
 
@@ -167,7 +172,7 @@ def test_integrate_adaptive_trace(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "trace.csv")))
+    rows = csv_rows(tmp_path / "trace.csv")
     assert rows, "trace must not be empty"
     accepted = [r for r in rows if r["accepted"] == "1"]
     assert all(float(r["eps_total"]) <= 1.0 for r in accepted)
@@ -213,7 +218,7 @@ def test_converge_step_larger_than_span(tmp_path, capsys):
         capsys,
     )
     assert code == 0, err
-    rows = list(csv.DictReader(open(tmp_path / "convergence.csv")))
+    rows = csv_rows(tmp_path / "convergence.csv")
     assert len(rows) == 4 and all(r["error"] for r in rows)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mrgark.problems import (
     CoupledNonlinearScalar,
     GrayScott,
     LinearTwoRate,
+    NonlinearDiffusionJacobian,
     make_problem,
     reference_error,
 )
@@ -87,13 +90,6 @@ def test_linear_diffusion_jacobian_symmetric_and_consistent():
     np.testing.assert_allclose(J @ y, gs.diffusion(y), atol=1e-12)
 
 
-def test_nonlinear_jacobian_not_available():
-    gs = GrayScott(n=8)
-    with pytest.raises(NotImplementedError):
-        gs.diffusion_jacobian()
-    assert gs.to_ode().jac_slow is None
-
-
 def _central_difference_jacobian(f, y, dy=1e-6):
     cols = []
     for i in range(y.size):
@@ -119,13 +115,41 @@ def test_reaction_jacobian_against_finite_differences():
 
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
-@pytest.mark.parametrize("term", ["reaction", "diffusion"])
+def test_nonlinear_diffusion_jacobian_against_central_differences(boundary, n):
+    gs = GrayScott(n=n, boundary=boundary)
+    y = _perturbed_state(gs)
+    J = np.asarray(gs.diffusion_jacobian(y))
+    # each further w-derivative of exp(-w/100) is 100x smaller, so a wide step keeps truncation tiny
+    expected = _central_difference_jacobian(gs.diffusion, y, dy=1e-4)
+    assert np.linalg.norm(J - expected) <= 1e-11 * np.linalg.norm(expected)
+    # a 5-point block per species, and u and v do not couple
+    n2 = n * n
+    assert not J[:n2, n2:].any() and not J[n2:, :n2].any()
+    assert np.count_nonzero(J) <= 2 * 5 * n2
+
+
+def test_nonlinear_diffusion_jacobian_is_wired():
+    gs = GrayScott(n=8)
+    y = _perturbed_state(gs)
+    J = gs.to_ode().jac_slow(y)
+    np.testing.assert_allclose(J, _central_difference_jacobian(gs.diffusion, y), rtol=0, atol=1e-7 * np.abs(J).max())
+    # it depends on the state, so there is none without one
+    with pytest.raises(InvalidInput):
+        gs.diffusion_jacobian()
+    with pytest.raises(InvalidInput):
+        NonlinearDiffusionJacobian(GrayScott(n=8, diffusion_mode="linear"), y)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+@pytest.mark.parametrize("term", ["reaction", "diffusion", "nonlinear-diffusion"])
 def test_structured_shifted_solve_matches_dense_solve(term, boundary, n):
-    gs = GrayScott(n=n, diffusion_mode="linear", boundary=boundary)
+    mode = "nonlinear" if term == "nonlinear-diffusion" else "linear"
+    gs = GrayScott(n=n, diffusion_mode=mode, boundary=boundary)
     rng = np.random.default_rng(n)
     for _ in range(5):
         y = gs.initial_condition() + 0.2 * rng.standard_normal(gs.dimension)
-        J = gs.reaction_jacobian(y) if term == "reaction" else gs.diffusion_jacobian()
+        J = gs.reaction_jacobian(y) if term == "reaction" else gs.diffusion_jacobian(y)
         a = 10.0 ** rng.uniform(-5.0, 0.0)
         r = rng.standard_normal(gs.dimension)
         x = J.shifted_solver(a)(r)
@@ -156,6 +180,24 @@ def test_singular_diffusion_shifted_solve_raises(a, boundary):
                      jac=lambda z: J.shifted_solver(a))
 
 
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+@pytest.mark.parametrize("a", [np.inf, np.nan])
+def test_non_finite_nonlinear_diffusion_shifted_solve_raises(a, boundary):
+    gs = GrayScott(n=8, boundary=boundary)
+    y = _perturbed_state(gs)
+    J = gs.diffusion_jacobian(y)
+    with pytest.raises(NewtonDivergence), np.errstate(invalid="ignore"):
+        newton_solve(lambda z: z - 0.1 * gs.diffusion(z) - 1.0, y, jac=lambda z: J.shifted_solver(a))
+
+
+def test_singular_nonlinear_diffusion_shifted_solve_raises():
+    gs = GrayScott(n=8)
+    J = gs.diffusion_jacobian(_perturbed_state(gs))
+    J.blocks = np.broadcast_to(np.eye(64), J.blocks.shape)  # I - 1*J is exactly zero
+    with pytest.raises(NewtonDivergence):
+        J.shifted_solver(1.0)
+
+
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
 @pytest.mark.parametrize("swap", [False, True])
 def test_to_ode_wires_each_jacobian_to_its_partition(mode, swap):
@@ -165,9 +207,6 @@ def test_to_ode_wires_each_jacobian_to_its_partition(mode, swap):
     parts = {"diffusion": (ode.f_fast, ode.jac_fast) if swap else (ode.f_slow, ode.jac_slow),
              "reaction": (ode.f_slow, ode.jac_slow) if swap else (ode.f_fast, ode.jac_fast)}
     for term, (f, jac) in parts.items():
-        if term == "diffusion" and mode == "nonlinear":
-            assert jac is None
-            continue
         J = jac(y)
         np.testing.assert_allclose(J, _central_difference_jacobian(f, y), rtol=0, atol=1e-7 * np.abs(J).max())
     if mode == "linear":
@@ -200,6 +239,16 @@ def test_gray_scott_validates_config():
         GrayScott(n=8, diffusion_mode="cubic")
     with pytest.raises(ValueError):
         GrayScott(n=8, boundary="dirichlet")
+
+
+@pytest.mark.parametrize("name,value", [("n", 16), ("eps_u", 1.0), ("diffusion_mode", "cubic")])
+def test_gray_scott_fields_are_frozen(name, value):
+    # the sin grid and the shared linear diffusion Jacobian are derived from the fields
+    gs = GrayScott(n=8, diffusion_mode="linear")
+    jac = gs.diffusion_jacobian()
+    with pytest.raises(FrozenInstanceError):
+        setattr(gs, name, value)
+    assert getattr(gs, name) != value and gs.diffusion_jacobian() is jac
 
 
 @pytest.mark.parametrize("cls,params", [

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -473,8 +474,6 @@ def test_structured_newton_solves_match_dense(name, M):
     m = mg.registry_lookup(name)
     for n, boundary, mode, swap in itertools.product((8, 16), ("neumann", "periodic"),
                                                      ("linear", "nonlinear"), (False, True)):
-        if mode == "nonlinear" and swap == m.fast.is_implicit:
-            continue  # nonlinear diffusion is implicit: both runs take the same finite-difference path
         gs = GrayScott(n=n, diffusion_mode=mode, boundary=boundary, swap_roles=swap)
         y0 = gs.initial_condition()
         structured = step(m, gs.to_ode(), y0, 0.0, 0.02, M)
@@ -492,6 +491,14 @@ def test_implicit_gray_scott_at_128_squared():
     r = step(mg.registry_lookup("IM-EX 2(1)A"), gs.to_ode(), gs.initial_condition(), 0.0, 1e-3, 2)
     assert r.counters.jacobians == 1
     assert np.isfinite(r.y_next).all()
+
+
+def test_implicit_nonlinear_diffusion_needs_no_finite_differences():
+    # a forward-difference Newton matrix here would cost 2 * 32^2 slow RHS calls
+    gs = GrayScott(n=32)
+    r = step(mg.registry_lookup("EX-IM 2(1)A"), gs.to_ode(), gs.initial_condition(), 0.0, 1e-3, 4)
+    assert r.counters.jacobians == 1
+    assert r.counters.slow_evals < 20
 
 
 def test_solve_callable_for_a_size_one_system_is_rejected():
@@ -516,6 +523,15 @@ def test_error_norm_non_finite_state_is_infinite():
     with np.errstate(invalid="ignore"):
         assert error_norm(np.array([1.0, np.nan]), np.array([1.0, 1.0]), tol) == np.inf
     assert error_norm(np.array([1.0]), np.array([2.0]), Tolerances(0.0, 0.0)) == np.inf
+
+
+def test_error_norm_fallbacks_emit_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert error_norm(np.zeros(2), np.zeros(2), Tolerances(0.0, 1e-3)) == 0.0
+        assert error_norm(np.array([1.0]), np.array([2.0]), Tolerances(0.0, 0.0)) == np.inf
+        assert error_norm(np.array([1.0, np.nan]), np.array([1.0, 1.0]), Tolerances(1e-6, 1e-6)) == np.inf
+        assert error_norm(np.array([np.inf]), np.array([1.0]), Tolerances(1e-6, 1e-6)) == np.inf
 
 
 def test_integrate_fixed_snaps_step_and_reports_each():
