@@ -176,26 +176,46 @@ def newton_solve(
     solve with the same dG/dy, and the number of matrices built.
     """
     y = np.array(y_guess, dtype=float)
-    y_norm = math.sqrt(y.dot(y))
     g = np.asarray(residual(y), dtype=float)
-    g_norm = math.sqrt(g.dot(g))
+    builds = 0
+    if y.size == 1:
+        # full Newton on floats: the same IEEE operations as the 1x1 LU solve, and
+        # |v| is sqrt(v*v) without its overflow; only the residual sees arrays
+        y_f, g_f = float(y[0]), float(g.item())
+        if not math.isfinite(g_f):
+            raise NewtonDivergence("residual is non-finite")
+        for iteration in range(NEWTON_MAX_ITER + 1):
+            if abs(g_f) <= NEWTON_TOL * (1.0 + abs(y_f)):
+                return NewtonResult(y, iteration, matrix, builds)
+            if iteration == NEWTON_MAX_ITER:
+                break
+            matrix = _newton_matrix(residual, y, g, jac)
+            builds += 1
+            slope = float(matrix) if isinstance(matrix, float) else float(matrix[0, 0])
+            if slope == 0.0:
+                raise NewtonDivergence("singular Newton matrix")
+            y_f = y_f + -g_f / slope
+            if not math.isfinite(y_f):
+                raise NewtonDivergence("iterate is non-finite")
+            y = np.array([y_f])
+            g = np.asarray(residual(y), dtype=float)
+            g_f = float(g.item())
+            if not math.isfinite(g_f):
+                raise NewtonDivergence("residual is non-finite")
+        raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
+    y_norm, g_norm = _norm(y), _norm(g)
     if _non_finite(g, g_norm):
         raise NewtonDivergence("residual is non-finite")
-    rebuild, fresh, builds = matrix is None, False, 0
+    rebuild, fresh = matrix is None, False
     for iteration in range(NEWTON_MAX_ITER + 1):
         if g_norm <= NEWTON_TOL * (1.0 + y_norm):
             return NewtonResult(y, iteration, matrix, builds)
         if iteration == NEWTON_MAX_ITER:
             break
-        if rebuild or y.size == 1:
+        if rebuild:
             matrix = _newton_matrix(residual, y, g, jac)
             rebuild, fresh, builds = False, True, builds + 1
-        if y.size == 1:
-            # what the LU solve computes for a 1x1 system, without its overhead
-            if matrix[0, 0] == 0.0:
-                raise NewtonDivergence("singular Newton matrix")
-            delta = -g / matrix[0, 0]
-        elif callable(matrix):
+        if callable(matrix):
             delta = matrix(-g)
         else:
             try:
@@ -204,14 +224,14 @@ def newton_solve(
                 # a reused matrix has solved before, so this one is fresh
                 raise NewtonDivergence(f"singular Newton matrix: {exc}") from None
         y_new = y + delta
-        y_new_norm = math.sqrt(y_new.dot(y_new))
+        y_new_norm = _norm(y_new)
         if _non_finite(y_new, y_new_norm):
             if fresh:
                 raise NewtonDivergence("iterate is non-finite")
             rebuild = True
             continue
         g_new = np.asarray(residual(y_new), dtype=float)
-        g_new_norm = math.sqrt(g_new.dot(g_new))
+        g_new_norm = _norm(g_new)
         if not fresh and not g_new_norm < g_norm:
             rebuild = True
             continue
@@ -222,8 +242,19 @@ def newton_solve(
     raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm, finite for finite entries: rescaled by max|v_i| only where the square sum overflows."""
+    square_sum = np.vdot(v, v)  # the same sum as v.dot(v), without its overflow warning
+    if square_sum == math.inf:
+        peak = float(np.abs(v).max())
+        if peak < math.inf:
+            unit = v / peak
+            return peak * math.sqrt(np.vdot(unit, unit))
+    return math.sqrt(square_sum)
+
+
 def _non_finite(v: np.ndarray, v_norm: float) -> bool:
-    # a non-finite norm is a non-finite entry or an overflowing square sum
+    # a non-finite norm is a non-finite entry or a norm beyond the largest float
     return not math.isfinite(v_norm) and not np.isfinite(v).all()
 
 
@@ -232,7 +263,7 @@ def _newton_matrix(residual, y: np.ndarray, g: np.ndarray, jac):
     if jac is not None:
         m = jac(y)
         if not callable(m):
-            return np.asarray(m, dtype=float)
+            return m if isinstance(m, float) else np.asarray(m, dtype=float)
         if y.size == 1:
             raise InvalidInput("a solve callable for dG/dy needs a system of size > 1")
         return m
@@ -251,7 +282,7 @@ class _StepPlan:
 
     fs: np.ndarray  # (M, s_f, s_s): fs[lambda-1] = A^{fs,lambda}
     before: tuple[tuple[tuple[int, ...], ...], ...]  # [lambda-1][i]: slow stages to compute first
-    scatter: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]  # [lambda-1][i]: (j, a_sf)
+    scatter: tuple[tuple[np.ndarray | None, ...], ...]  # [lambda-1][i]: column i of A^{sf,lambda}, (s_s, 1); None if 0
     trailing: tuple[int, ...]  # slow stages after the last micro-step
 
 
@@ -260,8 +291,7 @@ def _step_plan(method: MrGarkMethod, M: int) -> _StepPlan:
     s_f = method.fast.stage_count
     fs, sf = method.couplings(M)
     before, trailing = place_slow_stages(method, fs, sf)
-    scatter = tuple(tuple(tuple((int(j), float(a[j, i])) for j in np.flatnonzero(a[:, i]))
-                          for i in range(s_f)) for a in sf)
+    scatter = tuple(tuple(a[:, i:i + 1] if a[:, i].any() else None for i in range(s_f)) for a in sf)
     return _StepPlan(fs, tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), scatter, trailing)
 
 
@@ -291,49 +321,56 @@ def step(
     Aff, Ass = method.fast.A, method.slow.A
     fast_implicit, slow_implicit = method.fast.is_implicit, method.slow.is_implicit
 
-    calls, seconds = [0, 0], [0.0, 0.0]  # RHS calls and time per partition: [slow, fast]
+    calls, seconds = [0, 0], [0.0, 0.0]  # RHS calls and stage time per partition: [slow, fast]
     newton_iterations = jacobians = 0
     # per partition [slow, fast]: I - a*J or its solver, built at its first implicit
     # stage and reused by the later ones, since a = h*gamma is the same for all of them
-    matrices: list[np.ndarray | Callable | None] = [None, None]
+    matrices: list[np.ndarray | Callable | float | None] = [None, None]
 
-    def timed(fn, part):
+    def counted(fn, part):
         def call(y):
             calls[part] += 1
-            t0 = time.perf_counter()
-            out = np.asarray(fn(y), dtype=float)
-            seconds[part] += time.perf_counter() - t0
-            return out
+            return np.asarray(fn(y), dtype=float)
         return call
 
-    f_slow, f_fast = timed(ode.f_slow, 0), timed(ode.f_fast, 1)
+    f_slow, f_fast = counted(ode.f_slow, 0), counted(ode.f_fast, 1)
 
     def solve_stage(rhs_known, a_diag, part, f, jac_fn):
+        """f(Y) at the solution Y of Y = rhs_known + a_diag * f(Y)."""
         nonlocal newton_iterations, jacobians
+        last = [None, None]  # the residual's last (y, f(y))
+
+        def residual(y):
+            last[0], last[1] = y, f(y)
+            return y - a_diag * last[1] - rhs_known
 
         def jac(y):
             J = jac_fn(y)
             shifted_solver = getattr(J, "shifted_solver", None)
             if shifted_solver is not None:
                 return shifted_solver(a_diag)
-            m = np.asarray(J, dtype=float) * -a_diag  # a copy: the problem may share its J
+            J = np.asarray(J, dtype=float)
+            if y.size == 1:
+                return 1.0 - float(J[0, 0]) * a_diag
+            m = J * -a_diag  # a copy: the problem may share its J
             m.flat[:: y.size + 1] += 1.0
             return m
 
-        res = newton_solve(lambda y: y - a_diag * f(y) - rhs_known, rhs_known,
-                           None if jac_fn is None else jac, matrix=matrices[part])
+        res = newton_solve(residual, rhs_known, None if jac_fn is None else jac, matrix=matrices[part])
         matrices[part] = res.matrix
         newton_iterations += res.iterations
         jacobians += res.jacobians
-        return res.y
+        # Newton's last residual call has evaluated f at the solution already
+        return last[1] if res.y is last[0] else f(res.y)
 
     # slow-stage RHS values, and per slow stage the sum of a_sf * F over fast stages so far
     slow_F, sf_acc = np.zeros((s_s, n)), np.zeros((s_s, n))
 
     def compute_slow(j):
         rhs = y_n + H * (slow_F[:j].T @ Ass[j, :j]) + h * sf_acc[j]
-        Y = solve_stage(rhs, H * method.slow.gamma, 0, f_slow, ode.jac_slow) if slow_implicit else rhs
-        slow_F[j] = f_slow(Y)
+        t0 = time.perf_counter()
+        slow_F[j] = solve_stage(rhs, H * method.slow.gamma, 0, f_slow, ode.jac_slow) if slow_implicit else f_slow(rhs)
+        seconds[0] += time.perf_counter() - t0
 
     fsal = method.has_flag(MethodFlag.FSAL)
     f_prev_last: np.ndarray | None = None
@@ -351,15 +388,17 @@ def step(
                 for j in before[i]:
                     compute_slow(j)
                 rhs = ytilde + H * (slow_F.T @ Afs[i]) + h * (fast_F[:i].T @ Aff[i, :i])
+                t0 = time.perf_counter()
                 if fast_implicit:
-                    Y = solve_stage(rhs, h * method.fast.gamma, 1, f_fast, ode.jac_fast)
-                    F = f_fast(Y)
+                    F = solve_stage(rhs, h * method.fast.gamma, 1, f_fast, ode.jac_fast)
+                elif i == 0 and f_prev_last is not None:
+                    F = f_prev_last
                 else:
-                    Y = rhs
-                    F = f_prev_last if i == 0 and f_prev_last is not None else f_fast(Y)
+                    F = f_fast(rhs)
+                seconds[1] += time.perf_counter() - t0
                 fast_F[i] = F
-                for j, a in scatter[i]:
-                    sf_acc[j] += a * F
+                if scatter[i] is not None:
+                    sf_acc += scatter[i] * F
             if fsal:
                 f_prev_last = fast_F[s_f - 1]
             increment = fast_F.T @ method.fast.b
@@ -429,8 +468,18 @@ def error_norm(x: np.ndarray, y: np.ndarray, tolerances: Tolerances) -> float:
 
 
 def error_estimates(result: StepResult, tolerances: Tolerances) -> tuple[float, float, float]:
-    """(total, slow, fast) local error estimates from the embedded solutions."""
-    eps_total = error_norm(result.y_next, result.y_hat, tolerances)
-    eps_slow = error_norm(result.y_next, result.y_hat_slow, tolerances)
-    eps_fast = error_norm(result.y_next, result.y_hat_fast, tolerances)
+    """(total, slow, fast) local error estimates from the embedded solutions.
+
+    Each equals :func:`error_norm` of ``y_next`` against ``y_hat``, ``y_hat_slow``
+    and ``y_hat_fast``; the three are computed in one pass over the stacked
+    deviations, and only a NaN row goes through :func:`error_norm`'s fallbacks.
+    """
+    x = result.y_next
+    hats = np.array([result.y_hat, result.y_hat_slow, result.y_hat_fast], dtype=float)
+    abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(hats))
+        values = np.sqrt(np.mean(((x - hats) / scale) ** 2, axis=1)).tolist()
+    eps_total, eps_slow, eps_fast = (error_norm(x, hat, tolerances) if math.isnan(value) else value
+                                     for value, hat in zip(values, hats))
     return eps_total, eps_slow, eps_fast

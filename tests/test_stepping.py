@@ -325,9 +325,10 @@ def test_step_plan_matches_derived_schedule(name, M):
     assert plan.fs is fs
     for lam in range(1, M + 1):
         scattered = np.zeros_like(sf[lam - 1])
-        for i, targets in enumerate(plan.scatter[lam - 1]):
-            for j, a in targets:
-                scattered[j, i] = a
+        for i, column in enumerate(plan.scatter[lam - 1]):
+            if column is not None:  # None stands for a zero column
+                assert column.shape == (s_s, 1) and column.any()
+                scattered[:, i] = column[:, 0]
         np.testing.assert_array_equal(scattered, m.coupling("sf", lam, M))
 
 
