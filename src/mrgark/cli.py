@@ -4,7 +4,8 @@ Subcommands: list-methods, dump-tableau, verify, converge, stability,
 integrate.  Numeric grids and traces go to CSV, run manifests and summaries
 to JSON, so outputs are plot-ready and diff-able.  Identical configurations
 produce byte-identical files, except ``integrate --adaptive efficiency``
-without ``--ts-tf-ratio``, whose cost model times RHS calls; its manifest
+without ``--ts-tf-ratio``, whose cost model times the slow and fast stages
+(RHS calls, and whole Newton solves for implicit stages); its manifest
 records ``cost_source: wall-clock`` and makes no reproducibility claim.
 
 Exit codes: 0 success, 1 numerical/verification failure, 2 usage error.
@@ -53,7 +54,8 @@ def _out_dir(args) -> Path:
 def _write_manifest(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["tool_version"] = __version__
-    payload["determinism"] = ("H and M follow timed RHS calls, so outputs vary from run to run"
+    payload["determinism"] = ("H and M follow timed stages (RHS calls and Newton solves), "
+                              "so outputs vary from run to run"
                               if payload.get("cost_source") == "wall-clock"
                               else "outputs are seed-free and reproducible bit-for-bit")
     with open(path, "w") as fh:

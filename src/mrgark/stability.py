@@ -14,7 +14,6 @@ matching the step-size ratio.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -82,14 +81,15 @@ class RegionGrid:
             return self.values <= 1.0 + STABLE_TOL
 
     def write_csv(self, path) -> None:
+        """One row per cell, fields formatted ``.12g`` (NaN as ``nan``), rows ended by CRLF."""
+        rho = [f"{r:.12g}" for r in self.rho.tolist()]
+        theta_s = [f"{ts:.12g}" for ts in self.theta_s.tolist()]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["theta_f", "theta_s", "rho", "absR"])
-            for i, tf in enumerate(self.theta_f):
-                for j, ts in enumerate(self.theta_s):
-                    for k, r in enumerate(self.rho):
-                        w.writerow([f"{tf:.12g}", f"{ts:.12g}", f"{r:.12g}",
-                                    f"{self.values[i, j, k]:.12g}"])
+            fh.write("theta_f,theta_s,rho,absR\r\n")
+            for i, tf in enumerate(self.theta_f.tolist()):
+                for j, ts in enumerate(theta_s):
+                    prefix = f"{tf:.12g},{ts},"
+                    fh.write("".join([f"{prefix}{r},{v:.12g}\r\n" for r, v in zip(rho, self.values[i, j].tolist())]))
 
 
 def scan_region(

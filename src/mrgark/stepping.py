@@ -1,16 +1,24 @@
 """One macro-step of a multirate GARK method, streamed micro-step by micro-step.
 
 The engine never materializes the assembled tableau.  The first step at a
-given (method, M) compiles a plan, cached from then on: the stacked blocks
-A^{fs,lambda} of :meth:`MrGarkMethod.couplings`, and per fast stage the slow
-stages to compute right before it and the (slow stage, A^{sf,lambda} weight)
-pairs its right-hand side feeds.
+given (method, M) compiles a plan, cached from then on: per fast stage its
+coefficient row [A^{fs,lambda}_i | tril(A_ff, -1)_i] over the stacked stage
+values, the slow stages to compute right before it, and the column of
+A^{sf,lambda} its right-hand side feeds into the slow stages.
 It is the stage order of :func:`assembly.derive_schedule` (both come from
 :func:`assembly.place_slow_stages`), so a cyclic method is rejected before any
-right-hand side runs.  Each fast-stage value is folded into the running fast
-solution and into one accumulator per weight vector, so all four solutions
-(main, embedded, and both mixed pairs used to split the error estimate) come
-from the same stage evaluations at no extra cost.
+right-hand side runs.
+
+The stage right-hand sides live in one array K: the s_s slow stages, then the
+s_f fast stages of the current micro-step.  Scaled once per step by H on the
+slow columns and h = H/M on the fast ones, a row gives fast stage i the input
+ytilde + row @ K; entries for slow stages not yet computed and for fast
+stages >= i are zero.  Each fast-stage value is scattered into one running
+sum per slow stage (a broadcast of its A^{sf,lambda} column), and each
+micro-step folds its stages into the b_f and b_hat_f sums with one weight
+product, so all four solutions (main, embedded, and both mixed pairs used to
+split the error estimate) come from the same stage evaluations at no extra
+cost.
 
 Implicit (SDIRK) stages are solved by simplified Newton, :func:`newton_solve`.
 Every implicit stage of a partition has the same Newton matrix I - a*J, with
@@ -22,6 +30,8 @@ rebuild it every iteration.  A partition's ``jac`` returns J either as a dense
 array, from which I - a*J is formed and solved by LU, or as a
 :class:`StructuredJacobian`, whose ``shifted_solver(a)`` is the exact solve of
 (I - a*J) x = r; that solver is then what is built, reused and rebuilt.
+An implicit stage's right-hand side is the f(Y) that Newton's last residual
+call evaluated at the returned Y, so a converged stage costs no extra call.
 
 For methods with the first-same-as-last property the value of the last fast
 stage of each micro-step equals the first stage of the next one, so its
@@ -113,6 +123,8 @@ class WorkCounters:
     slow_evals: int = 0
     newton_iterations: int = 0
     jacobians: int = 0  # Newton matrices or solvers built, analytic or finite-difference (FD RHS calls are in *_evals)
+    # *_evals count every RHS call: explicit stages, Newton residuals (whose last
+    # one also yields the implicit stage's value) and forward differences
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +144,7 @@ class StepResult:
     t: float
     H: float
     M: int
-    t_slow: float
+    t_slow: float  # seconds in slow stages: RHS calls, or whole Newton solves with their linear algebra
     t_fast: float
     counters: WorkCounters
     fsal_carry: FsalCarry | None = None
@@ -141,7 +153,7 @@ class StepResult:
 class NewtonResult(NamedTuple):
     y: np.ndarray
     iterations: int
-    matrix: np.ndarray | Callable[[np.ndarray], np.ndarray] | None  # dG/dy last used, or the one passed in
+    matrix: np.ndarray | Callable[[np.ndarray], np.ndarray] | float | None  # dG/dy last used, or the one passed in
     jacobians: int  # Newton matrices or solvers built, analytic or finite-difference
 
 
@@ -162,14 +174,18 @@ def newton_solve(
     retried with a matrix built at the iterate it started from; with such a
     fresh matrix the update is a full Newton step, and only then does a
     non-finite result raise :class:`NewtonDivergence`.  Size-1 systems rebuild
-    on every iteration: there a rebuild costs less than the residual call a
-    reused matrix would add.  Affine systems converge in a single update with
-    an exact matrix.
+    on every iteration, so theirs is full Newton: there a rebuild costs less
+    than the residual call a reused matrix would add.  It runs on Python
+    floats, the same IEEE operations as the 1x1 LU solve; only the residual
+    sees (1-element) arrays.  Affine systems converge in a single update with
+    an exact matrix.  The norms do not overflow on finite entries.  The
+    returned ``y`` is the very array of the last ``residual`` call, so a
+    caller can reuse what that call computed.
 
     ``jac`` returns dG/dy, held in one of two ways: a dense array, solved by
-    LU (by division at size 1), or, for systems of size > 1, a *solve*
-    callable, so that the update is ``solve(-g)``; a solve of a singular
-    system raises :class:`NewtonDivergence`.  Omitted, dG/dy is a dense
+    LU (by division at size 1, where a float also does), or, for systems of
+    size > 1, a *solve* callable, so that the update is ``solve(-g)``; a
+    solve of a singular system raises :class:`NewtonDivergence`.  Omitted, dG/dy is a dense
     forward-difference approximation with increment sqrt(eps) * (1 + |y_i|),
     at one residual call per column.  ``matrix`` and the returned matrix are
     held the same way.  The result carries the matrix last used, for the next
@@ -278,12 +294,14 @@ def _newton_matrix(residual, y: np.ndarray, g: np.ndarray, jac):
 
 @dataclass(frozen=True, eq=False)
 class _StepPlan:
-    """Stage order and coupling data of one (method, M); see the module docstring."""
+    """Stage order and stage coefficients of one (method, M); see the module docstring."""
 
-    fs: np.ndarray  # (M, s_f, s_s): fs[lambda-1] = A^{fs,lambda}
+    rows: np.ndarray  # (M, s_f, s_s + s_f): rows[lambda-1][i] = [A^{fs,lambda}_i | tril(A_ff, -1)_i]
     before: tuple[tuple[tuple[int, ...], ...], ...]  # [lambda-1][i]: slow stages to compute first
     scatter: tuple[tuple[np.ndarray | None, ...], ...]  # [lambda-1][i]: column i of A^{sf,lambda}, (s_s, 1); None if 0
     trailing: tuple[int, ...]  # slow stages after the last micro-step
+    fast_weights: np.ndarray  # (2, s_f): b_f, b_hat_f
+    slow_weights: np.ndarray  # (2, s_s): b_s, b_hat_s
 
 
 @lru_cache(maxsize=4096)
@@ -291,8 +309,10 @@ def _step_plan(method: MrGarkMethod, M: int) -> _StepPlan:
     s_f = method.fast.stage_count
     fs, sf = method.couplings(M)
     before, trailing = place_slow_stages(method, fs, sf)
+    rows = np.concatenate([fs, np.broadcast_to(np.tril(method.fast.A, -1), (M, s_f, s_f))], axis=2)
     scatter = tuple(tuple(a[:, i:i + 1] if a[:, i].any() else None for i in range(s_f)) for a in sf)
-    return _StepPlan(fs, tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), scatter, trailing)
+    return _StepPlan(rows, tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), scatter, trailing,
+                     np.array([method.fast.b, method.fast.b_hat]), np.array([method.slow.b, method.slow.b_hat]))
 
 
 def step(
@@ -318,7 +338,7 @@ def step(
     n = y_n.size
     s_f, s_s = method.stage_counts
     h = H / M
-    Aff, Ass = method.fast.A, method.slow.A
+    Ass = method.slow.A
     fast_implicit, slow_implicit = method.fast.is_implicit, method.slow.is_implicit
 
     calls, seconds = [0, 0], [0.0, 0.0]  # RHS calls and stage time per partition: [slow, fast]
@@ -363,13 +383,18 @@ def step(
         # Newton's last residual call has evaluated f at the solution already
         return last[1] if res.y is last[0] else f(res.y)
 
-    # slow-stage RHS values, and per slow stage the sum of a_sf * F over fast stages so far
-    slow_F, sf_acc = np.zeros((s_s, n)), np.zeros((s_s, n))
+    # stage RHS values: the slow stages, then the fast stages of the current micro-step;
+    # per slow stage, the sum of a_sf * F over the fast stages so far
+    K, sf_acc = np.zeros((s_s + s_f, n)), np.zeros((s_s, n))
+    # per fast stage, its input is ytilde + coef[lambda-1, i] @ K
+    scale = np.full(s_s + s_f, H)
+    scale[s_s:] = h
+    coef = plan.rows * scale
 
     def compute_slow(j):
-        rhs = y_n + H * (slow_F[:j].T @ Ass[j, :j]) + h * sf_acc[j]
+        rhs = y_n + H * (K[:j].T @ Ass[j, :j]) + h * sf_acc[j]
         t0 = time.perf_counter()
-        slow_F[j] = solve_stage(rhs, H * method.slow.gamma, 0, f_slow, ode.jac_slow) if slow_implicit else f_slow(rhs)
+        K[j] = solve_stage(rhs, H * method.slow.gamma, 0, f_slow, ode.jac_slow) if slow_implicit else f_slow(rhs)
         seconds[0] += time.perf_counter() - t0
 
     fsal = method.has_flag(MethodFlag.FSAL)
@@ -378,16 +403,15 @@ def step(
         f_prev_last = fsal_carry.f_fast_last
 
     ytilde = y_n.copy()
-    acc_bf, acc_bf_hat = np.zeros(n), np.zeros(n)
+    acc = np.zeros((2, n))  # sums of b_f- and b_hat_f-weighted fast stages over micro-steps
     # unstable step sizes overflow before the explicit finiteness checks fire;
     # silence the intermediate warnings, NonFiniteState is the real signal
     with np.errstate(over="ignore", invalid="ignore"):
-        for lam, (Afs, before, scatter) in enumerate(zip(plan.fs, plan.before, plan.scatter), 1):
-            fast_F = np.zeros((s_f, n))
-            for i in range(s_f):
+        for lam, (rows, before, scatter) in enumerate(zip(coef, plan.before, plan.scatter), 1):
+            for i, row in enumerate(rows):
                 for j in before[i]:
                     compute_slow(j)
-                rhs = ytilde + H * (slow_F.T @ Afs[i]) + h * (fast_F[:i].T @ Aff[i, :i])
+                rhs = ytilde + row @ K  # zero weights on the slow stages not yet computed and fast stages >= i
                 t0 = time.perf_counter()
                 if fast_implicit:
                     F = solve_stage(rhs, h * method.fast.gamma, 1, f_fast, ode.jac_fast)
@@ -396,28 +420,27 @@ def step(
                 else:
                     F = f_fast(rhs)
                 seconds[1] += time.perf_counter() - t0
-                fast_F[i] = F
+                K[s_s + i] = F
                 if scatter[i] is not None:
                     sf_acc += scatter[i] * F
             if fsal:
-                f_prev_last = fast_F[s_f - 1]
-            increment = fast_F.T @ method.fast.b
-            acc_bf += increment
-            acc_bf_hat += fast_F.T @ method.fast.b_hat
-            ytilde = ytilde + h * increment
+                f_prev_last = K[-1]  # read at the next micro-step's first stage, before it is overwritten
+            increments = plan.fast_weights @ K[s_s:]
+            acc += increments
+            ytilde = ytilde + h * increments[0]
             if not np.isfinite(ytilde).all():
                 raise NonFiniteState(f"fast solution non-finite in micro-step {lam}")
         for j in plan.trailing:
             compute_slow(j)
 
     # the four solutions share their fast (h * ...) and slow (H * ...) parts
-    with_bf, with_bf_hat = y_n + h * acc_bf, y_n + h * acc_bf_hat
-    slow_b, slow_b_hat = H * (slow_F.T @ method.slow.b), H * (slow_F.T @ method.slow.b_hat)
+    with_bf, with_bf_hat = y_n + h * acc
+    slow_b, slow_b_hat = H * (plan.slow_weights @ K[:s_s])
     y_next = with_bf + slow_b
     if not np.isfinite(y_next).all():
         raise NonFiniteState("macro-step produced non-finite state")
 
-    carry = FsalCarry(y_next=y_next, f_fast_last=f_prev_last) if fsal and f_prev_last is not None else None
+    carry = FsalCarry(y_next=y_next, f_fast_last=f_prev_last.copy()) if fsal and f_prev_last is not None else None
     return StepResult(
         y_next=y_next,
         y_hat=with_bf_hat + slow_b_hat,

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,21 @@ def test_region_csv_round_trip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "theta_f,theta_s,rho,absR"
     assert len(lines) == 1 + 3 * 3 * 3
+
+
+def test_region_csv_matches_csv_writer_bytes(tmp_path):
+    # reference: csv.writer rows of four .12g fields, special values included
+    grid = scan_region(mg.assemble(mg.registry_lookup("EX-EX 3(2)3s-A"), 3), rho_max=4.0, n_theta=4, n_rho=5)
+    values = grid.values.copy()
+    values[0, 1, 2], values[1, 0, 3], values[2, 2, 0], values[3, 3, 4] = np.nan, np.inf, -0.0, 1e-320
+    grid = mg.RegionGrid(grid.theta_f, grid.theta_s, grid.rho, values)
+    grid.write_csv(tmp_path / "fast.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["theta_f", "theta_s", "rho", "absR"])
+        for i, j, k in np.ndindex(values.shape):
+            w.writerow([f"{x:.12g}" for x in (grid.theta_f[i], grid.theta_s[j], grid.rho[k], values[i, j, k])])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_singular_resolvent_raises():

@@ -322,7 +322,9 @@ def test_step_plan_matches_derived_schedule(name, M):
     assert sorted(order) == list(range(M * s_f + s_s))
     assert tuple(order) == mg.derive_schedule(m, M)
     fs, sf = m.couplings(M)
-    assert plan.fs is fs
+    np.testing.assert_array_equal(plan.rows[:, :, :s_s], fs)
+    for rows in plan.rows:
+        np.testing.assert_array_equal(rows[:, s_s:], np.tril(m.fast.A, -1))
     for lam in range(1, M + 1):
         scattered = np.zeros_like(sf[lam - 1])
         for i, column in enumerate(plan.scatter[lam - 1]):
@@ -338,7 +340,7 @@ def test_step_plan_compiles_up_to_controller_cap(name):
     m = mg.registry_lookup(name)
     for M in (16, 33, 64, 100):
         plan = _step_plan(m, M)
-        assert len(plan.fs) == len(plan.before) == len(plan.scatter) == M
+        assert len(plan.rows) == len(plan.before) == len(plan.scatter) == M
 
 
 def test_implicit_stages_go_through_module_newton_solve(monkeypatch):
@@ -550,3 +552,97 @@ def test_integrate_fixed_snaps_step_and_reports_each():
 def test_integrate_fixed_rejects_bad_spans(t0, t_end, H):
     with pytest.raises(InvalidInput):
         integrate_fixed(mg.registry_lookup("EX-EX 2(1)A"), LINEAR.to_ode(), [1.0], t0, t_end, H, 2)
+
+
+@pytest.mark.parametrize("y0", [np.array([1e200]), np.array([1e200, 0.0])], ids=["size-1", "size-2"])
+def test_newton_norms_do_not_overflow_on_finite_states(y0):
+    # ||y||^2 overflows here; the tolerance 1e-12 (1 + ||y||) must stay finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = newton_solve(lambda y: y - 1.0, y0, lambda y: np.eye(y.size))
+    np.testing.assert_array_equal(res.y, np.ones(y0.size))
+    assert res.iterations > 0
+
+
+def _reference_step(method, ode, y, H, M):
+    """One macro-step through the assembled tableau, stage by stage in derive_schedule order.
+
+    Returns (y_next, y_hat, y_hat_slow, y_hat_fast); an implicit stage is solved
+    by newton_solve with the dense Newton matrix I - H*a_kk*J.
+    """
+    g = mg.assemble(method, M)
+    s_f, s_s = method.stage_counts
+    n_fast = M * s_f
+    F = np.zeros((g.stage_count, y.size))
+    for k in mg.derive_schedule(method, M):
+        f, jac = (ode.f_fast, ode.jac_fast) if k < n_fast else (ode.f_slow, ode.jac_slow)
+        rhs = y + H * (g.A[k] @ F)
+        a = H * g.A[k, k]
+        if a == 0.0:
+            Y = rhs
+        else:
+            res = newton_solve(lambda Y: Y - a * f(Y) - rhs, rhs,
+                               lambda Y: np.eye(y.size) - a * np.asarray(jac(Y), dtype=float))
+            Y = res.y
+        F[k] = f(Y)
+    fast = [np.tile(w / M, M) @ F[:n_fast] for w in (method.fast.b, method.fast.b_hat)]
+    slow = [w @ F[n_fast:] for w in (method.slow.b, method.slow.b_hat)]
+    return (y + H * (fast[0] + slow[0]), y + H * (fast[1] + slow[1]),
+            y + H * (fast[0] + slow[1]), y + H * (fast[1] + slow[0]))
+
+
+REFERENCE_PROBLEMS = {
+    "nonlinear-scalar": (CoupledNonlinearScalar(), 0.05),
+    "gs8-reaction-fast": (GrayScott(n=8), 2e-3),
+    "gs8-swapped": (GrayScott(n=8, swap_roles=True), 2e-3),
+}
+
+
+@pytest.mark.parametrize("problem", list(REFERENCE_PROBLEMS))
+@pytest.mark.parametrize("M", [1, 2, 5, 8])
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+def test_step_matches_assembled_tableau_reference(name, M, problem):
+    # an independent oracle on nonlinear problems: the stacked stage rows, the
+    # scatter into the slow stages and the weight mixes against the full tableau
+    m = mg.registry_lookup(name)
+    p, H = REFERENCE_PROBLEMS[problem]
+    ode, y0 = p.to_ode(), p.initial_condition()
+    r = step(m, ode, y0, 0.0, H, M)
+    bound = 1e-14 if name.startswith("EX-EX") else 1e-12
+    fields = ("y_next", "y_hat", "y_hat_slow", "y_hat_fast")
+    for field, expected in zip(fields, _reference_step(m, ode, y0, H, M)):
+        got = getattr(r, field)
+        assert np.all(np.abs(got - expected) <= bound * (1.0 + np.abs(expected))), field
+
+
+@pytest.mark.parametrize("name", IMPLICIT_PAIRS)
+@pytest.mark.parametrize("M", [1, 3, 5])
+def test_implicit_stage_takes_its_rhs_from_the_last_newton_residual(name, M):
+    # affine problem, exact jac: one residual call at the guess, one after the
+    # single update, and the stage value is the second call's f, not a third call
+    m = mg.registry_lookup(name)
+    s_f, s_s = m.stage_counts
+    r = step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 0.05, M)
+    if name.startswith("IM-EX"):
+        assert (r.counters.fast_evals, r.counters.slow_evals) == (2 * M * s_f, s_s)
+    else:
+        assert (r.counters.fast_evals, r.counters.slow_evals) == (M * s_f, 2 * s_s)
+
+
+def test_implicit_stage_calls_f_when_newton_returns_another_array(monkeypatch):
+    # the remembered f(y) belongs to the array Newton last passed to the residual;
+    # a solution held in any other array costs one more call and changes nothing
+    m = mg.registry_lookup("IM-EX 3(2)A")
+    ode = CoupledNonlinearScalar().to_ode()
+    reused = step(m, ode, np.array([0.5]), 0.0, 0.05, 3)
+    original = stepping.newton_solve
+
+    def copying(*args, **kwargs):
+        res = original(*args, **kwargs)
+        return res._replace(y=res.y.copy())
+
+    monkeypatch.setattr(stepping, "newton_solve", copying)
+    called = step(m, ode, np.array([0.5]), 0.0, 0.05, 3)
+    assert called.counters.fast_evals == reused.counters.fast_evals + 3 * m.fast.stage_count
+    for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+        np.testing.assert_array_equal(getattr(called, field), getattr(reused, field))
