@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -185,9 +186,9 @@ def newton_solve(
     ``jac`` returns dG/dy, held in one of two ways: a dense array, solved by
     LU (by division at size 1, where a float also does), or, for systems of
     size > 1, a *solve* callable, so that the update is ``solve(-g)``; a
-    solve of a singular system raises :class:`NewtonDivergence`.  Omitted, dG/dy is a dense
-    forward-difference approximation with increment sqrt(eps) * (1 + |y_i|),
-    at one residual call per column.  ``matrix`` and the returned matrix are
+    solve of a singular system raises :class:`NewtonDivergence`.  Omitted,
+    dG/dy is a dense forward-difference approximation with increment
+    sqrt(eps) * (1 + |y_i|), at one residual call per column.  ``matrix`` and the returned matrix are
     held the same way.  The result carries the matrix last used, for the next
     solve with the same dG/dy, and the number of matrices built.
     """
@@ -220,7 +221,7 @@ def newton_solve(
                 raise NewtonDivergence("residual is non-finite")
         raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
     y_norm, g_norm = _norm(y), _norm(g)
-    if _non_finite(g, g_norm):
+    if not math.isfinite(g_norm):
         raise NewtonDivergence("residual is non-finite")
     rebuild, fresh = matrix is None, False
     for iteration in range(NEWTON_MAX_ITER + 1):
@@ -241,7 +242,7 @@ def newton_solve(
                 raise NewtonDivergence(f"singular Newton matrix: {exc}") from None
         y_new = y + delta
         y_new_norm = _norm(y_new)
-        if _non_finite(y_new, y_new_norm):
+        if not math.isfinite(y_new_norm):
             if fresh:
                 raise NewtonDivergence("iterate is non-finite")
             rebuild = True
@@ -251,7 +252,7 @@ def newton_solve(
         if not fresh and not g_new_norm < g_norm:
             rebuild = True
             continue
-        if _non_finite(g_new, g_new_norm):
+        if not math.isfinite(g_new_norm):
             raise NewtonDivergence("residual is non-finite")
         rebuild = g_new_norm > NEWTON_RATE * g_norm
         y, y_norm, g, g_norm, fresh = y_new, y_new_norm, g_new, g_new_norm, False
@@ -259,19 +260,18 @@ def newton_solve(
 
 
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm, finite for finite entries: rescaled by max|v_i| only where the square sum overflows."""
+    """Euclidean norm, finite exactly when every entry is.
+
+    Rescaled by max|v_i| only where the square sum overflows, so other norms
+    keep their bits; a norm beyond the largest float is held at it.
+    """
     square_sum = np.vdot(v, v)  # the same sum as v.dot(v), without its overflow warning
     if square_sum == math.inf:
         peak = float(np.abs(v).max())
         if peak < math.inf:
             unit = v / peak
-            return peak * math.sqrt(np.vdot(unit, unit))
+            return min(peak * math.sqrt(np.vdot(unit, unit)), sys.float_info.max)
     return math.sqrt(square_sum)
-
-
-def _non_finite(v: np.ndarray, v_norm: float) -> bool:
-    # a non-finite norm is a non-finite entry or a norm beyond the largest float
-    return not math.isfinite(v_norm) and not np.isfinite(v).all()
 
 
 def _newton_matrix(residual, y: np.ndarray, g: np.ndarray, jac):
@@ -497,7 +497,7 @@ def error_estimates(result: StepResult, tolerances: Tolerances) -> tuple[float, 
     and ``y_hat_fast``; the three are computed in one pass over the stacked
     deviations, and only a NaN row goes through :func:`error_norm`'s fallbacks.
     """
-    x = result.y_next
+    x = np.asarray(result.y_next, dtype=float)
     hats = np.array([result.y_hat, result.y_hat_slow, result.y_hat_fast], dtype=float)
     abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

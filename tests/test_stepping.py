@@ -554,9 +554,10 @@ def test_integrate_fixed_rejects_bad_spans(t0, t_end, H):
         integrate_fixed(mg.registry_lookup("EX-EX 2(1)A"), LINEAR.to_ode(), [1.0], t0, t_end, H, 2)
 
 
-@pytest.mark.parametrize("y0", [np.array([1e200]), np.array([1e200, 0.0])], ids=["size-1", "size-2"])
+@pytest.mark.parametrize("y0", [np.array([1e200]), np.array([1e200, 0.0]), np.array([1.5e308, 1.5e308])],
+                         ids=["size-1", "size-2", "norm-beyond-max"])
 def test_newton_norms_do_not_overflow_on_finite_states(y0):
-    # ||y||^2 overflows here; the tolerance 1e-12 (1 + ||y||) must stay finite
+    # ||y||^2 (or even ||y||) overflows here; the tolerance 1e-12 (1 + ||y||) must stay finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = newton_solve(lambda y: y - 1.0, y0, lambda y: np.eye(y.size))
@@ -646,3 +647,22 @@ def test_implicit_stage_calls_f_when_newton_returns_another_array(monkeypatch):
     assert called.counters.fast_evals == reused.counters.fast_evals + 3 * m.fast.stage_count
     for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
         np.testing.assert_array_equal(getattr(called, field), getattr(reused, field))
+
+
+def test_error_estimates_equal_three_error_norms():
+    # one pass over the stacked deviations gives the same floats as three
+    # error_norm calls, NaN fallbacks, zero scales and infinities included
+    def three(r, tol):
+        return tuple(error_norm(r.y_next, hat, tol) for hat in (r.y_hat, r.y_hat_slow, r.y_hat_fast))
+
+    gs = GrayScott(n=16, swap_roles=True)
+    r = step(mg.registry_lookup("EX-EX 3(2)4s-A"), gs.to_ode(), gs.initial_condition(), 0.0, 1e-3, 4)
+    for tol in (Tolerances(1e-4, 1e-4), Tolerances(0.0, 1e-6), Tolerances(np.full(gs.dimension, 1e-5), 1e-3)):
+        assert error_estimates(r, tol) == three(r, tol)
+    rng = np.random.default_rng(11)
+    specials = np.array([0.0, 1.0, -2.0, np.nan, np.inf, 1e-300, 1e300])
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        r.y_next, r.y_hat, r.y_hat_slow, r.y_hat_fast = (rng.choice(specials, size=n) for _ in range(4))
+        tol = Tolerances(float(rng.choice([0.0, 1e-6])), float(rng.choice([0.0, 1e-3])))
+        assert error_estimates(r, tol) == three(r, tol)
