@@ -82,13 +82,12 @@ class RegionGrid:
 
     def write_csv(self, path) -> None:
         """One row per cell, fields formatted ``.12g`` (NaN as ``nan``), rows ended by CRLF."""
-        rho = [f"{r:.12g}" for r in self.rho.tolist()]
-        theta_s = [f"{ts:.12g}" for ts in self.theta_s.tolist()]
+        theta_f, theta_s, rho = ([f"{x:.12g}" for x in a.tolist()] for a in (self.theta_f, self.theta_s, self.rho))
         with open(path, "w", newline="") as fh:
             fh.write("theta_f,theta_s,rho,absR\r\n")
-            for i, tf in enumerate(self.theta_f.tolist()):
+            for i, tf in enumerate(theta_f):
                 for j, ts in enumerate(theta_s):
-                    prefix = f"{tf:.12g},{ts},"
+                    prefix = f"{tf},{ts},"
                     fh.write("".join([f"{prefix}{r},{v:.12g}\r\n" for r, v in zip(rho, self.values[i, j].tolist())]))
 
 
