@@ -198,7 +198,7 @@ def newton_solve(
     if y.size == 1:
         # full Newton on floats: the same IEEE operations as the 1x1 LU solve, and
         # |v| is sqrt(v*v) without its overflow; only the residual sees arrays
-        y_f, g_f = float(y[0]), float(g.item())
+        y_f, g_f = y.item(), float(g.item())
         if not math.isfinite(g_f):
             raise NewtonDivergence("residual is non-finite")
         for iteration in range(NEWTON_MAX_ITER + 1):
@@ -214,7 +214,7 @@ def newton_solve(
             y_f = y_f + -g_f / slope
             if not math.isfinite(y_f):
                 raise NewtonDivergence("iterate is non-finite")
-            y = np.array([y_f])
+            y = np.full_like(y, y_f)  # the guess's shape
             g = np.asarray(residual(y), dtype=float)
             g_f = float(g.item())
             if not math.isfinite(g_f):
@@ -477,32 +477,31 @@ def integrate_fixed(method: MrGarkMethod, ode: PartitionedOde, y0: np.ndarray, t
 
 def error_norm(x: np.ndarray, y: np.ndarray, tolerances: Tolerances) -> float:
     """Scaled RMS deviation: values <= 1 mean "within tolerance"; never NaN."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
-    # a zero scale or a non-finite state is settled below, without warnings
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(y))
-        value = float(np.sqrt(np.mean(((x - y) / scale) ** 2)))
-        if math.isnan(value):
-            # 0/0 where states and tolerance all vanish is no deviation; a NaN state is no estimate
-            value = float(np.sqrt(np.mean(np.where(x == y, 0.0, (x - y) / scale) ** 2)))
-    return math.inf if math.isnan(value) else value
+    return _scaled_rms(np.ravel(x), np.ravel(y)[None], tolerances)[0]
 
 
 def error_estimates(result: StepResult, tolerances: Tolerances) -> tuple[float, float, float]:
     """(total, slow, fast) local error estimates from the embedded solutions.
 
     Each equals :func:`error_norm` of ``y_next`` against ``y_hat``, ``y_hat_slow``
-    and ``y_hat_fast``; the three are computed in one pass over the stacked
-    deviations, and only a NaN row goes through :func:`error_norm`'s fallbacks.
+    and ``y_hat_fast``; the three come from one pass over the stacked deviations.
     """
-    x = np.asarray(result.y_next, dtype=float)
     hats = np.array([result.y_hat, result.y_hat_slow, result.y_hat_fast], dtype=float)
-    abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(hats))
-        values = np.sqrt(np.mean(((x - hats) / scale) ** 2, axis=1)).tolist()
-    eps_total, eps_slow, eps_fast = (error_norm(x, hat, tolerances) if math.isnan(value) else value
-                                     for value, hat in zip(values, hats))
+    eps_total, eps_slow, eps_fast = _scaled_rms(result.y_next, hats, tolerances)
     return eps_total, eps_slow, eps_fast
+
+
+def _scaled_rms(x: np.ndarray, ys: np.ndarray, tolerances: Tolerances) -> list[float]:
+    """:func:`error_norm` of x against each row of ys."""
+    x = np.asarray(x, dtype=float)
+    abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
+    # a zero scale or a non-finite state is settled below, without warnings
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(ys))
+        values = np.sqrt(np.mean(((x - ys) / scale) ** 2, axis=-1)).tolist()
+        if any(map(math.isnan, values)):
+            # 0/0 where states and tolerance all vanish is no deviation (rows
+            # without a NaN keep their floats); a NaN state is no estimate
+            values = np.sqrt(np.mean(np.where(x == ys, 0.0, (x - ys) / scale) ** 2, axis=-1)).tolist()
+            values = [math.inf if math.isnan(v) else v for v in values]
+    return values

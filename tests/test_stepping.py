@@ -565,6 +565,21 @@ def test_newton_norms_do_not_overflow_on_finite_states(y0):
     assert res.iterations > 0
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_newton_size_one_keeps_the_guess_shape(shape):
+    # the float iteration reads and writes the iterate in the guess's own shape
+    seen = set()
+
+    def residual(y):
+        seen.add(y.shape)
+        return y**3 - 8.0
+
+    res = newton_solve(residual, np.full(shape, 3.0), lambda y: np.array([[3.0 * y.item() ** 2]]))
+    flat = newton_solve(lambda y: y**3 - 8.0, np.array([3.0]), lambda y: np.array([[3.0 * y.item() ** 2]]))
+    assert res.y.shape == shape and seen == {shape}
+    assert res.y.item() == flat.y.item() and res.iterations == flat.iterations > 1
+
+
 def _reference_step(method, ode, y, H, M):
     """One macro-step through the assembled tableau, stage by stage in derive_schedule order.
 
@@ -650,8 +665,8 @@ def test_implicit_stage_calls_f_when_newton_returns_another_array(monkeypatch):
 
 
 def test_error_estimates_equal_three_error_norms():
-    # one pass over the stacked deviations gives the same floats as three
-    # error_norm calls, NaN fallbacks, zero scales and infinities included
+    # the reduction over the stacked (3, n) deviations gives each row the same
+    # float as error_norm on it, NaN fallbacks, zero scales and infinities included
     def three(r, tol):
         return tuple(error_norm(r.y_next, hat, tol) for hat in (r.y_hat, r.y_hat_slow, r.y_hat_fast))
 
