@@ -18,8 +18,9 @@ controller is also re-run after a rejection, using the failing step's
 estimates.  A step that fails outright (non-finite state, Newton divergence,
 non-finite estimate) is rejected too, but H is halved and M kept.  Each update
 keeps H_new / H within [0.5, 2].  Costs t_s (per slow stage set) and t_f (per
-micro-step) are measured online around the right-hand-side evaluations, or
-pinned to a synthetic ratio for reproducible experiments.
+micro-step) are measured online, each stage timed around its right-hand-side
+call or, for an implicit stage, its whole Newton solve; or they are pinned to
+a synthetic ratio for reproducible experiments.
 """
 
 from __future__ import annotations

@@ -5,11 +5,12 @@
 * ``CoupledNonlinearScalar``: a mildly stiff scalar split whose partitions
   interact nonlinearly, for exercising the mixed error estimators.
 * ``GrayScott``: the two-species reaction-diffusion model on a cell-centered
-  n-by-n grid over the unit square, second-order flux-form diffusion with
-  zero-flux (or periodic) closure, with either constant or state- and
-  position-dependent diffusion coefficients.  Reaction is the fast partition,
-  diffusion the slow one; ``swap_roles`` flips that assignment.  Its
-  Jacobians are structured (:class:`ReactionJacobian`,
+  n-by-n grid over the unit square, with either constant or state- and
+  position-dependent diffusion coefficients.  Diffusion is one second-order
+  flux-form kernel over both species; its zero-flux (or periodic) closure is
+  one face rule, which the diffusion Jacobians are built from too.  Reaction
+  is the fast partition, diffusion the slow one; ``swap_roles`` flips that
+  assignment.  Its Jacobians are structured (:class:`ReactionJacobian`,
   :class:`DiffusionJacobian` for linear diffusion,
   :class:`NonlinearDiffusionJacobian` for nonlinear diffusion), so implicit
   stages solve I - a*J without a dense 2n^2 x 2n^2 matrix.
@@ -107,22 +108,11 @@ class CoupledNonlinearScalar:
         )
 
 
-def _neumann_div_flux(field: np.ndarray, eps: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Flux-form d/dx(eps * du/dx) with zero-flux boundaries along ``axis``."""
-    f = np.moveaxis(field, axis, 0)
-    e = np.moveaxis(eps, axis, 0)
-    face = 0.5 * (e[1:] + e[:-1]) * (f[1:] - f[:-1]) / h
-    out = np.zeros_like(f)
-    out[:-1] += face
-    out[1:] -= face
-    return np.moveaxis(out, 0, axis) / h
-
-
-def _periodic_div_flux(field: np.ndarray, eps: np.ndarray, h: float, axis: int) -> np.ndarray:
-    fp = np.roll(field, -1, axis=axis)
-    ep = np.roll(eps, -1, axis=axis)
-    face = 0.5 * (eps + ep) * (fp - field) / h  # flux through the "right" face of each cell
-    return (face - np.roll(face, 1, axis=axis)) / h
+def _line_faces(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (a, b) of each face along a line of n cells, b after a: the n-1 interior
+    faces, then the wrapped face (n-1, 0) under periodic closure; a zero-flux boundary has none."""
+    a = np.arange(n if boundary == "periodic" else n - 1)
+    return a, (a + 1) % n
 
 
 def _check_shifted(factors: np.ndarray) -> np.ndarray:
@@ -177,18 +167,18 @@ class DiffusionJacobian:
     """
 
     def __init__(self, problem: GrayScott):
+        if problem.diffusion_mode != "linear":
+            raise InvalidInput("DiffusionJacobian needs diffusion_mode='linear'")
         n = problem.n
-        L = np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1.0), -1)
-        if problem.boundary == "neumann":
-            L -= np.diag(np.concatenate([[1.0], np.full(n - 2, 2.0), [1.0]]))
-        else:
-            L -= 2.0 * np.eye(n)
-            L[0, -1] += 1.0
-            L[-1, 0] += 1.0
+        a, b = _line_faces(n, problem.boundary)
+        # each face couples its two cells, and each row sums to zero (no source)
+        L = np.zeros((n, n))
+        L[a, b] = L[b, a] = 1.0
+        np.fill_diagonal(L, -L.sum(axis=1))
         mu, self.Q = np.linalg.eigh(L)
         self.L, self.h = L, problem.spacing
         self.eigenvalues = (mu[:, None] + mu[None, :]) / self.h**2  # of the 2-D operator, per (i, j)
-        self.eps = np.array([problem.eps_u, problem.eps_v])[:, None, None]
+        self.eps = problem._eps
 
     def shifted_solver(self, a: float):
         factors = _check_shifted(1.0 - (a * self.eps) * self.eigenvalues)
@@ -207,13 +197,9 @@ class DiffusionJacobian:
 
 
 def _face_cells(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices (a, b) of the two cells of each interior (or wrapped) face, b after a."""
+    """Flat indices (a, b) of the two cells of each face of the n x n grid, b after a: axis-0 faces, then axis-1."""
     idx = np.arange(n * n).reshape(n, n)
-    if boundary == "neumann":
-        pairs = ((idx[:-1, :], idx[1:, :]), (idx[:, :-1], idx[:, 1:]))
-    else:
-        pairs = ((idx, np.roll(idx, -1, axis=0)), (idx, np.roll(idx, -1, axis=1)))
-    return tuple(np.concatenate([p[k].ravel() for p in pairs]) for k in (0, 1))
+    return tuple(np.concatenate([idx[c].ravel(), idx[:, c].ravel()]) for c in _line_faces(n, boundary))
 
 
 class NonlinearDiffusionJacobian:
@@ -231,9 +217,8 @@ class NonlinearDiffusionJacobian:
     def __init__(self, problem: GrayScott, y: np.ndarray):
         if problem.diffusion_mode != "nonlinear":
             raise InvalidInput("NonlinearDiffusionJacobian needs diffusion_mode='nonlinear'")
-        u, v = problem.split(np.asarray(y, dtype=float))
-        w = np.stack([u.ravel(), v.ravel()])
-        e = np.stack([f.ravel() for f in problem._eps_fields(u, v)])
+        w = np.asarray(y, dtype=float).reshape(2, problem.n, problem.n)
+        e, w = problem._eps_fields(w).reshape(2, -1), w.reshape(2, -1)
         a, b = _face_cells(problem.n, problem.boundary)
         h2 = problem.spacing**2
         slope, mean = w[:, b] - w[:, a], 0.5 * (e[:, a] + e[:, b])
@@ -323,15 +308,14 @@ class GrayScott:
         n2 = self.n * self.n
         return y[:n2].reshape(self.n, self.n), y[n2:].reshape(self.n, self.n)
 
-    def _eps_fields(self, u, v) -> tuple[np.ndarray, np.ndarray]:
-        """Diffusion coefficients per cell: eps, or eps * exp(-w/100) * sin(pi x) sin(pi y)."""
-        if self.diffusion_mode == "linear":
-            shape = np.ones_like(u)
-            return self.eps_u * shape, self.eps_v * shape
-        return (
-            self.eps_u * np.exp(-u / 100.0) * self._sin_grid,
-            self.eps_v * np.exp(-v / 100.0) * self._sin_grid,
-        )
+    @property
+    def _eps(self) -> np.ndarray:
+        """(eps_u, eps_v) shaped (2, 1, 1), to broadcast over the stacked (2, n, n) state."""
+        return np.array([self.eps_u, self.eps_v]).reshape(2, 1, 1)
+
+    def _eps_fields(self, w: np.ndarray) -> np.ndarray:
+        """Nonlinear diffusion coefficient of each cell of the stacked state: eps * exp(-w/100) * sin(pi x) sin(pi y)."""
+        return self._eps * np.exp(-w / 100.0) * self._sin_grid
 
     def reaction(self, y: np.ndarray) -> np.ndarray:
         u, v = self.split(y)
@@ -341,13 +325,26 @@ class GrayScott:
         return np.concatenate([du.ravel(), dv.ravel()])
 
     def diffusion(self, y: np.ndarray) -> np.ndarray:
-        u, v = self.split(y)
-        eu, ev = self._eps_fields(u, v)
-        h = self.spacing
-        div = _neumann_div_flux if self.boundary == "neumann" else _periodic_div_flux
-        du = div(u, eu, h, 0) + div(u, eu, h, 1)
-        dv = div(v, ev, h, 0) + div(v, ev, h, 1)
-        return np.concatenate([du.ravel(), dv.ravel()])
+        """Flux-form div(e grad w) of both species at once, over the stacked (2, n, n) state."""
+        n, h = self.n, self.spacing
+        w = y.reshape(2, n, n)
+        linear = self.diffusion_mode == "linear"
+        e = self._eps if linear else self._eps_fields(w)
+
+        def flux(a, b):
+            # in linear mode e is the species' constant eps, and 0.5 * (eps + eps) is eps exactly
+            return (e if linear else 0.5 * (e[b] + e[a])) * (w[b] - w[a]) / h
+
+        div = []
+        for axis in (1, 2):
+            lo, hi, first, last, inner = ((slice(None),) * axis + (s,) for s in (
+                slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None), slice(1, n)))
+            faces = np.zeros(w.shape[:axis] + (n + 1,) + w.shape[axis + 1:])  # a closed boundary carries no flux
+            faces[inner] = flux(lo, hi)
+            if self.boundary == "periodic":
+                faces[first] = faces[last] = flux(last, first)
+            div.append((faces[hi] - faces[lo]) / h)
+        return (div[0] + div[1]).ravel()
 
     def f_fast(self, y):
         return self.diffusion(y) if self.swap_roles else self.reaction(y)

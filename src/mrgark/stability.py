@@ -29,11 +29,13 @@ __all__ = ["RegionGrid", "stability_value", "scan_region"]
 STABLE_TOL = 1e-12
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _stability_values(g: GarkMatrix, z_f: np.ndarray, z_s: np.ndarray) -> np.ndarray:
     """R at each (z_f[i, k], z_s[i, k]), one batched dense solve of size s per row i.
 
-    NaN where the resolvent is singular or R is not finite.  A row whose batch
-    solve fails is re-solved cell by cell.
+    NaN where the resolvent is singular or R is not finite, without a
+    floating-point warning.  A row whose batch solve fails is re-solved cell
+    by cell.
     """
     n_fast = g.M * g.s_f
     eye = np.eye(g.stage_count, dtype=complex)
@@ -105,8 +107,9 @@ def scan_region(
     rho = np.linspace(0.0, rho_max, n_rho)
     # one scalar exp per angle, so a cell's z is bit-equal to g.M * rho * np.exp(-1j * theta_f)
     turns = [np.exp(-1j * t) for t in theta]
-    z_f = np.array([g.M * rho * e for e in turns])
-    z_s = np.array([rho * e for e in turns])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing M*rho gives non-finite z: NaN cells
+        z_f = np.array([g.M * rho * e for e in turns])
+        z_s = np.array([rho * e for e in turns])
     # row (i, j) holds the rho line at theta_f[i], theta_s[j]
     R = _stability_values(g, np.repeat(z_f, n_theta, axis=0), np.tile(z_s, (n_theta, 1)))
     values = np.abs(R).reshape(n_theta, n_theta, n_rho)

@@ -111,6 +111,16 @@ def test_stability_csv_header_and_shape(tmp_path, capsys):
     assert len(lines) == 1 + 5 * 5 * 4
 
 
+def test_stability_with_overflowing_rho_max_is_silent(tmp_path, capsys):
+    code, _, err = run(
+        ["--out-dir", str(tmp_path), "stability", "EX-EX 2(1)A", "--M", "2",
+         "--n-theta", "3", "--n-rho", "3", "--rho-max", "1e308", "--out", "r.csv"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert {row["absR"] for row in csv_rows(tmp_path / "r.csv")} == {"1", "nan"}
+
+
 def test_converge_csv(tmp_path, capsys):
     code, _, _ = run(
         ["--out-dir", str(tmp_path), "converge", "--method", "EX-EX 2(1)A",

@@ -6,9 +6,11 @@ import pytest
 from mrgark.errors import InvalidInput, NewtonDivergence, NoReference
 from mrgark.problems import (
     CoupledNonlinearScalar,
+    DiffusionJacobian,
     GrayScott,
     LinearTwoRate,
     NonlinearDiffusionJacobian,
+    _face_cells,
     make_problem,
     reference_error,
 )
@@ -53,10 +55,11 @@ def test_gray_scott_nonlinear_coefficient_at_center():
     # eps * exp(-u/100) * sin(pi x) sin(pi y) at the cell centres, as `diffusion` uses it
     gs = GrayScott(n=32)
     assert (gs.eps_u, gs.eps_v) == (0.0625, 0.0312)
-    u, v = np.random.default_rng(5).uniform(0.0, 1.0, (2, 32, 32))
+    state = np.random.default_rng(5).uniform(0.0, 1.0, (2, 32, 32))
     sx = np.sin(np.pi * gs.cell_centers())
-    eu, ev = gs._eps_fields(u, v)
-    for eps, w, field in ((gs.eps_u, u, eu), (gs.eps_v, v, ev)):
+    fields = gs._eps_fields(state)
+    assert fields.shape == (2, 32, 32)
+    for eps, w, field in zip((gs.eps_u, gs.eps_v), state, fields):
         expected = eps * np.exp(-w / 100.0) * sx[:, None] * sx[None, :]
         np.testing.assert_allclose(field, expected, rtol=1e-15, atol=0.0)
 
@@ -72,6 +75,113 @@ def test_gray_scott_diffusion_conserves_mass(mode, boundary):
     assert abs(rate[n2:].sum()) * gs.spacing**2 < 1e-12
 
 
+# The per-species kernels, 1-D operator and face list that the stacked flux
+# kernel and the one face rule replaced, frozen as bit-for-bit oracles.
+def _frozen_neumann_div_flux(field, eps, h, axis):
+    f = np.moveaxis(field, axis, 0)
+    e = np.moveaxis(eps, axis, 0)
+    face = 0.5 * (e[1:] + e[:-1]) * (f[1:] - f[:-1]) / h
+    out = np.zeros_like(f)
+    out[:-1] += face
+    out[1:] -= face
+    return np.moveaxis(out, 0, axis) / h
+
+
+def _frozen_periodic_div_flux(field, eps, h, axis):
+    fp = np.roll(field, -1, axis=axis)
+    ep = np.roll(eps, -1, axis=axis)
+    face = 0.5 * (eps + ep) * (fp - field) / h
+    return (face - np.roll(face, 1, axis=axis)) / h
+
+
+def _frozen_eps_fields(gs, u, v):
+    if gs.diffusion_mode == "linear":
+        shape = np.ones_like(u)
+        return gs.eps_u * shape, gs.eps_v * shape
+    sx = np.sin(np.pi * gs.cell_centers())
+    sin_grid = sx[:, None] * sx[None, :]
+    return gs.eps_u * np.exp(-u / 100.0) * sin_grid, gs.eps_v * np.exp(-v / 100.0) * sin_grid
+
+
+def _frozen_diffusion(gs, y):
+    u, v = gs.split(y)
+    eu, ev = _frozen_eps_fields(gs, u, v)
+    h = gs.spacing
+    div = _frozen_neumann_div_flux if gs.boundary == "neumann" else _frozen_periodic_div_flux
+    du = div(u, eu, h, 0) + div(u, eu, h, 1)
+    dv = div(v, ev, h, 0) + div(v, ev, h, 1)
+    return np.concatenate([du.ravel(), dv.ravel()])
+
+
+def _frozen_operator(n, boundary):
+    L = np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1.0), -1)
+    if boundary == "neumann":
+        L -= np.diag(np.concatenate([[1.0], np.full(n - 2, 2.0), [1.0]]))
+    else:
+        L -= 2.0 * np.eye(n)
+        L[0, -1] += 1.0
+        L[-1, 0] += 1.0
+    return L
+
+
+def _frozen_face_cells(n, boundary):
+    idx = np.arange(n * n).reshape(n, n)
+    if boundary == "neumann":
+        pairs = ((idx[:-1, :], idx[1:, :]), (idx[:, :-1], idx[:, 1:]))
+    else:
+        pairs = ((idx, np.roll(idx, -1, axis=0)), (idx, np.roll(idx, -1, axis=1)))
+    return tuple(np.concatenate([p[k].ravel() for p in pairs]) for k in (0, 1))
+
+
+def _frozen_dense_diffusion_jacobian(gs, y=None):
+    n, n2, h = gs.n, gs.n**2, gs.spacing
+    if gs.diffusion_mode == "linear":
+        L, eye = _frozen_operator(n, gs.boundary), np.eye(n)
+        return np.kron(np.diag([gs.eps_u, gs.eps_v]), (np.kron(L, eye) + np.kron(eye, L)) / h**2)
+    u, v = gs.split(y)
+    w = np.stack([u.ravel(), v.ravel()])
+    e = np.stack([f.ravel() for f in _frozen_eps_fields(gs, u, v)])
+    a, b = _frozen_face_cells(n, gs.boundary)
+    slope, mean = w[:, b] - w[:, a], 0.5 * (e[:, a] + e[:, b])
+    d_a = (-0.005 * e[:, a] * slope - mean) / h**2
+    d_b = (-0.005 * e[:, b] * slope + mean) / h**2
+    blocks = np.zeros((2, n2, n2))
+    blocks[:, a, b] = d_b
+    blocks[:, b, a] = -d_a
+    for s in range(2):
+        blocks[s].flat[:: n2 + 1] = np.bincount(a, d_a[s], n2) - np.bincount(b, d_b[s], n2)
+    j = np.zeros((2 * n2, 2 * n2))
+    j[:n2, :n2], j[n2:, n2:] = blocks
+    return j
+
+
+# n = 24: h = 1/24 is not a power of two, so dividing by h rounds and a reordered formula shows
+@pytest.mark.parametrize("n", [8, 16, 24, 64])
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+def test_diffusion_equals_frozen_per_species_kernels(boundary, mode, n):
+    gs = GrayScott(n=n, diffusion_mode=mode, boundary=boundary)
+    rng = np.random.default_rng(n)
+    y0 = gs.initial_condition()
+    for y in [y0] + [y0 + 0.5 * rng.standard_normal(gs.dimension) for _ in range(5)]:
+        assert np.array_equal(gs.diffusion(y), _frozen_diffusion(gs, y))
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 64])
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+def test_diffusion_operators_equal_frozen_closures(boundary, n):
+    linear = GrayScott(n=n, diffusion_mode="linear", boundary=boundary)
+    assert np.array_equal(linear.diffusion_jacobian().L, _frozen_operator(n, boundary))
+    for cells, frozen in zip(_face_cells(n, boundary), _frozen_face_cells(n, boundary)):
+        assert np.array_equal(cells, frozen)
+    if n <= 24:  # the dense 2n^2 x 2n^2 matrices are 0.5 GB at n = 64
+        assert np.array_equal(np.asarray(linear.diffusion_jacobian()), _frozen_dense_diffusion_jacobian(linear))
+        nonlinear = GrayScott(n=n, boundary=boundary)
+        y = _perturbed_state(nonlinear)
+        expected = _frozen_dense_diffusion_jacobian(nonlinear, y)
+        assert np.array_equal(np.asarray(nonlinear.diffusion_jacobian(y)), expected)
+
+
 def test_gray_scott_pure_subdynamics():
     # zeroing one partition leaves exactly the other sub-dynamics
     gs = GrayScott(n=8)
@@ -82,8 +192,10 @@ def test_gray_scott_pure_subdynamics():
     np.testing.assert_array_equal(swapped.f_fast(y), gs.diffusion(y))
 
 
-def test_linear_diffusion_jacobian_symmetric_and_consistent():
-    gs = GrayScott(n=8, diffusion_mode="linear")
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+def test_linear_diffusion_jacobian_symmetric_and_consistent(boundary, n):
+    gs = GrayScott(n=n, diffusion_mode="linear", boundary=boundary)
     J = np.asarray(gs.diffusion_jacobian())
     assert np.max(np.abs(J - J.T)) < 1e-13
     y = gs.initial_condition()
@@ -138,6 +250,8 @@ def test_nonlinear_diffusion_jacobian_is_wired():
         gs.diffusion_jacobian()
     with pytest.raises(InvalidInput):
         NonlinearDiffusionJacobian(GrayScott(n=8, diffusion_mode="linear"), y)
+    with pytest.raises(InvalidInput):
+        DiffusionJacobian(GrayScott(n=8))
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -194,6 +194,14 @@ def test_scan_cells_equal_stability_value(name, M):
                 assert grid.values[i, j, k] == expected or np.isnan(grid.values[i, j, k]) and np.isnan(expected)
 
 
+def test_overflowing_scan_cells_are_nan_without_warnings():
+    # M * rho overflows at the top of the rho line; the suite turns any floating-point warning into an error
+    g = mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), 2)
+    grid = scan_region(g, rho_max=1e308, n_theta=3, n_rho=3)
+    assert (grid.values[:, :, 0] == 1.0).all()
+    assert np.isnan(grid.values[:, :, 1:]).all()
+
+
 def test_singular_cell_is_nan_and_leaves_its_row_exact():
     # 1 - gamma * z_f = 0 makes the batch solve of the row fail; the row is re-solved cell by cell
     m = mg.registry_lookup("IM-EX 2(1)A")
