@@ -34,7 +34,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .errors import InvalidInput, NewtonDivergence, NonFiniteState, StepSizeUnderflow
-from .stepping import PartitionedOde, Tolerances, error_estimates, step
+from .stepping import PartitionedOde, Tolerances, _check_state, error_estimates, step
 from .tableaux import MrGarkMethod, _check_count
 
 __all__ = [
@@ -207,9 +207,13 @@ def drive(
         M=min(max(_check_count(M0) if M0 is not None else lo, lo), hi),
     )
     tolerances = config.tolerances()
+    for tol in (tolerances.abs_tol, tolerances.rel_tol):
+        if np.shape(tol) not in ((), (1,), (ode.dimension,)):
+            raise InvalidInput(f"abs_tol and rel_tol must be scalars or 1-D arrays of 1 or {ode.dimension} "
+                               f"entries, got shape {np.shape(tol)}")
 
     t = float(t0)
-    y = np.array(y0, dtype=float)
+    y = _check_state(ode, y0)
     ts = [t]
     ys = [y.copy()]
     carry = None

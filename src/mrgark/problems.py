@@ -7,10 +7,13 @@
 * ``GrayScott``: the two-species reaction-diffusion model on a cell-centered
   n-by-n grid over the unit square, with either constant or state- and
   position-dependent diffusion coefficients.  Diffusion is one second-order
-  flux-form kernel over both species; its zero-flux (or periodic) closure is
-  one face rule, which the diffusion Jacobians are built from too.  Reaction
-  is the fast partition, diffusion the slow one; ``swap_roles`` flips that
-  assignment.  Its Jacobians are structured (:class:`ReactionJacobian`,
+  flux-form kernel over both species and both axes; its zero-flux (or
+  periodic) closure is one face rule, which the diffusion Jacobians are built
+  from too.  Each instance holds the work buffers of its diffusion kernel, so
+  one instance must not run ``diffusion`` from two threads at once; the
+  kernels always return fresh arrays.  Reaction is the fast partition,
+  diffusion the slow one; ``swap_roles`` flips that assignment.  Its
+  Jacobians are structured (:class:`ReactionJacobian`,
   :class:`DiffusionJacobian` for linear diffusion,
   :class:`NonlinearDiffusionJacobian` for nonlinear diffusion), so implicit
   stages solve I - a*J without a dense 2n^2 x 2n^2 matrix.
@@ -267,6 +270,11 @@ class GrayScott:
     problem's ODEs) or the :class:`NonlinearDiffusionJacobian` at y (one
     inverted 5-point block per species).  The fields are frozen, since that
     shared Jacobian and the sin(pi x) sin(pi y) grid are derived from them.
+
+    Each instance allocates the work buffers of :meth:`diffusion` once, so
+    one instance must not run it from two threads at once.  :meth:`diffusion`
+    and :meth:`reaction` always return fresh arrays, which later calls leave
+    alone.
     """
 
     n: int = 32
@@ -278,20 +286,33 @@ class GrayScott:
     boundary: str = "neumann"  # or "periodic"
     swap_roles: bool = False
     _sin_grid: np.ndarray = field(init=False, repr=False)
+    _eps: np.ndarray = field(init=False, repr=False)
+    _cells: np.ndarray = field(init=False, repr=False)
+    _faces: np.ndarray = field(init=False, repr=False)
     _diffusion_jac: DiffusionJacobian | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if _check_count(self.n, "n", 8) % 8:
             raise InvalidInput(f"grid size n must be divisible by 8, got {self.n}")
         _check_reals(self, ("feed", "kill", "eps_u", "eps_v"))
+        if self.eps_u < 0.0 or self.eps_v < 0.0:
+            raise InvalidInput(f"eps_u and eps_v must be >= 0, got {self.eps_u!r}, {self.eps_v!r}")
         if not isinstance(self.swap_roles, bool):
             raise InvalidInput(f"swap_roles must be a bool, got {self.swap_roles!r}")
         if self.diffusion_mode not in ("linear", "nonlinear"):
             raise InvalidInput("diffusion_mode must be 'linear' or 'nonlinear'")
         if self.boundary not in ("neumann", "periodic"):
             raise InvalidInput("boundary must be 'neumann' or 'periodic'")
-        x = self.cell_centers()
+        n, x = self.n, self.cell_centers()
         object.__setattr__(self, "_sin_grid", np.sin(np.pi * x)[:, None] * np.sin(np.pi * x)[None, :])
+        # (eps_u, eps_v) shaped (2, 1, 1), to broadcast over the stacked (2, n, n) state
+        object.__setattr__(self, "_eps", np.array([self.eps_u, self.eps_v]).reshape(2, 1, 1))
+        # work buffers of `diffusion`: w, and e in nonlinear mode, each as (axis, species, row, column),
+        # where axis 1 holds the transposes; under periodic closure a last row repeats row 0
+        rows = n + (self.boundary == "periodic")
+        object.__setattr__(self, "_cells", np.zeros((1 + (self.diffusion_mode == "nonlinear"), 2, 2, rows, n)))
+        # (axis, species, face, column): faces 0 and n stay zero, the closed boundary's zero flux
+        object.__setattr__(self, "_faces", np.zeros((2, 2, n + 1, n)))
 
     @property
     def dimension(self) -> int:
@@ -308,43 +329,66 @@ class GrayScott:
         n2 = self.n * self.n
         return y[:n2].reshape(self.n, self.n), y[n2:].reshape(self.n, self.n)
 
-    @property
-    def _eps(self) -> np.ndarray:
-        """(eps_u, eps_v) shaped (2, 1, 1), to broadcast over the stacked (2, n, n) state."""
-        return np.array([self.eps_u, self.eps_v]).reshape(2, 1, 1)
-
-    def _eps_fields(self, w: np.ndarray) -> np.ndarray:
+    def _eps_fields(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Nonlinear diffusion coefficient of each cell of the stacked state: eps * exp(-w/100) * sin(pi x) sin(pi y)."""
-        return self._eps * np.exp(-w / 100.0) * self._sin_grid
+        e = np.divide(w, -100.0, out=out)  # w / -100 is -w / 100 exactly
+        np.exp(e, out=e)
+        np.multiply(self._eps, e, out=e)
+        return np.multiply(e, self._sin_grid, out=e)
 
     def reaction(self, y: np.ndarray) -> np.ndarray:
+        """-u v^2 + feed (1 - u) and u v^2 - (feed + kill) v, in a fresh array."""
         u, v = self.split(y)
-        uv2 = u * v * v
-        du = -uv2 + self.feed * (1.0 - u)
-        dv = uv2 - (self.feed + self.kill) * v
-        return np.concatenate([du.ravel(), dv.ravel()])
+        uv2 = u * v
+        uv2 *= v
+        out = np.empty(self.dimension)
+        du, dv = out.reshape(2, self.n, self.n)
+        np.subtract(1.0, u, out=du)
+        np.multiply(self.feed, du, out=du)
+        du -= uv2  # -uv2 + feed (1 - u) bit for bit: x - a is x + (-a)
+        np.multiply(self.feed + self.kill, v, out=dv)
+        np.subtract(uv2, dv, out=dv)
+        return out
 
     def diffusion(self, y: np.ndarray) -> np.ndarray:
-        """Flux-form div(e grad w) of both species at once, over the stacked (2, n, n) state."""
+        """Flux-form div(e grad w) of both species, in a fresh array.
+
+        Both axes run as one stacked pass in the instance's work buffers: the face
+        between cells a and b carries 0.5 * (e_a + e_b) * (w_b - w_a) / h, or
+        eps * (w_b - w_a) / h in linear mode, and each cell gains the difference of
+        its two face fluxes over h.
+        """
         n, h = self.n, self.spacing
-        w = y.reshape(2, n, n)
-        linear = self.diffusion_mode == "linear"
-        e = self._eps if linear else self._eps_fields(w)
-
-        def flux(a, b):
-            # in linear mode e is the species' constant eps, and 0.5 * (eps + eps) is eps exactly
-            return (e if linear else 0.5 * (e[b] + e[a])) * (w[b] - w[a]) / h
-
-        div = []
-        for axis in (1, 2):
-            lo, hi, first, last, inner = ((slice(None),) * axis + (s,) for s in (
-                slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None), slice(1, n)))
-            faces = np.zeros(w.shape[:axis] + (n + 1,) + w.shape[axis + 1:])  # a closed boundary carries no flux
-            faces[inner] = flux(lo, hi)
-            if self.boundary == "periodic":
-                faces[first] = faces[last] = flux(last, first)
-            div.append((faces[hi] - faces[lo]) / h)
-        return (div[0] + div[1]).ravel()
+        cells, faces = self._cells, self._faces
+        linear, periodic = self.diffusion_mode == "linear", self.boundary == "periodic"
+        # x / h in place; for n a power of two h is exact, so x * n is the same number at a product's cost
+        over_h, by = (np.multiply, float(n)) if n & (n - 1) == 0 else (np.divide, h)
+        np.copyto(cells[0, 0, :, :n], y.reshape(2, n, n))
+        if not linear:
+            self._eps_fields(cells[0, 0, :, :n], out=cells[1, 0, :, :n])
+        # faces along axis 2 are faces along the rows of the transposes
+        np.copyto(cells[:, 1, :, :n], cells[:, 0, :, :n].swapaxes(-1, -2))
+        if periodic:  # the face between row n-1 and the copy of row 0 is the wrapped face
+            cells[..., n, :] = cells[..., 0, :]
+        lo, hi, flux = cells[..., :-1, :], cells[..., 1:, :], faces[:, :, 1:n + periodic]
+        if linear:
+            np.subtract(hi[0], lo[0], out=flux)
+            np.multiply(self._eps, flux, out=flux)  # 0.5 * (eps + eps) is eps exactly
+        else:
+            np.add(hi[1], lo[1], out=flux)
+            np.multiply(0.5, flux, out=flux)
+            slope = lo[1]  # e is spent
+            np.subtract(hi[0], lo[0], out=slope)
+            np.multiply(flux, slope, out=flux)
+        over_h(flux, by, out=flux)
+        if periodic:
+            faces[:, :, 0] = faces[:, :, n]
+        div = cells[0, :, :, :n]  # w is spent
+        np.subtract(faces[:, :, 1:], faces[:, :, :-1], out=div)
+        over_h(div, by, out=div)
+        out = np.empty(self.dimension)
+        np.add(div[0], div[1].swapaxes(-1, -2), out=out.reshape(2, n, n))
+        return out
 
     def f_fast(self, y):
         return self.diffusion(y) if self.swap_roles else self.reaction(y)

@@ -101,6 +101,22 @@ class PartitionedOde:
     jac_slow: Callable[[np.ndarray], np.ndarray | StructuredJacobian] | None = None
     jac_fast: Callable[[np.ndarray], np.ndarray | StructuredJacobian] | None = None
 
+    def __post_init__(self):
+        _check_count(self.dimension, "dimension")
+
+
+def _check_state(ode: PartitionedOde, y) -> np.ndarray:
+    """``y`` as a float array; InvalidInput unless it is a real 1-D array of ``ode.dimension`` entries."""
+    try:
+        y = np.asarray(y)
+    except (TypeError, ValueError):  # e.g. a ragged list
+        raise InvalidInput(f"state must be a real 1-D array of {ode.dimension} entries, got a {type(y).__name__}") from None
+    # a complex state would lose its imaginary part in the cast
+    if y.dtype.kind not in "iuf" or y.shape != (ode.dimension,):
+        raise InvalidInput(f"state must be a real 1-D array of {ode.dimension} entries, "
+                           f"got shape {y.shape} of {y.dtype}")
+    return y.astype(float, copy=False)
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -334,7 +350,7 @@ def step(
     if not (isinstance(H, numbers.Real) and 0 < H < math.inf):
         raise InvalidInput(f"H must be finite and > 0, got {H!r}")
     plan = _step_plan(method, M)
-    y_n = np.asarray(y_n, dtype=float)
+    y_n = _check_state(ode, y_n)
     n = y_n.size
     s_f, s_s = method.stage_counts
     h = H / M
@@ -466,7 +482,7 @@ def integrate_fixed(method: MrGarkMethod, ode: PartitionedOde, y0: np.ndarray, t
     if not (0 < span < math.inf and 0 < H < math.inf):
         raise InvalidInput(f"need finite t0 < t_end and H > 0, got t0={t0!r}, t_end={t_end!r}, H={H!r}")
     n = max(1, int(round(span / H)))
-    y, t, carry = np.array(y0, dtype=float), t0, None
+    y, t, carry = _check_state(ode, y0), t0, None
     for _ in range(n):
         result = step(method, ode, y, t, span / n, M, fsal_carry=carry)
         y, t, carry = result.y_next, result.t, result.fsal_carry

@@ -250,6 +250,24 @@ def test_config_rejects_negative_or_nan_tolerances(field, value):
         ControllerConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [np.ones(3), np.ones((1, 1))])
+def test_drive_rejects_tolerance_arrays_not_of_the_problem_size(field, value):
+    # 3 tolerances on a scalar problem would average its error over 3 copies
+    with pytest.raises(InvalidInput):
+        drive(mg.registry_lookup("EX-EX 2(1)A"), LinearTwoRate().to_ode(),
+              np.array([1.0]), 0.0, 1.0, ControllerConfig(**{field: value}))
+
+
+def test_drive_takes_a_tolerance_per_component():
+    gs = GrayScott(n=8)
+    ode, y0 = gs.to_ode(), gs.initial_condition()
+    res = drive(mg.registry_lookup("EX-EX 2(1)A"), ode, y0, 0.0, 0.05,
+                ControllerConfig(abs_tol=np.full(gs.dimension, 1e-4), rel_tol=np.ones(1) * 1e-4))
+    ref = drive(mg.registry_lookup("EX-EX 2(1)A"), ode, y0, 0.0, 0.05, ControllerConfig(abs_tol=1e-4, rel_tol=1e-4))
+    assert np.array_equal(res.ys, ref.ys)
+
+
 @pytest.mark.parametrize("t0, t_end", [(0.0, np.inf), (np.nan, 1.0), (-np.inf, 0.0)])
 def test_drive_rejects_non_finite_span(t0, t_end):
     with pytest.raises(InvalidInput):

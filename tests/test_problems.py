@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+import mrgark as mg
 from mrgark.errors import InvalidInput, NewtonDivergence, NoReference
 from mrgark.problems import (
     CoupledNonlinearScalar,
@@ -14,7 +15,7 @@ from mrgark.problems import (
     make_problem,
     reference_error,
 )
-from mrgark.stepping import newton_solve
+from mrgark.stepping import PartitionedOde, newton_solve, step
 
 
 def test_linear_two_rate_parts_and_exact():
@@ -113,6 +114,14 @@ def _frozen_diffusion(gs, y):
     return np.concatenate([du.ravel(), dv.ravel()])
 
 
+def _frozen_reaction(gs, y):
+    u, v = gs.split(y)
+    uv2 = u * v * v
+    du = -uv2 + gs.feed * (1.0 - u)
+    dv = uv2 - (gs.feed + gs.kill) * v
+    return np.concatenate([du.ravel(), dv.ravel()])
+
+
 def _frozen_operator(n, boundary):
     L = np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1.0), -1)
     if boundary == "neumann":
@@ -180,6 +189,59 @@ def test_diffusion_operators_equal_frozen_closures(boundary, n):
         y = _perturbed_state(nonlinear)
         expected = _frozen_dense_diffusion_jacobian(nonlinear, y)
         assert np.array_equal(np.asarray(nonlinear.diffusion_jacobian(y)), expected)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 64])
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+def test_reaction_equals_frozen_concatenate_formula(boundary, mode, n):
+    gs = GrayScott(n=n, diffusion_mode=mode, boundary=boundary)
+    rng = np.random.default_rng(n)
+    y0 = gs.initial_condition()
+    signed_zeros = np.where(rng.uniform(size=gs.dimension) < 0.5, -0.0, 0.0)  # u v^2 and 1 - u of either sign of 0
+    for y in [y0, signed_zeros, np.ones(gs.dimension) - signed_zeros] + [
+            y0 + 0.5 * rng.standard_normal(gs.dimension) for _ in range(5)]:
+        assert np.array_equal(gs.reaction(y).view(np.uint64), _frozen_reaction(gs, y).view(np.uint64))
+
+
+def _work_buffers(gs):
+    return [getattr(gs, name) for name in ("_cells", "_faces")]
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+def test_kernels_return_fresh_arrays(boundary, mode):
+    # results outlive later calls: the engine keeps stage values and Newton's last RHS
+    gs = GrayScott(n=16, diffusion_mode=mode, boundary=boundary)
+    others = [GrayScott(n=8, diffusion_mode=mode, boundary=boundary),
+              GrayScott(n=16, diffusion_mode="linear" if mode == "nonlinear" else "nonlinear", boundary=boundary),
+              GrayScott(n=16, diffusion_mode=mode, boundary="periodic" if boundary == "neumann" else "neumann")]
+    y = _perturbed_state(gs)
+    for kernel in ("diffusion", "reaction"):
+        first = getattr(gs, kernel)(y)
+        kept = first.copy()
+        assert not any(np.shares_memory(first, buf) for buf in _work_buffers(gs))
+        second = getattr(gs, kernel)(1.5 - y)
+        assert not np.shares_memory(first, second) and np.array_equal(first, kept)
+        for other in others:
+            getattr(other, kernel)(_perturbed_state(other))
+            assert np.array_equal(first, kept)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_implicit_nonlinear_diffusion_step_equals_frozen_kernels(swap):
+    # the implicit partition holds diffusion, and its stage values are Newton's last residual RHS
+    gs = GrayScott(n=16, swap_roles=swap)
+    m = mg.registry_lookup("IM-EX 3(2)A" if swap else "EX-IM 3(2)A")
+    ode = gs.to_ode()
+    diffusion, reaction = (lambda y: _frozen_diffusion(gs, y)), (lambda y: _frozen_reaction(gs, y))
+    frozen = PartitionedOde(gs.dimension, f_slow=reaction if swap else diffusion,
+                            f_fast=diffusion if swap else reaction, jac_slow=ode.jac_slow, jac_fast=ode.jac_fast)
+    y0 = _perturbed_state(gs)
+    r, ref = step(m, ode, y0, 0.0, 0.02, 3), step(m, frozen, y0, 0.0, 0.02, 3)
+    assert r.counters == ref.counters and r.counters.newton_iterations > 0
+    for name in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+        assert np.array_equal(getattr(r, name), getattr(ref, name)), name
 
 
 def test_gray_scott_pure_subdynamics():
@@ -379,7 +441,15 @@ def test_gray_scott_fields_are_frozen(name, value):
     (LinearTwoRate, {"lambda_slow": float("nan")}),
     (LinearTwoRate, {"y0": False}),
     (CoupledNonlinearScalar, {"y0": None}),
+    (GrayScott, {"eps_u": -0.0625}),  # anti-diffusion is ill-posed
+    (GrayScott, {"eps_v": -1e-300}),
 ])
 def test_problem_parameters_are_checked_at_construction(cls, params):
     with pytest.raises(InvalidInput):
         cls(**params)
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_gray_scott_allows_zero_diffusivity(mode):
+    gs = GrayScott(n=8, eps_u=0.0, eps_v=0.0, diffusion_mode=mode)
+    assert not gs.diffusion(_perturbed_state(gs)).any()

@@ -299,6 +299,39 @@ def test_step_rejects_non_finite_or_non_positive_h(H):
         step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, H, 2)
 
 
+ENTRY_POINTS = {
+    "step": lambda m, ode, y0: step(m, ode, y0, 0.0, 0.1, 2),
+    "integrate_fixed": lambda m, ode, y0: integrate_fixed(m, ode, y0, 0.0, 0.2, 0.1, 2),
+    "drive": lambda m, ode, y0: mg.drive(m, ode, y0, 0.0, 0.2, mg.ControllerConfig()),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_reject_a_two_dimensional_state(entry):
+    with pytest.raises(InvalidInput):
+        ENTRY_POINTS[entry](mg.registry_lookup("EX-EX 2(1)A"), LINEAR.to_ode(), np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_reject_a_state_of_the_wrong_size(entry):
+    gs = GrayScott(n=8)
+    with pytest.raises(InvalidInput):
+        ENTRY_POINTS[entry](mg.registry_lookup("EX-EX 2(1)A"), gs.to_ode(), gs.initial_condition()[:-1])
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_reject_a_complex_state(entry):
+    # not a ComplexWarning and a silently dropped imaginary part
+    with pytest.raises(InvalidInput):
+        ENTRY_POINTS[entry](mg.registry_lookup("EX-EX 2(1)A"), LINEAR.to_ode(), np.array([1.0 + 0.5j]))
+
+
+@pytest.mark.parametrize("dimension", [0, -1, 1.0, True, None])
+def test_partitioned_ode_rejects_a_bad_dimension(dimension):
+    with pytest.raises(InvalidInput):
+        PartitionedOde(dimension, f_slow=lambda y: y, f_fast=lambda y: y)
+
+
 def test_step_accepts_numpy_integer_m():
     m = mg.registry_lookup("EX-EX 2(1)A")
     r = step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 0.1, np.int64(3))
