@@ -26,16 +26,16 @@ a synthetic ratio for reproducible experiments.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Literal, get_args
 
 import numpy as np
 
-from .errors import InvalidInput, NewtonDivergence, NonFiniteState, StepSizeUnderflow
-from .stepping import PartitionedOde, Tolerances, _check_state, error_estimates, step
-from .tableaux import MrGarkMethod, _check_count
+from .errors import (InvalidInput, NewtonDivergence, NonFiniteState, StepSizeUnderflow, check_choice, check_count,
+                     check_real, check_span, check_state, check_tolerance_shapes)
+from .stepping import PartitionedOde, Tolerances, error_estimates, step
+from .tableaux import MrGarkMethod
 
 __all__ = [
     "ControllerConfig",
@@ -69,10 +69,9 @@ class ControllerConfig:
     synthetic_cost_ratio: float | None = None  # t_slow / t_fast; None = measure online
 
     def __post_init__(self):
-        if self.strategy not in get_args(Strategy):
-            raise InvalidInput(f"unknown strategy {self.strategy!r}")
-        if self.synthetic_cost_ratio is not None and not 0 < self.synthetic_cost_ratio < math.inf:
-            raise InvalidInput(f"synthetic_cost_ratio must be finite and > 0, got {self.synthetic_cost_ratio!r}")
+        check_choice(self.strategy, "strategy", get_args(Strategy))
+        if self.synthetic_cost_ratio is not None:
+            check_real(self.synthetic_cost_ratio, "synthetic_cost_ratio", positive=True)
         self.tolerances()  # Tolerances checks abs_tol and rel_tol
 
     def tolerances(self) -> Tolerances:
@@ -196,24 +195,17 @@ def drive(
     M0: int | None = None,
 ) -> DriveResult:
     """Integrate adaptively from t0 to t_end, from a first step H0 > 0 (default span/100); t_end is hit exactly."""
-    if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
-        raise InvalidInput(f"need finite t0 < t_end, got t0={t0!r}, t_end={t_end!r}")
-    if H0 is not None and not (isinstance(H0, numbers.Real) and 0 < H0 < math.inf):
-        raise InvalidInput(f"H0 must be finite and > 0, got {H0!r}")
-    span = t_end - t0
+    span = check_span(t0, t_end)
     lo, hi = _M_BOUNDS[config.strategy]
     state = AdaptivityState(
-        H=H0 if H0 is not None else span / 100.0,
-        M=min(max(_check_count(M0) if M0 is not None else lo, lo), hi),
+        H=check_real(H0, "H0", positive=True) if H0 is not None else span / 100.0,
+        M=min(max(check_count(M0) if M0 is not None else lo, lo), hi),
     )
     tolerances = config.tolerances()
-    for tol in (tolerances.abs_tol, tolerances.rel_tol):
-        if np.shape(tol) not in ((), (1,), (ode.dimension,)):
-            raise InvalidInput(f"abs_tol and rel_tol must be scalars or 1-D arrays of 1 or {ode.dimension} "
-                               f"entries, got shape {np.shape(tol)}")
+    check_tolerance_shapes(map(np.asarray, (tolerances.abs_tol, tolerances.rel_tol)), ode.dimension)
 
     t = float(t0)
-    y = _check_state(ode, y0)
+    y = check_state(y0, ode.dimension)
     ts = [t]
     ys = [y.copy()]
     carry = None

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoupledMethod, InvalidInput, NotImplicitPartition
-from .tableaux import MrGarkMethod, TableauKind, _check_count
+from .errors import CoupledMethod, InvalidInput, NotImplicitPartition, check_choice, check_count
+from .tableaux import MrGarkMethod, TableauKind
 
 __all__ = [
     "GarkMatrix",
@@ -80,7 +80,7 @@ def coupling_superblocks(method: MrGarkMethod, M: int) -> tuple[np.ndarray, np.n
 
 def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
     """Build the full tableau of the multirate pair at ratio ``M``."""
-    M = _check_count(M)
+    M = check_count(M)
     if M > MAX_ASSEMBLED_M:
         raise InvalidInput(f"M must be in 1..{MAX_ASSEMBLED_M}, got {M}")
     s_f, s_s = method.stage_counts
@@ -136,9 +136,7 @@ def check_stiff_accuracy(method: MrGarkMethod, M: int, partition: str) -> bool:
     Compares, with the same floats, the blocks of the assembled row that can
     differ from b: its earlier micro-steps hold (1/M) b_f, equal to b exactly.
     """
-    part = partition.lower() if isinstance(partition, str) else partition
-    if part not in ("fast", "slow"):
-        raise InvalidInput(f"partition must be 'fast' or 'slow', got {partition!r}")
+    part = check_choice(partition, "partition", ("fast", "slow"))
     base = method.fast if part == "fast" else method.slow
     if base.kind is not TableauKind.SDIRK:
         raise NotImplicitPartition(f"{method.name}: {part} partition is explicit")

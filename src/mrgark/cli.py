@@ -63,6 +63,11 @@ def _write_manifest(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
 def _parse_sweep(text: str) -> list[int]:
     """Parse '1:8' (inclusive range) or '2,4,8' (explicit list)."""
     try:
@@ -131,11 +136,9 @@ def cmd_dump_tableau(args) -> int:
             fh.write("\n")
     else:
         path = out / (args.out or "tableau.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["row"] + [f"a{j+1}" for j in range(g.stage_count)] + ["b", "c"])
-            for i in range(g.stage_count):
-                w.writerow([i + 1] + [f"{x:.17g}" for x in g.A[i]] + [f"{g.b[i]:.17g}", f"{g.c[i]:.17g}"])
+        _write_csv(path, ["row"] + [f"a{j+1}" for j in range(g.stage_count)] + ["b", "c"],
+                   ([i + 1] + [f"{x:.17g}" for x in g.A[i]] + [f"{g.b[i]:.17g}", f"{g.c[i]:.17g}"]
+                    for i in range(g.stage_count)))
     print(f"wrote {path}")
     return 0
 
@@ -176,21 +179,17 @@ def _verify_one(name: str, sweep: list[int], weights: str, rows: list, failures:
 
 
 def cmd_verify(args) -> int:
+    if not args.all and args.method is None:
+        raise InvalidInput("verify: give a method name or --all")
     sweep = _parse_sweep(args.M_sweep)
     names = list(METHOD_NAMES) if args.all else [args.method]
-    if not args.all and args.method is None:
-        print("verify: give a method name or --all", file=sys.stderr)
-        return 2
     rows: list = []
     failures: list = []
     for name in names:
         _verify_one(name, sweep, args.weights, rows, failures)
     out = _out_dir(args)
     path = out / args.out
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "M", "weights", "condition", "order", "group", "value", "rhs", "residual"])
-        w.writerows(rows)
+    _write_csv(path, ["method", "M", "weights", "condition", "order", "group", "value", "rhs", "residual"], rows)
     _write_manifest(out / "verify_manifest.json", {
         "command": "verify", "methods": names, "M_sweep": sweep, "weights": args.weights,
     })
@@ -232,10 +231,7 @@ def cmd_converge(args) -> int:
                 order = math.log(errs[k - 1] / errs[k]) / math.log(ladder[k - 1] / ladder[k])
                 rows[idx + k][4] = f"{order:.3f}"
     path = out / args.out
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "M", "H", "error", "observed_order"])
-        w.writerows(rows)
+    _write_csv(path, ["method", "M", "H", "error", "observed_order"], rows)
     _write_manifest(out / "converge_manifest.json", {
         "command": "converge", "method": method.name, "problem": args.problem,
         "M": args.M, "h_ladder": args.h_ladder, "t_end": args.t_end,
@@ -272,25 +268,20 @@ def cmd_integrate(args) -> int:
     }
 
     if args.adaptive:
-        strategy = "classic-h" if args.adaptive == "classic" else args.adaptive
         config = ControllerConfig(
-            strategy=strategy,
+            strategy=args.adaptive,
             abs_tol=args.abstol,
             rel_tol=args.reltol,
             synthetic_cost_ratio=args.ts_tf_ratio,
         )
         result = drive(method, ode, y0, 0.0, args.t_end, config, H0=args.H, M0=args.M)
-        trace_path = out / "trace.csv"
-        with open(trace_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "H", "M", "eps_total", "eps_slow", "eps_fast", "accepted"])
-            for r in result.state.trace:
-                w.writerow([f"{r.t:.12g}", f"{r.H:.12g}", r.M, f"{r.eps_total:.6e}",
-                            f"{r.eps_slow:.6e}", f"{r.eps_fast:.6e}", int(r.accepted)])
+        _write_csv(out / "trace.csv", ["t", "H", "M", "eps_total", "eps_slow", "eps_fast", "accepted"],
+                   ([f"{r.t:.12g}", f"{r.H:.12g}", r.M, f"{r.eps_total:.6e}", f"{r.eps_slow:.6e}",
+                     f"{r.eps_fast:.6e}", int(r.accepted)] for r in result.state.trace))
         summary.update(
-            strategy=strategy,
+            strategy=args.adaptive,
             # only the efficiency controller reads the costs
-            cost_source=None if strategy != "efficiency" else "wall-clock" if args.ts_tf_ratio is None else "synthetic",
+            cost_source=None if args.adaptive != "efficiency" else "wall-clock" if args.ts_tf_ratio is None else "synthetic",
             accepted=result.state.accepted,
             rejected=result.state.rejected,
             final_H=result.state.H,
@@ -307,17 +298,13 @@ def cmd_integrate(args) -> int:
         ts, ys = np.array([t for t, _ in states]), np.array([y for _, y in states])
 
     traj_path = out / "trajectory.csv"
-    with open(traj_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if ys.shape[1] <= 16:
-            w.writerow(["t"] + [f"y{i}" for i in range(ys.shape[1])])
-            for t, y in zip(ts, ys):
-                w.writerow([f"{t:.12g}"] + [f"{v:.12g}" for v in y])
-        else:
-            w.writerow(["t", "norm2", "min", "max"])
-            for t, y in zip(ts, ys):
-                w.writerow([f"{t:.12g}", f"{np.linalg.norm(y):.12g}",
-                            f"{y.min():.12g}", f"{y.max():.12g}"])
+    if ys.shape[1] <= 16:
+        _write_csv(traj_path, ["t"] + [f"y{i}" for i in range(ys.shape[1])],
+                   ([f"{t:.12g}"] + [f"{v:.12g}" for v in y] for t, y in zip(ts, ys)))
+    else:
+        _write_csv(traj_path, ["t", "norm2", "min", "max"],
+                   ([f"{t:.12g}", f"{np.linalg.norm(y):.12g}", f"{y.min():.12g}", f"{y.max():.12g}"]
+                    for t, y in zip(ts, ys)))
     if hasattr(problem, "exact"):
         summary["reference_error"] = reference_error(problem, ys[-1], args.t_end)
     _write_manifest(out / "integrate_manifest.json", summary)
@@ -377,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=float, default=0.01)
     p.add_argument("--M", type=int, default=2)
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--adaptive", choices=("balancing", "efficiency", "classic", "classic-h"),
+    p.add_argument("--adaptive", choices=("balancing", "efficiency", "classic-h"),
                    default=None, help="adaptive strategy; fixed steps of --H when omitted")
     p.add_argument("--abstol", type=float, default=1e-6)
     p.add_argument("--reltol", type=float, default=1e-6)

@@ -1,4 +1,16 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the argument rules of its entry points.
+
+Every public entry point checks its arguments with the rules at the end of this
+module, so it alone decides what a valid argument is: ``check_count``,
+``check_real``, ``check_complex``, ``check_choice``, ``check_span``,
+``check_state`` and ``check_tolerance_shapes``.
+"""
+
+import math
+import numbers
+import operator
+
+import numpy as np
 
 
 class MrGarkError(Exception):
@@ -43,3 +55,58 @@ class StepSizeUnderflow(MrGarkError):
 
 class NoReference(MrGarkError):
     """No exact solution or stored reference is available for error measurement."""
+
+
+def check_count(value, name: str = "M", least: int = 1) -> int:
+    """``value`` as an int; InvalidInput unless it is an integer >= ``least`` (numpy integers count, bools do not)."""
+    n = operator.index(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else least - 1
+    if n < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+    return n
+
+
+def check_real(value, name: str, positive: bool = False):
+    """``value`` unchanged; InvalidInput unless it is a finite real, and > 0 if ``positive`` (bools are not reals)."""
+    # an exact float, the case of every step, skips the type tests; the comparisons also reject NaN
+    if (type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real))
+            or not (0 if positive else -math.inf) < value < math.inf):
+        raise InvalidInput(f"{name} must be a finite real{' > 0' if positive else ''}, got {value!r}")
+    return value
+
+
+def check_complex(value, name: str):
+    """``value`` unchanged; InvalidInput unless it is a real or complex number (numpy scalars count, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise InvalidInput(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def check_choice(value, name: str, choices, error: type = InvalidInput) -> str:
+    """``value`` unchanged; ``error`` unless it is one of the strings in ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise error(f"unknown {name} {value!r}; known: {', '.join(choices)}")
+    return value
+
+
+def check_span(t0, t_end) -> float:
+    """``t_end - t0``; InvalidInput unless t0 and t_end are finite reals and t_end - t0 is finite and > 0."""
+    return check_real(check_real(t_end, "t_end") - check_real(t0, "t0"), "t_end - t0", positive=True)
+
+
+def check_state(y, dimension: int) -> np.ndarray:
+    """``y`` as a float array; InvalidInput unless it is a real 1-D array of ``dimension`` entries."""
+    try:
+        y = np.asarray(y)
+    except (TypeError, ValueError):  # e.g. a ragged list
+        raise InvalidInput(f"state must be a real 1-D array of {dimension} entries, got a {type(y).__name__}") from None
+    # a complex state would lose its imaginary part in the cast
+    if y.dtype.kind not in "iuf" or y.shape != (dimension,):
+        raise InvalidInput(f"state must be a real 1-D array of {dimension} entries, got shape {y.shape} of {y.dtype}")
+    return y.astype(float, copy=False)
+
+
+def check_tolerance_shapes(tolerances, size: int) -> None:
+    """InvalidInput unless each tolerance array is a scalar or a 1-D array of 1 or ``size`` entries."""
+    for tol in tolerances:
+        if tol.shape not in ((), (1,), (size,)):
+            raise InvalidInput(f"abs_tol and rel_tol must be scalars or 1-D arrays of 1 or {size} entries, got {tol.shape}")

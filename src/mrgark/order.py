@@ -27,8 +27,8 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .assembly import GarkMatrix, assemble, coupling_superblocks
-from .errors import InvalidInput
-from .tableaux import MrGarkMethod, _check_count
+from .errors import InvalidInput, check_choice, check_count
+from .tableaux import MrGarkMethod
 
 __all__ = [
     "Condition",
@@ -160,10 +160,7 @@ def _weight_pair(method: MrGarkMethod, which: WeightPair) -> tuple[np.ndarray, n
         "mixed-slow-hat": (method.fast.b, method.slow.b_hat),
         "mixed-fast-hat": (method.fast.b_hat, method.slow.b),
     }
-    try:
-        return table[which]
-    except KeyError:
-        raise InvalidInput(f"unknown weight pair {which!r}") from None
+    return table[check_choice(which, "weight pair", table)]
 
 
 def residuals(
@@ -213,7 +210,7 @@ def block_form_residuals(method: MrGarkMethod, M: int, weights: WeightPair = "ma
     those of :func:`assembly.coupling_superblocks`, O(M) in size.  Same ids,
     rhs and values as :func:`residuals`, up to roundoff.
     """
-    M = _check_count(M)
+    M = check_count(M)
     cf, Afs, Asf = coupling_superblocks(method, M)
     ctx = dict(cf=cf, cs=method.slow.c, Aff=_BlockOperator(method.fast.A, method.fast.b, M),
                Afs=Afs, Asf=Asf, Ass=method.slow.A)

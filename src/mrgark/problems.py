@@ -22,14 +22,12 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidInput, NewtonDivergence, NoReference
+from .errors import InvalidInput, NewtonDivergence, NoReference, check_choice, check_count, check_real
 from .stepping import PartitionedOde
-from .tableaux import _check_count
 
 __all__ = [
     "LinearTwoRate",
@@ -44,14 +42,6 @@ __all__ = [
 ]
 
 
-def _check_reals(problem, names) -> None:
-    """InvalidInput unless each named parameter of ``problem`` is a finite real (bools are not)."""
-    for name in names:
-        value = getattr(problem, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise InvalidInput(f"{type(problem).__name__}: {name} must be a finite real, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LinearTwoRate:
     lambda_fast: float = -10.0
@@ -59,7 +49,8 @@ class LinearTwoRate:
     y0: float = 1.0
 
     def __post_init__(self):
-        _check_reals(self, (f.name for f in fields(self)))
+        for f in fields(self):
+            check_real(getattr(self, f.name), f.name)
 
     def initial_condition(self) -> np.ndarray:
         return np.array([self.y0])
@@ -90,7 +81,8 @@ class CoupledNonlinearScalar:
     y0: float = 0.5
 
     def __post_init__(self):
-        _check_reals(self, (f.name for f in fields(self)))
+        for f in fields(self):
+            check_real(getattr(self, f.name), f.name)
 
     def initial_condition(self) -> np.ndarray:
         return np.array([self.y0])
@@ -292,17 +284,16 @@ class GrayScott:
     _diffusion_jac: DiffusionJacobian | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if _check_count(self.n, "n", 8) % 8:
+        if check_count(self.n, "n", 8) % 8:
             raise InvalidInput(f"grid size n must be divisible by 8, got {self.n}")
-        _check_reals(self, ("feed", "kill", "eps_u", "eps_v"))
+        for name in ("feed", "kill", "eps_u", "eps_v"):
+            check_real(getattr(self, name), name)
         if self.eps_u < 0.0 or self.eps_v < 0.0:
             raise InvalidInput(f"eps_u and eps_v must be >= 0, got {self.eps_u!r}, {self.eps_v!r}")
         if not isinstance(self.swap_roles, bool):
             raise InvalidInput(f"swap_roles must be a bool, got {self.swap_roles!r}")
-        if self.diffusion_mode not in ("linear", "nonlinear"):
-            raise InvalidInput("diffusion_mode must be 'linear' or 'nonlinear'")
-        if self.boundary not in ("neumann", "periodic"):
-            raise InvalidInput("boundary must be 'neumann' or 'periodic'")
+        check_choice(self.diffusion_mode, "diffusion_mode", ("linear", "nonlinear"))
+        check_choice(self.boundary, "boundary", ("neumann", "periodic"))
         n, x = self.n, self.cell_centers()
         object.__setattr__(self, "_sin_grid", np.sin(np.pi * x)[:, None] * np.sin(np.pi * x)[None, :])
         # (eps_u, eps_v) shaped (2, 1, 1), to broadcast over the stacked (2, n, n) state
@@ -454,10 +445,7 @@ PROBLEM_NAMES = tuple(_PROBLEMS)
 
 
 def make_problem(name: str, **params):
-    try:
-        cls = _PROBLEMS[name]
-    except KeyError:
-        raise InvalidInput(f"unknown problem {name!r}; known: {', '.join(PROBLEM_NAMES)}") from None
+    cls = _PROBLEMS[check_choice(name, "problem", PROBLEM_NAMES)]
     try:
         return cls(**params)
     except TypeError as exc:

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInput, UnknownMethod
+from .errors import InvalidInput, UnknownMethod, check_choice
 from .tableaux import ButcherTableau, MethodFlag, MrGarkMethod, TableauKind
 
 __all__ = [
@@ -311,7 +311,6 @@ def _exex21a() -> MrGarkMethod:
 
 
 def _exex21s(c2: F = F(2, 3)) -> MrGarkMethod:
-    c2 = F(c2)
     if not 0 < c2 < 1:
         raise InvalidInput(f"c2 must lie in (0, 1), got {c2}")
     base = ButcherTableau(
@@ -527,8 +526,6 @@ def _exex32a_4s() -> MrGarkMethod:
 
 
 def _exex32s(c2: F = F(1, 2), b_hat_2: F = F(1, 2)) -> MrGarkMethod:
-    c2 = F(c2)
-    b_hat_2 = F(b_hat_2)
     if not 0 < c2 < 1 or c2 == F(2, 3):
         raise InvalidInput(f"c2 must lie in (0, 1) and differ from 2/3, got {c2}")
     # base family with c3 = 1
@@ -935,8 +932,7 @@ def registry_lookup(name: str, **free_parameters) -> MrGarkMethod:
     bad override raises :class:`InvalidInput`.  Instances are immutable and
     shared: ``c2=0.5`` and ``c2="1/2"`` (equal rationals) give the same one.
     """
-    if name not in _BUILDERS:
-        raise UnknownMethod(f"unknown method {name!r}; known: {', '.join(METHOD_NAMES)}")
+    check_choice(name, "method", _BUILDERS, UnknownMethod)
     if not free_parameters:
         return _build(name, ())
     known = sorted(_build(name, ()).free_parameters)

@@ -14,14 +14,12 @@ matching the step-size ratio.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import GarkMatrix
-from .errors import InvalidInput, SingularResolvent
-from .tableaux import _check_count
+from .errors import SingularResolvent, check_complex, check_count, check_real
 
 __all__ = ["RegionGrid", "stability_value", "scan_region"]
 
@@ -62,6 +60,8 @@ def _stability_values(g: GarkMatrix, z_f: np.ndarray, z_s: np.ndarray) -> np.nda
 
 def stability_value(g: GarkMatrix, z_f: complex, z_s: complex) -> complex:
     """R(z_f, z_s) by one dense complex solve of size s; SingularResolvent if singular or not finite."""
+    check_complex(z_f, "z_f")
+    check_complex(z_s, "z_s")
     r = _stability_values(g, np.full((1, 1), z_f, dtype=complex), np.full((1, 1), z_s, dtype=complex))[0, 0]
     if np.isnan(r):
         raise SingularResolvent(f"singular resolvent or non-finite R at z_f={z_f}, z_s={z_s}")
@@ -100,9 +100,8 @@ def scan_region(
     n_rho: int = 129,
 ) -> RegionGrid:
     """Scan |R| over the angular box; singular cells become NaN."""
-    n_theta, n_rho = _check_count(n_theta, "n_theta", 2), _check_count(n_rho, "n_rho", 2)
-    if not 0 < rho_max < math.inf:
-        raise InvalidInput(f"rho_max must be finite and > 0, got {rho_max!r}")
+    n_theta, n_rho = check_count(n_theta, "n_theta", 2), check_count(n_rho, "n_rho", 2)
+    check_real(rho_max, "rho_max", positive=True)
     theta = np.linspace(np.pi / 2, 3 * np.pi / 2, n_theta)
     rho = np.linspace(0.0, rho_max, n_rho)
     # one scalar exp per angle, so a cell's z is bit-equal to g.M * rho * np.exp(-1j * theta_f)

@@ -41,7 +41,6 @@ right-hand side is reused across micro-steps and across accepted macro-steps.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -51,8 +50,9 @@ from typing import Callable, NamedTuple, Protocol
 import numpy as np
 
 from .assembly import place_slow_stages
-from .errors import InvalidInput, NewtonDivergence, NonFiniteState
-from .tableaux import MethodFlag, MrGarkMethod, _check_count
+from .errors import (InvalidInput, NewtonDivergence, NonFiniteState, check_count, check_real, check_span,
+                     check_state, check_tolerance_shapes)
+from .tableaux import MethodFlag, MrGarkMethod
 
 __all__ = [
     "PartitionedOde",
@@ -102,20 +102,7 @@ class PartitionedOde:
     jac_fast: Callable[[np.ndarray], np.ndarray | StructuredJacobian] | None = None
 
     def __post_init__(self):
-        _check_count(self.dimension, "dimension")
-
-
-def _check_state(ode: PartitionedOde, y) -> np.ndarray:
-    """``y`` as a float array; InvalidInput unless it is a real 1-D array of ``ode.dimension`` entries."""
-    try:
-        y = np.asarray(y)
-    except (TypeError, ValueError):  # e.g. a ragged list
-        raise InvalidInput(f"state must be a real 1-D array of {ode.dimension} entries, got a {type(y).__name__}") from None
-    # a complex state would lose its imaginary part in the cast
-    if y.dtype.kind not in "iuf" or y.shape != (ode.dimension,):
-        raise InvalidInput(f"state must be a real 1-D array of {ode.dimension} entries, "
-                           f"got shape {y.shape} of {y.dtype}")
-    return y.astype(float, copy=False)
+        check_count(self.dimension, "dimension")
 
 
 @dataclass(frozen=True)
@@ -346,11 +333,11 @@ def step(
     Methods with the first-same-as-last flag reuse the last fast-stage RHS,
     within the step and from ``fsal_carry`` when it belongs to ``y_n``.
     """
-    M = _check_count(M)
-    if not (isinstance(H, numbers.Real) and 0 < H < math.inf):
-        raise InvalidInput(f"H must be finite and > 0, got {H!r}")
+    M = check_count(M)
+    check_real(H, "H", positive=True)
+    check_real(t_n, "t_n")
     plan = _step_plan(method, M)
-    y_n = _check_state(ode, y_n)
+    y_n = check_state(y_n, ode.dimension)
     n = y_n.size
     s_f, s_s = method.stage_counts
     h = H / M
@@ -478,11 +465,9 @@ def integrate_fixed(method: MrGarkMethod, ode: PartitionedOde, y0: np.ndarray, t
 
     ``on_step`` sees each step's result; the last one is returned.
     """
-    span = t_end - t0
-    if not (0 < span < math.inf and 0 < H < math.inf):
-        raise InvalidInput(f"need finite t0 < t_end and H > 0, got t0={t0!r}, t_end={t_end!r}, H={H!r}")
-    n = max(1, int(round(span / H)))
-    y, t, carry = _check_state(ode, y0), t0, None
+    span = check_span(t0, t_end)
+    n = max(1, int(round(span / check_real(H, "H", positive=True))))
+    y, t, carry = check_state(y0, ode.dimension), t0, None
     for _ in range(n):
         result = step(method, ode, y, t, span / n, M, fsal_carry=carry)
         y, t, carry = result.y_next, result.t, result.fsal_carry
@@ -511,6 +496,7 @@ def _scaled_rms(x: np.ndarray, ys: np.ndarray, tolerances: Tolerances) -> list[f
     """:func:`error_norm` of x against each row of ys."""
     x = np.asarray(x, dtype=float)
     abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
+    check_tolerance_shapes((abs_tol, rel_tol), x.size)
     # a zero scale or a non-finite state is settled below, without warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(ys))

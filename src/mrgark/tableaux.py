@@ -12,15 +12,13 @@ every consumer reads the whole family at one M from :meth:`MrGarkMethod.coupling
 from __future__ import annotations
 
 import enum
-import numbers
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import InvalidInput, LambdaOutOfRange
+from .errors import InvalidInput, LambdaOutOfRange, check_choice, check_count
 
 __all__ = [
     "TableauKind",
@@ -46,14 +44,6 @@ class MethodFlag(enum.Enum):
     STIFFLY_ACCURATE_SLOW = "stiffly-accurate-slow"
     STIFFLY_ACCURATE_FAST = "stiffly-accurate-fast"
     FSAL = "fsal"
-
-
-def _check_count(value, name: str = "M", least: int = 1) -> int:
-    """``value`` as an int; InvalidInput unless it is an integer >= ``least`` (numpy integers count, bools do not)."""
-    n = operator.index(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else least - 1
-    if n < least:
-        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
-    return n
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -140,8 +130,7 @@ class MrGarkMethod:
 
     def coupling(self, side: str, lam: int, M: int) -> np.ndarray:
         """Evaluate A^{fs,lambda} (side="fs") or A^{sf,lambda} (side="sf"), read-only."""
-        if side not in ("fs", "sf"):
-            raise InvalidInput(f"side must be 'fs' or 'sf', got {side!r}")
+        check_choice(side, "side", ("fs", "sf"))
         if not 1 <= lam <= M:
             raise LambdaOutOfRange(f"lambda={lam} outside 1..{M}")
         s_f, s_s = self.stage_counts
@@ -156,6 +145,6 @@ class MrGarkMethod:
     def couplings(self, M: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only stacks ``fs`` (M, s_f, s_s) and ``sf`` (M, s_s, s_f) with
         ``fs[lambda-1]`` = A^{fs,lambda}, ``sf[lambda-1]`` = A^{sf,lambda}; cached per (method, M)."""
-        M = _check_count(M)
+        M = check_count(M)
         return tuple(_freeze(np.stack([self.coupling(side, lam, M) for lam in range(1, M + 1)]))
                      for side in ("fs", "sf"))

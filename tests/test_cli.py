@@ -260,12 +260,23 @@ def test_converge_step_larger_than_span(tmp_path, capsys):
     ["integrate", "--method", "EX-EX 2(1)A", "--problem-params", '{"lambda_fast": "x"}'],
     ["integrate", "--method", "EX-EX 2(1)A", "--abstol", "nan"],
     ["integrate", "--method", "EX-EX 2(1)A", "--abstol", "-1"],
+    ["verify"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and err.startswith("InvalidInput: ")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_adaptive_strategies_have_one_spelling_each(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path), "integrate", "--method", "EX-EX 2(1)A", "--adaptive", "classic"])
+    assert exc.value.code == 2
+    code, _, err = run(["--out-dir", str(tmp_path), "integrate", "--method", "EX-EX 2(1)A", "--adaptive", "classic-h",
+                        "--t-end", "0.1"], capsys)
+    assert code == 0, err
+    assert json.loads((tmp_path / "integrate_manifest.json").read_text())["strategy"] == "classic-h"
 
 
 def test_converge_runs_the_reference_once_per_M(tmp_path, capsys, monkeypatch):

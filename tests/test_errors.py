@@ -1,0 +1,105 @@
+"""The argument rules of ``mrgark.errors`` at the public entry points."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import mrgark as mg
+from mrgark.errors import InvalidInput, UnknownMethod, check_real
+from mrgark.problems import GrayScott, LinearTwoRate, make_problem
+
+METHOD = mg.registry_lookup("EX-EX 2(1)A")
+G = mg.assemble(METHOD, 2)
+Y0 = np.array([1.0])
+
+
+def _no_rhs(y):
+    raise AssertionError("an argument check must come before any right-hand side")
+
+
+# every bad argument below is rejected before the ODE is evaluated
+NO_RHS_ODE = mg.PartitionedOde(1, f_slow=_no_rhs, f_fast=_no_rhs)
+# three tolerances on a scalar problem would average its error over 3 copies
+THREE_TOLERANCES = mg.Tolerances(abs_tol=np.array([1.0, 1e-9, 1e-9]), rel_tol=0.0)
+
+
+def _step(**kwargs):
+    return mg.step(METHOD, NO_RHS_ODE, **{"y_n": Y0, "t_n": 0.0, "H": 0.1, "M": 2, **kwargs})
+
+
+def _integrate(**kwargs):
+    return mg.integrate_fixed(METHOD, NO_RHS_ODE, **{"y0": Y0, "t0": 0.0, "t_end": 2.0, "H": 0.1, "M": 2, **kwargs})
+
+
+def _drive(**kwargs):
+    defaults = {"y0": Y0, "t0": 0.0, "t_end": 2.0, "config": mg.ControllerConfig()}
+    return mg.drive(METHOD, NO_RHS_ODE, **{**defaults, **kwargs})
+
+
+BAD_INPUT = [
+    pytest.param(lambda: _step(t_n="0"), InvalidInput, id="step-t_n-str"),
+    pytest.param(lambda: _step(t_n=True), InvalidInput, id="step-t_n-bool"),
+    pytest.param(lambda: _step(H=True), InvalidInput, id="step-H-bool"),
+    pytest.param(lambda: _integrate(H="0.1"), InvalidInput, id="integrate_fixed-H-str"),
+    pytest.param(lambda: _integrate(H=True), InvalidInput, id="integrate_fixed-H-bool"),
+    pytest.param(lambda: _integrate(t0=False), InvalidInput, id="integrate_fixed-t0-bool"),
+    pytest.param(lambda: _integrate(t_end=True), InvalidInput, id="integrate_fixed-t_end-bool"),
+    pytest.param(lambda: _drive(t0="0"), InvalidInput, id="drive-t0-str"),
+    pytest.param(lambda: _drive(t0=False), InvalidInput, id="drive-t0-bool"),
+    pytest.param(lambda: _drive(t_end=True), InvalidInput, id="drive-t_end-bool"),
+    pytest.param(lambda: _drive(H0=True), InvalidInput, id="drive-H0-bool"),
+    pytest.param(lambda: _drive(t0=-1e308, t_end=1e308), InvalidInput, id="drive-span-overflows"),
+    pytest.param(lambda: _drive(config=mg.ControllerConfig(abs_tol=np.ones(3))), InvalidInput,
+                 id="drive-tolerance-size"),
+    pytest.param(lambda: mg.ControllerConfig(synthetic_cost_ratio="5"), InvalidInput, id="cost-ratio-str"),
+    pytest.param(lambda: mg.ControllerConfig(synthetic_cost_ratio=True), InvalidInput, id="cost-ratio-bool"),
+    pytest.param(lambda: mg.ControllerConfig(strategy=["efficiency"]), InvalidInput, id="strategy-list"),
+    pytest.param(lambda: mg.scan_region(G, rho_max="6", n_theta=3, n_rho=3), InvalidInput, id="rho_max-str"),
+    pytest.param(lambda: mg.scan_region(G, rho_max=True, n_theta=3, n_rho=3), InvalidInput, id="rho_max-bool"),
+    pytest.param(lambda: mg.error_norm(np.array([1.0]), np.array([1.1]), THREE_TOLERANCES), InvalidInput,
+                 id="error_norm-tolerance-size"),
+    pytest.param(lambda: mg.error_estimates(mg.step(METHOD, LinearTwoRate().to_ode(), Y0, 0.0, 0.1, 2),
+                                            THREE_TOLERANCES), InvalidInput, id="error_estimates-tolerance-size"),
+    pytest.param(lambda: mg.stability_value(G, "1", 0), InvalidInput, id="stability_value-z-str"),
+    pytest.param(lambda: mg.stability_value(G, None, 0), InvalidInput, id="stability_value-z-None"),
+    pytest.param(lambda: mg.stability_value(G, 0, True), InvalidInput, id="stability_value-z-bool"),
+    pytest.param(lambda: GrayScott(n=8, swap_roles=1), InvalidInput, id="GrayScott-swap_roles-1"),
+    pytest.param(lambda: GrayScott(n=8, boundary=["neumann"]), InvalidInput, id="GrayScott-boundary-list"),
+    pytest.param(lambda: make_problem(["gray-scott"]), InvalidInput, id="make_problem-name-list"),
+    pytest.param(lambda: mg.residuals(METHOD, 2, ["main"]), InvalidInput, id="residuals-weights-list"),
+    pytest.param(lambda: METHOD.coupling(["fs"], 1, 2), InvalidInput, id="coupling-side-list"),
+    pytest.param(lambda: mg.check_stiff_accuracy(mg.registry_lookup("EX-IM 2(1)A"), 2, "Slow"), InvalidInput,
+                 id="check_stiff_accuracy-partition-spelling"),
+    pytest.param(lambda: mg.registry_lookup(["x"]), UnknownMethod, id="registry_lookup-name-list"),
+]
+
+
+@pytest.mark.parametrize("call, error", BAD_INPUT)
+def test_entry_points_reject_bad_arguments(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5), 1, np.int64(2), Fraction(1, 2), 10**400])
+def test_check_real_accepts_finite_reals(value):
+    assert check_real(value, "x", positive=True) is value
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), "1", None, 1j, math.nan, np.float64(math.nan), math.inf,
+                                   -math.inf])
+def test_check_real_rejects_non_reals_and_non_finite_values(value):
+    with pytest.raises(InvalidInput):
+        check_real(value, "x")
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.0, 0, Fraction(-1, 2)])
+def test_check_real_positive_rejects_values_not_above_zero(value):
+    with pytest.raises(InvalidInput):
+        check_real(value, "x", positive=True)
+
+
+def test_stability_value_takes_numpy_and_integer_arguments():
+    assert mg.stability_value(G, np.complex128(-1 + 1j), np.float64(-0.5)) == mg.stability_value(G, -1 + 1j, -0.5)
+    assert mg.stability_value(G, -1, 0) == mg.stability_value(G, -1.0 + 0j, 0.0)
