@@ -20,11 +20,12 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from . import __version__
-from .adaptivity import ControllerConfig, drive
+from .adaptivity import ControllerConfig, Strategy, drive
 from .assembly import (
     assemble,
     check_decoupled,
@@ -34,7 +35,7 @@ from .assembly import (
     derive_schedule,
 )
 from .errors import InvalidInput, MrGarkError, UnknownMethod
-from .order import classify, residuals
+from .order import WeightPair, classify, residuals
 from .problems import PROBLEM_NAMES, make_problem, reference_error
 from .schemes import METHOD_NAMES, list_methods, registry_lookup
 from .stability import scan_region
@@ -333,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("method", nargs="?", default=None)
     p.add_argument("--all", action="store_true")
     p.add_argument("--M-sweep", dest="M_sweep", default="1:8")
-    p.add_argument("--weights", default="main",
-                   choices=("main", "embedded", "mixed-slow-hat", "mixed-fast-hat"))
+    p.add_argument("--weights", default="main", choices=get_args(WeightPair))
     p.add_argument("--out", default="residuals.csv")
     p.set_defaults(fn=cmd_verify)
 
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=float, default=0.01)
     p.add_argument("--M", type=int, default=2)
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--adaptive", choices=("balancing", "efficiency", "classic-h"),
+    p.add_argument("--adaptive", choices=get_args(Strategy),
                    default=None, help="adaptive strategy; fixed steps of --H when omitted")
     p.add_argument("--abstol", type=float, default=1e-6)
     p.add_argument("--reltol", type=float, default=1e-6)

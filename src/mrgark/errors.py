@@ -2,13 +2,16 @@
 
 Every public entry point checks its arguments with the rules at the end of this
 module, so it alone decides what a valid argument is: ``check_count``,
-``check_real``, ``check_complex``, ``check_choice``, ``check_span``,
-``check_state`` and ``check_tolerance_shapes``.
+``check_real``, ``check_complex``, ``check_rational``, ``check_choice``,
+``check_span``, ``check_state`` and ``check_tolerance_shapes``.
 """
 
+import cmath
 import math
 import numbers
 import operator
+from contextlib import suppress
+from fractions import Fraction
 
 import numpy as np
 
@@ -75,10 +78,19 @@ def check_real(value, name: str, positive: bool = False):
 
 
 def check_complex(value, name: str):
-    """``value`` unchanged; InvalidInput unless it is a real or complex number (numpy scalars count, bools do not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
-        raise InvalidInput(f"{name} must be a number, got {value!r}")
-    return value
+    """``value`` unchanged; InvalidInput unless a finite real or complex number (numpy scalars count, bools do not)."""
+    with suppress(OverflowError):  # an int or Fraction beyond the float range is not finite
+        if not isinstance(value, bool) and isinstance(value, numbers.Complex) and cmath.isfinite(value):
+            return value
+    raise InvalidInput(f"{name} must be a finite number, got {value!r}")
+
+
+def check_rational(value, name: str) -> Fraction:
+    """``value`` as a Fraction; InvalidInput unless an int, a finite float, a Fraction or a 'p/q' string (not a bool)."""
+    if not isinstance(value, bool):
+        with suppress(TypeError, ValueError, OverflowError, ZeroDivisionError):  # ZeroDivisionError: '1/0'
+            return Fraction(value)
+    raise InvalidInput(f"{name} must be a finite rational (int, float, Fraction or 'p/q'), got {value!r}")
 
 
 def check_choice(value, name: str, choices, error: type = InvalidInput) -> str:

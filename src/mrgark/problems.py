@@ -431,6 +431,8 @@ def reference_error(problem, y_T: np.ndarray, T: float, reference_state: np.ndar
             raise NoReference(f"{type(problem).__name__} has no exact solution; pass reference_state")
         reference_state = exact(T)
     ref = np.asarray(reference_state, dtype=float)
+    if ref.size != y_T.size:
+        raise InvalidInput(f"states compared must have the same size, got {y_T.size} and {ref.size}")
     denom = np.linalg.norm(ref)
     return float(np.linalg.norm(y_T - ref) / (denom if denom > 0 else 1.0))
 

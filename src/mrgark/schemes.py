@@ -14,11 +14,8 @@ accuracy) or S (optimized for simplicity/stability).  Type-S schemes carry a
 free abscissa ``c2``, listed in the method's ``free_parameters``; the split
 index ``L2 = floor(c2*M)`` controls which micro-steps see which slow stages.
 
-M = 1 degenerates to single-rate stepping.  For the telescopic (EX-EX) pairs
-the coupling evaluators then return the base tableau itself, which makes one
-macro-step identical to one step of the base method applied to the full
-right-hand side.  The published lambda-formulas target M >= 2 and do not all
-remain meaningful at M = 1 (several carry 1/(M-1) or 1/L2 factors).
+The six telescopic (EX-EX) pairs are built by one constructor,
+:func:`_telescopic`, which states what they share, the M = 1 rule included.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInput, UnknownMethod, check_choice
+from .errors import InvalidInput, UnknownMethod, check_choice, check_rational
 from .tableaux import ButcherTableau, MethodFlag, MrGarkMethod, TableauKind
 
 __all__ = [
@@ -45,6 +42,9 @@ SQRT2 = math.sqrt(2.0)
 
 #: 20-significant-digit value of the three-stage SDIRK diagonal.
 SDIRK3_GAMMA = float("0.43586652150845899942")
+#: factors of the SDIRK3 coefficients, shared by its tableau and the EX-IM/IM-EX 3(2)A couplings
+_SDIRK3_DEN = 3 * SDIRK3_GAMMA**3 - 9 * SDIRK3_GAMMA**2 + 6 * SDIRK3_GAMMA - 1
+_SDIRK3_Q = 2 * SDIRK3_GAMMA**2 - 4 * SDIRK3_GAMMA + 1
 
 
 def sdirk3_gamma_closed_form() -> float:
@@ -59,11 +59,6 @@ def _mat(rows) -> np.ndarray:
 
 def _vec(entries) -> np.ndarray:
     return np.array([float(x) for x in entries], dtype=float)
-
-
-def _zeros(shape: tuple[int, int]):
-    r, c = shape
-    return [[F(0)] * c for _ in range(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +102,7 @@ def _sdirk2() -> ButcherTableau:
 
 def _sdirk3() -> ButcherTableau:
     # three-stage, stiffly accurate, L-stable
-    g = SDIRK3_GAMMA
-    den = 3 * g**3 - 9 * g**2 + 6 * g - 1
-    q = 2 * g**2 - 4 * g + 1
+    g, den, q = SDIRK3_GAMMA, _SDIRK3_DEN, _SDIRK3_Q
     a21 = -2 * den / (3 * q)
     b1 = (4 * g - 1) / (4 * den)
     b2 = -3 * q**2 / (4 * den)
@@ -152,18 +145,13 @@ def _explicit4_fsal5() -> ButcherTableau:
 
 
 def _explicit4_4s() -> ButcherTableau:
-    # four-stage fourth order member of the same family (first four stages above)
-    A = [
-        [0, 0, 0, 0],
-        [F(2, 5), 0, 0, 0],
-        [F(-3, 20), F(3, 4), 0, 0],
-        [F(19, 44), F(-15, 44), F(10, 11), 0],
-    ]
+    # four-stage fourth order member of the same family: the first four stages above
+    five = _explicit4_fsal5()
     return ButcherTableau(
-        A=_mat(A),
-        b=_vec([F(11, 72), F(25, 72), F(25, 72), F(11, 72)]),
+        A=five.A[:4, :4],
+        b=five.b[:4],
         b_hat=_vec([F(1, 5), F(1, 4), F(3, 8), F(7, 40)]),
-        c=_vec([0, F(2, 5), F(3, 5), 1]),
+        c=five.c[:4],
         kind=TableauKind.EXPLICIT,
     )
 
@@ -215,7 +203,7 @@ def _sdirk4_5s() -> ButcherTableau:
         [F(12698, 37375), F(-201, 2990), F(891, 11500), F(1, 4), 0],
         [F(944, 1365), F(-400, 819), F(99, 35), F(-575, 252), F(1, 4)],
     ]
-    b = [F(944, 1365), F(-400, 819), F(99, 35), F(-575, 252), F(1, 4)]
+    b = A[4]
     b_hat = [F(41911, 60060), F(-83975, 144144), F(3393, 1120), F(-27025, 11088), F(103, 352)]
     c = [sum(row) for row in A]
     return ButcherTableau(
@@ -267,15 +255,39 @@ def _sdirk4_6s() -> ButcherTableau:
 # arithmetic; float enters only through sqrt(2)/gamma where unavoidable.
 
 
-def _collapse_at_m1(base_A: np.ndarray, rule: Callable[[int, int], np.ndarray]):
-    """Wrap a telescopic coupling evaluator so M = 1 returns the base tableau."""
+_Rule = Callable[[int, int], np.ndarray]
 
-    def wrapped(lam: int, M: int) -> np.ndarray:
-        if M == 1:
-            return base_A
-        return rule(lam, M)
 
-    return wrapped
+def _telescopic(name: str, base: ButcherTableau, fs: _Rule, sf: _Rule, order: int, embedded_order: int,
+                *flags: MethodFlag, **free_parameters: F) -> MrGarkMethod:
+    """The telescopic (EX-EX) pair ``name``: ``base`` on both sides, couplings ``fs`` and ``sf``.
+
+    M = 1 degenerates to single-rate stepping: both couplings are then
+    ``base.A`` itself, which makes one macro-step identical to one step of the
+    base method applied to the full right-hand side.  The published
+    lambda-formulas target M >= 2 and do not all remain meaningful at M = 1
+    (several carry 1/(M-1) or 1/L2 factors).  The pair is flagged TELESCOPIC
+    and ``flags``; ``free_parameters`` are the rationals baked into the
+    formulas, recorded as floats.
+    """
+
+    def or_base_at_m1(rule: _Rule) -> _Rule:
+        return lambda lam, M: base.A if M == 1 else rule(lam, M)
+
+    return MrGarkMethod(
+        name=name,
+        fast=base, slow=base,
+        fs_coupling=or_base_at_m1(fs),
+        sf_coupling=or_base_at_m1(sf),
+        order=order, embedded_order=embedded_order,
+        flags=frozenset({MethodFlag.TELESCOPIC, *flags}),
+        free_parameters={key: float(value) for key, value in free_parameters.items()},
+    )
+
+
+def _split(c2: F, M: int) -> int:
+    """The type-S split L2 = floor(c2*M); at least one micro-step must precede slow stage 2."""
+    return max(1, math.floor(c2 * M))
 
 
 def _exex21a() -> MrGarkMethod:
@@ -298,16 +310,9 @@ def _exex21a() -> MrGarkMethod:
     def sf(lam, M):
         if lam == 1:
             return _mat([[0, 0], [F(-(M - 2) * M, 3), F(M**2, 3)]])
-        return _mat(_zeros((2, 2)))
+        return np.zeros((2, 2))
 
-    return MrGarkMethod(
-        name="EX-EX 2(1)A",
-        fast=base, slow=base,
-        fs_coupling=_collapse_at_m1(base.A, fs),
-        sf_coupling=_collapse_at_m1(base.A, sf),
-        order=2, embedded_order=1,
-        flags=frozenset({MethodFlag.TELESCOPIC, MethodFlag.NATURALLY_ADAPTIVE}),
-    )
+    return _telescopic("EX-EX 2(1)A", base, fs, sf, 2, 1, MethodFlag.NATURALLY_ADAPTIVE)
 
 
 def _exex21s(c2: F = F(2, 3)) -> MrGarkMethod:
@@ -321,12 +326,8 @@ def _exex21s(c2: F = F(2, 3)) -> MrGarkMethod:
         kind=TableauKind.EXPLICIT,
     )
 
-    def split(M: int) -> int:
-        # L2 = floor(c2*M); at least one micro-step must precede slow stage 2
-        return max(1, math.floor(c2 * M))
-
     def fs(lam, M):
-        L2 = split(M)
+        L2 = _split(c2, M)
         if lam <= L2:
             return _mat([[F(lam - 1, M), 0], [(c2 + lam - 1) / M, 0]])
         return _mat([
@@ -338,23 +339,15 @@ def _exex21s(c2: F = F(2, 3)) -> MrGarkMethod:
         ])
 
     def sf(lam, M):
-        L2 = split(M)
+        L2 = _split(c2, M)
         if lam <= L2:
             return _mat([
                 [0, 0],
                 [M * (-2 * M + 6 * c2 + 3 * L2 - 3) / (6 * L2), F(M * (2 * M - 3 * L2 + 3), 6 * L2)],
             ])
-        return _mat(_zeros((2, 2)))
+        return np.zeros((2, 2))
 
-    return MrGarkMethod(
-        name="EX-EX 2(1)S",
-        fast=base, slow=base,
-        fs_coupling=_collapse_at_m1(base.A, fs),
-        sf_coupling=_collapse_at_m1(base.A, sf),
-        order=2, embedded_order=1,
-        flags=frozenset({MethodFlag.TELESCOPIC, MethodFlag.NATURALLY_ADAPTIVE}),
-        free_parameters={"c2": float(c2)},
-    )
+    return _telescopic("EX-EX 2(1)S", base, fs, sf, 2, 1, MethodFlag.NATURALLY_ADAPTIVE, c2=c2)
 
 
 def _exim21a() -> MrGarkMethod:
@@ -446,14 +439,7 @@ def _exex32a_3s() -> MrGarkMethod:
             ],
         ])
 
-    return MrGarkMethod(
-        name="EX-EX 3(2)3s-A",
-        fast=base, slow=base,
-        fs_coupling=_collapse_at_m1(base.A, fs),
-        sf_coupling=_collapse_at_m1(base.A, sf),
-        order=3, embedded_order=2,
-        flags=frozenset({MethodFlag.TELESCOPIC}),
-    )
+    return _telescopic("EX-EX 3(2)3s-A", base, fs, sf, 3, 2)
 
 
 def _exex32a_4s() -> MrGarkMethod:
@@ -513,16 +499,9 @@ def _exex32a_4s() -> MrGarkMethod:
                     F((M - 1) * M**2),
                 ],
             ])
-        return _mat(_zeros((4, 4)))
+        return np.zeros((4, 4))
 
-    return MrGarkMethod(
-        name="EX-EX 3(2)4s-A",
-        fast=base, slow=base,
-        fs_coupling=_collapse_at_m1(base.A, fs),
-        sf_coupling=_collapse_at_m1(base.A, sf),
-        order=3, embedded_order=2,
-        flags=frozenset({MethodFlag.TELESCOPIC, MethodFlag.NATURALLY_ADAPTIVE}),
-    )
+    return _telescopic("EX-EX 3(2)4s-A", base, fs, sf, 3, 2, MethodFlag.NATURALLY_ADAPTIVE)
 
 
 def _exex32s(c2: F = F(1, 2), b_hat_2: F = F(1, 2)) -> MrGarkMethod:
@@ -541,11 +520,8 @@ def _exex32s(c2: F = F(1, 2), b_hat_2: F = F(1, 2)) -> MrGarkMethod:
         kind=TableauKind.EXPLICIT,
     )
 
-    def split(M: int) -> int:
-        return max(1, math.floor(c2 * M))
-
     def fs(lam, M):
-        L2 = split(M)
+        L2 = _split(c2, M)
         if lam <= L2:
             return _mat([
                 [F(lam - 1, M), 0, 0],
@@ -562,7 +538,7 @@ def _exex32s(c2: F = F(1, 2), b_hat_2: F = F(1, 2)) -> MrGarkMethod:
         ])
 
     def sf(lam, M):
-        L2 = split(M)
+        L2 = _split(c2, M)
         if lam <= L2:
             g = c2 * lam * (c2 * (4 * L2 - 3) - 3 * L2 + 3) / (
                 (c2 - 1) * (3 * c2**2 + 4 * c2 + 1) * (L2 + 1)
@@ -582,15 +558,7 @@ def _exex32s(c2: F = F(1, 2), b_hat_2: F = F(1, 2)) -> MrGarkMethod:
             ],
         ])
 
-    return MrGarkMethod(
-        name="EX-EX 3(2)S",
-        fast=base, slow=base,
-        fs_coupling=_collapse_at_m1(base.A, fs),
-        sf_coupling=_collapse_at_m1(base.A, sf),
-        order=3, embedded_order=2,
-        flags=frozenset({MethodFlag.TELESCOPIC}),
-        free_parameters={"c2": float(c2), "b_hat_2": float(b_hat_2)},
-    )
+    return _telescopic("EX-EX 3(2)S", base, fs, sf, 3, 2, c2=c2, b_hat_2=b_hat_2)
 
 
 def _exex43a() -> MrGarkMethod:
@@ -668,26 +636,15 @@ def _exex43a() -> MrGarkMethod:
                 ],
                 [F(11, 72), F(25, 72), F(25, 72), F(11, 72), 0],
             ])
-        out = _zeros((5, 5))
-        out[4] = [F(11, 72), F(25, 72), F(25, 72), F(11, 72), F(0)]
-        return _mat(out)
+        return _mat([[0] * 5] * 4 + [[F(11, 72), F(25, 72), F(25, 72), F(11, 72), 0]])
 
-    return MrGarkMethod(
-        name="EX-EX 4(3)A",
-        fast=base, slow=base,
-        fs_coupling=_collapse_at_m1(base.A, fs),
-        sf_coupling=_collapse_at_m1(base.A, sf),
-        order=4, embedded_order=3,
-        flags=frozenset({MethodFlag.TELESCOPIC, MethodFlag.FSAL}),
-    )
+    return _telescopic("EX-EX 4(3)A", base, fs, sf, 4, 3, MethodFlag.FSAL)
 
 
 def _exim32a() -> MrGarkMethod:
     fast = _ralston3()
     slow = _sdirk3()
-    g = SDIRK3_GAMMA
-    den = 3 * g**3 - 9 * g**2 + 6 * g - 1
-    q = 2 * g**2 - 4 * g + 1
+    g, den, q = SDIRK3_GAMMA, _SDIRK3_DEN, _SDIRK3_Q
 
     def fs(lam, M):
         r3_1 = (
@@ -728,9 +685,7 @@ def _exim32a() -> MrGarkMethod:
 def _imex32a() -> MrGarkMethod:
     fast = _sdirk3()
     slow = _ralston3()
-    g = SDIRK3_GAMMA
-    den = 3 * g**3 - 9 * g**2 + 6 * g - 1
-    q = 2 * g**2 - 4 * g + 1
+    g, den, q = SDIRK3_GAMMA, _SDIRK3_DEN, _SDIRK3_Q
 
     def fs(lam, M):
         if lam == M:
@@ -809,9 +764,7 @@ def _exim43a() -> MrGarkMethod:
                 [F(-M * (497 * M - 552), 920), F(14 * M**2, 23), F(-896 * M**2, 10925), F(1183 * M**2, 87400), 0, 0],
                 bf,
             ])
-        out = _zeros((5, 6))
-        out[4] = bf
-        return _mat(out)
+        return _mat([[0] * 6] * 4 + [bf])
 
     return MrGarkMethod(
         name="EX-IM 4(3)A",
@@ -928,27 +881,20 @@ def registry_lookup(name: str, **free_parameters) -> MrGarkMethod:
     """Return the registered method ``name``.
 
     Type-S schemes accept overrides of their ``free_parameters`` (``c2``,
-    and ``b_hat_2`` for the third-order one); all other methods take none.  A
-    bad override raises :class:`InvalidInput`.  Instances are immutable and
-    shared: ``c2=0.5`` and ``c2="1/2"`` (equal rationals) give the same one.
+    and ``b_hat_2`` for the third-order one); all other methods take none.  An
+    override is an int, a finite float, a ``Fraction`` or a ``'p/q'`` string
+    (``errors.check_rational``); a bad one raises :class:`InvalidInput`.
+    Instances are immutable and shared: ``c2=0.5`` and ``c2="1/2"`` (equal
+    rationals) give the same one.
     """
     check_choice(name, "method", _BUILDERS, UnknownMethod)
-    if not free_parameters:
-        return _build(name, ())
     known = sorted(_build(name, ()).free_parameters)
     if not set(free_parameters) <= set(known):
         raise InvalidInput(f"{name} has free parameters {known}, got {sorted(free_parameters)}")
-    try:
-        values = {key: F(value) for key, value in free_parameters.items()}
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise InvalidInput(f"{name}: free parameters must be finite rationals, got {free_parameters}") from None
+    values = {key: check_rational(value, key) for key, value in free_parameters.items()}
     return _build(name, tuple(sorted(values.items())))
 
 
 def list_methods() -> list[tuple[str, int, int, frozenset[MethodFlag]]]:
     """All registered methods as (name, order, embedded_order, flags), stable order."""
-    out = []
-    for name in METHOD_NAMES:
-        m = registry_lookup(name)
-        out.append((m.name, m.order, m.embedded_order, m.flags))
-    return out
+    return [(m.name, m.order, m.embedded_order, m.flags) for m in map(registry_lookup, METHOD_NAMES)]

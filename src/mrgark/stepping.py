@@ -114,9 +114,12 @@ class Tolerances:
 
     def __post_init__(self):
         try:
-            abs_tol, rel_tol = np.asarray(self.abs_tol, dtype=float), np.asarray(self.rel_tol, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidInput(f"abs_tol and rel_tol must be real, got {self.abs_tol!r}, {self.rel_tol!r}") from None
+            abs_tol, rel_tol = np.asarray(self.abs_tol), np.asarray(self.rel_tol)
+        except ValueError:  # e.g. a ragged list
+            abs_tol = rel_tol = np.asarray(None)
+        # strings, bools, complex numbers and objects are not real tolerances
+        if abs_tol.dtype.kind not in "iuf" or rel_tol.dtype.kind not in "iuf":
+            raise InvalidInput(f"abs_tol and rel_tol must be real, got {self.abs_tol!r}, {self.rel_tol!r}")
         if not (np.all(abs_tol >= 0.0) and np.all(rel_tol >= 0.0)):
             raise InvalidInput("abs_tol and rel_tol must be >= 0 and not NaN")
 
@@ -495,6 +498,8 @@ def error_estimates(result: StepResult, tolerances: Tolerances) -> tuple[float, 
 def _scaled_rms(x: np.ndarray, ys: np.ndarray, tolerances: Tolerances) -> list[float]:
     """:func:`error_norm` of x against each row of ys."""
     x = np.asarray(x, dtype=float)
+    if ys.shape[-1] != x.size:
+        raise InvalidInput(f"states compared must have the same size, got {x.size} and {ys.shape[-1]}")
     abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
     check_tolerance_shapes((abs_tol, rel_tol), x.size)
     # a zero scale or a non-finite state is settled below, without warnings

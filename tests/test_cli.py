@@ -279,6 +279,19 @@ def test_adaptive_strategies_have_one_spelling_each(tmp_path, capsys):
     assert json.loads((tmp_path / "integrate_manifest.json").read_text())["strategy"] == "classic-h"
 
 
+@pytest.mark.parametrize("argv, choices", [
+    (["integrate", "--method", "EX-EX 2(1)A", "--adaptive", "x"], ("balancing", "efficiency", "classic-h")),
+    (["verify", "--all", "--weights", "x"], ("main", "embedded", "mixed-slow-hat", "mixed-fast-hat")),
+])
+def test_bad_choice_lists_the_library_choices_in_order(argv, choices, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    positions = [err.index(choice) for choice in choices]
+    assert positions == sorted(positions), err
+
+
 def test_converge_runs_the_reference_once_per_M(tmp_path, capsys, monkeypatch):
     calls = []
 

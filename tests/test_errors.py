@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import mrgark as mg
-from mrgark.errors import InvalidInput, UnknownMethod, check_real
-from mrgark.problems import GrayScott, LinearTwoRate, make_problem
+from mrgark.errors import InvalidInput, UnknownMethod, check_rational, check_real
+from mrgark.problems import GrayScott, LinearTwoRate, make_problem, reference_error
 
 METHOD = mg.registry_lookup("EX-EX 2(1)A")
 G = mg.assemble(METHOD, 2)
@@ -73,6 +73,22 @@ BAD_INPUT = [
     pytest.param(lambda: mg.check_stiff_accuracy(mg.registry_lookup("EX-IM 2(1)A"), 2, "Slow"), InvalidInput,
                  id="check_stiff_accuracy-partition-spelling"),
     pytest.param(lambda: mg.registry_lookup(["x"]), UnknownMethod, id="registry_lookup-name-list"),
+    pytest.param(lambda: mg.registry_lookup("EX-EX 3(2)S", b_hat_2=True), InvalidInput,
+                 id="registry_lookup-free-parameter-bool"),
+    pytest.param(lambda: mg.stability_value(G, math.inf, 0), InvalidInput, id="stability_value-z-inf"),
+    pytest.param(lambda: mg.stability_value(G, complex(math.nan, 0), 0), InvalidInput, id="stability_value-z-nan"),
+    pytest.param(lambda: mg.stability_value(G, 10**400, 0), InvalidInput, id="stability_value-z-overflows"),
+    pytest.param(lambda: mg.error_norm(np.array([1.0, 2.0, 3.0]), np.array([1.0]), mg.Tolerances()), InvalidInput,
+                 id="error_norm-sizes-3-1"),
+    pytest.param(lambda: mg.error_norm(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), mg.Tolerances()),
+                 InvalidInput, id="error_norm-sizes-2-3"),
+    pytest.param(lambda: reference_error(LinearTwoRate(), np.array([1.0, 2.0]), 1.0), InvalidInput,
+                 id="reference_error-size"),
+    pytest.param(lambda: mg.Tolerances(abs_tol="1e-6"), InvalidInput, id="Tolerances-abs_tol-str"),
+    pytest.param(lambda: mg.Tolerances(abs_tol=True), InvalidInput, id="Tolerances-abs_tol-bool"),
+    pytest.param(lambda: mg.Tolerances(rel_tol=np.array([True, False])), InvalidInput, id="Tolerances-rel_tol-bools"),
+    pytest.param(lambda: mg.ControllerConfig(abs_tol="1e-6"), InvalidInput, id="ControllerConfig-abs_tol-str"),
+    pytest.param(lambda: mg.ControllerConfig(rel_tol=True), InvalidInput, id="ControllerConfig-rel_tol-bool"),
 ]
 
 
@@ -98,6 +114,24 @@ def test_check_real_rejects_non_reals_and_non_finite_values(value):
 def test_check_real_positive_rejects_values_not_above_zero(value):
     with pytest.raises(InvalidInput):
         check_real(value, "x", positive=True)
+
+
+@pytest.mark.parametrize("value, expected", [(1, Fraction(1)), (np.int64(2), Fraction(2)), (0.25, Fraction(1, 4)),
+                                             (Fraction(1, 3), Fraction(1, 3)), ("1/3", Fraction(1, 3)),
+                                             ("0.5", Fraction(1, 2))])
+def test_check_rational_accepts_ints_floats_fractions_and_strings(value, expected):
+    assert check_rational(value, "c2") == expected
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), math.nan, math.inf, "nan", "1/0", "x", None, 1j, [1]])
+def test_check_rational_rejects_bools_non_finite_values_and_non_numbers(value):
+    with pytest.raises(InvalidInput):
+        check_rational(value, "c2")
+
+
+def test_tolerances_take_ints_floats_and_real_arrays():
+    for value in (0, 1e-6, np.float32(1e-6), np.int64(1), [1e-6, 1e-7], np.array([1, 2])):
+        mg.Tolerances(abs_tol=value, rel_tol=value)
 
 
 def test_stability_value_takes_numpy_and_integer_arguments():

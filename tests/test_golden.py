@@ -6,7 +6,10 @@ assembled A, b and c, followed by the little-endian int64 stage order of
 for M = 33, 100).  Assembly is exact
 rational-to-double conversion plus copies and single divisions by M, so the
 digests do not depend on the BLAS build; residuals and step results, which
-do, are deliberately left out.  A refactor that changes any byte fails here.
+do, are deliberately left out.  A third set hashes the coupling stacks
+``fs`` and ``sf`` of ``method.couplings(M)`` for every M = 1..16, also for
+two type-S pairs with overridden free parameters.  A refactor that changes
+any byte fails here.
 """
 
 import hashlib
@@ -79,3 +82,38 @@ def test_assembly_and_schedule_digest(name):
             digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
         digest.update(np.array(mg.derive_schedule(method, M), dtype="<i8").tobytes())
     assert digest.hexdigest() == GOLDEN[name]
+
+
+GOLDEN_COUPLINGS_M = range(1, 17)
+
+GOLDEN_COUPLINGS = [
+    ("EX-EX 2(1)A", {}, "b59194536941f5fcd0480e62592f737ef2becae24aa281f2024f691f271125c2"),
+    ("EX-EX 2(1)S", {}, "0f2183846029dfc1461a10ee324f787a4efd423d5060e5fa9adda314d35c0c6b"),
+    ("EX-EX 3(2)3s-A", {}, "0d4eb94cebbaa76431c942b7b8870682897d3a93148824ca6a96bef72b09d255"),
+    ("EX-EX 3(2)4s-A", {}, "ac2873bb232cbaab26f37880534059d2dd71deb9e51f67c067b0f165bb39bf96"),
+    ("EX-EX 3(2)S", {}, "cf2cc198eddfa665a472e77dd058a7c65187ad5ec0c721f3cbfbb1c39bb98c59"),
+    ("EX-EX 4(3)A", {}, "1eefbaa736d446a20e01d3f07263b012218bed0de7e2c2130c9544021da462fb"),
+    ("EX-IM 2(1)A", {}, "e85b0207eba962b6d1f5f862c4ff53630a62e8520a036b92ccc3f34e65a14e47"),
+    ("EX-IM 3(2)A", {}, "709c5b184b8016fc168730c59b971dbf006fe651630e03287414d48f44d94b25"),
+    ("EX-IM 4(3)A", {}, "e370238f2a45ed41b798e7c7df9af3ac3387def13ccd3642e3bdbacd1a76d203"),
+    ("IM-EX 2(1)A", {}, "382e5aadd0e39adbabdbf0067e3403b1b79a56c36fbd8f8e02024324a1cca3de"),
+    ("IM-EX 3(2)A", {}, "58d6cd55b54c0a84be5cf7d7a47c7cf71d1ccfe66685f7d74316993bb3afa1ed"),
+    ("IM-EX 4(2)A", {}, "ab6a39327ee805e45461dd69854f03e6c29d6555771255a8a115f3446016cff4"),
+    ("EX-EX 2(1)S", {"c2": "1/3"}, "dbe08c586ce4ab409a4a184b6af3ab360ab97f0969d851bd8a27a27d43b12b20"),
+    ("EX-EX 3(2)S", {"c2": 0.25, "b_hat_2": "3/4"}, "0ac533231b2128385fefee8755a5ebc9c3c21da831a161b16e0f0abbcd8a1cee"),
+]
+
+
+def test_coupling_digests_cover_the_registry():
+    assert tuple(name for name, overrides, _ in GOLDEN_COUPLINGS if not overrides) == mg.METHOD_NAMES
+
+
+@pytest.mark.parametrize("name, overrides, expected", GOLDEN_COUPLINGS,
+                         ids=[f"{name} {overrides}" if overrides else name for name, overrides, _ in GOLDEN_COUPLINGS])
+def test_coupling_digest(name, overrides, expected):
+    method = mg.registry_lookup(name, **overrides)
+    digest = hashlib.sha256()
+    for M in GOLDEN_COUPLINGS_M:
+        for stack in method.couplings(M):
+            digest.update(np.ascontiguousarray(stack, dtype="<f8").tobytes())
+    assert digest.hexdigest() == expected
