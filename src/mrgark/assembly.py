@@ -42,8 +42,9 @@ STIFF_ACCURACY_TOL = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class GarkMatrix:
-    """Fully assembled (M*s_f + s_s)-stage tableau."""
+    """Fully assembled (M*s_f + s_s)-stage tableau, with the method it was built from."""
 
+    method: MrGarkMethod
     M: int
     s_f: int
     s_s: int
@@ -99,7 +100,7 @@ def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
     c = np.concatenate([c_fast, method.slow.c])
     for a in (A, b, c):
         a.flags.writeable = False
-    return GarkMatrix(M=M, s_f=s_f, s_s=s_s, A=A, b=b, c=c)
+    return GarkMatrix(method=method, M=M, s_f=s_f, s_s=s_s, A=A, b=b, c=c)
 
 
 def check_internal_consistency(method: MrGarkMethod, M: int) -> ConsistencyReport:

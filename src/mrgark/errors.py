@@ -3,7 +3,8 @@
 Every public entry point checks its arguments with the rules at the end of this
 module, so it alone decides what a valid argument is: ``check_count``,
 ``check_real``, ``check_complex``, ``check_rational``, ``check_choice``,
-``check_span``, ``check_state`` and ``check_tolerance_shapes``.
+``check_span``, ``check_real_array``, ``check_state`` and
+``check_tolerance_shapes``.
 """
 
 import cmath
@@ -41,7 +42,7 @@ class CoupledMethod(MrGarkError):
 
 
 class SingularResolvent(MrGarkError):
-    """(I - A*Z) is numerically singular in the stability function."""
+    """The stability function is undefined: 1 - a*gamma*z = 0 at an implicit stage, or R is not finite."""
 
 
 class NewtonDivergence(MrGarkError):
@@ -86,9 +87,14 @@ def check_complex(value, name: str):
 
 
 def check_rational(value, name: str) -> Fraction:
-    """``value`` as a Fraction; InvalidInput unless an int, a finite float, a Fraction or a 'p/q' string (not a bool)."""
+    """``value`` as a Fraction; InvalidInput unless an int, a finite real, a Fraction or a 'p/q' string (not a bool).
+
+    A real that is not rational, a numpy float of any width included, converts exactly.
+    """
     if not isinstance(value, bool):
         with suppress(TypeError, ValueError, OverflowError, ZeroDivisionError):  # ZeroDivisionError: '1/0'
+            if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+                return Fraction(*value.as_integer_ratio())
             return Fraction(value)
     raise InvalidInput(f"{name} must be a finite rational (int, float, Fraction or 'p/q'), got {value!r}")
 
@@ -105,16 +111,24 @@ def check_span(t0, t_end) -> float:
     return check_real(check_real(t_end, "t_end") - check_real(t0, "t0"), "t_end - t0", positive=True)
 
 
+def check_real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; InvalidInput unless its entries are integers or floats (not bools)."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # e.g. a ragged list
+        raise InvalidInput(f"{name} must be a real array, got a {type(value).__name__}") from None
+    # a complex array would lose its imaginary part in the cast
+    if a.dtype.kind not in "iuf":
+        raise InvalidInput(f"{name} must be a real array, got one of {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def check_state(y, dimension: int) -> np.ndarray:
     """``y`` as a float array; InvalidInput unless it is a real 1-D array of ``dimension`` entries."""
-    try:
-        y = np.asarray(y)
-    except (TypeError, ValueError):  # e.g. a ragged list
-        raise InvalidInput(f"state must be a real 1-D array of {dimension} entries, got a {type(y).__name__}") from None
-    # a complex state would lose its imaginary part in the cast
-    if y.dtype.kind not in "iuf" or y.shape != (dimension,):
-        raise InvalidInput(f"state must be a real 1-D array of {dimension} entries, got shape {y.shape} of {y.dtype}")
-    return y.astype(float, copy=False)
+    y = check_real_array(y, "state")
+    if y.shape != (dimension,):
+        raise InvalidInput(f"state must be a real 1-D array of {dimension} entries, got shape {y.shape}")
+    return y
 
 
 def check_tolerance_shapes(tolerances, size: int) -> None:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidInput, NewtonDivergence, NoReference, check_choice, check_count, check_real
+from .errors import (InvalidInput, NewtonDivergence, NoReference, check_choice, check_count, check_real,
+                     check_real_array)
 from .stepping import PartitionedOde
 
 __all__ = [
@@ -424,13 +425,13 @@ class GrayScott:
 
 def reference_error(problem, y_T: np.ndarray, T: float, reference_state: np.ndarray | None = None) -> float:
     """Relative L2 error against the exact solution or a supplied reference."""
-    y_T = np.asarray(y_T, dtype=float)
+    y_T = check_real_array(y_T, "y_T")
     if reference_state is None:
         exact = getattr(problem, "exact", None)
         if exact is None:
             raise NoReference(f"{type(problem).__name__} has no exact solution; pass reference_state")
         reference_state = exact(T)
-    ref = np.asarray(reference_state, dtype=float)
+    ref = check_real_array(reference_state, "reference_state")
     if ref.size != y_T.size:
         raise InvalidInput(f"states compared must have the same size, got {y_T.size} and {ref.size}")
     denom = np.linalg.norm(ref)

@@ -1,11 +1,17 @@
-"""Scalar linear stability of assembled multirate methods.
+"""Scalar linear stability of multirate methods.
 
-Applied to y' = lambda_f*y + lambda_s*y the assembled method propagates
-y_{n+1} = R(z_f, z_s) * y_n with z = H*lambda and
+Applied to y' = lambda_f*y + lambda_s*y the method propagates
+y_{n+1} = R(z_f, z_s) * y_n with z = H*lambda; in assembled form
 
     R = 1 + b^T Z (I - A Z)^{-1} 1,
 
 where Z carries z_f on the M*s_f fast stages and z_s on the slow ones.
+R is evaluated as what it is, one macro-step with H = 1 from y = 1: the
+stages of :func:`stepping.step`'s plan are walked for a whole block of cells
+at once, an implicit stage becoming a division by 1 - a*gamma*z.  This costs
+O(M) array operations per block, where a dense solve of I - A Z costs
+O((M*s_f + s_s)^3) per cell and loses accuracy where |R| is large.  A cell is
+NaN only where 1 - a*gamma*z = 0 or R is not finite.
 Regions are scanned in the (theta_f, theta_s, rho) parameterization
 z_f = M*rho*exp(-i*theta_f), z_s = rho*exp(-i*theta_s) with both angles in
 [pi/2, 3*pi/2], so the fast eigenvalue is M times the slow one in magnitude,
@@ -20,49 +26,96 @@ import numpy as np
 
 from .assembly import GarkMatrix
 from .errors import SingularResolvent, check_complex, check_count, check_real
+from .stepping import _step_plan
 
 __all__ = ["RegionGrid", "stability_value", "scan_region"]
 
 #: cells with |R| below this are counted as stable in RegionGrid.stable
 STABLE_TOL = 1e-12
+#: cells evaluated together: enough to spread the Python work per stage, few
+#: enough that a block's stage values stay in cache
+CELLS_PER_BLOCK = 8192
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _stability_values(g: GarkMatrix, z_f: np.ndarray, z_s: np.ndarray) -> np.ndarray:
-    """R at each (z_f[i, k], z_s[i, k]), one batched dense solve of size s per row i.
+    """R at each cell (z_f[...], z_s[...]) of two equal-shape arrays, a block of cells at a time.
 
-    NaN where the resolvent is singular or R is not finite, without a
-    floating-point warning.  A row whose batch solve fails is re-solved cell
-    by cell.
+    NaN where 1 - a*gamma*z = 0 or R is not finite, without a floating-point warning.
     """
-    n_fast = g.M * g.s_f
-    eye = np.eye(g.stage_count, dtype=complex)
-    ones = np.ones((z_f.shape[1], g.stage_count, 1), dtype=complex)
-    out = np.empty(z_f.shape, dtype=complex)
-    for i in range(z_f.shape[0]):
-        z = np.empty((z_f.shape[1], g.stage_count), dtype=complex)
-        z[:, :n_fast] = z_f[i, :, None]
-        z[:, n_fast:] = z_s[i, :, None]
-        lhs = eye - g.A * z[:, None, :]
-        try:
-            x = np.linalg.solve(lhs, ones)
-        except np.linalg.LinAlgError:
-            x = np.full_like(ones, np.nan)
-            for k, cell in enumerate(lhs):
-                try:
-                    x[k] = np.linalg.solve(cell, ones[k])
-                except np.linalg.LinAlgError:
-                    pass
-        out[i] = 1.0 + ((g.b * z)[:, None, :] @ x)[:, 0, 0]
-    out[~np.isfinite(out)] = np.nan
-    return out
+    shape = np.shape(z_f)
+    z_f, z_s = (np.asarray(z, dtype=complex).ravel() for z in (z_f, z_s))
+    out = np.empty_like(z_f)
+    for start in range(0, z_f.size, CELLS_PER_BLOCK):
+        block = slice(start, start + CELLS_PER_BLOCK)
+        out[block] = _recurrence(g.method, g.M, z_f[block], z_s[block])
+    return out.reshape(shape)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _recurrence(method, M: int, z_f: np.ndarray, z_s: np.ndarray) -> np.ndarray:
+    """R at each cell of two 1-D arrays: one macro-step of y' = z_f*y + z_s*y with H = 1 from y = 1.
+
+    The stages run in the order and with the coefficients of the step plan.
+    Stage values are held with real and imaginary parts interleaved, so a
+    stage input, a slow-stage sum and a weighted sum are sums of real
+    multiples over the nonzero coefficients in index order; with the complex
+    product z*Y and the implicit division also elementwise, a cell has the
+    same bits in any batch.
+    """
+    plan = _step_plan(method, M)
+    s_f, s_s = method.stage_counts
+    h = 1.0 / M
+    # per partition: z and, if implicit, the divisor 1 - a*gamma*z with a = H = 1 slow, h fast
+    parts = [(z, 1.0 - a * base.gamma * z if base.is_implicit else None)
+             for z, base, a in ((z_s, method.slow, 1.0), (z_f, method.fast, h))]
+    one = np.ones_like(z_f).view(float)
+    # stage right-hand sides z*Y: the slow stages, then the fast stages of the current micro-step
+    K = np.zeros((s_s + s_f, one.size))
+    sf_acc = np.zeros((s_s, one.size))  # per slow stage, the sum of a_sf * K over the fast stages so far
+
+    def combine(y, coefficients, rows):
+        """y plus the sum of a * rows[k] over the nonzero a, in index order (y is updated in place)."""
+        for k, a in enumerate(coefficients.tolist()):
+            if a:
+                y += a * rows[k]
+        return y
+
+    def evaluate(y, part):
+        z, divisor = parts[part]
+        Y = y.view(complex) if divisor is None else y.view(complex) / divisor
+        return (z * Y).view(float)
+
+    def compute_slow(j):
+        K[j] = evaluate(combine(one + h * sf_acc[j], method.slow.A[j, :j], K), 0)
+
+    coef = plan.rows * np.repeat([1.0, h], (s_s, s_f))
+    ytilde, acc = one, np.zeros_like(one)  # acc: the b_f-weighted fast stages over micro-steps
+    for rows, before, scatter in zip(coef, plan.before, plan.scatter):
+        for i, row in enumerate(rows):
+            for j in before[i]:
+                compute_slow(j)
+            K[s_s + i] = evaluate(combine(ytilde.copy(), row, K), 1)
+            if scatter[i] is not None:
+                sf_acc += scatter[i] * K[s_s + i]
+        increment = combine(np.zeros_like(one), plan.fast_weights[0], K[s_s:])
+        acc += increment
+        ytilde = ytilde + h * increment
+    for j in plan.trailing:
+        compute_slow(j)
+    R = combine(one + h * acc, plan.slow_weights[0], K).view(complex)
+    singular = ~np.isfinite(R)
+    for _, divisor in parts:
+        if divisor is not None:
+            singular |= divisor == 0
+    R[singular] = np.nan
+    return R
 
 
 def stability_value(g: GarkMatrix, z_f: complex, z_s: complex) -> complex:
-    """R(z_f, z_s) by one dense complex solve of size s; SingularResolvent if singular or not finite."""
+    """R(z_f, z_s) by the stage recurrence; SingularResolvent where 1 - a*gamma*z = 0 or R is not finite."""
     check_complex(z_f, "z_f")
     check_complex(z_s, "z_s")
-    r = _stability_values(g, np.full((1, 1), z_f, dtype=complex), np.full((1, 1), z_s, dtype=complex))[0, 0]
+    r = _stability_values(g, np.full(1, z_f, dtype=complex), np.full(1, z_s, dtype=complex))[0]
     if np.isnan(r):
         raise SingularResolvent(f"singular resolvent or non-finite R at z_f={z_f}, z_s={z_s}")
     return complex(r)
@@ -75,7 +128,7 @@ class RegionGrid:
     theta_f: np.ndarray
     theta_s: np.ndarray
     rho: np.ndarray
-    values: np.ndarray  # (n_theta, n_theta, n_rho), NaN where the resolvent is singular
+    values: np.ndarray  # (n_theta, n_theta, n_rho), NaN where 1 - a*gamma*z = 0 or R is not finite
 
     @property
     def stable(self) -> np.ndarray:
@@ -99,7 +152,7 @@ def scan_region(
     n_theta: int = 65,
     n_rho: int = 129,
 ) -> RegionGrid:
-    """Scan |R| over the angular box; singular cells become NaN."""
+    """Scan |R| over the angular box; a cell is NaN where 1 - a*gamma*z = 0 or R is not finite."""
     n_theta, n_rho = check_count(n_theta, "n_theta", 2), check_count(n_rho, "n_rho", 2)
     check_real(rho_max, "rho_max", positive=True)
     theta = np.linspace(np.pi / 2, 3 * np.pi / 2, n_theta)

@@ -50,8 +50,8 @@ from typing import Callable, NamedTuple, Protocol
 import numpy as np
 
 from .assembly import place_slow_stages
-from .errors import (InvalidInput, NewtonDivergence, NonFiniteState, check_count, check_real, check_span,
-                     check_state, check_tolerance_shapes)
+from .errors import (InvalidInput, NewtonDivergence, NonFiniteState, check_count, check_real, check_real_array,
+                     check_span, check_state, check_tolerance_shapes)
 from .tableaux import MethodFlag, MrGarkMethod
 
 __all__ = [
@@ -481,7 +481,7 @@ def integrate_fixed(method: MrGarkMethod, ode: PartitionedOde, y0: np.ndarray, t
 
 def error_norm(x: np.ndarray, y: np.ndarray, tolerances: Tolerances) -> float:
     """Scaled RMS deviation: values <= 1 mean "within tolerance"; never NaN."""
-    return _scaled_rms(np.ravel(x), np.ravel(y)[None], tolerances)[0]
+    return _scaled_rms(np.ravel(check_real_array(x, "x")), np.ravel(check_real_array(y, "y"))[None], tolerances)[0]
 
 
 def error_estimates(result: StepResult, tolerances: Tolerances) -> tuple[float, float, float]:

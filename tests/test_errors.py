@@ -84,6 +84,17 @@ BAD_INPUT = [
                  InvalidInput, id="error_norm-sizes-2-3"),
     pytest.param(lambda: reference_error(LinearTwoRate(), np.array([1.0, 2.0]), 1.0), InvalidInput,
                  id="reference_error-size"),
+    # a complex state would be cast to its real part (with a ComplexWarning) or raise a bare TypeError
+    pytest.param(lambda: mg.error_norm(np.array([1 + 1j]), np.array([1.0]), mg.Tolerances()), InvalidInput,
+                 id="error_norm-x-complex"),
+    pytest.param(lambda: mg.error_norm(np.array([1.0]), np.array([1 + 1j]), mg.Tolerances()), InvalidInput,
+                 id="error_norm-y-complex"),
+    pytest.param(lambda: mg.error_norm(np.array([True]), np.array([1.0]), mg.Tolerances()), InvalidInput,
+                 id="error_norm-x-bool"),
+    pytest.param(lambda: reference_error(LinearTwoRate(), np.array([1 + 1j]), 1.0), InvalidInput,
+                 id="reference_error-y_T-complex"),
+    pytest.param(lambda: reference_error(LinearTwoRate(), np.array([1.0]), 1.0, reference_state=np.array([1j])),
+                 InvalidInput, id="reference_error-reference_state-complex"),
     pytest.param(lambda: mg.Tolerances(abs_tol="1e-6"), InvalidInput, id="Tolerances-abs_tol-str"),
     pytest.param(lambda: mg.Tolerances(abs_tol=True), InvalidInput, id="Tolerances-abs_tol-bool"),
     pytest.param(lambda: mg.Tolerances(rel_tol=np.array([True, False])), InvalidInput, id="Tolerances-rel_tol-bools"),
@@ -123,7 +134,22 @@ def test_check_rational_accepts_ints_floats_fractions_and_strings(value, expecte
     assert check_rational(value, "c2") == expected
 
 
-@pytest.mark.parametrize("value", [True, np.bool_(False), math.nan, math.inf, "nan", "1/0", "x", None, 1j, [1]])
+@pytest.mark.parametrize("value, expected", [(np.float32(0.5), Fraction(1, 2)), (np.float64(0.25), Fraction(1, 4)),
+                                             (np.float32(0.1), Fraction(13421773, 134217728)),
+                                             (np.longdouble(0.75), Fraction(3, 4))])
+def test_check_rational_converts_numpy_floats_exactly(value, expected):
+    assert check_rational(value, "c2") == expected
+
+
+def test_registry_lookup_takes_a_numpy_float_free_parameter():
+    assert mg.registry_lookup("EX-EX 2(1)S", c2=np.float32(0.5)) is mg.registry_lookup("EX-EX 2(1)S", c2=0.5)
+    for bad in (np.float32("nan"), True, np.bool_(True)):
+        with pytest.raises(InvalidInput):
+            mg.registry_lookup("EX-EX 2(1)S", c2=bad)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), math.nan, math.inf, "nan", "1/0", "x", None, 1j, [1],
+                                   np.float32("nan"), np.float32("inf"), np.float64("-inf")])
 def test_check_rational_rejects_bools_non_finite_values_and_non_numbers(value):
     with pytest.raises(InvalidInput):
         check_rational(value, "c2")

@@ -1,7 +1,6 @@
 """Property-based checks of the stepper, the controller updates and `drive`."""
 
 import math
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -23,22 +22,7 @@ from mrgark.adaptivity import (  # noqa: E402
 from mrgark.errors import InvalidInput, MrGarkError  # noqa: E402
 from mrgark.problems import LinearTwoRate  # noqa: E402
 
-
-def exact_stability_value(method, M, z_fast, z_slow):
-    """R(z_f, z_s) = 1 + b^T Z (I - A Z)^{-1} 1 of the float coefficients, in exact arithmetic.
-
-    The stage equations Y_i (1 - a_ii z_i) = 1 + sum_{j != i} a_ij z_j Y_j are
-    solved by substitution in schedule order, where A is lower triangular.
-    """
-    g = mg.assemble(method, M)
-    n_fast = M * g.s_f
-    z = [Fraction(z_fast) if i < n_fast else Fraction(z_slow) for i in range(g.stage_count)]
-    A = [[Fraction(a) if a != 0.0 else None for a in row] for row in g.A.tolist()]
-    zY = {}  # z_j Y_j of the stages solved so far
-    for i in mg.derive_schedule(method, M):
-        known = 1 + sum(A[i][j] * zY[j] for j in zY if A[i][j] is not None)
-        zY[i] = z[i] * known / (1 - (A[i][i] or 0) * z[i])
-    return 1 + sum(Fraction(g.b[i]) * zY[i] for i in zY)
+from conftest import exact_stability_value, relative_distance  # noqa: E402
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -49,11 +33,12 @@ def exact_stability_value(method, M, z_fast, z_slow):
     z_slow=st.floats(min_value=-2.0, max_value=0.5),
 )
 def test_step_matches_stability_function(name, M, z_fast, z_slow):
-    # one macro-step of H = 1 from y = 1 on y' = z_f y + z_s y is R(z_f, z_s)
+    # one macro-step of H = 1 from y = 1 on y' = z_f y + z_s y is R(z_f, z_s), and so is stability_value
     method = mg.registry_lookup(name)
     R = exact_stability_value(method, M, z_fast, z_slow)
     y = mg.step(method, LinearTwoRate(z_fast, z_slow).to_ode(), np.array([1.0]), 0.0, 1.0, M).y_next[0]
-    assert abs(Fraction(y) - R) <= Fraction(1e-13) * (1 + abs(R))
+    assert relative_distance(y, R) <= 1e-13
+    assert relative_distance(mg.stability_value(mg.assemble(method, M), z_fast, z_slow), R) <= 1e-13
 
 
 ESTIMATES = st.one_of(st.just(0.0), st.just(np.inf), st.floats(min_value=0.0, max_value=1e300))

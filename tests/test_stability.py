@@ -1,4 +1,5 @@
 import csv
+import decimal
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import mrgark as mg
 from mrgark.errors import InvalidInput, SingularResolvent
 from mrgark.stability import _stability_values, scan_region, stability_value
+
+from conftest import exact_stability_value, relative_distance
 
 
 def base_polynomial(tab, z):
@@ -203,7 +206,7 @@ def test_overflowing_scan_cells_are_nan_without_warnings():
 
 
 def test_singular_cell_is_nan_and_leaves_its_row_exact():
-    # 1 - gamma * z_f = 0 makes the batch solve of the row fail; the row is re-solved cell by cell
+    # 1 - gamma * z_f = 0 at the second cell: it alone is NaN, and its neighbours keep their single-cell bits
     m = mg.registry_lookup("IM-EX 2(1)A")
     g = mg.assemble(m, 1)
     z_f = np.array([[-1.0, 1.0 / m.fast.gamma, 0.5 + 0.5j, -3j]])
@@ -212,3 +215,49 @@ def test_singular_cell_is_nan_and_leaves_its_row_exact():
     assert np.isnan(row[1])
     for k in (0, 2, 3):
         assert row[k] == stability_value(g, complex(z_f[0, k]), complex(z_s[0, k]))
+
+
+#: the grid of the exact-oracle tests: the benchmark's small stability jobs
+EXACT_GRID = dict(rho_max=6.0, n_theta=7, n_rho=13)
+
+
+def _exact(method, M, z_f, z_s):
+    """R and |R| of the float coefficients to 60 significant digits, far below the 1e-12 bounds checked here."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        re, im = exact_stability_value(method, M, z_f, z_s, number=decimal.Decimal)
+        return (re, im), (re * re + im * im).sqrt()
+
+
+def _grid_cell(grid, M, i, j, k):
+    """(z_f, z_s) of scan cell (i, j, k), computed as scan_region computes it."""
+    return (complex((M * grid.rho * np.exp(-1j * grid.theta_f[i]))[k]),
+            complex((grid.rho * np.exp(-1j * grid.theta_s[j]))[k]))
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+def test_scan_cells_match_exact_R(name):
+    # sampled scan cells, and stability_value at them, against R of the same float coefficients
+    method = mg.registry_lookup(name)
+    rng = np.random.default_rng(mg.METHOD_NAMES.index(name))
+    for M in (1, 2, 8, 16, 32):
+        g = mg.assemble(method, M)
+        grid = scan_region(g, **EXACT_GRID)
+        for flat in rng.choice(grid.values.size, size=4, replace=False):
+            i, j, k = np.unravel_index(flat, grid.values.shape)
+            z_f, z_s = _grid_cell(grid, M, i, j, k)
+            R, abs_R = _exact(method, M, z_f, z_s)
+            assert relative_distance(grid.values[i, j, k], (abs_R, 0), decimal.Decimal) <= 1e-12, (M, i, j, k)
+            assert relative_distance(stability_value(g, z_f, z_s), R, decimal.Decimal) <= 1e-12, (M, i, j, k)
+
+
+def test_cells_where_the_dense_solve_failed_are_finite_and_exact():
+    # R is a finite polynomial here (|R| from 2e24 to 5e29), but a dense solve of I - AZ reported these
+    # cells of EX-EX 3(2)3s-A at M = 16 singular and wrote NaN
+    method = mg.registry_lookup("EX-EX 3(2)3s-A")
+    grid = scan_region(mg.assemble(method, 16), **EXACT_GRID)
+    assert not np.isnan(grid.values).any()
+    for i, j, k in [(3, 3, 10)] + [(5, j, 12) for j in range(7)]:
+        _, abs_R = _exact(method, 16, *_grid_cell(grid, 16, i, j, k))
+        assert abs_R > 1e24
+        assert relative_distance(grid.values[i, j, k], (abs_R, 0), decimal.Decimal) <= 1e-12, (i, j, k)
