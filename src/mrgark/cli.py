@@ -8,13 +8,19 @@ without ``--ts-tf-ratio``, whose cost model times the slow and fast stages
 (RHS calls, and whole Newton solves for implicit stages); its manifest
 records ``cost_source: wall-clock`` and makes no reproducibility claim.
 
-Exit codes: 0 success, 1 numerical/verification failure, 2 usage error.
+The argument parser is built once per process (:func:`build_parser` is
+cached), so in-process callers of :func:`main` parse with the same parser; the
+``cmd_*`` functions look up the library functions they call at call time.
+
+Exit codes: 0 success, 1 numerical/verification failure, 2 usage error (an
+output path that cannot be created or written included).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -27,6 +33,7 @@ import numpy as np
 from . import __version__
 from .adaptivity import ControllerConfig, Strategy, drive
 from .assembly import (
+    _check_assembled_M,
     assemble,
     check_decoupled,
     check_internal_consistency,
@@ -76,8 +83,8 @@ def _parse_sweep(text: str) -> list[int]:
         out = list(range(int(lo), int(hi) + 1)) if colon else [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         out = []
-    if not out:
-        raise InvalidInput(f"bad M list {text!r}: want 'lo:hi' or 'M1,M2,...'")
+    if not out or len(set(out)) < len(out):
+        raise InvalidInput(f"bad M list {text!r}: want 'lo:hi' or distinct 'M1,M2,...'")
     return out
 
 
@@ -183,6 +190,7 @@ def cmd_verify(args) -> int:
     if not args.all and args.method is None:
         raise InvalidInput("verify: give a method name or --all")
     sweep = _parse_sweep(args.M_sweep)
+    _check_assembled_M(max(sweep))  # before the first M is assembled
     names = list(METHOD_NAMES) if args.all else [args.method]
     rows: list = []
     failures: list = []
@@ -313,7 +321,9 @@ def cmd_integrate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mrgark`` parser, built once per process; the ``cmd_*`` functions are bound when it is first built."""
     parser = argparse.ArgumentParser(
         prog="mrgark",
         description="Multirate GARK methods: inspection, verification, stability, integration.",
@@ -375,13 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except MrGarkError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (UnknownMethod, InvalidInput)) else 1
+    except OSError as exc:  # an output directory or file that cannot be created or written
+        print(f"OSError: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

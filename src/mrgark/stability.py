@@ -136,14 +136,19 @@ class RegionGrid:
             return self.values <= 1.0 + STABLE_TOL
 
     def write_csv(self, path) -> None:
-        """One row per cell, fields formatted ``.12g`` (NaN as ``nan``), rows ended by CRLF."""
+        """One row per cell, fields formatted ``.12g`` (NaN as ``nan``), rows ended by CRLF.
+
+        The rows of one theta_f plane are one ``%``-template, ``"\\0,{theta_s},{rho},%.12g\\r\\n"``
+        per (theta_s, rho), built once; each plane puts its theta_f in place of the NUL
+        sentinel with one ``str.replace`` and formats its |R| with one ``template % values``
+        (``%.12g`` gives the text of ``f"{v:.12g}"``, ``nan``, ``inf`` and ``-0`` included).
+        """
         theta_f, theta_s, rho = ([f"{x:.12g}" for x in a.tolist()] for a in (self.theta_f, self.theta_s, self.rho))
+        template = "".join([f"\0,{ts},{r},%.12g\r\n" for ts in theta_s for r in rho])
         with open(path, "w", newline="") as fh:
             fh.write("theta_f,theta_s,rho,absR\r\n")
-            for i, tf in enumerate(theta_f):
-                for j, ts in enumerate(theta_s):
-                    prefix = f"{tf},{ts},"
-                    fh.write("".join([f"{prefix}{r},{v:.12g}\r\n" for r, v in zip(rho, self.values[i, j].tolist())]))
+            for tf, values in zip(theta_f, self.values.reshape(len(theta_f), -1)):
+                fh.write(template.replace("\0", tf) % tuple(values.tolist()))
 
 
 def scan_region(

@@ -232,6 +232,16 @@ def test_converge_step_larger_than_span(tmp_path, capsys):
     assert len(rows) == 4 and all(r["error"] for r in rows)
 
 
+# output paths that cannot be created or written: the out-dir is a path below a file, or --out
+# names a file in a directory that does not exist
+BAD_OUTPUT_ARGV = [
+    ["--out-dir", "/dev/null/x", "dump-tableau", "EX-EX 2(1)A"],
+    ["verify", "EX-EX 2(1)A", "--M-sweep", "1:2", "--out", "nope/r.csv"],
+    ["stability", "EX-EX 2(1)A", "--n-theta", "3", "--n-rho", "3", "--out", "nope/r.csv"],
+    ["dump-tableau", "EX-EX 2(1)A", "--out", "nope/r.csv"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["stability", "EX-EX 2(1)A", "--M", "0"],
     ["dump-tableau", "EX-EX 2(1)A", "--M", "0"],
@@ -261,12 +271,29 @@ def test_converge_step_larger_than_span(tmp_path, capsys):
     ["integrate", "--method", "EX-EX 2(1)A", "--abstol", "nan"],
     ["integrate", "--method", "EX-EX 2(1)A", "--abstol", "-1"],
     ["verify"],
+    *BAD_OUTPUT_ARGV,
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
     assert code == 2
-    assert len(err.strip().splitlines()) == 1 and err.startswith("InvalidInput: ")
+    prefix = "OSError: " if argv in BAD_OUTPUT_ARGV else "InvalidInput: "
+    assert len(err.strip().splitlines()) == 1 and err.startswith(prefix)
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "EX-EX 2(1)A", "--M-sweep", "2,2"],
+    ["verify", "EX-EX 2(1)A", "--M-sweep", "1:10001"],
+    ["converge", "--method", "EX-EX 2(1)A", "--M", "2,2", "--h-ladder", "1/8"],
+])
+def test_m_lists_are_checked_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the M list was checked")
+
+    monkeypatch.setattr(cli, "assemble", no_work)
+    monkeypatch.setattr(cli, "integrate_fixed", no_work)
+    code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 2 and err.startswith("InvalidInput: ")
 
 
 def test_adaptive_strategies_have_one_spelling_each(tmp_path, capsys):
@@ -307,3 +334,24 @@ def test_converge_runs_the_reference_once_per_M(tmp_path, capsys, monkeypatch):
     assert code == 0, err
     assert len(calls) == 2 * (len(ladder) + 1)
     assert calls.count(1 / 32 / 64) == 2  # one reference run per M
+
+
+def test_in_process_calls_are_independent(tmp_path, capsys, monkeypatch):
+    # one parser serves every call; nothing one call parses carries into the next
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("MRGARK_OUTPUT_DIR", str(tmp_path / "env"))
+    first = ["stability", "EX-EX 2(1)A", "--M", "3", "--n-theta", "3", "--n-rho", "4", "--out", "a.csv"]
+    assert run(["--out-dir", str(tmp_path / "a")] + first, capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "EX-EX 2(1)A", "--M", "x"])
+    assert exc.value.code == 2
+    assert run(["stability", "EX-EX 2(1)A"], capsys)[0] == 0
+    assert run(["--out-dir", str(tmp_path / "b")] + first, capsys)[0] == 0
+
+    manifest = json.loads((tmp_path / "env" / "stability_manifest.json").read_text())
+    assert (manifest["M"], manifest["n_theta"], manifest["n_rho"]) == (2, 65, 129)
+    assert len(csv_rows(tmp_path / "env" / "region.csv")) == 65 * 65 * 129
+    assert sorted(p.name for p in (tmp_path / "env").iterdir()) == ["region.csv", "stability_manifest.json"]
+    for file in ("a.csv", "stability_manifest.json"):
+        assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
+    assert json.loads((tmp_path / "a" / "stability_manifest.json").read_text())["M"] == 3

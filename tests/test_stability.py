@@ -170,6 +170,31 @@ def test_region_csv_matches_csv_writer_bytes(tmp_path):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name, M, n_theta, n_rho, special", [
+    ("EX-EX 2(1)A", 1, 2, 2, False),  # the smallest grid
+    ("IM-EX 2(1)A", 3, 3, 7, False),
+    ("EX-IM 3(2)A", 4, 6, 2, False),
+    ("EX-EX 4(3)A", 2, 25, 49, False),  # the analysis-cli shapes
+    ("EX-EX 3(2)4s-A", 32, 7, 13, False),
+    ("EX-EX 2(1)S", 5, 5, 9, True),
+])
+def test_region_csv_matches_csv_writer_bytes_on_more_grids(name, M, n_theta, n_rho, special, tmp_path):
+    # reference: csv.writer rows of four .12g fields
+    grid = scan_region(mg.assemble(mg.registry_lookup(name), M), rho_max=5.0, n_theta=n_theta, n_rho=n_rho)
+    if special:
+        values = grid.values.copy()
+        values[0, 0, 0], values[0, 4, 8], values[1, 2, 3], values[3, 1, 5], values[4, 4, 0] = (
+            np.nan, np.inf, -0.0, 1e-320, 1e300)
+        grid = mg.RegionGrid(grid.theta_f, grid.theta_s, grid.rho, values)
+    grid.write_csv(tmp_path / "fast.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["theta_f", "theta_s", "rho", "absR"])
+        for i, j, k in np.ndindex(grid.values.shape):
+            w.writerow([f"{x:.12g}" for x in (grid.theta_f[i], grid.theta_s[j], grid.rho[k], grid.values[i, j, k])])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_singular_resolvent_raises():
     # z chosen so that 1 - a_ii * z = 0 for an SDIRK diagonal entry
     m = mg.registry_lookup("IM-EX 2(1)A")
