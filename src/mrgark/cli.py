@@ -215,7 +215,6 @@ def cmd_converge(args) -> int:
     ode = problem.to_ode()
     y0 = problem.initial_condition()
     ladder = _parse_floats(args.h_ladder)
-    out = _out_dir(args)
     rows = []
     for M in _parse_sweep(args.M):
         errs = []
@@ -239,6 +238,7 @@ def cmd_converge(args) -> int:
             if math.isfinite(errs[k - 1]) and math.isfinite(errs[k]) and errs[k] > 0:
                 order = math.log(errs[k - 1] / errs[k]) / math.log(ladder[k - 1] / ladder[k])
                 rows[idx + k][4] = f"{order:.3f}"
+    out = _out_dir(args)  # after every argument has been checked
     path = out / args.out
     _write_csv(path, ["method", "M", "H", "error", "observed_order"], rows)
     _write_manifest(out / "converge_manifest.json", {
@@ -269,7 +269,6 @@ def cmd_integrate(args) -> int:
     problem = _parse_problem(args)
     ode = problem.to_ode()
     y0 = problem.initial_condition()
-    out = _out_dir(args)
     tolerances = Tolerances(abs_tol=args.abstol, rel_tol=args.reltol)
     summary: dict = {
         "command": "integrate", "method": method.name, "problem": args.problem,
@@ -284,9 +283,6 @@ def cmd_integrate(args) -> int:
             synthetic_cost_ratio=args.ts_tf_ratio,
         )
         result = drive(method, ode, y0, 0.0, args.t_end, config, H0=args.H, M0=args.M)
-        _write_csv(out / "trace.csv", ["t", "H", "M", "eps_total", "eps_slow", "eps_fast", "accepted"],
-                   ([f"{r.t:.12g}", f"{r.H:.12g}", r.M, f"{r.eps_total:.6e}", f"{r.eps_slow:.6e}",
-                     f"{r.eps_fast:.6e}", int(r.accepted)] for r in result.state.trace))
         summary.update(
             strategy=args.adaptive,
             # only the efficiency controller reads the costs
@@ -306,6 +302,11 @@ def cmd_integrate(args) -> int:
                        final_error_estimates=error_estimates(last, tolerances))
         ts, ys = np.array([t for t, _ in states]), np.array([y for _, y in states])
 
+    out = _out_dir(args)  # after every argument has been checked
+    if args.adaptive:
+        _write_csv(out / "trace.csv", ["t", "H", "M", "eps_total", "eps_slow", "eps_fast", "accepted"],
+                   ([f"{r.t:.12g}", f"{r.H:.12g}", r.M, f"{r.eps_total:.6e}", f"{r.eps_slow:.6e}",
+                     f"{r.eps_fast:.6e}", int(r.accepted)] for r in result.state.trace))
     traj_path = out / "trajectory.csv"
     if ys.shape[1] <= 16:
         _write_csv(traj_path, ["t"] + [f"y{i}" for i in range(ys.shape[1])],

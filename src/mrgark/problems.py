@@ -15,8 +15,9 @@
   diffusion the slow one; ``swap_roles`` flips that assignment.  Its
   Jacobians are structured (:class:`ReactionJacobian`,
   :class:`DiffusionJacobian` for linear diffusion,
-  :class:`NonlinearDiffusionJacobian` for nonlinear diffusion), so implicit
-  stages solve I - a*J without a dense 2n^2 x 2n^2 matrix.
+  :class:`NonlinearDiffusionJacobian` for nonlinear diffusion, factored by
+  block LU over the grid rows), so implicit stages solve I - a*J without a
+  dense 2n^2 x 2n^2 matrix.
 """
 
 from __future__ import annotations
@@ -198,56 +199,132 @@ def _face_cells(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.concatenate([idx[c].ravel(), idx[:, c].ravel()]) for c in _line_faces(n, boundary))
 
 
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv`` of a batch of pivot blocks; NewtonDivergence if one is singular."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        raise NewtonDivergence("singular Newton matrix") from None
+
+
 class NonlinearDiffusionJacobian:
-    """Jacobian of nonlinear Gray-Scott diffusion at one state: one n^2 x n^2 5-point block per species.
+    """Jacobian of nonlinear Gray-Scott diffusion at one state, held as its per-face derivatives.
 
     A face between cells a and b carries the flux (e_a + e_b)/2 * (w_b - w_a)/h
     with e = eps_w exp(-w/100) sin(pi x) sin(pi y), so e' = -e/100; the two
-    species do not couple.  ``shifted_solver(a)`` inverts I - a*J_w for both
-    species in one batched ``np.linalg.inv``, so each solve is a batched
-    matvec; simplified Newton judges convergence on ||G||, so the inverse only
-    sets the contraction rate.  ``np.asarray(J)`` is the dense
-    (2n^2 x 2n^2) block-diagonal matrix.
+    species do not couple.  ``d_a`` and ``d_b`` (species, face) are the
+    derivatives of each face's flux/h by w_a and by w_b, for the faces
+    ``faces = (a, b)`` of :func:`_face_cells`: J[a, b] = d_b, J[b, a] = -d_a,
+    and each cell's diagonal entry sums its faces.
+
+    Over the n grid rows, I - a*J is block tridiagonal: the n x n block of a
+    row is (periodic-)tridiagonal, and neighbouring rows couple through
+    diagonal blocks.  ``shifted_solver(a)`` factors it by block LU (Golub &
+    Van Loan, *Matrix Computations*, 4.5.1) for both species at once, inverting
+    each n x n Schur complement with one batched ``np.linalg.inv``: O(n^4)
+    flops and O(n^3) memory per build, and O(n^3) flops per solve.  Row n-1
+    is a border: periodic closure's coupling of rows 0 and n-1 is carried
+    through the elimination as a spike from row 0; under Neumann closure the
+    spike starts at row n-2, the neighbour of row n-1.
+    Simplified Newton judges convergence on ||G||, so the factor only sets the
+    contraction rate.  ``np.asarray(J)`` is the dense (2n^2 x 2n^2)
+    block-diagonal matrix, for test oracles.
     """
 
     def __init__(self, problem: GrayScott, y: np.ndarray):
         if problem.diffusion_mode != "nonlinear":
             raise InvalidInput("NonlinearDiffusionJacobian needs diffusion_mode='nonlinear'")
+        self.n = problem.n
         w = np.asarray(y, dtype=float).reshape(2, problem.n, problem.n)
         e, w = problem._eps_fields(w).reshape(2, -1), w.reshape(2, -1)
-        a, b = _face_cells(problem.n, problem.boundary)
+        self.faces = a, b = _face_cells(problem.n, problem.boundary)
         h2 = problem.spacing**2
         slope, mean = w[:, b] - w[:, a], 0.5 * (e[:, a] + e[:, b])
         # derivatives of flux/h by w_a and by w_b; cell a gains flux/h and cell b loses it
-        d_a = (-0.005 * e[:, a] * slope - mean) / h2
-        d_b = (-0.005 * e[:, b] * slope + mean) / h2
-        n2 = problem.n**2
-        self.blocks = np.zeros((2, n2, n2))
-        self.blocks[:, a, b] = d_b
-        self.blocks[:, b, a] = -d_a
-        for s in range(2):
-            self.blocks[s].flat[:: n2 + 1] = np.bincount(a, d_a[s], n2) - np.bincount(b, d_b[s], n2)
+        self.d_a = (-0.005 * e[:, a] * slope - mean) / h2
+        self.d_b = (-0.005 * e[:, b] * slope + mean) / h2
+
+    def _diagonal(self) -> np.ndarray:
+        """J's diagonal, (species, cell)."""
+        n2 = self.n**2
+        a, b = self.faces
+        return np.stack([np.bincount(a, d_a, n2) - np.bincount(b, d_b, n2) for d_a, d_b in zip(self.d_a, self.d_b)])
 
     def shifted_solver(self, a: float):
-        m = self.blocks * -a
-        cell = np.arange(m.shape[1])
-        m[:, cell, cell] += 1.0
-        if not np.isfinite(m).all():
+        n = self.n
+        line = self.d_a.shape[1] // (2 * n)  # faces per grid line; the faces across rows come first
+        across = line * n
+        # the entries of I - a*J: (I - a*J)[b, a] = a*d_a and (I - a*J)[a, b] = -a*d_b per face, and the diagonal
+        ad_a, ad_b, diagonal = self.d_a * a, self.d_b * -a, self._diagonal() * -a + 1.0
+        if not (np.isfinite(ad_a).all() and np.isfinite(ad_b).all() and np.isfinite(diagonal).all()):
             raise NewtonDivergence("singular Newton matrix")
-        try:
-            inverse = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            raise NewtonDivergence("singular Newton matrix") from None
+        # I - a*J by (grid row, species): the diagonal blocks D, and the diagonal couplings up[i] of
+        # row i to row i+1 and lo[i] of row i to row i-1, both wrapping, so zero at Neumann's lo[0] and up[n-1]
+        up, lo = np.zeros((2, n, 2, n))
+        up[:line] = ad_b[:, :across].reshape(2, line, n).swapaxes(0, 1)
+        lo[np.arange(1, line + 1) % n] = ad_a[:, :across].reshape(2, line, n).swapaxes(0, 1)
+        col = np.arange(n)
+        nxt = (col[:line] + 1) % n
+        D = np.zeros((n, 2, n, n))
+        D[:, :, col[:line], nxt] = ad_b[:, across:].reshape(2, n, line).swapaxes(0, 1)
+        D[:, :, nxt, col[:line]] = ad_a[:, across:].reshape(2, n, line).swapaxes(0, 1)
+        D[:, :, col, col] = diagonal.reshape(2, n, n).swapaxes(0, 1)
+
+        # Eliminating row i < n-1 leaves its Schur complement S_i in D[i], kept as P[i] = S_i^-1.
+        # Row n-1 is the border: from the first row coupled to it (row 0 under periodic closure, row
+        # n-2 under Neumann), row i holds the coupling spike_col to row n-1 and row n-1 the coupling
+        # spike_row to row i, kept as W[i - first] = P[i] spike_col and V[i - first] = spike_row P[i].
+        # diag(lo[i]) X is lo_col[i] * X, and X diag(up[i]) is X * up_row[i];
+        # E[i] = diag(lo[i+1]) P[i] and F[i] = P[i] diag(up[i]).
+        lo_col, up_row = lo[:, :, :, None], up[:, :, None, :]
+        first = 0 if line == n else n - 2
+        P = np.empty((n, 2, n, n))
+        W, V = np.empty((2, n - 1 - first, 2, n, n))
+        E = np.empty((n - 2, 2, n, n))
+        spike_col, spike_row = np.zeros((2, 2, n, n))
+        spike_col[:, col, col], spike_row[:, col, col] = lo[0], up[n - 1]
+        border = D[n - 1]
+        for i in range(n - 1):
+            if i == n - 2:  # rows n-2 and n-1 are neighbours too
+                spike_col[:, col, col] += up[i]
+                spike_row[:, col, col] += lo[i + 1]
+            P_i = P[i]
+            P_i[...] = _inverse(D[i])
+            if i >= first:
+                W_i = np.matmul(P_i, spike_col, out=W[i - first])
+                V_i = np.matmul(spike_row, P_i, out=V[i - first])
+                border -= V_i @ spike_col
+                spike_col, spike_row = W_i * -lo_col[i + 1], V_i * -up_row[i]  # of row i+1
+            if i < n - 2:
+                E_i = np.multiply(lo_col[i + 1], P_i, out=E[i])
+                D[i + 1] -= E_i * up_row[i]
+        P[n - 1] = _inverse(border)
+        F = np.multiply(P[:n - 2], up_row[:n - 2], out=D[:n - 2])  # those blocks of D are spent
+        forward, backward = list(E), list(F)[::-1]
 
         def solve(r):
-            return (inverse @ r.reshape(2, -1, 1)).ravel()
+            z = r.reshape(2, n, n, 1).transpose(1, 0, 2, 3).copy()  # (row, species, column, 1)
+            rows = list(z)
+            for E_i, z_i, z_next in zip(forward, rows, rows[1:]):
+                z_next -= E_i @ z_i
+            rows[-1] -= (V @ z[first:-1]).sum(axis=0)
+            x = P @ z
+            x[first:-1] -= W @ x[-1]
+            rows = list(x)[-2::-1]
+            for F_i, x_next, x_i in zip(backward, rows, rows[1:]):
+                x_i -= F_i @ x_next
+            return x.transpose(1, 0, 2, 3).ravel()
 
         return solve
 
     def __array__(self, dtype=None, copy=None):
-        n2 = self.blocks.shape[1]
+        n2 = self.n**2
+        a, b = self.faces
         j = np.zeros((2 * n2, 2 * n2))
-        j[:n2, :n2], j[n2:, n2:] = self.blocks
+        for s, block in enumerate((j[:n2, :n2], j[n2:, n2:])):
+            block[a, b] = self.d_b[s]
+            block[b, a] = -self.d_a[s]
+        j[np.arange(2 * n2), np.arange(2 * n2)] = self._diagonal().ravel()
         return j if dtype is None else j.astype(dtype)
 
 
@@ -260,8 +337,8 @@ class GrayScott:
     cheap solve: the :class:`ReactionJacobian` at y (2x2 Cramer per cell), and
     for diffusion either the constant :class:`DiffusionJacobian` (linear mode,
     fast diagonalization; built on first use and shared by all of the
-    problem's ODEs) or the :class:`NonlinearDiffusionJacobian` at y (one
-    inverted 5-point block per species).  The fields are frozen, since that
+    problem's ODEs) or the :class:`NonlinearDiffusionJacobian` at y (block LU
+    over the grid rows, O(n^4) per factor).  The fields are frozen, since that
     shared Jacobian and the sin(pi x) sin(pi y) grid are derived from them.
 
     Each instance allocates the work buffers of :meth:`diffusion` once, so

@@ -165,7 +165,7 @@ class NewtonResult(NamedTuple):
 
 
 def newton_solve(
-    residual: Callable[[np.ndarray], np.ndarray],
+    residual: Callable[[np.ndarray], np.ndarray | float],
     y_guess: np.ndarray,
     jac: Callable[[np.ndarray], np.ndarray | Callable[[np.ndarray], np.ndarray]] | None = None,
     matrix: np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None,
@@ -184,7 +184,7 @@ def newton_solve(
     on every iteration, so theirs is full Newton: there a rebuild costs less
     than the residual call a reused matrix would add.  It runs on Python
     floats, the same IEEE operations as the 1x1 LU solve; only the residual
-    sees (1-element) arrays.  Affine systems converge in a single update with
+    sees (1-element) arrays, and it may return a float.  Affine systems converge in a single update with
     an exact matrix.  The norms do not overflow on finite entries.  The
     returned ``y`` is the very array of the last ``residual`` call, so a
     caller can reuse what that call computed.
@@ -204,7 +204,7 @@ def newton_solve(
     if y.size == 1:
         # full Newton on floats: the same IEEE operations as the 1x1 LU solve, and
         # |v| is sqrt(v*v) without its overflow; only the residual sees arrays
-        y_f, g_f = y.item(), float(g.item())
+        y_f, g_f, one_d = y.item(), float(g.item()), y.ndim == 1
         if not math.isfinite(g_f):
             raise NewtonDivergence("residual is non-finite")
         for iteration in range(NEWTON_MAX_ITER + 1):
@@ -220,7 +220,7 @@ def newton_solve(
             y_f = y_f + -g_f / slope
             if not math.isfinite(y_f):
                 raise NewtonDivergence("iterate is non-finite")
-            y = np.full_like(y, y_f)  # the guess's shape
+            y = np.array([y_f]) if one_d else np.full_like(y, y_f)  # the guess's shape
             g = np.asarray(residual(y), dtype=float)
             g_f = float(g.item())
             if not math.isfinite(g_f):
@@ -368,13 +368,16 @@ def step(
 
         def residual(y):
             last[0], last[1] = y, f(y)
+            if n == 1:  # a float, by the same IEEE operations as the 1-element array expression
+                return y.item() - a_diag * last[1].item() - rhs_known.item()
             return y - a_diag * last[1] - rhs_known
 
         def jac(y):
             J = jac_fn(y)
-            shifted_solver = getattr(J, "shifted_solver", None)
-            if shifted_solver is not None:
-                return shifted_solver(a_diag)
+            if not isinstance(J, np.ndarray):
+                shifted_solver = getattr(J, "shifted_solver", None)
+                if shifted_solver is not None:
+                    return shifted_solver(a_diag)
             J = np.asarray(J, dtype=float)
             if y.size == 1:
                 return 1.0 - float(J[0, 0]) * a_diag

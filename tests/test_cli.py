@@ -296,6 +296,20 @@ def test_m_lists_are_checked_before_any_work(argv, tmp_path, capsys, monkeypatch
     assert code == 2 and err.startswith("InvalidInput: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--method", "EX-EX 2(1)A", "--M", "2,2"],
+    ["converge", "--method", "EX-EX 2(1)A", "--M", "0", "--h-ladder", "1/8"],
+    ["integrate", "--method", "EX-EX 2(1)A", "--M", "0"],
+    ["integrate", "--method", "EX-EX 2(1)A", "--abstol", "-1"],
+    ["integrate", "--method", "EX-EX 2(1)A", "--adaptive", "balancing", "--H", "-1"],
+])
+def test_rejected_arguments_leave_no_output_dir(argv, tmp_path, capsys):
+    out = tmp_path / "d"
+    code, _, err = run(["--out-dir", str(out)] + argv, capsys)
+    assert code == 2 and err.startswith("InvalidInput: ")
+    assert not out.exists()
+
+
 def test_adaptive_strategies_have_one_spelling_each(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--out-dir", str(tmp_path), "integrate", "--method", "EX-EX 2(1)A", "--adaptive", "classic"])

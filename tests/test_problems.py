@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -316,9 +317,12 @@ def test_nonlinear_diffusion_jacobian_is_wired():
         DiffusionJacobian(GrayScott(n=8))
 
 
-@pytest.mark.parametrize("n", [8, 16])
-@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
-@pytest.mark.parametrize("term", ["reaction", "diffusion", "nonlinear-diffusion"])
+# nonlinear diffusion's block LU also runs at n = 24, where h = 1/24 is inexact, and at n = 32
+@pytest.mark.parametrize("term, boundary, n", [
+    (term, boundary, n)
+    for term in ("reaction", "diffusion", "nonlinear-diffusion")
+    for boundary in ("neumann", "periodic")
+    for n in ((8, 16, 24, 32) if term == "nonlinear-diffusion" else (8, 16))])
 def test_structured_shifted_solve_matches_dense_solve(term, boundary, n):
     mode = "nonlinear" if term == "nonlinear-diffusion" else "linear"
     gs = GrayScott(n=n, diffusion_mode=mode, boundary=boundary)
@@ -367,11 +371,50 @@ def test_non_finite_nonlinear_diffusion_shifted_solve_raises(a, boundary):
 
 
 def test_singular_nonlinear_diffusion_shifted_solve_raises():
-    gs = GrayScott(n=8)
-    J = gs.diffusion_jacobian(_perturbed_state(gs))
-    J.blocks = np.broadcast_to(np.eye(64), J.blocks.shape)  # I - 1*J is exactly zero
-    with pytest.raises(NewtonDivergence):
-        J.shifted_solver(1.0)
+    # one face with d_a = -1 and d_b = 1, and no other: at a = -1/2 the rows of its two cells in
+    # I - a*J are both (1/2, 1/2), so I - a*J is exactly singular.  Along a grid row the zero pivot
+    # is that row's block; across rows it is the next Schur complement; across the periodic wrap
+    # it is the border row's, after the spike.
+    n = 8
+    for boundary in ("neumann", "periodic"):
+        gs = GrayScott(n=n, boundary=boundary)
+        J = gs.diffusion_jacobian(_perturbed_state(gs))
+        line = n if boundary == "periodic" else n - 1
+        faces = [3 * n + 2, line * n + 2 * line + 5]  # rows 3|4 at column 2; row 2, columns 5|6
+        if boundary == "periodic":
+            faces += [(n - 1) * n + 4, line * n + 2 * line + n - 1]  # rows 7|0; row 2, columns 7|0
+        for face in faces:
+            J.d_a, J.d_b = np.zeros_like(J.d_a), np.zeros_like(J.d_b)
+            J.d_a[1, face], J.d_b[1, face] = -1.0, 1.0
+            # the dense solve finds the same system singular
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(np.eye(2 * n * n) + 0.5 * np.asarray(J), np.ones(2 * n * n))
+            with pytest.raises(NewtonDivergence):
+                J.shifted_solver(-0.5)
+
+
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+def test_nonlinear_diffusion_shifted_solve_memory_at_64(boundary):
+    # the dense pair of n^2 x n^2 blocks would be 268 MB at n = 64; the block LU keeps O(n^3)
+    gs = GrayScott(n=64, boundary=boundary)
+    y, r = _perturbed_state(gs), np.ones(gs.dimension)
+    tracemalloc.start()
+    try:
+        J = gs.diffusion_jacobian(y)
+        x = J.shifted_solver(0.01)(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(x).all()
+    assert peak < 32 * 2**20
+
+
+def test_implicit_nonlinear_diffusion_step_at_64():
+    gs = GrayScott(n=64)
+    r = step(mg.registry_lookup("EX-IM 3(2)A"), gs.to_ode(), gs.initial_condition(), 0.0, 0.02, 4)
+    # step raises NewtonDivergence unless every implicit stage converged
+    assert np.isfinite(r.y_next).all()
+    assert r.counters.jacobians >= 1 and r.counters.newton_iterations > 0
 
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
