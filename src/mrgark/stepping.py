@@ -26,7 +26,11 @@ a = h*gamma fast or H*gamma slow, so one matrix per partition is built at its
 first implicit stage and reused by the later stages and micro-steps of the
 step.  It is rebuilt only after an update that cuts the residual norm by less
 than :data:`NEWTON_RATE`, and dropped when the step ends.  Size-1 systems
-rebuild it every iteration.  A partition's ``jac`` returns J either as a dense
+rebuild it every iteration, on floats: there the stage residual returns a
+float and the Jacobian closure the slope 1 - a*J, which Newton takes as they
+come; only a forward difference goes through arrays.  Each implicit
+partition's residual and Jacobian closures are built once per step, not once
+per stage.  A partition's ``jac`` returns J either as a dense
 array, from which I - a*J is formed and solved by LU, or as a
 :class:`StructuredJacobian`, whose ``shifted_solver(a)`` is the exact solve of
 (I - a*J) x = r; that solver is then what is built, reused and rebuilt.
@@ -184,48 +188,57 @@ def newton_solve(
     on every iteration, so theirs is full Newton: there a rebuild costs less
     than the residual call a reused matrix would add.  It runs on Python
     floats, the same IEEE operations as the 1x1 LU solve; only the residual
-    sees (1-element) arrays, and it may return a float.  Affine systems converge in a single update with
-    an exact matrix.  The norms do not overflow on finite entries.  The
-    returned ``y`` is the very array of the last ``residual`` call, so a
-    caller can reuse what that call computed.
+    sees (1-element) arrays.  A residual that returns a float, and a ``jac``
+    that returns the slope dG/dy as a float, are used as they come; ``jac``
+    is called directly, and only the forward difference builds an array.
+    Affine systems converge in a single update with an exact matrix.  The
+    norms do not overflow on finite entries.  The returned ``y`` is the very
+    array of the last ``residual`` call, so a caller can reuse what that call
+    computed.
 
     ``jac`` returns dG/dy, held in one of two ways: a dense array, solved by
     LU (by division at size 1, where a float also does), or, for systems of
     size > 1, a *solve* callable, so that the update is ``solve(-g)``; a
-    solve of a singular system raises :class:`NewtonDivergence`.  Omitted,
-    dG/dy is a dense forward-difference approximation with increment
-    sqrt(eps) * (1 + |y_i|), at one residual call per column.  ``matrix`` and the returned matrix are
-    held the same way.  The result carries the matrix last used, for the next
-    solve with the same dG/dy, and the number of matrices built.
+    solve of a singular system raises :class:`NewtonDivergence`, and a solve
+    callable at size 1 raises :class:`InvalidInput`.  Omitted, dG/dy is a
+    dense forward-difference approximation with increment
+    sqrt(eps) * (1 + |y_i|), at one residual call per column.  ``matrix`` and
+    the returned matrix are held the same way.  The result carries the matrix
+    last used, for the next solve with the same dG/dy, and the number of
+    matrices built.
     """
     y = np.array(y_guess, dtype=float)
-    g = np.asarray(residual(y), dtype=float)
     builds = 0
     if y.size == 1:
         # full Newton on floats: the same IEEE operations as the 1x1 LU solve, and
         # |v| is sqrt(v*v) without its overflow; only the residual sees arrays
-        y_f, g_f, one_d = y.item(), float(g.item()), y.ndim == 1
-        if not math.isfinite(g_f):
-            raise NewtonDivergence("residual is non-finite")
+        y_f, one_d = y.item(), y.ndim == 1
         for iteration in range(NEWTON_MAX_ITER + 1):
+            g = residual(y)
+            g_f = g if type(g) is float else float(np.asarray(g, dtype=float).item())
+            if not math.isfinite(g_f):
+                raise NewtonDivergence("residual is non-finite")
             if abs(g_f) <= NEWTON_TOL * (1.0 + abs(y_f)):
                 return NewtonResult(y, iteration, matrix, builds)
             if iteration == NEWTON_MAX_ITER:
                 break
-            matrix = _newton_matrix(residual, y, g, jac)
+            matrix = _newton_matrix(residual, y, g_f, None) if jac is None else jac(y)
             builds += 1
-            slope = float(matrix) if isinstance(matrix, float) else float(matrix[0, 0])
+            if isinstance(matrix, float):
+                slope = float(matrix)
+            elif callable(matrix):
+                raise InvalidInput("a solve callable for dG/dy needs a system of size > 1")
+            else:
+                matrix = np.asarray(matrix, dtype=float)
+                slope = float(matrix[0, 0])
             if slope == 0.0:
                 raise NewtonDivergence("singular Newton matrix")
             y_f = y_f + -g_f / slope
             if not math.isfinite(y_f):
                 raise NewtonDivergence("iterate is non-finite")
             y = np.array([y_f]) if one_d else np.full_like(y, y_f)  # the guess's shape
-            g = np.asarray(residual(y), dtype=float)
-            g_f = float(g.item())
-            if not math.isfinite(g_f):
-                raise NewtonDivergence("residual is non-finite")
         raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
+    g = np.asarray(residual(y), dtype=float)
     y_norm, g_norm = _norm(y), _norm(g)
     if not math.isfinite(g_norm):
         raise NewtonDivergence("residual is non-finite")
@@ -280,15 +293,11 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(square_sum)
 
 
-def _newton_matrix(residual, y: np.ndarray, g: np.ndarray, jac):
+def _newton_matrix(residual, y: np.ndarray, g: np.ndarray | float, jac):
     """dG/dy at y from ``jac``, or by forward differences of the residual (g = G(y))."""
     if jac is not None:
         m = jac(y)
-        if not callable(m):
-            return m if isinstance(m, float) else np.asarray(m, dtype=float)
-        if y.size == 1:
-            raise InvalidInput("a solve callable for dG/dy needs a system of size > 1")
-        return m
+        return m if callable(m) else np.asarray(m, dtype=float)
     j = np.empty((y.size, y.size))
     for i in range(y.size):
         dy = _SQRT_EPS * (1.0 + abs(y[i]))
@@ -345,7 +354,7 @@ def step(
     s_f, s_s = method.stage_counts
     h = H / M
     Ass = method.slow.A
-    fast_implicit, slow_implicit = method.fast.is_implicit, method.slow.is_implicit
+    fast_implicit = method.fast.is_implicit
 
     calls, seconds = [0, 0], [0.0, 0.0]  # RHS calls and stage time per partition: [slow, fast]
     newton_iterations = jacobians = 0
@@ -361,16 +370,22 @@ def step(
 
     f_slow, f_fast = counted(ode.f_slow, 0), counted(ode.f_fast, 1)
 
-    def solve_stage(rhs_known, a_diag, part, f, jac_fn):
-        """f(Y) at the solution Y of Y = rhs_known + a_diag * f(Y)."""
-        nonlocal newton_iterations, jacobians
+    def stage_solver(a_diag, part, f, jac_fn):
+        """The solve rhs_known -> f(Y) at the solution Y of Y = rhs_known + a_diag * f(Y), for one partition.
+
+        Its residual and Jacobian closures are built once per step, not once per stage.
+        """
+        known = [None]  # the current stage's rhs_known; at size 1, its float
         last = [None, None]  # the residual's last (y, f(y))
 
-        def residual(y):
-            last[0], last[1] = y, f(y)
-            if n == 1:  # a float, by the same IEEE operations as the 1-element array expression
-                return y.item() - a_diag * last[1].item() - rhs_known.item()
-            return y - a_diag * last[1] - rhs_known
+        if n == 1:
+            def residual(y):  # a float, by the same IEEE operations as the 1-element array expression
+                last[0], last[1] = y, f(y)
+                return y.item() - a_diag * last[1].item() - known[0]
+        else:
+            def residual(y):
+                last[0], last[1] = y, f(y)
+                return y - a_diag * last[1] - known[0]
 
         def jac(y):
             J = jac_fn(y)
@@ -379,31 +394,37 @@ def step(
                 if shifted_solver is not None:
                     return shifted_solver(a_diag)
             J = np.asarray(J, dtype=float)
-            if y.size == 1:
+            if n == 1:  # the slope 1 - a*J
                 return 1.0 - float(J[0, 0]) * a_diag
             m = J * -a_diag  # a copy: the problem may share its J
-            m.flat[:: y.size + 1] += 1.0
+            m.flat[:: n + 1] += 1.0
             return m
 
-        res = newton_solve(residual, rhs_known, None if jac_fn is None else jac, matrix=matrices[part])
-        matrices[part] = res.matrix
-        newton_iterations += res.iterations
-        jacobians += res.jacobians
-        # Newton's last residual call has evaluated f at the solution already
-        return last[1] if res.y is last[0] else f(res.y)
+        def solve(rhs_known):
+            nonlocal newton_iterations, jacobians
+            known[0] = rhs_known.item() if n == 1 else rhs_known
+            res = newton_solve(residual, rhs_known, None if jac_fn is None else jac, matrix=matrices[part])
+            matrices[part] = res.matrix
+            newton_iterations += res.iterations
+            jacobians += res.jacobians
+            # Newton's last residual call has evaluated f at the solution already
+            return last[1] if res.y is last[0] else f(res.y)
+
+        return solve
+
+    slow_stage = stage_solver(H * method.slow.gamma, 0, f_slow, ode.jac_slow) if method.slow.is_implicit else f_slow
+    solve_fast = stage_solver(h * method.fast.gamma, 1, f_fast, ode.jac_fast) if fast_implicit else None
 
     # stage RHS values: the slow stages, then the fast stages of the current micro-step;
     # per slow stage, the sum of a_sf * F over the fast stages so far
     K, sf_acc = np.zeros((s_s + s_f, n)), np.zeros((s_s, n))
     # per fast stage, its input is ytilde + coef[lambda-1, i] @ K
-    scale = np.full(s_s + s_f, H)
-    scale[s_s:] = h
-    coef = plan.rows * scale
+    coef = plan.rows * np.array([H] * s_s + [h] * s_f)
 
     def compute_slow(j):
         rhs = y_n + H * (K[:j].T @ Ass[j, :j]) + h * sf_acc[j]
         t0 = time.perf_counter()
-        K[j] = solve_stage(rhs, H * method.slow.gamma, 0, f_slow, ode.jac_slow) if slow_implicit else f_slow(rhs)
+        K[j] = slow_stage(rhs)
         seconds[0] += time.perf_counter() - t0
 
     fsal = method.has_flag(MethodFlag.FSAL)
@@ -423,7 +444,7 @@ def step(
                 rhs = ytilde + row @ K  # zero weights on the slow stages not yet computed and fast stages >= i
                 t0 = time.perf_counter()
                 if fast_implicit:
-                    F = solve_stage(rhs, h * method.fast.gamma, 1, f_fast, ode.jac_fast)
+                    F = solve_fast(rhs)
                 elif i == 0 and f_prev_last is not None:
                     F = f_prev_last
                 else:
@@ -437,7 +458,7 @@ def step(
             increments = plan.fast_weights @ K[s_s:]
             acc += increments
             ytilde = ytilde + h * increments[0]
-            if not np.isfinite(ytilde).all():
+            if not np.logical_and.reduce(np.isfinite(ytilde)):  # ndarray.all without its Python-level wrapper
                 raise NonFiniteState(f"fast solution non-finite in micro-step {lam}")
         for j in plan.trailing:
             compute_slow(j)
@@ -446,7 +467,7 @@ def step(
     with_bf, with_bf_hat = y_n + h * acc
     slow_b, slow_b_hat = H * (plan.slow_weights @ K[:s_s])
     y_next = with_bf + slow_b
-    if not np.isfinite(y_next).all():
+    if not np.logical_and.reduce(np.isfinite(y_next)):
         raise NonFiniteState("macro-step produced non-finite state")
 
     carry = FsalCarry(y_next=y_next, f_fast_last=f_prev_last.copy()) if fsal and f_prev_last is not None else None
@@ -508,10 +529,11 @@ def _scaled_rms(x: np.ndarray, ys: np.ndarray, tolerances: Tolerances) -> list[f
     # a zero scale or a non-finite state is settled below, without warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(ys))
-        values = np.sqrt(np.mean(((x - ys) / scale) ** 2, axis=-1)).tolist()
+        # np.mean's own reduction and division, bit for bit, without its Python-level wrapper
+        values = np.sqrt(np.add.reduce(((x - ys) / scale) ** 2, axis=-1) / x.size).tolist()
         if any(map(math.isnan, values)):
             # 0/0 where states and tolerance all vanish is no deviation (rows
             # without a NaN keep their floats); a NaN state is no estimate
-            values = np.sqrt(np.mean(np.where(x == ys, 0.0, (x - ys) / scale) ** 2, axis=-1)).tolist()
+            values = np.sqrt(np.add.reduce(np.where(x == ys, 0.0, (x - ys) / scale) ** 2, axis=-1) / x.size).tolist()
             values = [math.inf if math.isnan(v) else v for v in values]
     return values

@@ -7,6 +7,7 @@ import pytest
 import mrgark as mg
 from mrgark.errors import InvalidInput, SingularResolvent
 from mrgark.stability import _stability_values, scan_region, stability_value
+from mrgark.stepping import _step_plan
 
 from conftest import exact_stability_value, relative_distance
 
@@ -220,6 +221,17 @@ def test_scan_cells_equal_stability_value(name, M):
                 except SingularResolvent:
                     expected = np.nan
                 assert grid.values[i, j, k] == expected or np.isnan(grid.values[i, j, k]) and np.isnan(expected)
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+def test_step_plan_computes_slow_stages_in_index_order(name):
+    # the scan scatters a fast stage into the slow-stage sums not yet read, sf_acc[done:]:
+    # this holds only if slow stage j is the (j+1)-th computed
+    method = mg.registry_lookup(name)
+    for M in (1, 2, 5, 16, 33):
+        plan = _step_plan(method, M)
+        order = [j for before in plan.before for stages in before for j in stages] + list(plan.trailing)
+        assert order == list(range(method.slow.stage_count)), M
 
 
 def test_overflowing_scan_cells_are_nan_without_warnings():

@@ -1,5 +1,7 @@
 import itertools
+import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -547,6 +549,89 @@ def test_newton_singular_scalar_raises():
         newton_solve(lambda y: np.array([1.0]), np.array([0.0]), jac=lambda y: np.array([[0.0]]))
 
 
+#: (pair, partition) whose implicit stages run size-1 Newton through step
+SIZE_ONE_IMPLICIT = [("IM-EX 2(1)A", "fast"), ("EX-IM 2(1)A", "slow"), ("IM-EX 3(2)A", "fast"), ("EX-IM 3(2)A", "slow")]
+
+
+def _size_one_ode(implicit, f, jac=None):
+    """A size-1 ode whose ``implicit`` partition is f (with ``jac``) and whose other partition is zero."""
+    zero = lambda y: 0.0 * y
+    if implicit == "fast":
+        return PartitionedOde(1, f_slow=zero, f_fast=f, jac_fast=jac)
+    return PartitionedOde(1, f_slow=f, f_fast=zero, jac_slow=jac)
+
+
+@pytest.mark.parametrize("name, implicit", SIZE_ONE_IMPLICIT)
+def test_size_one_singular_slope_in_step_raises(name, implicit):
+    # J with 1 - a*J == 0 exactly, a = h*gamma fast or H*gamma slow
+    m = mg.registry_lookup(name)
+    H, M = 0.05, 2
+    a = (H / M) * m.fast.gamma if implicit == "fast" else H * m.slow.gamma
+    J = 1.0 / a
+    while 1.0 - J * a != 0.0:
+        J = np.nextafter(J, np.inf if 1.0 - J * a > 0.0 else -np.inf)
+    ode = _size_one_ode(implicit, lambda y: -y, lambda y: np.array([[J]]))
+    with pytest.raises(NewtonDivergence, match="singular"):
+        step(m, ode, np.array([1.0]), 0.0, H, M)
+
+
+@pytest.mark.parametrize("with_jac", [True, False])
+@pytest.mark.parametrize("f", [lambda y: y * np.inf, lambda y: -y if y[0] >= 1.0 else np.full(1, np.nan)],
+                         ids=["at-the-guess", "after-an-update"])  # the first guess is y = 1
+@pytest.mark.parametrize("name, implicit", SIZE_ONE_IMPLICIT)
+def test_size_one_non_finite_residual_in_step_raises(name, implicit, f, with_jac):
+    ode = _size_one_ode(implicit, f, (lambda y: np.array([[-1.0]])) if with_jac else None)
+    with pytest.raises(NewtonDivergence, match="residual is non-finite"):
+        step(mg.registry_lookup(name), ode, np.array([1.0]), 0.0, 0.05, 2)
+
+
+@pytest.mark.parametrize("with_jac", [True, False])
+@pytest.mark.parametrize("name, implicit", SIZE_ONE_IMPLICIT)
+def test_size_one_stage_without_a_root_in_step_raises(name, implicit, with_jac):
+    # Y = rhs + a * (Y^2 + 10) has no real solution for a = H*gamma (or h*gamma) near 0.3 to 0.6
+    ode = _size_one_ode(implicit, lambda y: y**2 + 10.0, (lambda y: np.array([[2.0 * y[0]]])) if with_jac else None)
+    with pytest.raises(NewtonDivergence, match="no convergence"):
+        step(mg.registry_lookup(name), ode, np.array([1.0]), 0.0, 2.0, 1)
+
+
+class _ShiftedOnly:
+    """A Jacobian that offers only a shifted solve."""
+
+    def shifted_solver(self, a):
+        return lambda r: r / (1.0 + 10.0 * a)
+
+
+@pytest.mark.parametrize("name, implicit", SIZE_ONE_IMPLICIT)
+def test_size_one_partition_with_a_shifted_solver_is_rejected(name, implicit):
+    ode = _size_one_ode(implicit, lambda y: -10.0 * y, lambda y: _ShiftedOnly())
+    with pytest.raises(InvalidInput):
+        step(mg.registry_lookup(name), ode, np.array([1.0]), 0.0, 0.05, 2)
+
+
+@pytest.mark.parametrize("name, M, counts", [
+    ("IM-EX 3(2)A", 1, (21, 3, 9, 9)), ("IM-EX 3(2)A", 3, (45, 3, 18, 18)),
+    ("EX-IM 3(2)A", 3, (9, 15, 6, 6)), ("IM-EX 2(1)A", 3, (30, 2, 12, 12)), ("EX-IM 4(3)A", 3, (18, 25, 10, 10)),
+])
+def test_size_one_forward_difference_slope_in_step(name, M, counts):
+    # without jac, every size-1 Newton update costs one forward-difference RHS call
+    ode = CoupledNonlinearScalar().to_ode()
+    fd = step(mg.registry_lookup(name), _without_jacobians(ode), np.array([0.5]), 0.0, 0.05, M)
+    c = fd.counters
+    assert (c.fast_evals, c.slow_evals, c.newton_iterations, c.jacobians) == counts
+    analytic = step(mg.registry_lookup(name), ode, np.array([0.5]), 0.0, 0.05, M)
+    assert abs(fd.y_next[0] - analytic.y_next[0]) <= 1e-13
+
+
+def test_integer_step_size_steps_as_its_float():
+    # the stage coefficients scale by H and h = H/M whatever the number type of H
+    for name, M in (("EX-EX 2(1)A", 2), ("IM-EX 3(2)A", 3)):
+        m = mg.registry_lookup(name)
+        as_int = step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 1, M)
+        as_float = step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 1.0, M)
+        for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+            np.testing.assert_array_equal(getattr(as_int, field), getattr(as_float, field))
+
+
 def test_error_norm_zero_over_zero_is_no_deviation():
     tol = Tolerances(abs_tol=0.0, rel_tol=1e-3)
     x = np.array([0.0, 1.0])
@@ -714,3 +799,36 @@ def test_error_estimates_equal_three_error_norms():
         r.y_next, r.y_hat, r.y_hat_slow, r.y_hat_fast = (rng.choice(specials, size=n) for _ in range(4))
         tol = Tolerances(float(rng.choice([0.0, 1e-6])), float(rng.choice([0.0, 1e-3])))
         assert error_estimates(r, tol) == three(r, tol)
+
+
+def _frozen_scaled_rms(x, ys, abs_tol, rel_tol):
+    """The scaled RMS of x against each row of ys, in np.mean form: the bit-for-bit oracle of the error norm."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(ys))
+        values = np.sqrt(np.mean(((x - ys) / scale) ** 2, axis=-1)).tolist()
+        if any(map(math.isnan, values)):
+            values = np.sqrt(np.mean(np.where(x == ys, 0.0, (x - ys) / scale) ** 2, axis=-1)).tolist()
+            values = [math.inf if math.isnan(v) else v for v in values]
+    return values
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8192])
+def test_error_norm_matches_frozen_mean_oracle(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+    ordinary = x + 1e-5 * rng.standard_normal((3, n))
+    zeros = np.zeros((3, n))  # 0/0 where x vanishes too, finite/0 where it does not
+    zeros[1, 0] = 1e-9
+    special = ordinary.copy()
+    special[0, n // 2] = np.nan
+    special[1, -1] = np.inf
+    special[2, 0] = -np.inf
+    cases = [(x, ordinary), (np.zeros(n), zeros), (np.where(np.arange(n) % 2, x, 0.0), zeros), (x, special)]
+    tolerances = [Tolerances(1e-6, 1e-6), Tolerances(0.0, 1e-3), Tolerances(0.0, 0.0),
+                  Tolerances(np.full(n, 1e-5), 1e-3)]
+    for (x_case, ys), tol in itertools.product(cases, tolerances):
+        abs_tol, rel_tol = np.asarray(tol.abs_tol, dtype=float), np.asarray(tol.rel_tol, dtype=float)
+        expected = [v.hex() for v in _frozen_scaled_rms(x_case, ys, abs_tol, rel_tol)]
+        result = SimpleNamespace(y_next=x_case, y_hat=ys[0], y_hat_slow=ys[1], y_hat_fast=ys[2])
+        assert [v.hex() for v in error_estimates(result, tol)] == expected
+        assert [error_norm(x_case, row, tol).hex() for row in ys] == expected
