@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import get_args
@@ -52,11 +54,45 @@ from .tableaux import MethodFlag, TableauKind
 __all__ = ["main"]
 
 
+def _out_base(args) -> str:
+    return args.out_dir or os.environ.get("MRGARK_OUTPUT_DIR") or "."
+
+
 def _out_dir(args) -> Path:
-    base = args.out_dir or os.environ.get("MRGARK_OUTPUT_DIR") or "."
-    path = Path(base)
+    path = Path(_out_base(args))
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _check_out_file(args, name: str) -> None:
+    """Raise OSError unless the output file ``name`` can be written, before a command does its work.
+
+    Creates and truncates nothing: :func:`_out_dir` makes the output directory
+    and its parents when the results are written, so only they may be missing.
+    Below a missing directory, ".." is read lexically, as it resolves once
+    that directory has been made.
+    """
+    made = os.path.normpath(_out_base(args))
+    path = os.path.join(_out_base(args), name)
+    folder = os.path.dirname(path) or "."
+    while True:
+        try:
+            mode = os.stat(folder).st_mode  # below a file: NotADirectoryError
+            break
+        except FileNotFoundError:
+            if os.path.normpath(folder) != folder:
+                path = os.path.normpath(path)
+                folder = os.path.dirname(path) or "."
+            elif made == folder or made.startswith(os.path.join(folder, "")):
+                folder = os.path.dirname(folder) or "."
+            else:
+                raise FileNotFoundError(errno.ENOENT, "no such output directory", folder) from None
+    if not stat.S_ISDIR(mode):
+        raise NotADirectoryError(errno.ENOTDIR, "output path below a file", folder)
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, "output directory cannot be written", folder)
+    if folder == (os.path.dirname(path) or ".") and os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output file is a directory", path)
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -192,6 +228,7 @@ def cmd_verify(args) -> int:
     sweep = _parse_sweep(args.M_sweep)
     _check_assembled_M(max(sweep))  # before the first M is assembled
     names = list(METHOD_NAMES) if args.all else [args.method]
+    _check_out_file(args, args.out)  # before the sweep
     rows: list = []
     failures: list = []
     for name in names:
@@ -215,8 +252,10 @@ def cmd_converge(args) -> int:
     ode = problem.to_ode()
     y0 = problem.initial_condition()
     ladder = _parse_floats(args.h_ladder)
+    sweep = _parse_sweep(args.M)
+    _check_out_file(args, args.out)  # before the runs
     rows = []
-    for M in _parse_sweep(args.M):
+    for M in sweep:
         errs = []
         y_ref = None  # fine reference run, made once per M when there is no exact solution
         for H in ladder:
@@ -251,6 +290,8 @@ def cmd_converge(args) -> int:
 
 def cmd_stability(args) -> int:
     method = registry_lookup(args.method)
+    _check_assembled_M(args.M)
+    _check_out_file(args, args.out)  # before the assembly and the scan
     g = assemble(method, args.M)
     grid = scan_region(g, rho_max=args.rho_max, n_theta=args.n_theta, n_rho=args.n_rho)
     out = _out_dir(args)
@@ -270,6 +311,7 @@ def cmd_integrate(args) -> int:
     ode = problem.to_ode()
     y0 = problem.initial_condition()
     tolerances = Tolerances(abs_tol=args.abstol, rel_tol=args.reltol)
+    _check_out_file(args, "trajectory.csv")  # before the run
     summary: dict = {
         "command": "integrate", "method": method.name, "problem": args.problem,
         "t_end": args.t_end, "abstol": args.abstol, "reltol": args.reltol, "cost_source": None,

@@ -91,14 +91,14 @@ def _recurrence(method, M: int, z_f: np.ndarray, z_s: np.ndarray) -> np.ndarray:
     coef = plan.rows * np.repeat([1.0, h], (s_s, s_f))
     ytilde, acc = one, np.zeros_like(one)  # acc: the b_f-weighted fast stages over micro-steps
     done = 0  # slow stages computed so far; they run in index order, so sf_acc[:done] is read no more
-    for rows, before, scatter in zip(coef, plan.before, plan.scatter):
+    for rows, before, sf, last_fed in zip(coef, plan.before, plan.sf, plan.last_fed):
         for i, row in enumerate(rows):
             for j in before[i]:
                 compute_slow(j)
             done += len(before[i])
             K[s_s + i] = evaluate(combine(ytilde.copy(), row, K), 1)
-            if scatter[i] is not None and scatter[i][done:].any():
-                sf_acc[done:] += scatter[i][done:] * K[s_s + i]
+            if last_fed[i] >= done:
+                sf_acc[done:] += sf[done:, i:i + 1] * K[s_s + i]
         increment = combine(np.zeros_like(one), plan.fast_weights[0], K[s_s:])
         acc += increment
         ytilde = ytilde + h * increment

@@ -3,8 +3,10 @@
 The engine never materializes the assembled tableau.  The first step at a
 given (method, M) compiles a plan, cached from then on: per fast stage its
 coefficient row [A^{fs,lambda}_i | tril(A_ff, -1)_i] over the stacked stage
-values, the slow stages to compute right before it, and the column of
-A^{sf,lambda} its right-hand side feeds into the slow stages.
+values and the slow stages to compute right before it; per slow stage its row
+[tril(A_ss, -1)_j | A^{sf,lambda}_j] for the micro-step lambda whose fast
+stages it is computed after; and per micro-step the slow stages computed
+later that its fast stages feed.
 It is the stage order of :func:`assembly.derive_schedule` (both come from
 :func:`assembly.place_slow_stages`), so a cyclic method is rejected before any
 right-hand side runs.
@@ -13,12 +15,15 @@ The stage right-hand sides live in one array K: the s_s slow stages, then the
 s_f fast stages of the current micro-step.  Scaled once per step by H on the
 slow columns and h = H/M on the fast ones, a row gives fast stage i the input
 ytilde + row @ K; entries for slow stages not yet computed and for fast
-stages >= i are zero.  Each fast-stage value is scattered into one running
-sum per slow stage (a broadcast of its A^{sf,lambda} column), and each
-micro-step folds its stages into the b_f and b_hat_f sums with one weight
-product, so all four solutions (main, embedded, and both mixed pairs used to
-split the error estimate) come from the same stage evaluations at no extra
-cost.
+stages >= i are zero.  A slow stage's input is formed the same way when it
+is due, y_n + row @ K with its own row, plus a running sum of the earlier
+micro-steps that feed it: a micro-step whose fast stages feed slow stages
+computed after it folds them into their sums with one product at its end.
+So no fast-stage value outlives its micro-step, and a step holds 2*s_s + s_f
+state-sized rows at any M.  Each micro-step folds its stages into the b_f
+and b_hat_f sums with one weight product, so all four solutions (main,
+embedded, and both mixed pairs used to split the error estimate) come from
+the same stage evaluations at no extra cost.
 
 Implicit (SDIRK) stages are solved by simplified Newton, :func:`newton_solve`.
 Every implicit stage of a partition has the same Newton matrix I - a*J, with
@@ -53,7 +58,7 @@ from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from .assembly import place_slow_stages
+from .assembly import _last_nonzero, place_slow_stages
 from .errors import (InvalidInput, NewtonDivergence, NonFiniteState, check_count, check_real, check_real_array,
                      check_span, check_state, check_tolerance_shapes)
 from .tableaux import MethodFlag, MrGarkMethod
@@ -313,20 +318,35 @@ class _StepPlan:
 
     rows: np.ndarray  # (M, s_f, s_s + s_f): rows[lambda-1][i] = [A^{fs,lambda}_i | tril(A_ff, -1)_i]
     before: tuple[tuple[tuple[int, ...], ...], ...]  # [lambda-1][i]: slow stages to compute first
-    scatter: tuple[tuple[np.ndarray | None, ...], ...]  # [lambda-1][i]: column i of A^{sf,lambda}, (s_s, 1); None if 0
     trailing: tuple[int, ...]  # slow stages after the last micro-step
+    sf: np.ndarray  # (M, s_s, s_f): sf[lambda-1] = A^{sf,lambda}
+    # (s_s, s_s + s_f): slow_rows[j] = [tril(A_ss, -1)_j | A^{sf,lambda}_j], lambda the micro-step
+    # whose fast stages K holds when slow stage j is computed
+    slow_rows: np.ndarray
+    last_fed: tuple[tuple[int, ...], ...]  # [lambda-1][i]: the last slow stage A^{sf,lambda}_{:,i} feeds, -1 if none
+    # [lambda-1]: the first slow stage computed after micro-step lambda that its fast stages feed;
+    # s_s if none. At its end, micro-step lambda folds into the running sums from there on.
+    folds: tuple[int, ...]
     fast_weights: np.ndarray  # (2, s_f): b_f, b_hat_f
     slow_weights: np.ndarray  # (2, s_s): b_s, b_hat_s
 
 
 @lru_cache(maxsize=4096)
 def _step_plan(method: MrGarkMethod, M: int) -> _StepPlan:
-    s_f = method.fast.stage_count
+    s_f, s_s = method.stage_counts
     fs, sf = method.couplings(M)
     before, trailing = place_slow_stages(method, fs, sf)
     rows = np.concatenate([fs, np.broadcast_to(np.tril(method.fast.A, -1), (M, s_f, s_f))], axis=2)
-    scatter = tuple(tuple(a[:, i:i + 1] if a[:, i].any() else None for i in range(s_f)) for a in sf)
-    return _StepPlan(rows, tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), scatter, trailing,
+    # per slow stage, the micro-step (0-based) of the last fast stage computed before it; nothing feeds
+    # a slow stage computed before fast stage 0, so micro-step 0's zero row serves it
+    reads = [max(k - 1, 0) // s_f for k, stages in enumerate(before) for _ in stages] + [M - 1] * len(trailing)
+    slow_rows = np.concatenate([np.tril(method.slow.A, -1), sf[reads, range(s_s)]], axis=1)
+    last_fed = _last_nonzero(sf.transpose(0, 2, 1).reshape(M * s_f, s_s)).reshape(M, s_f).tolist()
+    # micro-step lambda feeds the slow stages from starts[lambda] on only through their running sums
+    starts = np.searchsorted(reads, range(M), side="right").tolist()
+    folds = tuple(start if max(fed) >= start else s_s for start, fed in zip(starts, last_fed))
+    return _StepPlan(rows, tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), trailing, sf, slow_rows,
+                     tuple(map(tuple, last_fed)), folds,
                      np.array([method.fast.b, method.fast.b_hat]), np.array([method.slow.b, method.slow.b_hat]))
 
 
@@ -353,7 +373,6 @@ def step(
     n = y_n.size
     s_f, s_s = method.stage_counts
     h = H / M
-    Ass = method.slow.A
     fast_implicit = method.fast.is_implicit
 
     calls, seconds = [0, 0], [0.0, 0.0]  # RHS calls and stage time per partition: [slow, fast]
@@ -416,13 +435,17 @@ def step(
     solve_fast = stage_solver(h * method.fast.gamma, 1, f_fast, ode.jac_fast) if fast_implicit else None
 
     # stage RHS values: the slow stages, then the fast stages of the current micro-step;
-    # per slow stage, the sum of a_sf * F over the fast stages so far
+    # per slow stage, its h * A^{sf} terms of the micro-steps folded so far
     K, sf_acc = np.zeros((s_s + s_f, n)), np.zeros((s_s, n))
-    # per fast stage, its input is ytilde + coef[lambda-1, i] @ K
-    coef = plan.rows * np.array([H] * s_s + [h] * s_f)
+    # per fast stage, its input is ytilde + coef[lambda-1, i] @ K; per slow stage, y_n + slow_coef[j] @ K
+    scale = np.array([H] * s_s + [h] * s_f)
+    coef, slow_coef = plan.rows * scale, plan.slow_rows * scale
+    summed = min(plan.folds)  # the first slow stage with a running sum
 
     def compute_slow(j):
-        rhs = y_n + H * (K[:j].T @ Ass[j, :j]) + h * sf_acc[j]
+        rhs = y_n + slow_coef[j] @ K  # zero weights on the slow stages >= j and the fast stages not yet computed
+        if j >= summed:
+            rhs += sf_acc[j]
         t0 = time.perf_counter()
         K[j] = slow_stage(rhs)
         seconds[0] += time.perf_counter() - t0
@@ -437,7 +460,7 @@ def step(
     # unstable step sizes overflow before the explicit finiteness checks fire;
     # silence the intermediate warnings, NonFiniteState is the real signal
     with np.errstate(over="ignore", invalid="ignore"):
-        for lam, (rows, before, scatter) in enumerate(zip(coef, plan.before, plan.scatter), 1):
+        for lam, (rows, before, fold) in enumerate(zip(coef, plan.before, plan.folds), 1):
             for i, row in enumerate(rows):
                 for j in before[i]:
                     compute_slow(j)
@@ -451,8 +474,8 @@ def step(
                     F = f_fast(rhs)
                 seconds[1] += time.perf_counter() - t0
                 K[s_s + i] = F
-                if scatter[i] is not None:
-                    sf_acc += scatter[i] * F
+            if fold < s_s:
+                sf_acc[fold:] += (h * plan.sf[lam - 1, fold:]) @ K[s_s:]
             if fsal:
                 f_prev_last = K[-1]  # read at the next micro-step's first stage, before it is overwritten
             increments = plan.fast_weights @ K[s_s:]
@@ -521,9 +544,11 @@ def error_estimates(result: StepResult, tolerances: Tolerances) -> tuple[float, 
 
 def _scaled_rms(x: np.ndarray, ys: np.ndarray, tolerances: Tolerances) -> list[float]:
     """:func:`error_norm` of x against each row of ys."""
-    x = np.asarray(x, dtype=float)
+    x, ys = np.asarray(x, dtype=float), np.asarray(ys, dtype=float)
     if ys.shape[-1] != x.size:
         raise InvalidInput(f"states compared must have the same size, got {x.size} and {ys.shape[-1]}")
+    if x.size == 0:
+        raise InvalidInput("states compared must not be empty")
     abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
     check_tolerance_shapes((abs_tol, rel_tol), x.size)
     # a zero scale or a non-finite state is settled below, without warnings

@@ -285,6 +285,10 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     ["verify", "EX-EX 2(1)A", "--M-sweep", "2,2"],
     ["verify", "EX-EX 2(1)A", "--M-sweep", "1:10001"],
     ["converge", "--method", "EX-EX 2(1)A", "--M", "2,2", "--h-ladder", "1/8"],
+    # a bad M is reported before an unwritable output file
+    ["converge", "--method", "EX-EX 2(1)A", "--M", "2,2", "--out", "nope/r.csv"],
+    ["verify", "EX-EX 2(1)A", "--M-sweep", "2,2", "--out", "nope/r.csv"],
+    ["stability", "EX-EX 2(1)A", "--M", "0", "--out", "nope/r.csv"],
 ])
 def test_m_lists_are_checked_before_any_work(argv, tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
@@ -294,6 +298,37 @@ def test_m_lists_are_checked_before_any_work(argv, tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli, "integrate_fixed", no_work)
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
     assert code == 2 and err.startswith("InvalidInput: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "EX-EX 4(3)A", "--out", "nope/r.csv"],
+    ["verify", "--all", "--out", "nope/r.csv"],
+    ["converge", "--method", "EX-EX 2(1)A", "--out", "nope/r.csv"],
+    ["--out-dir", "/dev/null/x", "stability", "EX-EX 4(3)A"],
+    ["--out-dir", "/dev/null/x", "integrate", "--method", "EX-EX 2(1)A"],
+    ["stability", "EX-EX 4(3)A", "--out", "."],
+])
+def test_unwritable_output_is_reported_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the output path was checked")
+
+    for name in ("assemble", "scan_region", "_verify_one", "integrate_fixed", "drive"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 2 and err.startswith("OSError: ") and len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())  # nothing created or truncated
+
+
+@pytest.mark.parametrize("out, written", [
+    ("region.csv", "a/b/region.csv"),
+    ("../r.csv", "a/r.csv"),  # ".." below the missing output directory, which is made first
+    ("../../r.csv", "r.csv"),
+])
+def test_missing_output_dirs_are_still_created(out, written, tmp_path, capsys):
+    argv = ["--out-dir", str(tmp_path / "a" / "b"), "stability", "EX-EX 2(1)A", "--n-theta", "3", "--n-rho", "3"]
+    code, _, err = run(argv + ["--out", out], capsys)
+    assert code == 0, err
+    assert (tmp_path / written).is_file()
 
 
 @pytest.mark.parametrize("argv", [

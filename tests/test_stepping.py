@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from mrgark.stepping import (
     FsalCarry,
     PartitionedOde,
     Tolerances,
+    WorkCounters,
     error_estimates,
     _step_plan,
     error_norm,
@@ -360,13 +362,32 @@ def test_step_plan_matches_derived_schedule(name, M):
     np.testing.assert_array_equal(plan.rows[:, :, :s_s], fs)
     for rows in plan.rows:
         np.testing.assert_array_equal(rows[:, s_s:], np.tril(m.fast.A, -1))
+    _assert_slow_inputs_match_couplings(m, M, plan)
+
+
+def _assert_slow_inputs_match_couplings(m, M, plan):
+    # every A^{sf,lambda}_j reaches slow stage j once: in its row, for the micro-step whose fast stages
+    # K holds when j is computed, or folded into its running sum at the end of an earlier micro-step
+    s_f, s_s = m.stage_counts
+    reads = dict.fromkeys(plan.trailing, M)
+    for lam, stages in enumerate(plan.before, 1):
+        for i, slow in enumerate(stages):
+            reads.update(dict.fromkeys(slow, lam - 1 if i == 0 and lam > 1 else lam))
+    np.testing.assert_array_equal(plan.slow_rows[:, :s_s], np.tril(m.slow.A, -1))
+    assert plan.sf.shape == (M, s_s, s_f) and len(plan.folds) == M
     for lam in range(1, M + 1):
-        scattered = np.zeros_like(sf[lam - 1])
-        for i, column in enumerate(plan.scatter[lam - 1]):
-            if column is not None:  # None stands for a zero column
-                assert column.shape == (s_s, 1) and column.any()
-                scattered[:, i] = column[:, 0]
-        np.testing.assert_array_equal(scattered, m.coupling("sf", lam, M))
+        a_sf = m.coupling("sf", lam, M)
+        np.testing.assert_array_equal(plan.sf[lam - 1], a_sf)
+        for i in range(s_f):
+            fed = np.flatnonzero(a_sf[:, i])
+            assert plan.last_fed[lam - 1][i] == (fed[-1] if fed.size else -1), (lam, i)
+        fold = plan.folds[lam - 1]
+        assert all(reads[j] > lam for j in range(fold, s_s))  # no sum is added to after its stage ran
+        for j in range(s_s):
+            if reads[j] == lam:
+                np.testing.assert_array_equal(plan.slow_rows[j, s_s:], a_sf[j])
+            elif a_sf[j].any():
+                assert reads[j] > lam and fold <= j, (lam, j)
 
 
 @pytest.mark.parametrize("name", mg.METHOD_NAMES)
@@ -375,7 +396,44 @@ def test_step_plan_compiles_up_to_controller_cap(name):
     m = mg.registry_lookup(name)
     for M in (16, 33, 64, 100):
         plan = _step_plan(m, M)
-        assert len(plan.rows) == len(plan.before) == len(plan.scatter) == M
+        assert len(plan.rows) == len(plan.before) == M
+        _assert_slow_inputs_match_couplings(m, M, plan)
+
+
+def test_gray_scott_explicit_pair_keeps_no_running_sums():
+    # EX-EX 3(2)4s-A couples only its first micro-step into the slow stages, and each slow stage is
+    # computed while K still holds that micro-step, so no micro-step folds into a running sum
+    m = mg.registry_lookup("EX-EX 3(2)4s-A")
+    assert all(set(_step_plan(m, M).folds) == {m.slow.stage_count} for M in range(1, 101))
+
+
+class _DiagonalJacobian:
+    """J = c*I as a structured Jacobian, so implicit stages solve without an n x n matrix."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def shifted_solver(self, a):
+        return lambda r: r / (1.0 - a * self.c)
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+def test_step_memory_does_not_grow_with_M(name):
+    # a step holds a fixed number of state-sized rows: no fast-stage history of length M*s_f
+    n = 4096
+    ode = PartitionedOde(n, f_slow=lambda y: -1.0 * y, f_fast=lambda y: -10.0 * y,
+                         jac_slow=lambda y: _DiagonalJacobian(-1.0), jac_fast=lambda y: _DiagonalJacobian(-10.0))
+    m, y = mg.registry_lookup(name), np.linspace(1.0, 2.0, n)
+    peaks = []
+    for M in (2, 64):
+        step(m, ode, y, 0.0, 0.01, M)  # the plan is compiled and cached outside the traced call
+        tracemalloc.start()
+        try:
+            step(m, ode, y, 0.0, 0.01, M)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 * 8 * n, peaks
 
 
 def test_implicit_stages_go_through_module_newton_solve(monkeypatch):
@@ -646,6 +704,13 @@ def test_error_norm_non_finite_state_is_infinite():
     assert error_norm(np.array([1.0]), np.array([2.0]), Tolerances(0.0, 0.0)) == np.inf
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_error_norm_rejects_empty_states(shape):
+    # no deviation can be averaged over no entries; inf would read as a NaN state
+    with pytest.raises(InvalidInput):
+        error_norm(np.zeros(shape), np.zeros(shape), Tolerances())
+
+
 def test_error_norm_fallbacks_emit_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -747,6 +812,114 @@ def test_step_matches_assembled_tableau_reference(name, M, problem):
     for field, expected in zip(fields, _reference_step(m, ode, y0, H, M)):
         got = getattr(r, field)
         assert np.all(np.abs(got - expected) <= bound * (1.0 + np.abs(expected))), field
+
+
+def _scatter_step(method, ode, y_n, H, M, fsal_carry=None):
+    """Frozen copy of the engine before slow stages were formed from their own rows over K.
+
+    Each fast-stage value is scattered into one running sum per slow stage, and
+    slow stage j's input is y_n + H * (K[:j].T @ A_ss[j, :j]) + h * sum_j.
+    Returns ((y_next, y_hat, y_hat_slow, y_hat_fast), counters, fsal_carry).
+    """
+    plan = _step_plan(method, M)
+    _, sf = method.couplings(M)
+    s_f, s_s = method.stage_counts
+    n, h, Ass = y_n.size, H / M, method.slow.A
+    counters, matrices = WorkCounters(), [None, None]
+
+    def f_slow(y):
+        counters.slow_evals += 1
+        return np.asarray(ode.f_slow(y), dtype=float)
+
+    def f_fast(y):
+        counters.fast_evals += 1
+        return np.asarray(ode.f_fast(y), dtype=float)
+
+    def stage_solver(a, part, f, jac_fn):
+        def solve(known):
+            last = [None, None]
+
+            def residual(y):
+                last[:] = y, f(y)
+                return y - a * last[1] - known
+
+            def jac(y):
+                J = jac_fn(y)
+                if not isinstance(J, np.ndarray) and hasattr(J, "shifted_solver"):
+                    return J.shifted_solver(a)
+                m = np.asarray(J, dtype=float) * -a
+                m.flat[:: n + 1] += 1.0
+                return m
+
+            res = newton_solve(residual, known, None if jac_fn is None else jac, matrix=matrices[part])
+            matrices[part] = res.matrix
+            counters.newton_iterations += res.iterations
+            counters.jacobians += res.jacobians
+            return last[1] if res.y is last[0] else f(res.y)
+        return solve
+
+    slow_stage = stage_solver(H * method.slow.gamma, 0, f_slow, ode.jac_slow) if method.slow.is_implicit else f_slow
+    fast_stage = stage_solver(h * method.fast.gamma, 1, f_fast, ode.jac_fast) if method.fast.is_implicit else f_fast
+    K, sf_acc = np.zeros((s_s + s_f, n)), np.zeros((s_s, n))
+    coef = plan.rows * np.array([H] * s_s + [h] * s_f)
+
+    def compute_slow(j):
+        K[j] = slow_stage(y_n + H * (K[:j].T @ Ass[j, :j]) + h * sf_acc[j])
+
+    fsal = method.has_flag(MethodFlag.FSAL)
+    f_prev_last = None
+    if fsal and fsal_carry is not None and np.array_equal(fsal_carry.y_next, y_n):
+        f_prev_last = fsal_carry.f_fast_last
+    ytilde, acc = y_n.copy(), np.zeros((2, n))
+    for rows, before, a_sf in zip(coef, plan.before, sf):
+        for i, row in enumerate(rows):
+            for j in before[i]:
+                compute_slow(j)
+            rhs = ytilde + row @ K
+            F = f_prev_last if i == 0 and f_prev_last is not None and not method.fast.is_implicit else fast_stage(rhs)
+            K[s_s + i] = F
+            if a_sf[:, i].any():
+                sf_acc += a_sf[:, i:i + 1] * F
+        if fsal:
+            f_prev_last = K[-1]
+        increments = plan.fast_weights @ K[s_s:]
+        acc += increments
+        ytilde = ytilde + h * increments[0]
+    for j in plan.trailing:
+        compute_slow(j)
+    with_bf, with_bf_hat = y_n + h * acc
+    slow_b, slow_b_hat = H * (plan.slow_weights @ K[:s_s])
+    y_next = with_bf + slow_b
+    carry = FsalCarry(y_next, f_prev_last.copy()) if fsal and f_prev_last is not None else None
+    return (y_next, with_bf_hat + slow_b_hat, with_bf + slow_b_hat, with_bf_hat + slow_b), counters, carry
+
+
+PARITY_PROBLEMS = {
+    "linear": (LINEAR, 0.1),
+    "nonlinear-scalar": (CoupledNonlinearScalar(), 0.05),
+    "gs16-reaction-fast": (GrayScott(n=16), 2e-3),
+    "gs16-swapped": (GrayScott(n=16, swap_roles=True), 2e-3),
+}
+
+
+@pytest.mark.parametrize("problem", list(PARITY_PROBLEMS))
+@pytest.mark.parametrize("M", [1, 2, 5, 8])
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+def test_step_matches_frozen_scatter_engine(name, M, problem):
+    # slow stages formed from their rows over K and per-micro-step folds, against the per-fast-stage scatter:
+    # two chained steps, FSAL carries included, agree to rounding with the same work
+    m = mg.registry_lookup(name)
+    p, H = PARITY_PROBLEMS[problem]
+    ode, y, y_old = p.to_ode(), p.initial_condition(), p.initial_condition()
+    carry = carry_old = None
+    for k in range(2):
+        r = step(m, ode, y, k * H, H, M, fsal_carry=carry)
+        expected, counters, carry_old = _scatter_step(m, ode, y_old, H, M, carry_old)
+        for field, want in zip(("y_next", "y_hat", "y_hat_slow", "y_hat_fast"), expected):
+            got = getattr(r, field)
+            assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want))), (field, k)
+        assert r.counters == counters, k
+        y, carry, y_old = r.y_next, r.fsal_carry, expected[0]
 
 
 @pytest.mark.parametrize("name", IMPLICIT_PAIRS)
