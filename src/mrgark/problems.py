@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (InvalidInput, NewtonDivergence, NoReference, check_choice, check_count, check_real,
                      check_real_array)
-from .stepping import PartitionedOde
+from .stepping import PartitionedOde, _inverse
 
 __all__ = [
     "LinearTwoRate",
@@ -197,14 +197,6 @@ def _face_cells(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices (a, b) of the two cells of each face of the n x n grid, b after a: axis-0 faces, then axis-1."""
     idx = np.arange(n * n).reshape(n, n)
     return tuple(np.concatenate([idx[c].ravel(), idx[:, c].ravel()]) for c in _line_faces(n, boundary))
-
-
-def _inverse(m: np.ndarray) -> np.ndarray:
-    """``np.linalg.inv`` of a batch of pivot blocks; NewtonDivergence if one is singular."""
-    try:
-        return np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        raise NewtonDivergence("singular Newton matrix") from None
 
 
 class NonlinearDiffusionJacobian:

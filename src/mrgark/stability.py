@@ -71,7 +71,7 @@ def _recurrence(method, M: int, z_f: np.ndarray, z_s: np.ndarray) -> np.ndarray:
     one = np.ones_like(z_f).view(float)
     # stage right-hand sides z*Y: the slow stages, then the fast stages of the current micro-step
     K = np.zeros((s_s + s_f, one.size))
-    sf_acc = np.zeros((s_s, one.size))  # per slow stage, the sum of a_sf * K over the fast stages so far
+    sf_acc = np.zeros((s_s, one.size))  # per slow stage, its h * A^{sf} terms of the micro-steps folded so far
 
     def combine(y, coefficients, rows):
         """y plus the sum of a * rows[k] over the nonzero a, in index order (y is updated in place)."""
@@ -85,20 +85,20 @@ def _recurrence(method, M: int, z_f: np.ndarray, z_s: np.ndarray) -> np.ndarray:
         Y = y.view(complex) if divisor is None else y.view(complex) / divisor
         return (z * Y).view(float)
 
-    def compute_slow(j):
-        K[j] = evaluate(combine(one + h * sf_acc[j], method.slow.A[j, :j], K), 0)
+    scale = np.repeat([1.0, h], (s_s, s_f))
+    coef, slow_coef = plan.rows * scale, plan.slow_rows * scale
 
-    coef = plan.rows * np.repeat([1.0, h], (s_s, s_f))
+    def compute_slow(j):
+        K[j] = evaluate(combine(one + sf_acc[j], slow_coef[j], K), 0)
+
     ytilde, acc = one, np.zeros_like(one)  # acc: the b_f-weighted fast stages over micro-steps
-    done = 0  # slow stages computed so far; they run in index order, so sf_acc[:done] is read no more
-    for rows, before, sf, last_fed in zip(coef, plan.before, plan.sf, plan.last_fed):
+    for rows, before, sf, fold in zip(coef, plan.before, h * plan.sf, plan.folds):
         for i, row in enumerate(rows):
             for j in before[i]:
                 compute_slow(j)
-            done += len(before[i])
             K[s_s + i] = evaluate(combine(ytilde.copy(), row, K), 1)
-            if last_fed[i] >= done:
-                sf_acc[done:] += sf[done:, i:i + 1] * K[s_s + i]
+        for j in range(fold, s_s):  # fold this micro-step into the sums of the slow stages computed later
+            combine(sf_acc[j], sf[j], K[s_s:])
         increment = combine(np.zeros_like(one), plan.fast_weights[0], K[s_s:])
         acc += increment
         ytilde = ytilde + h * increment

@@ -35,10 +35,10 @@ rebuild it every iteration, on floats: there the stage residual returns a
 float and the Jacobian closure the slope 1 - a*J, which Newton takes as they
 come; only a forward difference goes through arrays.  Each implicit
 partition's residual and Jacobian closures are built once per step, not once
-per stage.  A partition's ``jac`` returns J either as a dense
-array, from which I - a*J is formed and solved by LU, or as a
+per stage.  A partition's ``jac`` returns J either as a dense array, from
+which I - a*J is formed and kept as its inverse, or as a
 :class:`StructuredJacobian`, whose ``shifted_solver(a)`` is the exact solve of
-(I - a*J) x = r; that solver is then what is built, reused and rebuilt.
+(I - a*J) x = r; either way a solve is what is built, reused and rebuilt.
 An implicit stage's right-hand side is the f(Y) that Newton's last residual
 call evaluated at the returned Y, so a converged stage costs no extra call.
 
@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from .assembly import _last_nonzero, place_slow_stages
+from .assembly import place_slow_stages
 from .errors import (InvalidInput, NewtonDivergence, NonFiniteState, check_count, check_real, check_real_array,
                      check_span, check_state, check_tolerance_shapes)
 from .tableaux import MethodFlag, MrGarkMethod
@@ -99,9 +99,10 @@ class StructuredJacobian(Protocol):
 class PartitionedOde:
     """Additively partitioned autonomous ODE y' = f_slow(y) + f_fast(y).
 
-    ``jac_slow``/``jac_fast`` return the partition's Jacobian at y: a dense
-    (dimension x dimension) array, or, for systems of size > 1, a
-    :class:`StructuredJacobian`.  Omitted, implicit stages finite-difference it.
+    ``jac_slow``/``jac_fast`` return the partition's Jacobian at y: a real
+    (dimension x dimension) array, a float at size 1 or a
+    :class:`StructuredJacobian` above; anything else raises InvalidInput.
+    Omitted, implicit stages finite-difference it.
     """
 
     dimension: int
@@ -138,7 +139,7 @@ class WorkCounters:
     fast_evals: int = 0
     slow_evals: int = 0
     newton_iterations: int = 0
-    jacobians: int = 0  # Newton matrices or solvers built, analytic or finite-difference (FD RHS calls are in *_evals)
+    jacobians: int = 0  # Newton matrices built, analytic or finite-difference (FD RHS calls are in *_evals)
     # *_evals count every RHS call: explicit stages, Newton residuals (whose last
     # one also yields the implicit stage's value) and forward differences
 
@@ -169,48 +170,40 @@ class StepResult:
 class NewtonResult(NamedTuple):
     y: np.ndarray
     iterations: int
-    matrix: np.ndarray | Callable[[np.ndarray], np.ndarray] | float | None  # dG/dy last used, or the one passed in
-    jacobians: int  # Newton matrices or solvers built, analytic or finite-difference
+    # dG/dy last used, or the one passed in: a float slope at size 1, a solve callable above
+    matrix: Callable[[np.ndarray], np.ndarray] | float | None
+    jacobians: int  # Newton matrices built, analytic or finite-difference
 
 
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray | float],
     y_guess: np.ndarray,
-    jac: Callable[[np.ndarray], np.ndarray | Callable[[np.ndarray], np.ndarray]] | None = None,
-    matrix: np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None,
+    jac: Callable[[np.ndarray], np.ndarray | float | Callable[[np.ndarray], np.ndarray]] | None = None,
+    matrix: np.ndarray | float | Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> NewtonResult:
     """Solve G(y) = 0 for 1-D y; converged when ||G|| <= :data:`NEWTON_TOL` * (1 + ||y||).
 
     Simplified Newton (Hairer & Wanner, *Solving ODEs II*, IV.8): the Newton
     matrix dG/dy is ``matrix`` when given (one an earlier solve returned), or
     is built at the first iterate, and is reused while each update cuts ||G||
-    by the factor :data:`NEWTON_RATE`.  After an update that does not, it is
+    by the factor :data:`NEWTON_RATE`; after an update that does not, it is
     rebuilt at the new iterate.  An update through a reused matrix that makes
-    ||G|| grow, or the iterate or residual non-finite, is discarded and
-    retried with a matrix built at the iterate it started from; with such a
-    fresh matrix the update is a full Newton step, and only then does a
-    non-finite result raise :class:`NewtonDivergence`.  Size-1 systems rebuild
-    on every iteration, so theirs is full Newton: there a rebuild costs less
-    than the residual call a reused matrix would add.  It runs on Python
-    floats, the same IEEE operations as the 1x1 LU solve; only the residual
-    sees (1-element) arrays.  A residual that returns a float, and a ``jac``
-    that returns the slope dG/dy as a float, are used as they come; ``jac``
-    is called directly, and only the forward difference builds an array.
-    Affine systems converge in a single update with an exact matrix.  The
-    norms do not overflow on finite entries.  The returned ``y`` is the very
-    array of the last ``residual`` call, so a caller can reuse what that call
-    computed.
+    ||G|| grow, or the iterate or residual non-finite, is retried with a
+    matrix built at the iterate it started from; only a non-finite result of
+    such a fresh matrix raises :class:`NewtonDivergence`.  Size-1 systems
+    rebuild on every iteration, which costs less there than the residual call
+    a reused matrix would add, and run on Python floats (a residual may return
+    one).  The returned ``y`` is the very array of the last ``residual`` call.
 
-    ``jac`` returns dG/dy, held in one of two ways: a dense array, solved by
-    LU (by division at size 1, where a float also does), or, for systems of
-    size > 1, a *solve* callable, so that the update is ``solve(-g)``; a
-    solve of a singular system raises :class:`NewtonDivergence`, and a solve
-    callable at size 1 raises :class:`InvalidInput`.  Omitted, dG/dy is a
-    dense forward-difference approximation with increment
-    sqrt(eps) * (1 + |y_i|), at one residual call per column.  ``matrix`` and
-    the returned matrix are held the same way.  The result carries the matrix
-    last used, for the next solve with the same dG/dy, and the number of
-    matrices built.
+    ``jac`` returns dG/dy as a real (n, n) array, a float (size 1 only) or a
+    *solve* callable r -> x of dG/dy x = r (size > 1 only); anything else
+    raises :class:`InvalidInput`.  Omitted, dG/dy is a forward-difference
+    array with increment sqrt(eps) * (1 + |y_i|), one residual call per
+    column.  A matrix is held as a float slope at size 1 and as a solve above:
+    an array is kept as its inverse, one inversion per build and one product
+    per update, and a singular one raises :class:`NewtonDivergence` when it is
+    built.  A ``matrix`` passed in is converted once, on entry.  The result
+    carries the matrix last used and the number built.
     """
     y = np.array(y_guess, dtype=float)
     builds = 0
@@ -218,6 +211,8 @@ def newton_solve(
         # full Newton on floats: the same IEEE operations as the 1x1 LU solve, and
         # |v| is sqrt(v*v) without its overflow; only the residual sees arrays
         y_f, one_d = y.item(), y.ndim == 1
+        if matrix is not None and type(matrix) is not float:
+            matrix = _slope(matrix)
         for iteration in range(NEWTON_MAX_ITER + 1):
             g = residual(y)
             g_f = g if type(g) is float else float(np.asarray(g, dtype=float).item())
@@ -227,22 +222,19 @@ def newton_solve(
                 return NewtonResult(y, iteration, matrix, builds)
             if iteration == NEWTON_MAX_ITER:
                 break
-            matrix = _newton_matrix(residual, y, g_f, None) if jac is None else jac(y)
+            matrix = _forward_difference(residual, y, g_f) if jac is None else jac(y)
+            if type(matrix) is not float:
+                matrix = _slope(matrix)
             builds += 1
-            if isinstance(matrix, float):
-                slope = float(matrix)
-            elif callable(matrix):
-                raise InvalidInput("a solve callable for dG/dy needs a system of size > 1")
-            else:
-                matrix = np.asarray(matrix, dtype=float)
-                slope = float(matrix[0, 0])
-            if slope == 0.0:
+            if matrix == 0.0:
                 raise NewtonDivergence("singular Newton matrix")
-            y_f = y_f + -g_f / slope
+            y_f = y_f + -g_f / matrix
             if not math.isfinite(y_f):
                 raise NewtonDivergence("iterate is non-finite")
             y = np.array([y_f]) if one_d else np.full_like(y, y_f)  # the guess's shape
         raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
+    if matrix is not None:
+        matrix = _newton_matrix(matrix, y.size)
     g = np.asarray(residual(y), dtype=float)
     y_norm, g_norm = _norm(y), _norm(g)
     if not math.isfinite(g_norm):
@@ -254,17 +246,9 @@ def newton_solve(
         if iteration == NEWTON_MAX_ITER:
             break
         if rebuild:
-            matrix = _newton_matrix(residual, y, g, jac)
+            matrix = _newton_matrix(_forward_difference(residual, y, g) if jac is None else jac(y), y.size)
             rebuild, fresh, builds = False, True, builds + 1
-        if callable(matrix):
-            delta = matrix(-g)
-        else:
-            try:
-                delta = np.linalg.solve(matrix, -g)
-            except np.linalg.LinAlgError as exc:
-                # a reused matrix has solved before, so this one is fresh
-                raise NewtonDivergence(f"singular Newton matrix: {exc}") from None
-        y_new = y + delta
+        y_new = y + matrix(-g)
         y_new_norm = _norm(y_new)
         if not math.isfinite(y_new_norm):
             if fresh:
@@ -298,11 +282,8 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(square_sum)
 
 
-def _newton_matrix(residual, y: np.ndarray, g: np.ndarray | float, jac):
-    """dG/dy at y from ``jac``, or by forward differences of the residual (g = G(y))."""
-    if jac is not None:
-        m = jac(y)
-        return m if callable(m) else np.asarray(m, dtype=float)
+def _forward_difference(residual, y: np.ndarray, g: np.ndarray | float) -> np.ndarray:
+    """dG/dy at y by forward differences of the residual (g = G(y)), one call per column."""
     j = np.empty((y.size, y.size))
     for i in range(y.size):
         dy = _SQRT_EPS * (1.0 + abs(y[i]))
@@ -310,6 +291,36 @@ def _newton_matrix(residual, y: np.ndarray, g: np.ndarray | float, jac):
         yp[i] += dy
         j[:, i] = (np.asarray(residual(yp)) - g) / dy
     return j
+
+
+def _dense(m, n: int) -> np.ndarray:
+    """``m`` as a float array; InvalidInput unless it is a real (n, n) array."""
+    m = check_real_array(m, "a Jacobian or Newton matrix")
+    if m.shape != (n, n):
+        raise InvalidInput(f"a Jacobian or Newton matrix of a size-{n} system must be ({n}, {n}), got {m.shape}")
+    return m
+
+
+def _slope(m) -> float:
+    """A size-1 Jacobian or Newton matrix, given as a float or a real (1, 1) array, as a float."""
+    if type(m) is np.ndarray and m.shape == (1, 1) and m.dtype.kind in "iuf":  # the common case, checked cheaply
+        return float(m.item())
+    if callable(m):
+        raise InvalidInput("a solve callable for dG/dy needs a system of size > 1")
+    return float(m) if isinstance(m, float) else float(_dense(m, 1)[0, 0])
+
+
+def _newton_matrix(m, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A size-n Newton matrix, n > 1, as its solve: a callable as it comes, a real (n, n) array by its inverse."""
+    return m if callable(m) else _inverse(_dense(m, n)).dot
+
+
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv`` of a matrix or a batch of them; NewtonDivergence if one is singular."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        raise NewtonDivergence("singular Newton matrix") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +334,6 @@ class _StepPlan:
     # (s_s, s_s + s_f): slow_rows[j] = [tril(A_ss, -1)_j | A^{sf,lambda}_j], lambda the micro-step
     # whose fast stages K holds when slow stage j is computed
     slow_rows: np.ndarray
-    last_fed: tuple[tuple[int, ...], ...]  # [lambda-1][i]: the last slow stage A^{sf,lambda}_{:,i} feeds, -1 if none
     # [lambda-1]: the first slow stage computed after micro-step lambda that its fast stages feed;
     # s_s if none. At its end, micro-step lambda folds into the running sums from there on.
     folds: tuple[int, ...]
@@ -341,12 +351,10 @@ def _step_plan(method: MrGarkMethod, M: int) -> _StepPlan:
     # a slow stage computed before fast stage 0, so micro-step 0's zero row serves it
     reads = [max(k - 1, 0) // s_f for k, stages in enumerate(before) for _ in stages] + [M - 1] * len(trailing)
     slow_rows = np.concatenate([np.tril(method.slow.A, -1), sf[reads, range(s_s)]], axis=1)
-    last_fed = _last_nonzero(sf.transpose(0, 2, 1).reshape(M * s_f, s_s)).reshape(M, s_f).tolist()
     # micro-step lambda feeds the slow stages from starts[lambda] on only through their running sums
     starts = np.searchsorted(reads, range(M), side="right").tolist()
-    folds = tuple(start if max(fed) >= start else s_s for start, fed in zip(starts, last_fed))
-    return _StepPlan(rows, tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), trailing, sf, slow_rows,
-                     tuple(map(tuple, last_fed)), folds,
+    folds = tuple(start if sf[lam, start:].any() else s_s for lam, start in enumerate(starts))
+    return _StepPlan(rows, tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), trailing, sf, slow_rows, folds,
                      np.array([method.fast.b, method.fast.b_hat]), np.array([method.slow.b, method.slow.b_hat]))
 
 
@@ -377,9 +385,9 @@ def step(
 
     calls, seconds = [0, 0], [0.0, 0.0]  # RHS calls and stage time per partition: [slow, fast]
     newton_iterations = jacobians = 0
-    # per partition [slow, fast]: I - a*J or its solver, built at its first implicit
+    # per partition [slow, fast]: the slope or solve of I - a*J, built at its first implicit
     # stage and reused by the later ones, since a = h*gamma is the same for all of them
-    matrices: list[np.ndarray | Callable | float | None] = [None, None]
+    matrices: list[Callable | float | None] = [None, None]
 
     def counted(fn, part):
         def call(y):
@@ -412,10 +420,9 @@ def step(
                 shifted_solver = getattr(J, "shifted_solver", None)
                 if shifted_solver is not None:
                     return shifted_solver(a_diag)
-            J = np.asarray(J, dtype=float)
             if n == 1:  # the slope 1 - a*J
-                return 1.0 - float(J[0, 0]) * a_diag
-            m = J * -a_diag  # a copy: the problem may share its J
+                return 1.0 - _slope(J) * a_diag
+            m = _dense(J, n) * -a_diag  # a copy: the problem may share its J
             m.flat[:: n + 1] += 1.0
             return m
 

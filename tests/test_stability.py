@@ -225,8 +225,8 @@ def test_scan_cells_equal_stability_value(name, M):
 
 @pytest.mark.parametrize("name", mg.METHOD_NAMES)
 def test_step_plan_computes_slow_stages_in_index_order(name):
-    # the scan scatters a fast stage into the slow-stage sums not yet read, sf_acc[done:]:
-    # this holds only if slow stage j is the (j+1)-th computed
+    # the plan's slow_rows and folds, which the scan walks as step does, pair the j-th slow stage
+    # computed with slow stage j: this holds only if slow stage j is the (j+1)-th computed
     method = mg.registry_lookup(name)
     for M in (1, 2, 5, 16, 33):
         plan = _step_plan(method, M)

@@ -378,9 +378,6 @@ def _assert_slow_inputs_match_couplings(m, M, plan):
     for lam in range(1, M + 1):
         a_sf = m.coupling("sf", lam, M)
         np.testing.assert_array_equal(plan.sf[lam - 1], a_sf)
-        for i in range(s_f):
-            fed = np.flatnonzero(a_sf[:, i])
-            assert plan.last_fed[lam - 1][i] == (fed[-1] if fed.size else -1), (lam, i)
         fold = plan.folds[lam - 1]
         assert all(reads[j] > lam for j in range(fold, s_s))  # no sum is added to after its stage ran
         for j in range(s_s):
@@ -581,6 +578,48 @@ def test_structured_newton_solves_match_dense(name, M):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (field, case)
 
 
+@pytest.mark.parametrize("name", ["EX-IM 3(2)A", "IM-EX 3(2)A"])
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+@pytest.mark.parametrize("jacobians", [_dense_jacobians, _without_jacobians], ids=["dense", "fd"])
+def test_dense_newton_matrix_is_inverted_once_per_build(monkeypatch, name, mode, jacobians):
+    calls = {"inv": 0, "solve": 0}
+
+    def counted(fn, key):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv, "inv"))
+    monkeypatch.setattr(np.linalg, "solve", counted(np.linalg.solve, "solve"))
+    gs = GrayScott(n=8, diffusion_mode=mode)
+    r = step(mg.registry_lookup(name), jacobians(gs.to_ode()), gs.initial_condition(), 0.0, 0.02, 4)
+    assert r.counters.newton_iterations > r.counters.jacobians >= 1
+    assert calls == {"inv": r.counters.jacobians, "solve": 0}
+
+
+#: what a Jacobian or Newton matrix may not be, at size 1 and at size 2
+BAD_MATRICES = {
+    1: {"2x2": np.eye(2), "1x3": np.ones((1, 3)), "1-D": np.ones(1), "complex": np.array([[1j]]), "string": "abc"},
+    2: {"3x3": np.eye(3), "2x3": np.ones((2, 3)), "float": 2.0, "complex": np.eye(2) * 1j, "bool": np.eye(2, dtype=bool),
+        "string": "abc", "object": object()},
+}
+
+
+@pytest.mark.parametrize("n, bad", [(n, key) for n, cases in BAD_MATRICES.items() for key in cases])
+@pytest.mark.parametrize("entry", ["step", "jac", "matrix"])
+def test_bad_jacobians_and_newton_matrices_are_rejected(n, bad, entry):
+    J = BAD_MATRICES[n][bad]
+    with pytest.raises(InvalidInput):
+        if entry == "step":
+            ode = PartitionedOde(n, f_slow=lambda y: -y, f_fast=lambda y: -10.0 * y, jac_fast=lambda y: J)
+            step(mg.registry_lookup("IM-EX 2(1)A"), ode, np.ones(n), 0.0, 0.05, 2)
+        elif entry == "jac":
+            newton_solve(lambda y: 2.0 * y - 1.0, np.zeros(n), jac=lambda y: J)
+        else:
+            newton_solve(lambda y: 2.0 * y - 1.0, np.zeros(n), jac=lambda y: 2.0 * np.eye(n), matrix=J)
+
+
 def test_implicit_gray_scott_at_128_squared():
     # the dense diffusion matrix here would be 32768^2 doubles, about 8.6 GB
     gs = GrayScott(n=128, diffusion_mode="linear", swap_roles=True)
@@ -664,6 +703,18 @@ def test_size_one_partition_with_a_shifted_solver_is_rejected(name, implicit):
     ode = _size_one_ode(implicit, lambda y: -10.0 * y, lambda y: _ShiftedOnly())
     with pytest.raises(InvalidInput):
         step(mg.registry_lookup(name), ode, np.array([1.0]), 0.0, 0.05, 2)
+
+
+@pytest.mark.parametrize("name, implicit", SIZE_ONE_IMPLICIT)
+def test_size_one_float_jacobian_steps_as_its_array(name, implicit):
+    p = CoupledNonlinearScalar()
+    slope = lambda y: -10.0 + 2.0 * float(y[0])
+    as_float = step(mg.registry_lookup(name), _size_one_ode(implicit, p.f_fast, slope), np.array([0.5]), 0.0, 0.05, 2)
+    as_array = step(mg.registry_lookup(name), _size_one_ode(implicit, p.f_fast, lambda y: np.array([[slope(y)]])),
+                    np.array([0.5]), 0.0, 0.05, 2)
+    for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+        np.testing.assert_array_equal(getattr(as_float, field), getattr(as_array, field))
+    assert as_float.counters == as_array.counters
 
 
 @pytest.mark.parametrize("name, M, counts", [
