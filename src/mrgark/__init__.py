@@ -17,7 +17,7 @@ from .assembly import (
     check_telescopic,
     derive_schedule,
 )
-from .order import ConditionCatalog, ResidualReport, block_form_residuals, classify, residuals
+from .order import ConditionCatalog, ResidualReport, classify, residuals
 from .schemes import METHOD_NAMES, list_methods, registry_lookup
 from .stability import RegionGrid, scan_region, stability_value
 from .stepping import (
@@ -42,7 +42,7 @@ __all__ = [
     "GarkMatrix", "assemble",
     "check_internal_consistency", "check_telescopic", "check_decoupled",
     "check_stiff_accuracy", "derive_schedule",
-    "ConditionCatalog", "ResidualReport", "residuals", "block_form_residuals", "classify",
+    "ConditionCatalog", "ResidualReport", "residuals", "classify",
     "RegionGrid", "stability_value", "scan_region",
     "PartitionedOde", "StepResult", "Tolerances", "WorkCounters",
     "step", "integrate_fixed", "newton_solve", "error_estimates", "error_norm",

@@ -113,14 +113,14 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _parse_sweep(text: str) -> list[int]:
-    """Parse '1:8' (inclusive range) or '2,4,8' (explicit list)."""
+    """Parse '1:8' (inclusive range) or '2,4,8' (explicit list) of distinct integers >= 1."""
     try:
         lo, colon, hi = text.partition(":")
         out = list(range(int(lo), int(hi) + 1)) if colon else [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         out = []
-    if not out or len(set(out)) < len(out):
-        raise InvalidInput(f"bad M list {text!r}: want 'lo:hi' or distinct 'M1,M2,...'")
+    if not out or min(out) < 1 or len(set(out)) < len(out):
+        raise InvalidInput(f"bad M list {text!r}: want 'lo:hi' or distinct 'M1,M2,...', each >= 1")
     return out
 
 
@@ -157,9 +157,12 @@ def cmd_list_methods(args) -> int:
 
 def cmd_dump_tableau(args) -> int:
     method = registry_lookup(args.method)
+    name = args.out or f"tableau.{args.format}"
+    _check_out_file(args, name)  # before the assembly
     g = assemble(method, args.M)
-    out = _out_dir(args)
+    path = _out_dir(args) / name
     if args.format == "json":
+        fs, sf = method.couplings(args.M)
         payload = {
             "name": method.name,
             "tool_version": __version__,
@@ -170,16 +173,14 @@ def cmd_dump_tableau(args) -> int:
             **{part: {"A": base.A.tolist(), "b": base.b.tolist(), "b_hat": base.b_hat.tolist(),
                       "c": base.c.tolist(), "kind": base.kind.value}
                for part, base in (("fast", method.fast), ("slow", method.slow))},
-            "fs_coupling": method.couplings(args.M)[0].tolist(),
-            "sf_coupling": method.couplings(args.M)[1].tolist(),
+            "fs_coupling": fs.tolist(),
+            "sf_coupling": sf.tolist(),
             "assembled": {"A": g.A.tolist(), "b": g.b.tolist(), "c": g.c.tolist()},
         }
-        path = out / (args.out or "tableau.json")
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     else:
-        path = out / (args.out or "tableau.csv")
         _write_csv(path, ["row"] + [f"a{j+1}" for j in range(g.stage_count)] + ["b", "c"],
                    ([i + 1] + [f"{x:.17g}" for x in g.A[i]] + [f"{g.b[i]:.17g}", f"{g.c[i]:.17g}"]
                     for i in range(g.stage_count)))
@@ -189,9 +190,8 @@ def cmd_dump_tableau(args) -> int:
 
 def _verify_one(name: str, sweep: list[int], weights: str, rows: list, failures: list) -> None:
     method = registry_lookup(name)
-    classify_reports = []  # (main, embedded) per M, so classify neither assembles nor recomputes them
+    classify_reports = []  # (main, embedded) per M, so classify does not recompute them
     for M in sweep:
-        g = assemble(method, M)
         rep = check_internal_consistency(method, M)
         if not rep.passed:
             failures.append(f"{name} M={M}: internal consistency residual {max(rep.max_fs_residual, rep.max_sf_residual):.2e}")
@@ -205,7 +205,7 @@ def _verify_one(name: str, sweep: list[int], weights: str, rows: list, failures:
             base = method.slow if part == "slow" else method.fast
             if base.kind is TableauKind.SDIRK and method.has_flag(flag) and not check_stiff_accuracy(method, M, part):
                 failures.append(f"{name} M={M}: stiff accuracy fails in {part} partition")
-        reports = {w: residuals(method, M, w, g=g) for w in dict.fromkeys(("main", "embedded", weights))}
+        reports = {w: residuals(method, M, w) for w in dict.fromkeys(("main", "embedded", weights))}
         classify_reports.append((reports["main"], reports["embedded"]))
         for e in reports[weights].entries:
             rows.append([name, M, weights, e.id, e.order, e.group, f"{e.value:.17g}", f"{e.rhs:.17g}", f"{e.residual:.3e}"])
@@ -226,7 +226,6 @@ def cmd_verify(args) -> int:
     if not args.all and args.method is None:
         raise InvalidInput("verify: give a method name or --all")
     sweep = _parse_sweep(args.M_sweep)
-    _check_assembled_M(max(sweep))  # before the first M is assembled
     names = list(METHOD_NAMES) if args.all else [args.method]
     _check_out_file(args, args.out)  # before the sweep
     rows: list = []

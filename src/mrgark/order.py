@@ -9,11 +9,13 @@ an internally consistent pair:
 * the two order-3 plus ten order-4 coupled conditions that involve both
   coupling super-blocks.
 
-The catalog is evaluated with two sets of operators: the super-blocks of the
-assembled tableau ("matrix form", the reference), or operators built from the
-base tableaus and the per-micro-step coupling blocks ("block form"), which
-never assemble the tableau and cost O(M).  Both report all 28 conditions with
-the same ids and rhs, and agree up to roundoff.
+:func:`residuals` evaluates the catalog in O(M) on operators built from the
+base tableaus and the per-micro-step coupling blocks ("block form"), without
+assembling the tableau; :func:`classify` and the ``verify`` command read it.
+:func:`assembled_residuals` evaluates the same catalog on the super-blocks of
+the assembled tableau ("matrix form") and is kept as the reference the block
+form is tested against.  Both report all 28 conditions with the same ids and
+rhs, and agree up to roundoff.
 
 Residual sign convention: ``value - rhs``.
 """
@@ -26,7 +28,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .assembly import GarkMatrix, assemble, coupling_superblocks
+from .assembly import assemble, coupling_superblocks
 from .errors import InvalidInput, check_choice, check_count
 from .tableaux import MrGarkMethod
 
@@ -37,7 +39,7 @@ __all__ = [
     "ResidualReport",
     "WeightPair",
     "residuals",
-    "block_form_residuals",
+    "assembled_residuals",
     "classify",
     "Classification",
 ]
@@ -153,6 +155,10 @@ class ConditionCatalog:
     conditions: tuple[Condition, ...] = _build_catalog()
 
 
+#: the catalog's rhs as floats, converted once rather than in every report
+_RHS = tuple(float(c.rhs) for c in ConditionCatalog.conditions)
+
+
 def _weight_pair(method: MrGarkMethod, which: WeightPair) -> tuple[np.ndarray, np.ndarray]:
     table = {
         "main": (method.fast.b, method.slow.b),
@@ -161,28 +167,6 @@ def _weight_pair(method: MrGarkMethod, which: WeightPair) -> tuple[np.ndarray, n
         "mixed-fast-hat": (method.fast.b_hat, method.slow.b),
     }
     return table[check_choice(which, "weight pair", table)]
-
-
-def residuals(
-    method: MrGarkMethod,
-    M: int,
-    weights: WeightPair = "main",
-    g: GarkMatrix | None = None,
-) -> ResidualReport:
-    """Evaluate the full catalog on the assembled tableau.
-
-    The mixed pairs isolate the slow or fast error only up to coupling trees:
-    for methods that are not naturally adaptive, ``mixed-slow-hat`` counts
-    the coupling trees with a slow-colored root in the slow group, and
-    ``mixed-fast-hat`` those with a fast-colored root in the fast group.
-    """
-    if g is None:
-        g = assemble(method, M)
-    elif g.M != M:
-        raise InvalidInput(f"tableau assembled at M={g.M}, residuals asked at M={M!r}")
-    n, A = M * g.s_f, g.A
-    ctx = dict(cf=g.c[:n], cs=g.c[n:], Aff=A[:n, :n], Afs=A[:n, n:], Asf=A[n:, :n], Ass=A[n:, n:])
-    return _report(method, M, weights, ctx)
 
 
 class _BlockOperator:
@@ -198,17 +182,21 @@ class _BlockOperator:
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = v.reshape(self.M, -1)
-        done = np.cumsum(v @ self.b)  # b_f . v summed over micro-steps 1..lambda
+        done = (v @ self.b).cumsum()  # b_f . v summed over micro-steps 1..lambda
         earlier = np.concatenate(([0.0], done[:-1]))
         return ((v @ self.A.T + earlier[:, None]) / self.M).ravel()
 
 
-def block_form_residuals(method: MrGarkMethod, M: int, weights: WeightPair = "main") -> ResidualReport:
-    """Evaluate the full catalog without assembling the tableau.
+def residuals(method: MrGarkMethod, M: int, weights: WeightPair = "main") -> ResidualReport:
+    """Evaluate the full catalog in O(M), without assembling the tableau.
 
     A_ff is a :class:`_BlockOperator`; the fast abscissae, A_fs and A_sf are
-    those of :func:`assembly.coupling_superblocks`, O(M) in size.  Same ids,
-    rhs and values as :func:`residuals`, up to roundoff.
+    those of :func:`assembly.coupling_superblocks`, O(M) in size.
+
+    The mixed pairs isolate the slow or fast error only up to coupling trees:
+    for methods that are not naturally adaptive, ``mixed-slow-hat`` counts
+    the coupling trees with a slow-colored root in the slow group, and
+    ``mixed-fast-hat`` those with a fast-colored root in the fast group.
     """
     M = check_count(M)
     cf, Afs, Asf = coupling_superblocks(method, M)
@@ -217,13 +205,25 @@ def block_form_residuals(method: MrGarkMethod, M: int, weights: WeightPair = "ma
     return _report(method, M, weights, ctx)
 
 
+def assembled_residuals(method: MrGarkMethod, M: int, weights: WeightPair = "main") -> ResidualReport:
+    """The reference for :func:`residuals`: the catalog on the super-blocks of :func:`assembly.assemble`.
+
+    Same ids, rhs and values as :func:`residuals`, up to roundoff, at the cost
+    of the (M*s_f + s_s)-square tableau.
+    """
+    g = assemble(method, M)
+    n, A = g.M * g.s_f, g.A
+    ctx = dict(cf=g.c[:n], cs=g.c[n:], Aff=A[:n, :n], Afs=A[:n, n:], Asf=A[n:, :n], Ass=A[n:, n:])
+    return _report(method, g.M, weights, ctx)
+
+
 def _report(method: MrGarkMethod, M: int, weights: WeightPair, ctx: dict) -> ResidualReport:
     """Every catalog condition, on the super-blocks and abscissae in ``ctx`` and the ``weights`` pair."""
     wf, ws = _weight_pair(method, weights)
     ctx = dict(ctx, bf=np.tile(wf / M, M), bs=ws)
     entries = tuple(
-        ResidualEntry(c.id, c.order, c.group, float(c.matrix_eval(ctx)), float(c.rhs))
-        for c in ConditionCatalog.conditions
+        ResidualEntry(c.id, c.order, c.group, float(c.matrix_eval(ctx)), rhs)
+        for c, rhs in zip(ConditionCatalog.conditions, _RHS)
     )
     return ResidualReport(method.name, M, weights, entries)
 
@@ -242,8 +242,8 @@ def classify(
     """Verify order, embedded order and natural adaptivity over an M sweep.
 
     Each sweep entry is a multirate ratio M, or the ("main", "embedded")
-    residual reports a caller already computed for one M; a ratio is
-    assembled once for both reports.
+    residual reports a caller already computed for one M; for a ratio both
+    reports come from :func:`residuals`.
 
     ``verified_order`` is the largest q <= 4 with every order-<=q residual
     below ``CLASSIFY_TOL`` for all swept M, using the main weights; the embedded order
@@ -260,8 +260,7 @@ def classify(
     main, emb = [], []
     for entry in M_sweep:
         if not isinstance(entry, tuple):
-            g = assemble(method, entry)
-            entry = residuals(method, entry, "main", g=g), residuals(method, entry, "embedded", g=g)
+            entry = residuals(method, entry, "main"), residuals(method, entry, "embedded")
         main.append(entry[0])
         emb.append(entry[1])
 

@@ -14,7 +14,7 @@ import pytest
 
 import mrgark as mg
 from mrgark.adaptivity import ControllerConfig, drive
-from mrgark.order import block_form_residuals, residuals
+from mrgark.order import assembled_residuals, residuals
 from mrgark.problems import GrayScott, LinearTwoRate
 from mrgark.stability import stability_value
 from mrgark.tableaux import MethodFlag, TableauKind
@@ -412,8 +412,8 @@ def test_criterion_9_oracle_equivalence():
     for name in mg.METHOD_NAMES:
         method = mg.registry_lookup(name)
         for M in range(1, 7):
-            ra = residuals(method, M)
-            rb = block_form_residuals(method, M)
+            ra = assembled_residuals(method, M)
+            rb = residuals(method, M)
             for e in rb.entries:
                 worst_block = max(worst_block, abs(e.value - ra.entry(e.id).value))
     assert worst_block < 1e-10

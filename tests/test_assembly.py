@@ -213,7 +213,7 @@ def test_schedule_stiff_accuracy_and_block_form_never_assemble(name, monkeypatch
     m = mg.registry_lookup(name)
     for M in (1, 3):
         mg.derive_schedule(m, M)
-        mg.block_form_residuals(m, M)
+        mg.residuals(m, M)
         assert mg.check_internal_consistency(m, M).passed and mg.check_decoupled(m, M)
         for part, base in (("fast", m.fast), ("slow", m.slow)):
             if base.is_implicit:

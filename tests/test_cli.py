@@ -48,32 +48,60 @@ def test_verify_all_twelve(tmp_path, capsys):
     assert "12 methods" in out
 
 
-@pytest.mark.parametrize("name", ["EX-EX 4(3)A", "EX-IM 3(2)A"])
-def test_verify_assembles_each_m_once(name, tmp_path, capsys, monkeypatch):
+def refuse_assembly(monkeypatch):
+    """Make every ``assemble`` the CLI could reach raise."""
     from mrgark import assembly, order
 
-    assembled, main_reports = [], []
-
-    def counting_assemble(original):
-        def wrapper(method, M):
-            assembled.append(M)
-            return original(method, M)
-        return wrapper
-
-    def counting_residuals(original):
-        def wrapper(method, M, weights="main", g=None):
-            if weights == "main":
-                main_reports.append(M)
-            return original(method, M, weights, g=g)
-        return wrapper
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("verify assembled a tableau")
 
     for module in (cli, order, assembly):
-        monkeypatch.setattr(module, "assemble", counting_assemble(module.assemble))
+        monkeypatch.setattr(module, "assemble", no_assembly)
+
+
+@pytest.mark.parametrize("name", ["EX-EX 4(3)A", "EX-IM 3(2)A"])
+def test_verify_never_assembles(name, tmp_path, capsys, monkeypatch):
+    from mrgark import order
+
+    main_reports = []
+
+    def counting_residuals(original):
+        def wrapper(method, M, weights="main"):
+            if weights == "main":
+                main_reports.append(M)
+            return original(method, M, weights)
+        return wrapper
+
+    refuse_assembly(monkeypatch)
     for module in (cli, order):
         monkeypatch.setattr(module, "residuals", counting_residuals(module.residuals))
     code, _, err = run(["--out-dir", str(tmp_path), "verify", name, "--M-sweep", "1:3"], capsys)
     assert code == 0, err
-    assert assembled == main_reports == [1, 2, 3]
+    assert main_reports == [1, 2, 3]
+
+
+def test_verify_runs_beyond_the_largest_assembled_m(tmp_path, capsys, monkeypatch):
+    refuse_assembly(monkeypatch)
+    code, _, err = run(["--out-dir", str(tmp_path), "verify", "EX-EX 2(1)A", "--M-sweep", "10001"], capsys)
+    assert code == 0, err
+    assert {r["M"] for r in csv_rows(tmp_path / "residuals.csv")} == {"10001"}
+
+
+def test_verify_all_matches_the_assembled_reference(tmp_path, capsys):
+    from mrgark import registry_lookup
+    from mrgark.order import assembled_residuals
+
+    code, _, err = run(["--out-dir", str(tmp_path), "verify", "--all"], capsys)
+    assert code == 0, err
+    rows = csv_rows(tmp_path / "residuals.csv")
+    assert len(rows) == 12 * 8 * 28
+    reference = {}
+    for r in rows:
+        key = r["method"], int(r["M"])
+        if key not in reference:
+            reference[key] = assembled_residuals(registry_lookup(key[0]), key[1])
+        value = reference[key].entry(r["condition"]).value
+        assert abs(float(r["value"]) - value) <= 3e-15 * (1 + abs(value)), (key, r["condition"])
 
 
 def test_verify_unknown_method_exits_2(tmp_path, capsys):
@@ -283,8 +311,9 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "EX-EX 2(1)A", "--M-sweep", "2,2"],
-    ["verify", "EX-EX 2(1)A", "--M-sweep", "1:10001"],
+    ["verify", "EX-EX 2(1)A", "--M-sweep", "2,0"],
     ["converge", "--method", "EX-EX 2(1)A", "--M", "2,2", "--h-ladder", "1/8"],
+    ["converge", "--method", "EX-EX 2(1)A", "--M", "2,0", "--h-ladder", "1/8"],
     # a bad M is reported before an unwritable output file
     ["converge", "--method", "EX-EX 2(1)A", "--M", "2,2", "--out", "nope/r.csv"],
     ["verify", "EX-EX 2(1)A", "--M-sweep", "2,2", "--out", "nope/r.csv"],
@@ -294,8 +323,8 @@ def test_m_lists_are_checked_before_any_work(argv, tmp_path, capsys, monkeypatch
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the M list was checked")
 
-    monkeypatch.setattr(cli, "assemble", no_work)
-    monkeypatch.setattr(cli, "integrate_fixed", no_work)
+    for name in ("assemble", "_verify_one", "integrate_fixed"):
+        monkeypatch.setattr(cli, name, no_work)
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
     assert code == 2 and err.startswith("InvalidInput: ")
 
@@ -307,11 +336,13 @@ def test_m_lists_are_checked_before_any_work(argv, tmp_path, capsys, monkeypatch
     ["--out-dir", "/dev/null/x", "stability", "EX-EX 4(3)A"],
     ["--out-dir", "/dev/null/x", "integrate", "--method", "EX-EX 2(1)A"],
     ["stability", "EX-EX 4(3)A", "--out", "."],
+    ["--out-dir", "sub", "dump-tableau", "EX-EX 2(1)A", "--out", "nope/t.json"],  # relative to tmp_path
 ])
 def test_unwritable_output_is_reported_before_any_work(argv, tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the output path was checked")
 
+    monkeypatch.chdir(tmp_path)
     for name in ("assemble", "scan_region", "_verify_one", "integrate_fixed", "drive"):
         monkeypatch.setattr(cli, name, no_work)
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
