@@ -131,17 +131,17 @@ def _total_error_h(state: AdaptivityState, p: int) -> float:
     return _clamp_h(state.H, _FAC * state.H * eps ** (-1.0 / p))
 
 
-def balancing_update(state: AdaptivityState, p: int, q: int, config: ControllerConfig) -> tuple[float, int]:
+def balancing_update(state: AdaptivityState, p: int, q: int) -> tuple[float, int]:
     """Macro-step from the total estimate, M from the fast/slow balance.
 
     An infinite or overflowing fast/slow ratio sends M to the upper bound;
-    both estimates infinite leave M as it is.
+    both estimates infinite, or a zero total, leave M as it is (within the bounds).
     """
     H_new = _total_error_h(state, p)
+    lo, hi = _M_BOUNDS["balancing"]
     if state.eps_total <= 0.0:
-        return H_new, state.M
-    lo, hi = _M_BOUNDS[config.strategy]
-    if state.eps_slow <= 0.0:
+        M_new = state.M
+    elif state.eps_slow <= 0.0:
         M_new = hi if state.eps_fast > 0.0 else state.M
     else:
         scaled = state.M * (state.eps_fast / state.eps_slow) ** (1.0 / q)
@@ -149,16 +149,15 @@ def balancing_update(state: AdaptivityState, p: int, q: int, config: ControllerC
     return H_new, int(min(max(M_new, lo), hi))
 
 
-def efficiency_update(state: AdaptivityState, q: int, config: ControllerConfig) -> tuple[float, int]:
+def efficiency_update(state: AdaptivityState, q: int) -> tuple[float, int]:
     """Pick M in a window to minimize projected cost, then solve for H."""
     _check_estimates(state)
-    lo, hi = _M_BOUNDS[config.strategy]
-    wlo, whi = _EFFICIENCY_WINDOW
-    window = [m for m in range(max(1, state.M + wlo), state.M + whi + 1) if lo <= m <= hi]
-    if not window:
-        window = [min(max(state.M, lo), hi)]
+    lo, hi = _M_BOUNDS["efficiency"]
+    M_kept = min(max(state.M, lo), hi)
     if state.eps_total <= 0.0:
-        return _clamp_h(state.H, math.inf), state.M
+        return _clamp_h(state.H, math.inf), M_kept
+    wlo, whi = _EFFICIENCY_WINDOW
+    window = [m for m in range(max(1, state.M + wlo), state.M + whi + 1) if lo <= m <= hi] or [M_kept]
 
     def projected_eps(m_new: int) -> float:
         return state.eps_slow + state.eps_fast * (state.M / m_new) ** q
@@ -178,9 +177,9 @@ def _controller(state: AdaptivityState, method: MrGarkMethod, config: Controller
     p = method.order
     q = min(method.order, method.embedded_order)
     if config.strategy == "balancing":
-        return balancing_update(state, p, q, config)
+        return balancing_update(state, p, q)
     if config.strategy == "efficiency":
-        return efficiency_update(state, q, config)
+        return efficiency_update(state, q)
     return _total_error_h(state, p), state.M
 
 

@@ -79,17 +79,11 @@ def coupling_superblocks(method: MrGarkMethod, M: int) -> tuple[np.ndarray, np.n
     return c_fast, fs.reshape(M * method.fast.stage_count, -1), np.concatenate(sf / M, axis=1)
 
 
-def _check_assembled_M(M) -> int:
-    """``M`` as an int; InvalidInput unless it is an integer in 1..MAX_ASSEMBLED_M."""
+def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
+    """Build the full tableau of the multirate pair at ratio ``M``, an integer in 1..MAX_ASSEMBLED_M."""
     M = check_count(M)
     if M > MAX_ASSEMBLED_M:
         raise InvalidInput(f"M must be in 1..{MAX_ASSEMBLED_M}, got {M}")
-    return M
-
-
-def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
-    """Build the full tableau of the multirate pair at ratio ``M``."""
-    M = _check_assembled_M(M)
     s_f, s_s = method.stage_counts
     n = M * s_f
     c_fast, A_fs, A_sf = coupling_superblocks(method, M)

@@ -35,7 +35,6 @@ import numpy as np
 from . import __version__
 from .adaptivity import ControllerConfig, Strategy, drive
 from .assembly import (
-    _check_assembled_M,
     assemble,
     check_decoupled,
     check_internal_consistency,
@@ -43,7 +42,7 @@ from .assembly import (
     check_telescopic,
     derive_schedule,
 )
-from .errors import InvalidInput, MrGarkError, UnknownMethod
+from .errors import InvalidInput, MrGarkError, UnknownMethod, check_count
 from .order import WeightPair, classify, residuals
 from .problems import PROBLEM_NAMES, make_problem, reference_error
 from .schemes import METHOD_NAMES, list_methods, registry_lookup
@@ -218,7 +217,7 @@ def _verify_one(name: str, sweep: list[int], weights: str, rows: list, failures:
             f"{name}: verified order {cls.verified_order}({cls.verified_embedded_order}) "
             f"!= declared {method.order}({method.embedded_order})"
         )
-    if len([m for m in sweep if m >= 2]) > 0 and cls.naturally_adaptive != method.has_flag(MethodFlag.NATURALLY_ADAPTIVE):
+    if any(m >= 2 for m in sweep) and cls.naturally_adaptive != method.has_flag(MethodFlag.NATURALLY_ADAPTIVE):
         failures.append(f"{name}: natural adaptivity {cls.naturally_adaptive} != declared flag")
 
 
@@ -289,10 +288,9 @@ def cmd_converge(args) -> int:
 
 def cmd_stability(args) -> int:
     method = registry_lookup(args.method)
-    _check_assembled_M(args.M)
-    _check_out_file(args, args.out)  # before the assembly and the scan
-    g = assemble(method, args.M)
-    grid = scan_region(g, rho_max=args.rho_max, n_theta=args.n_theta, n_rho=args.n_rho)
+    M = check_count(args.M)
+    _check_out_file(args, args.out)  # before the scan
+    grid = scan_region(method, M, rho_max=args.rho_max, n_theta=args.n_theta, n_rho=args.n_rho)
     out = _out_dir(args)
     path = out / args.out
     grid.write_csv(path)

@@ -15,16 +15,19 @@ assembling the tableau; :func:`classify` and the ``verify`` command read it.
 :func:`assembled_residuals` evaluates the same catalog on the super-blocks of
 the assembled tableau ("matrix form") and is kept as the reference the block
 form is tested against.  Both report all 28 conditions with the same ids and
-rhs, and agree up to roundoff.
+rhs, and agree up to roundoff.  A report forms the four order-3 products
+A_ff c_f, A_fs c_s, A_sf c_f and A_ss c_s once; the conditions that nest them
+read those, so the block form applies A_ff four times per report.
 
 Residual sign convention: ``value - rhs``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -103,7 +106,8 @@ def _build_catalog() -> tuple[Condition, ...]:
     def add(cid, order, group, rhs, fn):
         conds.append(Condition(cid, order, group, rhs, fn))
 
-    # ctx keys: bf, bs (assembled weights), cf, cs, and the super-blocks Aff, Afs, Asf, Ass
+    # ctx keys: bf, bs (assembled weights), cf, cs, the super-blocks Aff, Afs, Asf, Ass, and the
+    # order-3 products Aff_cf, Afs_cs, Asf_cf, Ass_cs, formed once per report and nested below
     add("slow:b.1", 1, "slow", F(1), lambda x: x["bs"].sum())
     add("fast:b.1", 1, "fast", F(1), lambda x: x["bf"].sum())
     add("slow:b.c", 2, "slow", F(1, 2), lambda x: x["bs"] @ x["cs"])
@@ -111,40 +115,30 @@ def _build_catalog() -> tuple[Condition, ...]:
 
     add("slow:b.c^2", 3, "slow", F(1, 3), lambda x: x["bs"] @ x["cs"] ** 2)
     add("fast:b.c^2", 3, "fast", F(1, 3), lambda x: x["bf"] @ x["cf"] ** 2)
-    add("slow:b.Ass.c", 3, "slow", F(1, 6), lambda x: x["bs"] @ (x["Ass"] @ x["cs"]))
-    add("fast:b.Aff.c", 3, "fast", F(1, 6), lambda x: x["bf"] @ (x["Aff"] @ x["cf"]))
-    add("coupling:b.Afs.c", 3, "coupling", F(1, 6), lambda x: x["bf"] @ (x["Afs"] @ x["cs"]))
-    add("coupling:b.Asf.c", 3, "coupling", F(1, 6), lambda x: x["bs"] @ (x["Asf"] @ x["cf"]))
+    add("slow:b.Ass.c", 3, "slow", F(1, 6), lambda x: x["bs"] @ x["Ass_cs"])
+    add("fast:b.Aff.c", 3, "fast", F(1, 6), lambda x: x["bf"] @ x["Aff_cf"])
+    add("coupling:b.Afs.c", 3, "coupling", F(1, 6), lambda x: x["bf"] @ x["Afs_cs"])
+    add("coupling:b.Asf.c", 3, "coupling", F(1, 6), lambda x: x["bs"] @ x["Asf_cf"])
 
     add("slow:b.c^3", 4, "slow", F(1, 4), lambda x: x["bs"] @ x["cs"] ** 3)
     add("fast:b.c^3", 4, "fast", F(1, 4), lambda x: x["bf"] @ x["cf"] ** 3)
-    add("slow:b.(cxAss.c)", 4, "slow", F(1, 8), lambda x: x["bs"] @ (x["cs"] * (x["Ass"] @ x["cs"])))
-    add("fast:b.(cxAff.c)", 4, "fast", F(1, 8), lambda x: x["bf"] @ (x["cf"] * (x["Aff"] @ x["cf"])))
+    add("slow:b.(cxAss.c)", 4, "slow", F(1, 8), lambda x: x["bs"] @ (x["cs"] * x["Ass_cs"]))
+    add("fast:b.(cxAff.c)", 4, "fast", F(1, 8), lambda x: x["bf"] @ (x["cf"] * x["Aff_cf"]))
     add("slow:b.Ass.c^2", 4, "slow", F(1, 12), lambda x: x["bs"] @ (x["Ass"] @ x["cs"] ** 2))
     add("fast:b.Aff.c^2", 4, "fast", F(1, 12), lambda x: x["bf"] @ (x["Aff"] @ x["cf"] ** 2))
-    add("slow:b.Ass.Ass.c", 4, "slow", F(1, 24), lambda x: x["bs"] @ (x["Ass"] @ (x["Ass"] @ x["cs"])))
-    add("fast:b.Aff.Aff.c", 4, "fast", F(1, 24), lambda x: x["bf"] @ (x["Aff"] @ (x["Aff"] @ x["cf"])))
+    add("slow:b.Ass.Ass.c", 4, "slow", F(1, 24), lambda x: x["bs"] @ (x["Ass"] @ x["Ass_cs"]))
+    add("fast:b.Aff.Aff.c", 4, "fast", F(1, 24), lambda x: x["bf"] @ (x["Aff"] @ x["Aff_cf"]))
 
-    add("coupling:b.(cxAfs.c)", 4, "coupling", F(1, 8),
-        lambda x: x["bf"] @ (x["cf"] * (x["Afs"] @ x["cs"])))
-    add("coupling:b.(cxAsf.c)", 4, "coupling", F(1, 8),
-        lambda x: x["bs"] @ (x["cs"] * (x["Asf"] @ x["cf"])))
-    add("coupling:b.Afs.c^2", 4, "coupling", F(1, 12),
-        lambda x: x["bf"] @ (x["Afs"] @ x["cs"] ** 2))
-    add("coupling:b.Asf.c^2", 4, "coupling", F(1, 12),
-        lambda x: x["bs"] @ (x["Asf"] @ x["cf"] ** 2))
-    add("coupling:b.Ass.Asf.c", 4, "coupling", F(1, 24),
-        lambda x: x["bs"] @ (x["Ass"] @ (x["Asf"] @ x["cf"])))
-    add("coupling:b.Asf.Afs.c", 4, "coupling", F(1, 24),
-        lambda x: x["bs"] @ (x["Asf"] @ (x["Afs"] @ x["cs"])))
-    add("coupling:b.Asf.Aff.c", 4, "coupling", F(1, 24),
-        lambda x: x["bs"] @ (x["Asf"] @ (x["Aff"] @ x["cf"])))
-    add("coupling:b.Aff.Afs.c", 4, "coupling", F(1, 24),
-        lambda x: x["bf"] @ (x["Aff"] @ (x["Afs"] @ x["cs"])))
-    add("coupling:b.Afs.Ass.c", 4, "coupling", F(1, 24),
-        lambda x: x["bf"] @ (x["Afs"] @ (x["Ass"] @ x["cs"])))
-    add("coupling:b.Afs.Asf.c", 4, "coupling", F(1, 24),
-        lambda x: x["bf"] @ (x["Afs"] @ (x["Asf"] @ x["cf"])))
+    add("coupling:b.(cxAfs.c)", 4, "coupling", F(1, 8), lambda x: x["bf"] @ (x["cf"] * x["Afs_cs"]))
+    add("coupling:b.(cxAsf.c)", 4, "coupling", F(1, 8), lambda x: x["bs"] @ (x["cs"] * x["Asf_cf"]))
+    add("coupling:b.Afs.c^2", 4, "coupling", F(1, 12), lambda x: x["bf"] @ (x["Afs"] @ x["cs"] ** 2))
+    add("coupling:b.Asf.c^2", 4, "coupling", F(1, 12), lambda x: x["bs"] @ (x["Asf"] @ x["cf"] ** 2))
+    add("coupling:b.Ass.Asf.c", 4, "coupling", F(1, 24), lambda x: x["bs"] @ (x["Ass"] @ x["Asf_cf"]))
+    add("coupling:b.Asf.Afs.c", 4, "coupling", F(1, 24), lambda x: x["bs"] @ (x["Asf"] @ x["Afs_cs"]))
+    add("coupling:b.Asf.Aff.c", 4, "coupling", F(1, 24), lambda x: x["bs"] @ (x["Asf"] @ x["Aff_cf"]))
+    add("coupling:b.Aff.Afs.c", 4, "coupling", F(1, 24), lambda x: x["bf"] @ (x["Aff"] @ x["Afs_cs"]))
+    add("coupling:b.Afs.Ass.c", 4, "coupling", F(1, 24), lambda x: x["bf"] @ (x["Afs"] @ x["Ass_cs"]))
+    add("coupling:b.Afs.Asf.c", 4, "coupling", F(1, 24), lambda x: x["bf"] @ (x["Afs"] @ x["Asf_cf"]))
 
     return tuple(conds)
 
@@ -220,7 +214,9 @@ def assembled_residuals(method: MrGarkMethod, M: int, weights: WeightPair = "mai
 def _report(method: MrGarkMethod, M: int, weights: WeightPair, ctx: dict) -> ResidualReport:
     """Every catalog condition, on the super-blocks and abscissae in ``ctx`` and the ``weights`` pair."""
     wf, ws = _weight_pair(method, weights)
-    ctx = dict(ctx, bf=np.tile(wf / M, M), bs=ws)
+    cf, cs = ctx["cf"], ctx["cs"]
+    ctx = dict(ctx, bf=np.tile(wf / M, M), bs=ws, Aff_cf=ctx["Aff"] @ cf, Afs_cs=ctx["Afs"] @ cs,
+               Asf_cf=ctx["Asf"] @ cf, Ass_cs=ctx["Ass"] @ cs)
     entries = tuple(
         ResidualEntry(c.id, c.order, c.group, float(c.matrix_eval(ctx)), rhs)
         for c, rhs in zip(ConditionCatalog.conditions, _RHS)
@@ -237,13 +233,14 @@ class Classification:
 
 def classify(
     method: MrGarkMethod,
-    M_sweep: Sequence[int | tuple[ResidualReport, ResidualReport]] = tuple(range(1, 9)),
+    M_sweep: Iterable[int | tuple[ResidualReport, ResidualReport]] = tuple(range(1, 9)),
 ) -> Classification:
     """Verify order, embedded order and natural adaptivity over an M sweep.
 
-    Each sweep entry is a multirate ratio M, or the ("main", "embedded")
-    residual reports a caller already computed for one M; for a ratio both
-    reports come from :func:`residuals`.
+    Each sweep entry is a multirate ratio M, or the tuple of "main" and
+    "embedded" residual reports of ``method`` that a caller already computed
+    for one M; for a ratio both reports come from :func:`residuals`.  An empty
+    sweep, or any other entry, is InvalidInput.
 
     ``verified_order`` is the largest q <= 4 with every order-<=q residual
     below ``CLASSIFY_TOL`` for all swept M, using the main weights; the embedded order
@@ -254,34 +251,30 @@ def classify(
     which cannot cancel cross terms).  Orders above 4 are outside the catalog,
     so a verified order of 4 reports ``naturally_adaptive=False``.
     """
-    if not M_sweep:
-        raise InvalidInput("M_sweep must be non-empty")
+    sweep = list(M_sweep) if isinstance(M_sweep, Iterable) else []
+    if not sweep:
+        raise InvalidInput(f"M_sweep must be a non-empty iterable, got {M_sweep!r}")
 
     main, emb = [], []
-    for entry in M_sweep:
+    for entry in sweep:
         if not isinstance(entry, tuple):
-            entry = residuals(method, entry, "main"), residuals(method, entry, "embedded")
+            M = check_count(entry, "M_sweep entry")
+            entry = residuals(method, M, "main"), residuals(method, M, "embedded")
+        elif not (len(entry) == 2 and all(isinstance(r, ResidualReport) and r.method == method.name for r in entry)
+                  and entry[0].M == entry[1].M and (entry[0].weights, entry[1].weights) == ("main", "embedded")):
+            raise InvalidInput(f"M_sweep entry must be an integer M or the (main, embedded) residual "
+                               f"reports of {method.name} at one M")
         main.append(entry[0])
         emb.append(entry[1])
 
     def verified(reports) -> int:
         q = 0
-        for order in (1, 2, 3, 4):
-            if all(r.max_abs(order=order) < CLASSIFY_TOL for r in reports):
-                q = order
-            else:
-                break
+        while q < 4 and all(r.max_abs(order=q + 1) < CLASSIFY_TOL for r in reports):
+            q += 1
         return q
 
     p = verified(main)
-    p_hat = verified(emb)
-
-    nat = False
-    if 1 <= p <= 3:
-        nat = all(
-            r.max_abs(order=p + 1, group="coupling") < CLASSIFY_TOL
-            for r in main
-            if r.M >= 2
-        )
-        nat = nat and any(r.M >= 2 for r in main)
-    return Classification(p, p_hat, nat)
+    multirate = [r for r in main if r.M >= 2]
+    nat = 1 <= p <= 3 and bool(multirate) and all(
+        r.max_abs(order=p + 1, group="coupling") < CLASSIFY_TOL for r in multirate)
+    return Classification(p, verified(emb), nat)

@@ -10,8 +10,10 @@ R is evaluated as what it is, one macro-step with H = 1 from y = 1: the
 stages of :func:`stepping.step`'s plan are walked for a whole block of cells
 at once, an implicit stage becoming a division by 1 - a*gamma*z.  This costs
 O(M) array operations per block, where a dense solve of I - A Z costs
-O((M*s_f + s_s)^3) per cell and loses accuracy where |R| is large.  A cell is
-NaN only where 1 - a*gamma*z = 0 or R is not finite.
+O((M*s_f + s_s)^3) per cell and loses accuracy where |R| is large.  It needs
+only (method, M), so :func:`scan_region` assembles no tableau;
+:func:`stability_value` reads just these of the tableau it is given.  A cell
+is NaN only where 1 - a*gamma*z = 0 or R is not finite.
 Regions are scanned in the (theta_f, theta_s, rho) parameterization
 z_f = M*rho*exp(-i*theta_f), z_s = rho*exp(-i*theta_s) with both angles in
 [pi/2, 3*pi/2], so the fast eigenvalue is M times the slow one in magnitude,
@@ -27,6 +29,7 @@ import numpy as np
 from .assembly import GarkMatrix
 from .errors import SingularResolvent, check_complex, check_count, check_real
 from .stepping import _step_plan
+from .tableaux import MrGarkMethod
 
 __all__ = ["RegionGrid", "stability_value", "scan_region"]
 
@@ -37,7 +40,7 @@ STABLE_TOL = 1e-12
 CELLS_PER_BLOCK = 8192
 
 
-def _stability_values(g: GarkMatrix, z_f: np.ndarray, z_s: np.ndarray) -> np.ndarray:
+def _stability_values(method: MrGarkMethod, M: int, z_f: np.ndarray, z_s: np.ndarray) -> np.ndarray:
     """R at each cell (z_f[...], z_s[...]) of two equal-shape arrays, a block of cells at a time.
 
     NaN where 1 - a*gamma*z = 0 or R is not finite, without a floating-point warning.
@@ -47,12 +50,12 @@ def _stability_values(g: GarkMatrix, z_f: np.ndarray, z_s: np.ndarray) -> np.nda
     out = np.empty_like(z_f)
     for start in range(0, z_f.size, CELLS_PER_BLOCK):
         block = slice(start, start + CELLS_PER_BLOCK)
-        out[block] = _recurrence(g.method, g.M, z_f[block], z_s[block])
+        out[block] = _recurrence(method, M, z_f[block], z_s[block])
     return out.reshape(shape)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _recurrence(method, M: int, z_f: np.ndarray, z_s: np.ndarray) -> np.ndarray:
+def _recurrence(method: MrGarkMethod, M: int, z_f: np.ndarray, z_s: np.ndarray) -> np.ndarray:
     """R at each cell of two 1-D arrays: one macro-step of y' = z_f*y + z_s*y with H = 1 from y = 1.
 
     The stages run in the order and with the coefficients of the step plan.
@@ -117,7 +120,7 @@ def stability_value(g: GarkMatrix, z_f: complex, z_s: complex) -> complex:
     """R(z_f, z_s) by the stage recurrence; SingularResolvent where 1 - a*gamma*z = 0 or R is not finite."""
     check_complex(z_f, "z_f")
     check_complex(z_s, "z_s")
-    r = _stability_values(g, np.full(1, z_f, dtype=complex), np.full(1, z_s, dtype=complex))[0]
+    r = _stability_values(g.method, g.M, np.full(1, z_f, dtype=complex), np.full(1, z_s, dtype=complex))[0]
     if np.isnan(r):
         raise SingularResolvent(f"singular resolvent or non-finite R at z_f={z_f}, z_s={z_s}")
     return complex(r)
@@ -154,22 +157,24 @@ class RegionGrid:
 
 
 def scan_region(
-    g: GarkMatrix,
+    method: MrGarkMethod,
+    M: int,
     rho_max: float = 6.0,
     n_theta: int = 65,
     n_rho: int = 129,
 ) -> RegionGrid:
-    """Scan |R| over the angular box; a cell is NaN where 1 - a*gamma*z = 0 or R is not finite."""
+    """|R| of ``method`` at ratio ``M`` over the angular box; NaN where 1 - a*gamma*z = 0 or R is not finite."""
+    M = check_count(M)
     n_theta, n_rho = check_count(n_theta, "n_theta", 2), check_count(n_rho, "n_rho", 2)
     check_real(rho_max, "rho_max", positive=True)
     theta = np.linspace(np.pi / 2, 3 * np.pi / 2, n_theta)
     rho = np.linspace(0.0, rho_max, n_rho)
-    # one scalar exp per angle, so a cell's z is bit-equal to g.M * rho * np.exp(-1j * theta_f)
+    # one scalar exp per angle, so a cell's z is bit-equal to M * rho * np.exp(-1j * theta_f)
     turns = [np.exp(-1j * t) for t in theta]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing M*rho gives non-finite z: NaN cells
-        z_f = np.array([g.M * rho * e for e in turns])
+        z_f = np.array([M * rho * e for e in turns])
         z_s = np.array([rho * e for e in turns])
     # row (i, j) holds the rho line at theta_f[i], theta_s[j]
-    R = _stability_values(g, np.repeat(z_f, n_theta, axis=0), np.tile(z_s, (n_theta, 1)))
+    R = _stability_values(method, M, np.repeat(z_f, n_theta, axis=0), np.tile(z_s, (n_theta, 1)))
     values = np.abs(R).reshape(n_theta, n_theta, n_rho)
     return RegionGrid(theta_f=theta, theta_s=theta, rho=rho, values=values)

@@ -23,66 +23,57 @@ def make_state(H=0.1, M=4, eps=(0.5, 0.3, 0.3), costs=(1.0, 1.0)):
 
 
 def test_balancing_keeps_m_when_errors_balance():
-    cfg = ControllerConfig(strategy="balancing")
     state = make_state(eps=(0.5, 0.2, 0.2))
-    _, M_new = balancing_update(state, p=2, q=1, config=cfg)
+    _, M_new = balancing_update(state, p=2, q=1)
     assert M_new == state.M
 
 
 def test_balancing_m_formula():
-    cfg = ControllerConfig(strategy="balancing")
     state = make_state(M=4, eps=(0.5, 0.4, 0.1))  # eps_fast/eps_slow = 1/4
-    _, M_new = balancing_update(state, p=2, q=2, config=cfg)
+    _, M_new = balancing_update(state, p=2, q=2)
     assert M_new == round(4 * (0.25) ** 0.5) == 2
 
 
 def test_balancing_h_formula():
-    cfg = ControllerConfig(strategy="balancing")
     state = make_state(H=1.0, eps=(1.0, 0.5, 0.5))
-    H_new, _ = balancing_update(state, p=2, q=1, config=cfg)
+    H_new, _ = balancing_update(state, p=2, q=1)
     assert H_new == pytest.approx(0.9)
 
 
 def test_zero_error_estimate_grows_h_keeps_m():
-    cfg = ControllerConfig(strategy="balancing")
     state = make_state(H=0.2, eps=(0.0, 0.0, 0.0))
-    H_new, M_new = balancing_update(state, p=2, q=1, config=cfg)
+    H_new, M_new = balancing_update(state, p=2, q=1)
     assert H_new == pytest.approx(0.4)  # clamp-max growth
     assert M_new == state.M
 
 
 def test_balancing_default_m_bounds():
     assert _M_BOUNDS == {"balancing": (2, 10), "efficiency": (1, 100), "classic-h": (1, 100)}
-    cfg = ControllerConfig(strategy="balancing")
     # a lopsided fast/slow split pushes M to either bound, and no further
-    assert balancing_update(make_state(M=4, eps=(0.5, 1e-6, 0.5)), p=2, q=1, config=cfg)[1] == 10
-    assert balancing_update(make_state(M=4, eps=(0.5, 0.5, 1e-6)), p=2, q=1, config=cfg)[1] == 2
-    cfg = ControllerConfig(strategy="efficiency")
-    assert efficiency_update(make_state(M=100, costs=(1.0, 1e-12)), q=2, config=cfg)[1] == 100
-    assert efficiency_update(make_state(M=1, costs=(1e-12, 1.0)), q=2, config=cfg)[1] == 1
+    assert balancing_update(make_state(M=4, eps=(0.5, 1e-6, 0.5)), p=2, q=1)[1] == 10
+    assert balancing_update(make_state(M=4, eps=(0.5, 0.5, 1e-6)), p=2, q=1)[1] == 2
+    assert efficiency_update(make_state(M=100, costs=(1.0, 1e-12)), q=2)[1] == 100
+    assert efficiency_update(make_state(M=1, costs=(1e-12, 1.0)), q=2)[1] == 1
 
 
 def test_efficiency_h_constraint_active():
-    cfg = ControllerConfig(strategy="efficiency")
     # t_s = 8 t_f makes M = 4 the cheapest of the window 3..6
     state = make_state(H=0.3, M=4, eps=(1.0, 0.5, 0.5), costs=(8.0, 1.0))
-    H_new, M_new = efficiency_update(state, q=2, config=cfg)
+    H_new, M_new = efficiency_update(state, q=2)
     assert M_new == 4
     assert H_new == pytest.approx(0.9 * 0.3)  # eps_slow + eps_fast*(M/M)^q = 1 already
 
 
 def test_efficiency_free_fast_cost_pushes_window_cap():
-    cfg = ControllerConfig(strategy="efficiency")
     state = make_state(M=4, eps=(0.6, 0.1, 0.5), costs=(1.0, 1e-12))
-    _, M_new = efficiency_update(state, q=2, config=cfg)
+    _, M_new = efficiency_update(state, q=2)
     assert M_new == 4 + 2
 
 
 def test_efficiency_argmin_matches_exhaustive_oracle():
-    cfg = ControllerConfig(strategy="efficiency")
     state = make_state(M=4, eps=(0.6, 0.3, 0.3), costs=(1.0, 1.0))
     q = 2
-    _, M_new = efficiency_update(state, q=q, config=cfg)
+    _, M_new = efficiency_update(state, q=q)
     window = [3, 4, 5, 6]
     oracle = min(
         window,
@@ -95,10 +86,9 @@ def test_efficiency_argmin_matches_exhaustive_oracle():
 @pytest.mark.parametrize("eps_f", [0.05, 0.2, 0.8])
 @pytest.mark.parametrize("ts", [0.5, 1.0, 20.0])
 def test_efficiency_m_always_in_window_and_optimal(eps_f, ts):
-    cfg = ControllerConfig(strategy="efficiency")
     state = make_state(M=6, eps=(0.5, 0.3, eps_f), costs=(ts, 1.0))
     q = 2
-    _, M_new = efficiency_update(state, q=q, config=cfg)
+    _, M_new = efficiency_update(state, q=q)
     window = list(range(5, 9))
     assert M_new in window
     obj = lambda m: (state.t_slow + m * state.t_fast) * (
@@ -109,8 +99,8 @@ def test_efficiency_m_always_in_window_and_optimal(eps_f, ts):
 
 def test_balancing_and_efficiency_near_neutral_when_balanced():
     state = make_state(M=4, eps=(0.5, 0.3, 0.3), costs=(1.0, 1.0))
-    _, M_bal = balancing_update(state, p=2, q=2, config=ControllerConfig(strategy="balancing"))
-    _, M_eff = efficiency_update(state, q=2, config=ControllerConfig(strategy="efficiency"))
+    _, M_bal = balancing_update(state, p=2, q=2)
+    _, M_eff = efficiency_update(state, q=2)
     assert abs(M_bal - M_eff) <= 1
 
 

@@ -50,13 +50,13 @@ def test_verify_all_twelve(tmp_path, capsys):
 
 def refuse_assembly(monkeypatch):
     """Make every ``assemble`` the CLI could reach raise."""
-    from mrgark import assembly, order
+    from mrgark import assembly, order, stability
 
     def no_assembly(*args, **kwargs):
-        raise AssertionError("verify assembled a tableau")
+        raise AssertionError("a tableau was assembled")
 
-    for module in (cli, order, assembly):
-        monkeypatch.setattr(module, "assemble", no_assembly)
+    for module in (cli, order, assembly, stability):
+        monkeypatch.setattr(module, "assemble", no_assembly, raising=False)
 
 
 @pytest.mark.parametrize("name", ["EX-EX 4(3)A", "EX-IM 3(2)A"])
@@ -125,6 +125,16 @@ def test_dump_tableau_json(tmp_path, capsys):
     assert payload["name"] == "EX-EX 2(1)S"
     assert len(payload["fs_coupling"]) == 3
     assert len(payload["assembled"]["A"]) == 3 * 2 + 2
+
+
+def test_stability_runs_beyond_the_largest_assembled_m(tmp_path, capsys, monkeypatch):
+    # the scan needs only the method and M: no tableau, and no cap from assembly
+    refuse_assembly(monkeypatch)
+    argv = ["--out-dir", str(tmp_path), "stability", "EX-EX 4(3)A", "--M", "20000", "--n-theta", "3", "--n-rho", "3"]
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert len(csv_rows(tmp_path / "region.csv")) == 3 * 3 * 3
+    assert json.loads((tmp_path / "stability_manifest.json").read_text())["M"] == 20000
 
 
 def test_stability_csv_header_and_shape(tmp_path, capsys):
@@ -323,7 +333,7 @@ def test_m_lists_are_checked_before_any_work(argv, tmp_path, capsys, monkeypatch
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the M list was checked")
 
-    for name in ("assemble", "_verify_one", "integrate_fixed"):
+    for name in ("assemble", "scan_region", "_verify_one", "integrate_fixed"):
         monkeypatch.setattr(cli, name, no_work)
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
     assert code == 2 and err.startswith("InvalidInput: ")

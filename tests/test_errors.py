@@ -56,8 +56,11 @@ BAD_INPUT = [
     pytest.param(lambda: mg.ControllerConfig(synthetic_cost_ratio="5"), InvalidInput, id="cost-ratio-str"),
     pytest.param(lambda: mg.ControllerConfig(synthetic_cost_ratio=True), InvalidInput, id="cost-ratio-bool"),
     pytest.param(lambda: mg.ControllerConfig(strategy=["efficiency"]), InvalidInput, id="strategy-list"),
-    pytest.param(lambda: mg.scan_region(G, rho_max="6", n_theta=3, n_rho=3), InvalidInput, id="rho_max-str"),
-    pytest.param(lambda: mg.scan_region(G, rho_max=True, n_theta=3, n_rho=3), InvalidInput, id="rho_max-bool"),
+    pytest.param(lambda: mg.scan_region(METHOD, 2, rho_max="6", n_theta=3, n_rho=3), InvalidInput, id="rho_max-str"),
+    pytest.param(lambda: mg.scan_region(METHOD, 2, rho_max=True, n_theta=3, n_rho=3), InvalidInput, id="rho_max-bool"),
+    pytest.param(lambda: mg.scan_region(METHOD, 0, n_theta=3, n_rho=3), InvalidInput, id="scan_region-M-0"),
+    pytest.param(lambda: mg.scan_region(METHOD, True, n_theta=3, n_rho=3), InvalidInput, id="scan_region-M-bool"),
+    pytest.param(lambda: mg.scan_region(METHOD, 2.0, n_theta=3, n_rho=3), InvalidInput, id="scan_region-M-float"),
     pytest.param(lambda: mg.error_norm(np.array([1.0]), np.array([1.1]), THREE_TOLERANCES), InvalidInput,
                  id="error_norm-tolerance-size"),
     pytest.param(lambda: mg.error_estimates(mg.step(METHOD, LinearTwoRate().to_ode(), Y0, 0.0, 0.1, 2),

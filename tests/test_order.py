@@ -188,6 +188,46 @@ def test_classify_requires_nonempty_sweep():
         classify(mg.registry_lookup("EX-EX 2(1)A"), [])
 
 
+def _reports(name, M, weights=("main", "embedded")):
+    return tuple(residuals(mg.registry_lookup(name), M, w) for w in weights)
+
+
+@pytest.mark.parametrize("sweep", [
+    pytest.param(iter([]), id="empty-iterator"),  # the non-empty check must test the entries, not the iterator
+    pytest.param([(1, 2)], id="tuple-of-ints"),
+    pytest.param([2, "3"], id="str-M"),
+    pytest.param([True], id="bool-M"),
+    pytest.param(3, id="not-iterable"),
+    pytest.param([_reports("EX-EX 2(1)A", 2, ("main", "main"))], id="reports-main-main"),
+    pytest.param([_reports("EX-EX 2(1)A", 2, ("embedded", "main"))], id="reports-swapped"),
+    pytest.param([_reports("EX-EX 2(1)A", 2) + _reports("EX-EX 2(1)A", 2)[:1]], id="reports-three"),
+    pytest.param([(residuals(mg.registry_lookup("EX-EX 2(1)A"), 2), _reports("EX-EX 2(1)A", 3)[1])],
+                 id="reports-two-M"),
+    pytest.param([_reports("EX-EX 2(1)S", 2)], id="reports-other-method"),
+])
+def test_classify_rejects_a_bad_sweep(sweep):
+    with pytest.raises(InvalidInput):
+        classify(mg.registry_lookup("EX-EX 2(1)A"), sweep)
+
+
+def test_classify_takes_a_numpy_sweep_and_report_pairs():
+    m = mg.registry_lookup("EX-EX 2(1)A")
+    expected = classify(m, [1, 2])
+    assert classify(m, np.array([1, 2])) == expected
+    assert classify(m, [_reports("EX-EX 2(1)A", 1), 2]) == expected
+
+
+def test_block_form_report_forms_each_operator_product_once(monkeypatch):
+    # the 28 conditions nest 4 distinct A_ff products: A_ff.c, A_ff.c^2, A_ff.A_ff.c and A_ff.A_fs.c
+    products = []
+    matmul = order._BlockOperator.__matmul__
+    monkeypatch.setattr(order._BlockOperator, "__matmul__", lambda op, v: products.append(v) or matmul(op, v))
+    for weights in ("main", "embedded"):
+        products.clear()
+        residuals(mg.registry_lookup("EX-EX 4(3)A"), 3, weights)
+        assert len(products) == 4, weights
+
+
 @pytest.mark.parametrize("evaluate", [residuals, assembled_residuals])
 def test_unknown_weight_pair_is_invalid_input(evaluate):
     with pytest.raises(InvalidInput):

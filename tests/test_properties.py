@@ -58,26 +58,29 @@ ESTIMATES = st.one_of(st.just(0.0), st.just(np.inf), st.floats(min_value=0.0, ma
 @example("balancing", 2, 0.1, (np.inf, 0.5, np.inf), (1.0, 1.0), 2, 2)
 @example("balancing", 2, 0.1, (1e-300, 1e-300, 1e300), (1.0, 1.0), 2, 1)
 @example("efficiency", 3, 0.1, (5e-324, 5e-324, 0.0), (1.0, 1.0), 1, 1)
+@example("efficiency", 0, 1.0, (0.0, 0.0, 0.0), (1.0, 1.0), 1, 1)  # M = 1 is below balancing's bounds
 def test_controller_updates_are_total(strategy, M_offset, H, eps, costs, p, q):
-    # estimates from 0 to inf, subnormals and overflowing fast/slow ratios included
-    cfg = ControllerConfig(strategy=strategy)
+    # estimates from 0 to inf, subnormals and overflowing fast/slow ratios included; the state's M
+    # starts inside the bounds of ``strategy``, and each update keeps M inside its own bounds
     lo, hi = _M_BOUNDS[strategy]
     state = AdaptivityState(H=H, M=min(lo + M_offset, hi))
     state.eps_total, state.eps_slow, state.eps_fast = eps
     state.t_slow, state.t_fast = costs
-    for H_new, M_new in (balancing_update(state, p, q, cfg), efficiency_update(state, q, cfg)):
+    updates = {"balancing": balancing_update(state, p, q), "efficiency": efficiency_update(state, q)}
+    for rule, (H_new, M_new) in updates.items():
+        lo, hi = _M_BOUNDS[rule]
         assert 0.5 * H <= H_new <= 2.0 * H and math.isfinite(H_new)
-        assert lo <= M_new <= hi and isinstance(M_new, int)
+        assert lo <= M_new <= hi and isinstance(M_new, int), rule
 
 
-@pytest.mark.parametrize("update", [lambda s, c: balancing_update(s, 2, 2, c), lambda s, c: efficiency_update(s, 2, c)],
+@pytest.mark.parametrize("update", [lambda s: balancing_update(s, 2, 2), lambda s: efficiency_update(s, 2)],
                          ids=["balancing", "efficiency"])
 @pytest.mark.parametrize("eps", [(np.nan, 0.5, 0.5), (0.5, np.nan, 0.5), (0.5, 0.5, np.nan)])
 def test_controller_updates_reject_nan_estimates(update, eps):
     state = AdaptivityState(H=0.1, M=4)
     state.eps_total, state.eps_slow, state.eps_fast = eps
     with pytest.raises(InvalidInput):
-        update(state, ControllerConfig(strategy="balancing"))
+        update(state)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

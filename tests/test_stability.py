@@ -93,15 +93,13 @@ def test_continuity_near_origin():
 
 
 def test_scan_region_rho_zero_plane_is_one():
-    g = mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), 2)
-    grid = scan_region(g, rho_max=2.0, n_theta=5, n_rho=6)
+    grid = scan_region(mg.registry_lookup("EX-EX 2(1)A"), 2, rho_max=2.0, n_theta=5, n_rho=6)
     assert np.max(np.abs(grid.values[:, :, 0] - 1.0)) < 1e-13
 
 
 def test_scan_region_against_scalar_oracle():
     m = mg.registry_lookup("EX-EX 2(1)A")
-    g = mg.assemble(m, 1)
-    grid = scan_region(g, rho_max=2.0, n_theta=5, n_rho=9)
+    grid = scan_region(m, 1, rho_max=2.0, n_theta=5, n_rho=9)
     # negative real axis: theta_f = theta_s = pi is the middle angle sample
     i = 2
     assert grid.theta_f[i] == pytest.approx(np.pi)
@@ -138,17 +136,16 @@ def test_type_s_real_axis_stability_shrinks_with_m():
 
 
 def test_scan_region_validates_grid():
-    g = mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), 1)
+    m = mg.registry_lookup("EX-EX 2(1)A")
     with pytest.raises(ValueError):
-        scan_region(g, n_theta=1)
+        scan_region(m, 1, n_theta=1)
     for bad in (dict(n_theta=2.5), dict(n_rho=2.5), dict(n_theta=True), dict(n_rho="3")):
         with pytest.raises(InvalidInput):
-            scan_region(g, **bad)
+            scan_region(m, 1, **bad)
 
 
 def test_region_csv_round_trip(tmp_path):
-    g = mg.assemble(mg.registry_lookup("EX-EX 2(1)S"), 2)
-    grid = scan_region(g, rho_max=1.0, n_theta=3, n_rho=3)
+    grid = scan_region(mg.registry_lookup("EX-EX 2(1)S"), 2, rho_max=1.0, n_theta=3, n_rho=3)
     path = tmp_path / "region.csv"
     grid.write_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -158,7 +155,7 @@ def test_region_csv_round_trip(tmp_path):
 
 def test_region_csv_matches_csv_writer_bytes(tmp_path):
     # reference: csv.writer rows of four .12g fields, special values included
-    grid = scan_region(mg.assemble(mg.registry_lookup("EX-EX 3(2)3s-A"), 3), rho_max=4.0, n_theta=4, n_rho=5)
+    grid = scan_region(mg.registry_lookup("EX-EX 3(2)3s-A"), 3, rho_max=4.0, n_theta=4, n_rho=5)
     values = grid.values.copy()
     values[0, 1, 2], values[1, 0, 3], values[2, 2, 0], values[3, 3, 4] = np.nan, np.inf, -0.0, 1e-320
     grid = mg.RegionGrid(grid.theta_f, grid.theta_s, grid.rho, values)
@@ -181,7 +178,7 @@ def test_region_csv_matches_csv_writer_bytes(tmp_path):
 ])
 def test_region_csv_matches_csv_writer_bytes_on_more_grids(name, M, n_theta, n_rho, special, tmp_path):
     # reference: csv.writer rows of four .12g fields
-    grid = scan_region(mg.assemble(mg.registry_lookup(name), M), rho_max=5.0, n_theta=n_theta, n_rho=n_rho)
+    grid = scan_region(mg.registry_lookup(name), M, rho_max=5.0, n_theta=n_theta, n_rho=n_rho)
     if special:
         values = grid.values.copy()
         values[0, 0, 0], values[0, 4, 8], values[1, 2, 3], values[3, 1, 5], values[4, 4, 0] = (
@@ -209,8 +206,9 @@ def test_singular_resolvent_raises():
 @pytest.mark.parametrize("M", [1, 3, 16])
 def test_scan_cells_equal_stability_value(name, M):
     # the scan and the single-cell evaluation share one evaluator: equal bit for bit
-    g = mg.assemble(mg.registry_lookup(name), M)
-    grid = scan_region(g, n_theta=5, n_rho=7)
+    method = mg.registry_lookup(name)
+    g = mg.assemble(method, M)
+    grid = scan_region(method, M, n_theta=5, n_rho=7)
     for i, tf in enumerate(grid.theta_f):
         for j, ts in enumerate(grid.theta_s):
             z_f = g.M * grid.rho * np.exp(-1j * tf)
@@ -236,8 +234,7 @@ def test_step_plan_computes_slow_stages_in_index_order(name):
 
 def test_overflowing_scan_cells_are_nan_without_warnings():
     # M * rho overflows at the top of the rho line; the suite turns any floating-point warning into an error
-    g = mg.assemble(mg.registry_lookup("EX-EX 2(1)A"), 2)
-    grid = scan_region(g, rho_max=1e308, n_theta=3, n_rho=3)
+    grid = scan_region(mg.registry_lookup("EX-EX 2(1)A"), 2, rho_max=1e308, n_theta=3, n_rho=3)
     assert (grid.values[:, :, 0] == 1.0).all()
     assert np.isnan(grid.values[:, :, 1:]).all()
 
@@ -248,7 +245,7 @@ def test_singular_cell_is_nan_and_leaves_its_row_exact():
     g = mg.assemble(m, 1)
     z_f = np.array([[-1.0, 1.0 / m.fast.gamma, 0.5 + 0.5j, -3j]])
     z_s = np.array([[-0.5, 0.2, -1j, -2.0 + 0j]])
-    row = _stability_values(g, z_f, z_s)[0]
+    row = _stability_values(m, 1, z_f, z_s)[0]
     assert np.isnan(row[1])
     for k in (0, 2, 3):
         assert row[k] == stability_value(g, complex(z_f[0, k]), complex(z_s[0, k]))
@@ -279,7 +276,7 @@ def test_scan_cells_match_exact_R(name):
     rng = np.random.default_rng(mg.METHOD_NAMES.index(name))
     for M in (1, 2, 8, 16, 32):
         g = mg.assemble(method, M)
-        grid = scan_region(g, **EXACT_GRID)
+        grid = scan_region(method, M, **EXACT_GRID)
         for flat in rng.choice(grid.values.size, size=4, replace=False):
             i, j, k = np.unravel_index(flat, grid.values.shape)
             z_f, z_s = _grid_cell(grid, M, i, j, k)
@@ -292,7 +289,7 @@ def test_cells_where_the_dense_solve_failed_are_finite_and_exact():
     # R is a finite polynomial here (|R| from 2e24 to 5e29), but a dense solve of I - AZ reported these
     # cells of EX-EX 3(2)3s-A at M = 16 singular and wrote NaN
     method = mg.registry_lookup("EX-EX 3(2)3s-A")
-    grid = scan_region(mg.assemble(method, 16), **EXACT_GRID)
+    grid = scan_region(method, 16, **EXACT_GRID)
     assert not np.isnan(grid.values).any()
     for i, j, k in [(3, 3, 10)] + [(5, j, 12) for j in range(7)]:
         _, abs_R = _exact(method, 16, *_grid_cell(grid, 16, i, j, k))
