@@ -63,35 +63,37 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _check_out_file(args, name: str) -> None:
-    """Raise OSError unless the output file ``name`` can be written, before a command does its work.
+def _check_out_file(args, *names: str) -> None:
+    """Raise OSError unless every output file in ``names`` can be written, before a command does its work.
 
     Creates and truncates nothing: :func:`_out_dir` makes the output directory
     and its parents when the results are written, so only they may be missing.
     Below a missing directory, ".." is read lexically, as it resolves once
     that directory has been made.
     """
-    made = os.path.normpath(_out_base(args))
-    path = os.path.join(_out_base(args), name)
-    folder = os.path.dirname(path) or "."
-    while True:
-        try:
-            mode = os.stat(folder).st_mode  # below a file: NotADirectoryError
-            break
-        except FileNotFoundError:
-            if os.path.normpath(folder) != folder:
-                path = os.path.normpath(path)
-                folder = os.path.dirname(path) or "."
-            elif made == folder or made.startswith(os.path.join(folder, "")):
-                folder = os.path.dirname(folder) or "."
-            else:
-                raise FileNotFoundError(errno.ENOENT, "no such output directory", folder) from None
-    if not stat.S_ISDIR(mode):
-        raise NotADirectoryError(errno.ENOTDIR, "output path below a file", folder)
-    if not os.access(folder, os.W_OK | os.X_OK):
-        raise PermissionError(errno.EACCES, "output directory cannot be written", folder)
-    if folder == (os.path.dirname(path) or ".") and os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, "output file is a directory", path)
+    base = _out_base(args)
+    made = os.path.normpath(base)
+    for name in names:
+        path = os.path.join(base, name)
+        folder = os.path.dirname(path) or "."
+        while True:
+            try:
+                mode = os.stat(folder).st_mode  # below a file: NotADirectoryError
+                break
+            except FileNotFoundError:
+                if os.path.normpath(folder) != folder:
+                    path = os.path.normpath(path)
+                    folder = os.path.dirname(path) or "."
+                elif made == folder or made.startswith(os.path.join(folder, "")):
+                    folder = os.path.dirname(folder) or "."
+                else:
+                    raise FileNotFoundError(errno.ENOENT, "no such output directory", folder) from None
+        if not stat.S_ISDIR(mode):
+            raise NotADirectoryError(errno.ENOTDIR, "output path below a file", folder)
+        if not os.access(folder, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, "output directory cannot be written", folder)
+        if folder == (os.path.dirname(path) or ".") and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "output file is a directory", path)
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -226,7 +228,7 @@ def cmd_verify(args) -> int:
         raise InvalidInput("verify: give a method name or --all")
     sweep = _parse_sweep(args.M_sweep)
     names = list(METHOD_NAMES) if args.all else [args.method]
-    _check_out_file(args, args.out)  # before the sweep
+    _check_out_file(args, args.out, "verify_manifest.json")  # before the sweep
     rows: list = []
     failures: list = []
     for name in names:
@@ -251,7 +253,7 @@ def cmd_converge(args) -> int:
     y0 = problem.initial_condition()
     ladder = _parse_floats(args.h_ladder)
     sweep = _parse_sweep(args.M)
-    _check_out_file(args, args.out)  # before the runs
+    _check_out_file(args, args.out, "converge_manifest.json")  # before the runs
     rows = []
     for M in sweep:
         errs = []
@@ -289,7 +291,7 @@ def cmd_converge(args) -> int:
 def cmd_stability(args) -> int:
     method = registry_lookup(args.method)
     M = check_count(args.M)
-    _check_out_file(args, args.out)  # before the scan
+    _check_out_file(args, args.out, "stability_manifest.json")  # before the scan
     grid = scan_region(method, M, rho_max=args.rho_max, n_theta=args.n_theta, n_rho=args.n_rho)
     out = _out_dir(args)
     path = out / args.out
@@ -308,7 +310,8 @@ def cmd_integrate(args) -> int:
     ode = problem.to_ode()
     y0 = problem.initial_condition()
     tolerances = Tolerances(abs_tol=args.abstol, rel_tol=args.reltol)
-    _check_out_file(args, "trajectory.csv")  # before the run
+    _check_out_file(args, "trajectory.csv", "integrate_manifest.json",
+                    *(["trace.csv"] if args.adaptive else []))  # before the run
     summary: dict = {
         "command": "integrate", "method": method.name, "problem": args.problem,
         "t_end": args.t_end, "abstol": args.abstol, "reltol": args.reltol, "cost_source": None,

@@ -25,7 +25,7 @@ Residual sign convention: ``value - rhs``.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Literal
 
@@ -79,7 +79,7 @@ class ResidualEntry:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    method: str
+    method: MrGarkMethod = field(repr=False)
     M: int
     weights: str
     entries: tuple[ResidualEntry, ...]
@@ -221,7 +221,7 @@ def _report(method: MrGarkMethod, M: int, weights: WeightPair, ctx: dict) -> Res
         ResidualEntry(c.id, c.order, c.group, float(c.matrix_eval(ctx)), rhs)
         for c, rhs in zip(ConditionCatalog.conditions, _RHS)
     )
-    return ResidualReport(method.name, M, weights, entries)
+    return ResidualReport(method, M, weights, entries)
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,7 @@ def classify(
         if not isinstance(entry, tuple):
             M = check_count(entry, "M_sweep entry")
             entry = residuals(method, M, "main"), residuals(method, M, "embedded")
-        elif not (len(entry) == 2 and all(isinstance(r, ResidualReport) and r.method == method.name for r in entry)
+        elif not (len(entry) == 2 and all(isinstance(r, ResidualReport) and r.method is method for r in entry)
                   and entry[0].M == entry[1].M and (entry[0].weights, entry[1].weights) == ("main", "embedded")):
             raise InvalidInput(f"M_sweep entry must be an integer M or the (main, embedded) residual "
                                f"reports of {method.name} at one M")

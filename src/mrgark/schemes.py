@@ -14,7 +14,8 @@ accuracy) or S (optimized for simplicity/stability).  Type-S schemes carry a
 free abscissa ``c2``, listed in the method's ``free_parameters``; the split
 index ``L2 = floor(c2*M)`` controls which micro-steps see which slow stages.
 
-The six telescopic (EX-EX) pairs are built by one constructor,
+Every pair is built by one constructor, :func:`_pair`, which flags it stiffly
+accurate in each SDIRK partition.  The six telescopic (EX-EX) pairs go through
 :func:`_telescopic`, which states what they share, the M = 1 rule included.
 """
 
@@ -258,6 +259,27 @@ def _sdirk4_6s() -> ButcherTableau:
 _Rule = Callable[[int, int], np.ndarray]
 
 
+def _pair(name: str, fast: ButcherTableau, slow: ButcherTableau, fs: _Rule, sf: _Rule, order: int,
+          embedded_order: int, *flags: MethodFlag, **free_parameters: F) -> MrGarkMethod:
+    """The pair ``name``: bases ``fast`` and ``slow``, couplings ``fs`` and ``sf``.
+
+    Every registered SDIRK base is stiffly accurate, so the pair is flagged
+    stiffly accurate in each SDIRK partition (``verify`` checks the flag
+    against the coupled tableau), and ``flags``; ``free_parameters`` are the
+    rationals baked into the formulas, recorded as floats.
+    """
+    stiffly_accurate = {MethodFlag.STIFFLY_ACCURATE_FAST: fast, MethodFlag.STIFFLY_ACCURATE_SLOW: slow}
+    return MrGarkMethod(
+        name=name,
+        fast=fast, slow=slow,
+        fs_coupling=fs,
+        sf_coupling=sf,
+        order=order, embedded_order=embedded_order,
+        flags=frozenset({*flags, *(flag for flag, base in stiffly_accurate.items() if base.is_implicit)}),
+        free_parameters={key: float(value) for key, value in free_parameters.items()},
+    )
+
+
 def _telescopic(name: str, base: ButcherTableau, fs: _Rule, sf: _Rule, order: int, embedded_order: int,
                 *flags: MethodFlag, **free_parameters: F) -> MrGarkMethod:
     """The telescopic (EX-EX) pair ``name``: ``base`` on both sides, couplings ``fs`` and ``sf``.
@@ -267,22 +289,14 @@ def _telescopic(name: str, base: ButcherTableau, fs: _Rule, sf: _Rule, order: in
     base method applied to the full right-hand side.  The published
     lambda-formulas target M >= 2 and do not all remain meaningful at M = 1
     (several carry 1/(M-1) or 1/L2 factors).  The pair is flagged TELESCOPIC
-    and ``flags``; ``free_parameters`` are the rationals baked into the
-    formulas, recorded as floats.
+    and ``flags``; ``free_parameters`` go to :func:`_pair`.
     """
 
     def or_base_at_m1(rule: _Rule) -> _Rule:
         return lambda lam, M: base.A if M == 1 else rule(lam, M)
 
-    return MrGarkMethod(
-        name=name,
-        fast=base, slow=base,
-        fs_coupling=or_base_at_m1(fs),
-        sf_coupling=or_base_at_m1(sf),
-        order=order, embedded_order=embedded_order,
-        flags=frozenset({MethodFlag.TELESCOPIC, *flags}),
-        free_parameters={key: float(value) for key, value in free_parameters.items()},
-    )
+    return _pair(name, base, base, or_base_at_m1(fs), or_base_at_m1(sf), order, embedded_order,
+                 MethodFlag.TELESCOPIC, *flags, **free_parameters)
 
 
 def _split(c2: F, M: int) -> int:
@@ -362,14 +376,7 @@ def _exim21a() -> MrGarkMethod:
             return _mat([[M - M / SQRT2, 0], [F(1, 4), F(3, 4)]])
         return _mat([[0, 0], [F(1, 4), F(3, 4)]])
 
-    return MrGarkMethod(
-        name="EX-IM 2(1)A",
-        fast=fast, slow=slow,
-        fs_coupling=fs,
-        sf_coupling=sf,
-        order=2, embedded_order=1,
-        flags=frozenset({MethodFlag.STIFFLY_ACCURATE_SLOW}),
-    )
+    return _pair("EX-IM 2(1)A", fast, slow, fs, sf, 2, 1)
 
 
 def _imex21a() -> MrGarkMethod:
@@ -384,14 +391,7 @@ def _imex21a() -> MrGarkMethod:
     def sf(lam, M):
         return _mat([[0, 0], [F(2, 3), 0]])
 
-    return MrGarkMethod(
-        name="IM-EX 2(1)A",
-        fast=fast, slow=slow,
-        fs_coupling=fs,
-        sf_coupling=sf,
-        order=2, embedded_order=1,
-        flags=frozenset({MethodFlag.STIFFLY_ACCURATE_FAST}),
-    )
+    return _pair("IM-EX 2(1)A", fast, slow, fs, sf, 2, 1)
 
 
 def _exex32a_3s() -> MrGarkMethod:
@@ -672,14 +672,7 @@ def _exim32a() -> MrGarkMethod:
             ])
         return _mat([[0, 0, 0], [0, 0, 0], [F(2, 9), F(1, 3), F(4, 9)]])
 
-    return MrGarkMethod(
-        name="EX-IM 3(2)A",
-        fast=fast, slow=slow,
-        fs_coupling=fs,
-        sf_coupling=sf,
-        order=3, embedded_order=2,
-        flags=frozenset({MethodFlag.STIFFLY_ACCURATE_SLOW}),
-    )
+    return _pair("EX-IM 3(2)A", fast, slow, fs, sf, 3, 2)
 
 
 def _imex32a() -> MrGarkMethod:
@@ -711,14 +704,7 @@ def _imex32a() -> MrGarkMethod:
         r3_2 = 9 * (M + 6 * g - 3) * q / (32 * den)
         return _mat([[0, 0, 0], [F(1, 2), 0, 0], [r3_1, r3_2, 0]])
 
-    return MrGarkMethod(
-        name="IM-EX 3(2)A",
-        fast=fast, slow=slow,
-        fs_coupling=fs,
-        sf_coupling=sf,
-        order=3, embedded_order=2,
-        flags=frozenset({MethodFlag.STIFFLY_ACCURATE_FAST}),
-    )
+    return _pair("IM-EX 3(2)A", fast, slow, fs, sf, 3, 2)
 
 
 def _exim43a() -> MrGarkMethod:
@@ -766,14 +752,7 @@ def _exim43a() -> MrGarkMethod:
             ])
         return _mat([[0] * 6] * 4 + [bf])
 
-    return MrGarkMethod(
-        name="EX-IM 4(3)A",
-        fast=fast, slow=slow,
-        fs_coupling=fs,
-        sf_coupling=sf,
-        order=4, embedded_order=3,
-        flags=frozenset({MethodFlag.STIFFLY_ACCURATE_SLOW}),
-    )
+    return _pair("EX-IM 4(3)A", fast, slow, fs, sf, 4, 3)
 
 
 def _imex42a() -> MrGarkMethod:
@@ -839,14 +818,7 @@ def _imex42a() -> MrGarkMethod:
             ],
         ])
 
-    return MrGarkMethod(
-        name="IM-EX 4(2)A",
-        fast=fast, slow=slow,
-        fs_coupling=fs,
-        sf_coupling=sf,
-        order=4, embedded_order=2,
-        flags=frozenset({MethodFlag.STIFFLY_ACCURATE_FAST}),
-    )
+    return _pair("IM-EX 4(2)A", fast, slow, fs, sf, 4, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -123,13 +123,7 @@ class Tolerances:
     rel_tol: float | np.ndarray = 1e-6
 
     def __post_init__(self):
-        try:
-            abs_tol, rel_tol = np.asarray(self.abs_tol), np.asarray(self.rel_tol)
-        except ValueError:  # e.g. a ragged list
-            abs_tol = rel_tol = np.asarray(None)
-        # strings, bools, complex numbers and objects are not real tolerances
-        if abs_tol.dtype.kind not in "iuf" or rel_tol.dtype.kind not in "iuf":
-            raise InvalidInput(f"abs_tol and rel_tol must be real, got {self.abs_tol!r}, {self.rel_tol!r}")
+        abs_tol, rel_tol = check_real_array(self.abs_tol, "abs_tol"), check_real_array(self.rel_tol, "rel_tol")
         if not (np.all(abs_tol >= 0.0) and np.all(rel_tol >= 0.0)):
             raise InvalidInput("abs_tol and rel_tol must be >= 0 and not NaN")
 

@@ -360,6 +360,32 @@ def test_unwritable_output_is_reported_before_any_work(argv, tmp_path, capsys, m
     assert not list(tmp_path.iterdir())  # nothing created or truncated
 
 
+@pytest.mark.parametrize("argv, blocked", [
+    (["verify", "EX-EX 2(1)A"], "verify_manifest.json"),
+    (["converge", "--method", "EX-EX 2(1)A"], "converge_manifest.json"),
+    (["stability", "EX-EX 2(1)A", "--n-theta", "3", "--n-rho", "3"], "stability_manifest.json"),
+    (["integrate", "--method", "EX-EX 2(1)A", "--adaptive", "balancing", "--t-end", "0.1"], "trace.csv"),
+    (["integrate", "--method", "EX-EX 2(1)A"], "integrate_manifest.json"),
+])
+def test_every_output_file_is_checked_before_any_work(argv, blocked, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before every output file was checked")
+
+    for name in ("assemble", "scan_region", "_verify_one", "integrate_fixed", "drive"):
+        monkeypatch.setattr(cli, name, no_work)
+    (tmp_path / blocked).mkdir()
+    code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 2 and err.startswith("OSError: ") and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / blocked] and not list((tmp_path / blocked).iterdir())
+
+
+def test_fixed_step_integrate_does_not_check_a_trace_file(tmp_path, capsys):
+    (tmp_path / "trace.csv").mkdir()  # only --adaptive writes the trace
+    code, _, err = run(["--out-dir", str(tmp_path), "integrate", "--method", "EX-EX 2(1)A", "--t-end", "0.1"], capsys)
+    assert code == 0, err
+    assert (tmp_path / "trajectory.csv").is_file()
+
+
 @pytest.mark.parametrize("out, written", [
     ("region.csv", "a/b/region.csv"),
     ("../r.csv", "a/r.csv"),  # ".." below the missing output directory, which is made first

@@ -83,7 +83,7 @@ def test_block_form_returns_every_catalog_condition():
     assert [(e.id, e.order, e.group, e.rhs) for e in r.entries] == [
         (c.id, c.order, c.group, float(c.rhs)) for c in ConditionCatalog.conditions
     ]
-    assert (r.method, r.M, r.weights) == ("EX-IM 3(2)A", 3, "embedded")
+    assert (r.method, r.M, r.weights) == (mg.registry_lookup("EX-IM 3(2)A"), 3, "embedded")
 
 
 def test_block_form_never_assembles(monkeypatch):
@@ -192,22 +192,27 @@ def _reports(name, M, weights=("main", "embedded")):
     return tuple(residuals(mg.registry_lookup(name), M, w) for w in weights)
 
 
-@pytest.mark.parametrize("sweep", [
-    pytest.param(iter([]), id="empty-iterator"),  # the non-empty check must test the entries, not the iterator
-    pytest.param([(1, 2)], id="tuple-of-ints"),
-    pytest.param([2, "3"], id="str-M"),
-    pytest.param([True], id="bool-M"),
-    pytest.param(3, id="not-iterable"),
-    pytest.param([_reports("EX-EX 2(1)A", 2, ("main", "main"))], id="reports-main-main"),
-    pytest.param([_reports("EX-EX 2(1)A", 2, ("embedded", "main"))], id="reports-swapped"),
-    pytest.param([_reports("EX-EX 2(1)A", 2) + _reports("EX-EX 2(1)A", 2)[:1]], id="reports-three"),
-    pytest.param([(residuals(mg.registry_lookup("EX-EX 2(1)A"), 2), _reports("EX-EX 2(1)A", 3)[1])],
+@pytest.mark.parametrize("name, sweep", [
+    # the non-empty check must test the entries, not the iterator
+    pytest.param("EX-EX 2(1)A", iter([]), id="empty-iterator"),
+    pytest.param("EX-EX 2(1)A", [(1, 2)], id="tuple-of-ints"),
+    pytest.param("EX-EX 2(1)A", [2, "3"], id="str-M"),
+    pytest.param("EX-EX 2(1)A", [True], id="bool-M"),
+    pytest.param("EX-EX 2(1)A", 3, id="not-iterable"),
+    pytest.param("EX-EX 2(1)A", [_reports("EX-EX 2(1)A", 2, ("main", "main"))], id="reports-main-main"),
+    pytest.param("EX-EX 2(1)A", [_reports("EX-EX 2(1)A", 2, ("embedded", "main"))], id="reports-swapped"),
+    pytest.param("EX-EX 2(1)A", [_reports("EX-EX 2(1)A", 2) + _reports("EX-EX 2(1)A", 2)[:1]],
+                 id="reports-three"),
+    pytest.param("EX-EX 2(1)A", [(residuals(mg.registry_lookup("EX-EX 2(1)A"), 2), _reports("EX-EX 2(1)A", 3)[1])],
                  id="reports-two-M"),
-    pytest.param([_reports("EX-EX 2(1)S", 2)], id="reports-other-method"),
+    pytest.param("EX-EX 2(1)A", [_reports("EX-EX 2(1)S", 2)], id="reports-other-method"),
+    # a type-S override shares its method's name: the reports must come from the method itself
+    pytest.param("EX-EX 2(1)S", [tuple(residuals(mg.registry_lookup("EX-EX 2(1)S", c2=0.25), 2, w)
+                                       for w in ("main", "embedded"))], id="reports-other-override"),
 ])
-def test_classify_rejects_a_bad_sweep(sweep):
+def test_classify_rejects_a_bad_sweep(name, sweep):
     with pytest.raises(InvalidInput):
-        classify(mg.registry_lookup("EX-EX 2(1)A"), sweep)
+        classify(mg.registry_lookup(name), sweep)
 
 
 def test_classify_takes_a_numpy_sweep_and_report_pairs():
