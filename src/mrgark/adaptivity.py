@@ -12,6 +12,12 @@ Three strategies are provided:
 * ``classic-h``: M stays fixed and only H is controlled.
 
 M stays within [2, 10] under ``balancing`` and within [1, 100] otherwise.
+Under ``balancing`` and ``efficiency`` the top of that range is cut to the
+pair's ceiling ``method.m_max`` when it has one, never below the floor: both
+controllers model the fast error as falling like M**(-q), and a pair whose
+fast error does not fall with M is capped (see ``schemes._pair``).  The
+ceiling narrows the efficiency window before H is solved, so H always belongs
+to the M returned.  ``classic-h`` keeps the caller's M.
 
 A step is accepted when the total scaled error estimate is at most one.  The
 controller is also re-run after a rejection, using the failing step's
@@ -53,7 +59,7 @@ Strategy = Literal["balancing", "efficiency", "classic-h"]
 _STEP_SCALE_LIMITS = (0.5, 2.0)
 #: safety factor on the H that the error model predicts
 _FAC = 0.9
-#: inclusive bounds on M for each strategy
+#: inclusive bounds on M for each strategy, before a pair's ceiling
 _M_BOUNDS = {"balancing": (2, 10), "efficiency": (1, 100), "classic-h": (1, 100)}
 #: the efficiency controller's candidate M, relative to the current M
 _EFFICIENCY_WINDOW = (-1, 2)
@@ -116,6 +122,14 @@ def _clamp_h(H: float, H_new: float) -> float:
     return float(min(max(H_new, lo * H), hi * H))
 
 
+def _m_bounds(strategy: Strategy, m_max: int | None) -> tuple[int, int]:
+    """``_M_BOUNDS[strategy]``, its top cut to ``m_max`` under an M-adapting strategy, never below the floor."""
+    lo, hi = _M_BOUNDS[strategy]
+    if m_max is None or strategy == "classic-h":
+        return lo, hi
+    return lo, max(lo, min(hi, m_max))
+
+
 def _check_estimates(state: AdaptivityState) -> None:
     if math.isnan(state.eps_total + state.eps_slow + state.eps_fast):
         raise InvalidInput(f"NaN error estimate: {(state.eps_total, state.eps_slow, state.eps_fast)}")
@@ -131,14 +145,15 @@ def _total_error_h(state: AdaptivityState, p: int) -> float:
     return _clamp_h(state.H, _FAC * state.H * eps ** (-1.0 / p))
 
 
-def balancing_update(state: AdaptivityState, p: int, q: int) -> tuple[float, int]:
+def balancing_update(state: AdaptivityState, p: int, q: int, m_max: int | None = None) -> tuple[float, int]:
     """Macro-step from the total estimate, M from the fast/slow balance.
 
+    M stays within balancing's bounds, cut to the pair's ceiling ``m_max``.
     An infinite or overflowing fast/slow ratio sends M to the upper bound;
     both estimates infinite, or a zero total, leave M as it is (within the bounds).
     """
     H_new = _total_error_h(state, p)
-    lo, hi = _M_BOUNDS["balancing"]
+    lo, hi = _m_bounds("balancing", m_max)
     if state.eps_total <= 0.0:
         M_new = state.M
     elif state.eps_slow <= 0.0:
@@ -149,10 +164,13 @@ def balancing_update(state: AdaptivityState, p: int, q: int) -> tuple[float, int
     return H_new, int(min(max(M_new, lo), hi))
 
 
-def efficiency_update(state: AdaptivityState, q: int) -> tuple[float, int]:
-    """Pick M in a window to minimize projected cost, then solve for H."""
+def efficiency_update(state: AdaptivityState, q: int, m_max: int | None = None) -> tuple[float, int]:
+    """Pick M in a window to minimize projected cost, then solve for H at that M.
+
+    The window is cut to efficiency's bounds and the pair's ceiling ``m_max`` first.
+    """
     _check_estimates(state)
-    lo, hi = _M_BOUNDS["efficiency"]
+    lo, hi = _m_bounds("efficiency", m_max)
     M_kept = min(max(state.M, lo), hi)
     if state.eps_total <= 0.0:
         return _clamp_h(state.H, math.inf), M_kept
@@ -177,9 +195,9 @@ def _controller(state: AdaptivityState, method: MrGarkMethod, config: Controller
     p = method.order
     q = min(method.order, method.embedded_order)
     if config.strategy == "balancing":
-        return balancing_update(state, p, q)
+        return balancing_update(state, p, q, method.m_max)
     if config.strategy == "efficiency":
-        return efficiency_update(state, q)
+        return efficiency_update(state, q, method.m_max)
     return _total_error_h(state, p), state.M
 
 
@@ -193,9 +211,12 @@ def drive(
     H0: float | None = None,
     M0: int | None = None,
 ) -> DriveResult:
-    """Integrate adaptively from t0 to t_end, from a first step H0 > 0 (default span/100); t_end is hit exactly."""
+    """Integrate adaptively from t0 to t_end, from a first step H0 > 0 (default span/100); t_end is hit exactly.
+
+    M0 (default: the strategy's floor) is clamped to the strategy's bounds, cut to the pair's ceiling.
+    """
     span = check_span(t0, t_end)
-    lo, hi = _M_BOUNDS[config.strategy]
+    lo, hi = _m_bounds(config.strategy, method.m_max)
     state = AdaptivityState(
         H=check_real(H0, "H0", positive=True) if H0 is not None else span / 100.0,
         M=min(max(check_count(M0) if M0 is not None else lo, lo), hi),
@@ -237,7 +258,7 @@ def drive(
         else:
             state.rejected += 1
             rejects_in_a_row += 1
-            carry = None
+            # y is unchanged, so the FSAL carry of the last accepted step still belongs to it
             if rejects_in_a_row > _MAX_REJECTS_PER_STEP:
                 raise StepSizeUnderflow(f"{rejects_in_a_row} consecutive rejections at t={t}")
         if failed:

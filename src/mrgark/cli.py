@@ -69,9 +69,13 @@ def _check_out_file(args, *names: str) -> None:
     Creates and truncates nothing: :func:`_out_dir` makes the output directory
     and its parents when the results are written, so only they may be missing.
     Below a missing directory, ".." is read lexically, as it resolves once
-    that directory has been made.
+    that directory has been made.  Two names of one file (an ``--out`` that
+    names the manifest) raise InvalidInput, as one output would overwrite the other.
     """
     base = _out_base(args)
+    paths = [os.path.realpath(os.path.join(base, name)) for name in names]
+    if len(set(paths)) < len(paths):
+        raise InvalidInput(f"outputs {', '.join(map(repr, names))} name one file twice; give --out another name")
     made = os.path.normpath(base)
     for name in names:
         path = os.path.join(base, name)

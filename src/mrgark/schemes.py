@@ -260,13 +260,21 @@ _Rule = Callable[[int, int], np.ndarray]
 
 
 def _pair(name: str, fast: ButcherTableau, slow: ButcherTableau, fs: _Rule, sf: _Rule, order: int,
-          embedded_order: int, *flags: MethodFlag, **free_parameters: F) -> MrGarkMethod:
+          embedded_order: int, *flags: MethodFlag, m_max: int | None = None,
+          **free_parameters: F) -> MrGarkMethod:
     """The pair ``name``: bases ``fast`` and ``slow``, couplings ``fs`` and ``sf``.
 
     Every registered SDIRK base is stiffly accurate, so the pair is flagged
     stiffly accurate in each SDIRK partition (``verify`` checks the flag
     against the coupled tableau), and ``flags``; ``free_parameters`` are the
     rationals baked into the formulas, recorded as floats.
+
+    ``m_max`` is the pair's ceiling on the M that the controllers choose, set
+    by one rule: a pair whose fast error estimate at M = 2 is not below the
+    one at M = 1, for one step of ``LinearTwoRate(-10, -1)`` from y = 1 at
+    every H in ``geomspace(0.005, 0.08, 13)``, gains nothing from micro-steps
+    and gets ``m_max = 2`` (balancing's floor; efficiency may still pick 1).
+    ``tests/test_m_response.py`` recomputes the rule for every pair.
     """
     stiffly_accurate = {MethodFlag.STIFFLY_ACCURATE_FAST: fast, MethodFlag.STIFFLY_ACCURATE_SLOW: slow}
     return MrGarkMethod(
@@ -277,6 +285,7 @@ def _pair(name: str, fast: ButcherTableau, slow: ButcherTableau, fs: _Rule, sf: 
         order=order, embedded_order=embedded_order,
         flags=frozenset({*flags, *(flag for flag, base in stiffly_accurate.items() if base.is_implicit)}),
         free_parameters={key: float(value) for key, value in free_parameters.items()},
+        m_max=m_max,
     )
 
 
@@ -818,7 +827,7 @@ def _imex42a() -> MrGarkMethod:
             ],
         ])
 
-    return _pair("IM-EX 4(2)A", fast, slow, fs, sf, 4, 2)
+    return _pair("IM-EX 4(2)A", fast, slow, fs, sf, 4, 2, m_max=2)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,9 @@ class MrGarkMethod:
     the embedded solution used for error estimation.  ``fs_coupling`` and
     ``sf_coupling`` are pure functions (lambda, M) -> block; ``free_parameters``
     names the constants baked into them (the type-S abscissa c2, ...).
+    ``m_max`` is the largest M the M-adapting controllers may choose for the
+    pair (None: no ceiling); it narrows their M bounds and never lowers their
+    floor.  Fixed-M callers (``step``, ``verify``, ``stability``) ignore it.
     """
 
     name: str
@@ -119,6 +122,11 @@ class MrGarkMethod:
     embedded_order: int
     flags: frozenset[MethodFlag] = frozenset()
     free_parameters: Mapping[str, float] = field(default_factory=dict)
+    m_max: int | None = None
+
+    def __post_init__(self):
+        if self.m_max is not None:
+            object.__setattr__(self, "m_max", check_count(self.m_max, "m_max"))
 
     @property
     def stage_counts(self) -> tuple[int, int]:

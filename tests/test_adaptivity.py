@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,46 @@ def test_drive_clamps_integer_m0_into_bounds():
         res = drive(mg.registry_lookup("EX-EX 2(1)A"), LinearTwoRate().to_ode(),
                     np.array([1.0]), 0.0, 0.1, cfg, M0=M0)
         assert res.state.trace[0].M == first and type(res.state.trace[0].M) is int
+
+
+@pytest.mark.parametrize("strategy", ["balancing", "efficiency", "classic-h"])
+def test_drive_keeps_m_under_the_pair_ceiling(strategy):
+    # IM-EX 4(2)A's fast error grows with M, so the M-adapting controllers stop at its
+    # m_max; the ceiling narrows the efficiency window before H is solved (a ceiling put
+    # on the M returned, with H solved for the uncapped M, is rejected 21 times at t = 0).
+    # classic-h keeps the caller's M
+    method = mg.registry_lookup("IM-EX 4(2)A")
+    assert method.m_max == 2
+    cfg = ControllerConfig(strategy=strategy, abs_tol=1e-6, rel_tol=1e-6, synthetic_cost_ratio=5.0)
+    res = drive(method, LinearTwoRate(-10.0, -1.0).to_ode(), np.array([1.0]), 0.0, 0.1, cfg, H0=0.02, M0=10)
+    assert res.ts[-1] == 0.1
+    Ms = {r.M for r in res.state.trace}
+    assert Ms == {10} if strategy == "classic-h" else max(Ms) <= method.m_max
+
+
+def test_drive_keeps_the_fsal_carry_across_a_rejection():
+    # y is unchanged after a rejected step, so its retry reuses the last accepted
+    # step's fast RHS: one fast call fewer than a retry without the carry
+    method = mg.registry_lookup("EX-EX 4(3)A")
+    s_f = method.stage_counts[0]
+    real = adaptivity.error_estimates
+    calls = []
+
+    def reject_third(result, tolerances):
+        calls.append(None)
+        return (2.0, 1.0, 1.0) if len(calls) == 3 else real(result, tolerances)
+
+    base = LinearTwoRate(-10.0, -1.0).to_ode()
+    fast_calls = []
+    ode = mg.PartitionedOde(1, f_slow=base.f_slow, f_fast=lambda y: fast_calls.append(None) or base.f_fast(y))
+    cfg = ControllerConfig(strategy="classic-h", abs_tol=1e-6, rel_tol=1e-6)
+    with mock.patch.object(adaptivity, "error_estimates", reject_third):
+        res = drive(method, ode, np.array([1.0]), 0.0, 0.1, cfg, H0=0.01, M0=2)
+    trace = res.state.trace
+    assert [r.accepted for r in trace[:4]] == [True, True, False, True]
+    # FSAL: M * s_f calls per step, less one per micro-step after the first,
+    # less one more in every step after the first accepted one
+    assert len(fast_calls) == sum(r.M * (s_f - 1) + 1 for r in trace) - (len(trace) - 1)
 
 
 def test_drive_tolerance_ordering():

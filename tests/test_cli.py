@@ -379,6 +379,22 @@ def test_every_output_file_is_checked_before_any_work(argv, blocked, tmp_path, c
     assert list(tmp_path.iterdir()) == [tmp_path / blocked] and not list((tmp_path / blocked).iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "EX-EX 2(1)A", "--out", "verify_manifest.json"],
+    ["converge", "--method", "EX-EX 2(1)A", "--out", "converge_manifest.json"],
+    ["stability", "EX-EX 2(1)A", "--n-theta", "3", "--n-rho", "3", "--out", "sub/../stability_manifest.json"],
+], ids=["verify", "converge", "stability"])
+def test_out_naming_the_manifest_is_rejected_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the output names were checked")
+
+    for name in ("scan_region", "_verify_one", "integrate_fixed"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 2 and err.startswith("InvalidInput: ") and len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_fixed_step_integrate_does_not_check_a_trace_file(tmp_path, capsys):
     (tmp_path / "trace.csv").mkdir()  # only --adaptive writes the trace
     code, _, err = run(["--out-dir", str(tmp_path), "integrate", "--method", "EX-EX 2(1)A", "--t-end", "0.1"], capsys)

@@ -53,24 +53,37 @@ ESTIMATES = st.one_of(st.just(0.0), st.just(np.inf), st.floats(min_value=0.0, ma
     costs=st.tuples(st.floats(1e-9, 1e3), st.floats(1e-9, 1e3)),
     p=st.integers(1, 4),
     q=st.integers(1, 4),
+    m_max=st.one_of(st.none(), st.integers(1, 12)),
 )
-@example("balancing", 2, 0.1, (np.inf, np.inf, np.inf), (1.0, 1.0), 2, 2)
-@example("balancing", 2, 0.1, (np.inf, 0.5, np.inf), (1.0, 1.0), 2, 2)
-@example("balancing", 2, 0.1, (1e-300, 1e-300, 1e300), (1.0, 1.0), 2, 1)
-@example("efficiency", 3, 0.1, (5e-324, 5e-324, 0.0), (1.0, 1.0), 1, 1)
-@example("efficiency", 0, 1.0, (0.0, 0.0, 0.0), (1.0, 1.0), 1, 1)  # M = 1 is below balancing's bounds
-def test_controller_updates_are_total(strategy, M_offset, H, eps, costs, p, q):
+@example("balancing", 2, 0.1, (np.inf, np.inf, np.inf), (1.0, 1.0), 2, 2, None)
+@example("balancing", 2, 0.1, (np.inf, 0.5, np.inf), (1.0, 1.0), 2, 2, None)
+@example("balancing", 2, 0.1, (1e-300, 1e-300, 1e300), (1.0, 1.0), 2, 1, None)
+@example("efficiency", 3, 0.1, (5e-324, 5e-324, 0.0), (1.0, 1.0), 1, 1, None)
+@example("efficiency", 0, 1.0, (0.0, 0.0, 0.0), (1.0, 1.0), 1, 1, None)  # M = 1 is below balancing's bounds
+@example("balancing", 8, 0.1, (0.5, 1e-6, 0.5), (1.0, 1.0), 2, 1, 1)  # a ceiling below balancing's floor
+@example("efficiency", 9, 0.1, (0.5, 0.1, 0.4), (1.0, 1e-9), 4, 4, 2)  # M above the ceiling
+def test_controller_updates_are_total(strategy, M_offset, H, eps, costs, p, q, m_max):
     # estimates from 0 to inf, subnormals and overflowing fast/slow ratios included; the state's M
-    # starts inside the bounds of ``strategy``, and each update keeps M inside its own bounds
+    # starts inside the bounds of ``strategy`` (a pair's ceiling may lie below it), and each update
+    # keeps M inside its own bounds cut to the ceiling, never below the floor
     lo, hi = _M_BOUNDS[strategy]
     state = AdaptivityState(H=H, M=min(lo + M_offset, hi))
     state.eps_total, state.eps_slow, state.eps_fast = eps
     state.t_slow, state.t_fast = costs
-    updates = {"balancing": balancing_update(state, p, q), "efficiency": efficiency_update(state, q)}
+    updates = {"balancing": balancing_update(state, p, q, m_max), "efficiency": efficiency_update(state, q, m_max)}
     for rule, (H_new, M_new) in updates.items():
         lo, hi = _M_BOUNDS[rule]
+        if m_max is not None:
+            hi = max(lo, min(hi, m_max))
         assert 0.5 * H <= H_new <= 2.0 * H and math.isfinite(H_new)
         assert lo <= M_new <= hi and isinstance(M_new, int), rule
+    # H is the one solved for the M returned: balancing's H does not depend on M, and
+    # efficiency's activates the accuracy constraint at its M
+    assert updates["balancing"][0] == balancing_update(state, p, q)[0]
+    H_new, M_new = updates["efficiency"]
+    eps_proj = state.eps_slow + state.eps_fast * (state.M / M_new) ** q
+    H_solved = 0.9 * H * eps_proj ** (-1.0 / (q + 1)) if state.eps_total > 0.0 and eps_proj > 0.0 else math.inf
+    assert H_new == min(max(H_solved, 0.5 * H), 2.0 * H)
 
 
 @pytest.mark.parametrize("update", [lambda s: balancing_update(s, 2, 2), lambda s: efficiency_update(s, 2)],

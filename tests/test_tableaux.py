@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -45,6 +46,15 @@ def test_type_s_split_index():
     assert np.any(m.coupling("sf", 2, 3))
     assert not np.any(m.coupling("sf", 3, 3))
     assert np.any(m.coupling("sf", 1, 3))
+
+
+@pytest.mark.parametrize("m_max", [0, -2, 2.5, True, "2"])
+def test_m_max_must_be_a_count(m_max):
+    with pytest.raises(InvalidInput):
+        dataclasses.replace(mg.registry_lookup("IM-EX 4(2)A"), m_max=m_max)
+    # the ceiling is kept apart from the free parameters
+    assert mg.registry_lookup("IM-EX 4(2)A").free_parameters == {}
+    assert dataclasses.replace(mg.registry_lookup("EX-EX 2(1)A"), m_max=np.int64(3)).m_max == 3
 
 
 def test_type_s_parameter_override():
