@@ -226,6 +226,8 @@ def drive(
 
     t = float(t0)
     y = check_state(y0, ode.dimension)
+    if not np.isfinite(y).all():  # not a failed first step, which would shrink H until it underflows
+        raise InvalidInput("y0 must be finite")
     ts = [t]
     ys = [y.copy()]
     carry = None

@@ -25,26 +25,33 @@ and b_hat_f sums with one weight product, so all four solutions (main,
 embedded, and both mixed pairs used to split the error estimate) come from
 the same stage evaluations at no extra cost.
 
-Implicit (SDIRK) stages are solved by simplified Newton, :func:`newton_solve`.
-Every implicit stage of a partition has the same Newton matrix I - a*J, with
-a = h*gamma fast or H*gamma slow, so one matrix per partition is built at its
-first implicit stage and reused by the later stages and micro-steps of the
-step.  It is rebuilt only after an update that cuts the residual norm by less
-than :data:`NEWTON_RATE`, and dropped when the step ends.  Size-1 systems
-rebuild it every iteration, on floats: there the stage residual returns a
-float and the Jacobian closure the slope 1 - a*J, which Newton takes as they
-come; only a forward difference goes through arrays.  Each implicit
-partition's residual and Jacobian closures are built once per step, not once
-per stage.  A partition's ``jac`` returns J either as a dense array, from
-which I - a*J is formed and kept as its inverse, or as a
-:class:`StructuredJacobian`, whose ``shifted_solver(a)`` is the exact solve of
-(I - a*J) x = r; either way a solve is what is built, reused and rebuilt.
-An implicit stage's right-hand side is the f(Y) that Newton's last residual
-call evaluated at the returned Y, so a converged stage costs no extra call.
+Each partition is one stage routine, built once per step: rhs_known -> f(Y)
+at its stage value Y = rhs_known + a*f(Y).  An explicit partition's is its
+counted right-hand side (a = 0).  An SDIRK partition's is a stage solver, with
+a = h*gamma fast or H*gamma slow, that solves by simplified Newton,
+:func:`newton_solve`, and owns its residual and Jacobian closures and its
+Newton matrix I - a*J: built at the first stage, reused by the later stages
+and micro-steps, rebuilt only after an update that cuts the residual norm by
+less than :data:`NEWTON_RATE`, and dropped when the step ends.  Size-1
+systems rebuild it every iteration, on floats: there the stage residual
+returns a float and the Jacobian closure the slope 1 - a*J, which Newton
+takes as they come; only a forward difference goes through arrays.  A
+partition's ``jac`` returns J either as a dense array, from which I - a*J is
+formed and kept as its inverse, or as a :class:`StructuredJacobian`, whose
+``shifted_solver(a)`` is the exact solve of (I - a*J) x = r; either way a
+solve is what is built, reused and rebuilt.  Newton returns the very array
+its last residual call evaluated f at, so that f(Y) is the stage's
+right-hand side, and a converged stage costs no extra call.
 
-For methods with the first-same-as-last property the value of the last fast
-stage of each micro-step equals the first stage of the next one, so its
-right-hand side is reused across micro-steps and across accepted macro-steps.
+Each right-hand side result is checked where it is counted: anything but a
+real array of shape (dimension,) raises :class:`InvalidInput` naming
+``f_slow`` or ``f_fast``.  ``integrate_fixed`` and ``adaptivity.drive``
+reject a non-finite y0 up front; ``step`` does not check its y_n for that.
+
+For methods with the first-same-as-last property (an explicit fast base, see
+:class:`MrGarkMethod`) the value of the last fast stage of each micro-step
+equals the first stage of the next one, so its right-hand side is reused
+across micro-steps and across accepted macro-steps.
 """
 
 from __future__ import annotations
@@ -86,6 +93,8 @@ NEWTON_RATE = 0.1
 #: Newton converges when ||G|| <= NEWTON_TOL * (1 + ||y||), and fails after NEWTON_MAX_ITER updates
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+#: an RHS result of this dtype and the state's shape is used as it comes
+_FLOAT = np.dtype(float)
 
 
 class StructuredJacobian(Protocol):
@@ -364,8 +373,13 @@ def step(
 ) -> StepResult:
     """Advance one macro-step of size H with M fast micro-steps.
 
-    Methods with the first-same-as-last flag reuse the last fast-stage RHS,
-    within the step and from ``fsal_carry`` when it belongs to ``y_n``.
+    Fast stages are evaluated as slow ones are, each partition by its stage
+    routine.  Methods with the first-same-as-last flag reuse the last
+    fast-stage RHS, within the step and from ``fsal_carry`` when it belongs to
+    ``y_n``.  An RHS result that is not a real array of shape (dimension,)
+    raises InvalidInput.  ``y_n`` is not checked for NaN or inf, which would
+    cost every step a pass over it: a non-finite one ends in NonFiniteState,
+    or in NewtonDivergence where an implicit stage meets it first.
     """
     M = check_count(M)
     check_real(H, "H", positive=True)
@@ -375,38 +389,42 @@ def step(
     n = y_n.size
     s_f, s_s = method.stage_counts
     h = H / M
-    fast_implicit = method.fast.is_implicit
 
     calls, seconds = [0, 0], [0.0, 0.0]  # RHS calls and stage time per partition: [slow, fast]
     newton_iterations = jacobians = 0
-    # per partition [slow, fast]: the slope or solve of I - a*J, built at its first implicit
-    # stage and reused by the later ones, since a = h*gamma is the same for all of them
-    matrices: list[Callable | float | None] = [None, None]
 
-    def counted(fn, part):
+    def counted(fn, part, name):
         def call(y):
             calls[part] += 1
-            return np.asarray(fn(y), dtype=float)
+            f = fn(y)
+            if type(f) is np.ndarray and f.dtype is _FLOAT and f.shape == (n,):  # the common case, checked cheaply
+                return f
+            f = check_real_array(f, f"the result of {name}")  # cast, unless complex, bool or not numeric
+            if f.shape != (n,):
+                raise InvalidInput(f"the result of {name} must be a real 1-D array of {n} entries, got shape {f.shape}")
+            return f
         return call
 
-    f_slow, f_fast = counted(ode.f_slow, 0), counted(ode.f_fast, 1)
+    f_slow, f_fast = counted(ode.f_slow, 0, "f_slow"), counted(ode.f_fast, 1, "f_fast")
 
-    def stage_solver(a_diag, part, f, jac_fn):
+    def stage_solver(a_diag, f, jac_fn):
         """The solve rhs_known -> f(Y) at the solution Y of Y = rhs_known + a_diag * f(Y), for one partition.
 
-        Its residual and Jacobian closures are built once per step, not once per stage.
+        Its residual and Jacobian closures are built once per step, not once per stage.  It owns its Newton
+        matrix, the slope or solve of I - a_diag*J: built at its first stage and reused by the later ones.
         """
-        known = [None]  # the current stage's rhs_known; at size 1, its float
-        last = [None, None]  # the residual's last (y, f(y))
+        known = f_y = matrix = None  # the current stage's rhs_known (at size 1, its float); the last f(y)
 
         if n == 1:
             def residual(y):  # a float, by the same IEEE operations as the 1-element array expression
-                last[0], last[1] = y, f(y)
-                return y.item() - a_diag * last[1].item() - known[0]
+                nonlocal f_y
+                f_y = f(y)
+                return y.item() - a_diag * f_y.item() - known
         else:
             def residual(y):
-                last[0], last[1] = y, f(y)
-                return y - a_diag * last[1] - known[0]
+                nonlocal f_y
+                f_y = f(y)
+                return y - a_diag * f_y - known
 
         def jac(y):
             J = jac_fn(y)
@@ -421,26 +439,22 @@ def step(
             return m
 
         def solve(rhs_known):
-            nonlocal newton_iterations, jacobians
-            known[0] = rhs_known.item() if n == 1 else rhs_known
-            res = newton_solve(residual, rhs_known, None if jac_fn is None else jac, matrix=matrices[part])
-            matrices[part] = res.matrix
+            nonlocal known, matrix, newton_iterations, jacobians
+            known = rhs_known.item() if n == 1 else rhs_known
+            res = newton_solve(residual, rhs_known, None if jac_fn is None else jac, matrix=matrix)
+            matrix = res.matrix
             newton_iterations += res.iterations
             jacobians += res.jacobians
-            # Newton's last residual call has evaluated f at the solution already
-            return last[1] if res.y is last[0] else f(res.y)
+            return f_y  # Newton returns the y of its last residual call, which has evaluated f there
 
         return solve
 
-    slow_stage = stage_solver(H * method.slow.gamma, 0, f_slow, ode.jac_slow) if method.slow.is_implicit else f_slow
-    solve_fast = stage_solver(h * method.fast.gamma, 1, f_fast, ode.jac_fast) if fast_implicit else None
+    slow_stage = stage_solver(H * method.slow.gamma, f_slow, ode.jac_slow) if method.slow.is_implicit else f_slow
+    fast_stage = stage_solver(h * method.fast.gamma, f_fast, ode.jac_fast) if method.fast.is_implicit else f_fast
 
     # stage RHS values: the slow stages, then the fast stages of the current micro-step;
     # per slow stage, its h * A^{sf} terms of the micro-steps folded so far
     K, sf_acc = np.zeros((s_s + s_f, n)), np.zeros((s_s, n))
-    # per fast stage, its input is ytilde + coef[lambda-1, i] @ K; per slow stage, y_n + slow_coef[j] @ K
-    scale = np.array([H] * s_s + [h] * s_f)
-    coef, slow_coef = plan.rows * scale, plan.slow_rows * scale
     summed = min(plan.folds)  # the first slow stage with a running sum
 
     def compute_slow(j):
@@ -458,21 +472,19 @@ def step(
 
     ytilde = y_n.copy()
     acc = np.zeros((2, n))  # sums of b_f- and b_hat_f-weighted fast stages over micro-steps
-    # unstable step sizes overflow before the explicit finiteness checks fire;
-    # silence the intermediate warnings, NonFiniteState is the real signal
+    # unstable step sizes overflow before the explicit finiteness checks fire, a huge H already
+    # in the scaled coefficients; silence the intermediate warnings, NonFiniteState is the real signal
     with np.errstate(over="ignore", invalid="ignore"):
+        # per fast stage, its input is ytilde + coef[lambda-1, i] @ K; per slow stage, y_n + slow_coef[j] @ K
+        scale = np.array([H] * s_s + [h] * s_f)
+        coef, slow_coef = plan.rows * scale, plan.slow_rows * scale
         for lam, (rows, before, fold) in enumerate(zip(coef, plan.before, plan.folds), 1):
             for i, row in enumerate(rows):
                 for j in before[i]:
                     compute_slow(j)
                 rhs = ytilde + row @ K  # zero weights on the slow stages not yet computed and fast stages >= i
                 t0 = time.perf_counter()
-                if fast_implicit:
-                    F = solve_fast(rhs)
-                elif i == 0 and f_prev_last is not None:
-                    F = f_prev_last
-                else:
-                    F = f_fast(rhs)
+                F = f_prev_last if i == 0 and f_prev_last is not None else fast_stage(rhs)
                 seconds[1] += time.perf_counter() - t0
                 K[s_s + i] = F
             if fold < s_s:
@@ -487,19 +499,20 @@ def step(
         for j in plan.trailing:
             compute_slow(j)
 
-    # the four solutions share their fast (h * ...) and slow (H * ...) parts
-    with_bf, with_bf_hat = y_n + h * acc
-    slow_b, slow_b_hat = H * (plan.slow_weights @ K[:s_s])
-    y_next = with_bf + slow_b
-    if not np.logical_and.reduce(np.isfinite(y_next)):
-        raise NonFiniteState("macro-step produced non-finite state")
+        # the four solutions share their fast (h * ...) and slow (H * ...) parts
+        with_bf, with_bf_hat = y_n + h * acc
+        slow_b, slow_b_hat = H * (plan.slow_weights @ K[:s_s])
+        y_next = with_bf + slow_b
+        if not np.logical_and.reduce(np.isfinite(y_next)):
+            raise NonFiniteState("macro-step produced non-finite state")
+        y_hat, y_hat_slow, y_hat_fast = with_bf_hat + slow_b_hat, with_bf + slow_b_hat, with_bf_hat + slow_b
 
     carry = FsalCarry(y_next=y_next, f_fast_last=f_prev_last.copy()) if fsal and f_prev_last is not None else None
     return StepResult(
         y_next=y_next,
-        y_hat=with_bf_hat + slow_b_hat,
-        y_hat_slow=with_bf + slow_b_hat,
-        y_hat_fast=with_bf_hat + slow_b,
+        y_hat=y_hat,
+        y_hat_slow=y_hat_slow,
+        y_hat_fast=y_hat_fast,
         t=t_n + H,
         H=H,
         M=M,
@@ -519,6 +532,8 @@ def integrate_fixed(method: MrGarkMethod, ode: PartitionedOde, y0: np.ndarray, t
     span = check_span(t0, t_end)
     n = max(1, int(round(span / check_real(H, "H", positive=True))))
     y, t, carry = check_state(y0, ode.dimension), t0, None
+    if not np.isfinite(y).all():  # step itself checks only the states it produces
+        raise InvalidInput("y0 must be finite")
     for _ in range(n):
         result = step(method, ode, y, t, span / n, M, fsal_carry=carry)
         y, t, carry = result.y_next, result.t, result.fsal_carry

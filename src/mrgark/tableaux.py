@@ -111,6 +111,8 @@ class MrGarkMethod:
     ``m_max`` is the largest M the M-adapting controllers may choose for the
     pair (None: no ceiling); it narrows their M bounds and never lowers their
     floor.  Fixed-M callers (``step``, ``verify``, ``stability``) ignore it.
+    ``MethodFlag.FSAL`` (first same as last) needs an explicit fast base; on
+    an SDIRK one, whose first stage is solved for, it raises InvalidInput.
     """
 
     name: str
@@ -125,6 +127,8 @@ class MrGarkMethod:
     m_max: int | None = None
 
     def __post_init__(self):
+        if MethodFlag.FSAL in self.flags and self.fast.is_implicit:
+            raise InvalidInput(f"{self.name}: first-same-as-last needs an explicit fast base, not an SDIRK one")
         if self.m_max is not None:
             object.__setattr__(self, "m_max", check_count(self.m_max, "m_max"))
 

@@ -98,6 +98,11 @@ BAD_INPUT = [
                  id="reference_error-y_T-complex"),
     pytest.param(lambda: reference_error(LinearTwoRate(), np.array([1.0]), 1.0, reference_state=np.array([1j])),
                  InvalidInput, id="reference_error-reference_state-complex"),
+    # a non-finite y0 is refused before any RHS runs, not reported as a failed step or an underflow of H
+    pytest.param(lambda: _integrate(y0=np.array([math.nan])), InvalidInput, id="integrate_fixed-y0-nan"),
+    pytest.param(lambda: _integrate(y0=np.array([-math.inf])), InvalidInput, id="integrate_fixed-y0-inf"),
+    pytest.param(lambda: _drive(y0=np.array([math.nan])), InvalidInput, id="drive-y0-nan"),
+    pytest.param(lambda: _drive(y0=np.array([math.inf])), InvalidInput, id="drive-y0-inf"),
     pytest.param(lambda: mg.Tolerances(abs_tol="1e-6"), InvalidInput, id="Tolerances-abs_tol-str"),
     pytest.param(lambda: mg.Tolerances(abs_tol=True), InvalidInput, id="Tolerances-abs_tol-bool"),
     pytest.param(lambda: mg.Tolerances(rel_tol=np.array([True, False])), InvalidInput, id="Tolerances-rel_tol-bools"),

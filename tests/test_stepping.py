@@ -987,23 +987,85 @@ def test_implicit_stage_takes_its_rhs_from_the_last_newton_residual(name, M):
         assert (r.counters.fast_evals, r.counters.slow_evals) == (M * s_f, 2 * s_s)
 
 
-def test_implicit_stage_calls_f_when_newton_returns_another_array(monkeypatch):
-    # the remembered f(y) belongs to the array Newton last passed to the residual;
-    # a solution held in any other array costs one more call and changes nothing
-    m = mg.registry_lookup("IM-EX 3(2)A")
-    ode = CoupledNonlinearScalar().to_ode()
-    reused = step(m, ode, np.array([0.5]), 0.0, 0.05, 3)
-    original = stepping.newton_solve
+NEWTON_RETURNS = {
+    # size: (residual, analytic dG/dy, a stale matrix that the first update outgrows)
+    1: (lambda y: y**3 - 8.0, lambda y: np.array([[3.0 * y.item() ** 2]]), 1e-3),
+    2: (lambda y: y**3 - np.array([8.0, 27.0]), lambda y: np.diag(3.0 * y**2), 1e-3 * np.eye(2)),
+}
 
-    def copying(*args, **kwargs):
-        res = original(*args, **kwargs)
-        return res._replace(y=res.y.copy())
 
-    monkeypatch.setattr(stepping, "newton_solve", copying)
-    called = step(m, ode, np.array([0.5]), 0.0, 0.05, 3)
-    assert called.counters.fast_evals == reused.counters.fast_evals + 3 * m.fast.stage_count
-    for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
-        np.testing.assert_array_equal(getattr(called, field), getattr(reused, field))
+@pytest.mark.parametrize("source", ["analytic", "forward-difference", "stale-matrix"])
+@pytest.mark.parametrize("size", [1, 2])
+def test_newton_returns_the_array_of_its_last_residual_call(size, source):
+    # a stage solver returns the f(y) of Newton's last residual call as f at the solution, which holds
+    # only if the y returned is that very array, whichever way the Newton matrix came about
+    g, dG, stale = NEWTON_RETURNS[size]
+    seen = []
+
+    def residual(y):
+        seen.append(y)
+        return g(y)
+
+    jac = None if source == "forward-difference" else dG
+    res = newton_solve(residual, np.full(size, 3.5), jac, matrix=stale if source == "stale-matrix" else None)
+    assert res.y is seen[-1] and res.iterations > 1
+    np.testing.assert_allclose(res.y, np.arange(2, 2 + size), rtol=1e-12)
+    if source == "stale-matrix" and size == 2:
+        assert res.jacobians >= 1  # the overshooting update was redone with a fresh matrix
+
+
+#: RHS results that are not a real array of shape (2,), for a dimension-2 problem
+BAD_RHS_RESULTS = {
+    "wrong-shape": lambda y: y[:1],
+    "complex": lambda y: 1j * y,
+    "zero-d": lambda y: np.float64(y[0]),
+    "two-d": lambda y: y[:, None],
+    "bools": lambda y: y > 0.0,
+}
+
+
+@pytest.mark.parametrize("entry", ["step", "drive"])
+@pytest.mark.parametrize("bad", list(BAD_RHS_RESULTS))
+@pytest.mark.parametrize("partition", ["f_slow", "f_fast"])
+@pytest.mark.parametrize("name", ["EX-EX 2(1)A", "IM-EX 2(1)A", "EX-IM 2(1)A"])
+def test_a_bad_rhs_result_is_rejected_naming_its_partition(name, partition, bad, entry):
+    # not broadcast into the stage array, and not cast to its real part with a ComplexWarning
+    fs = {"f_slow": lambda y: -y, "f_fast": lambda y: -10.0 * y, partition: BAD_RHS_RESULTS[bad]}
+    ode = PartitionedOde(2, **fs)
+    y0 = np.array([1.0, 0.5])
+    with pytest.raises(InvalidInput, match=partition):
+        if entry == "step":
+            step(mg.registry_lookup(name), ode, y0, 0.0, 0.05, 2)
+        else:
+            mg.drive(mg.registry_lookup(name), ode, y0, 0.0, 0.2, mg.ControllerConfig())
+
+
+def test_real_rhs_results_of_other_types_step_as_their_float_arrays():
+    m = mg.registry_lookup("EX-IM 2(1)A")
+    y0 = np.array([1.0, 0.5])
+    want = step(m, PartitionedOde(2, f_slow=lambda y: -y, f_fast=lambda y: np.full(2, 3.0)), y0, 0.0, 0.05, 2)
+    for fast in (lambda y: [3, 3], lambda y: np.full(2, 3, dtype=np.int32), lambda y: np.full(2, 3.0, np.float32)):
+        got = step(m, PartitionedOde(2, f_slow=lambda y: -y, f_fast=fast), y0, 0.0, 0.05, 2)
+        np.testing.assert_array_equal(got.y_next, want.y_next)
+        assert got.counters == want.counters
+
+
+HUGE_H_PROBLEMS = [LINEAR, CoupledNonlinearScalar(), GrayScott(n=8)]
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+def test_a_huge_step_size_fails_without_a_warning(name):
+    # H overflows the scaled stage coefficients or the stages; the step ends in
+    # NonFiniteState or NewtonDivergence, with no RuntimeWarning on the way
+    m = mg.registry_lookup(name)
+    for problem, H in itertools.product(HUGE_H_PROBLEMS, [1e308, 1e200, 1e30]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                r = step(m, problem.to_ode(), problem.initial_condition(), 0.0, H, 2)
+            except (NonFiniteState, NewtonDivergence):
+                continue
+        assert np.isfinite(r.y_next).all()
 
 
 def test_error_estimates_equal_three_error_norms():

@@ -57,6 +57,16 @@ def test_m_max_must_be_a_count(m_max):
     assert dataclasses.replace(mg.registry_lookup("EX-EX 2(1)A"), m_max=np.int64(3)).m_max == 3
 
 
+@pytest.mark.parametrize("name", [n for n in mg.METHOD_NAMES if n.startswith("IM-")])
+def test_fsal_needs_an_explicit_fast_base(name):
+    # an SDIRK first stage solves Y = ytilde + h*gamma*f(Y), gamma > 0, so it cannot reuse the last stage's value
+    m = mg.registry_lookup(name)
+    with pytest.raises(InvalidInput, match="first-same-as-last"):
+        dataclasses.replace(m, flags=m.flags | {MethodFlag.FSAL})
+    explicit = mg.registry_lookup("EX-IM 2(1)A")
+    assert MethodFlag.FSAL in dataclasses.replace(explicit, flags=explicit.flags | {MethodFlag.FSAL}).flags
+
+
 def test_type_s_parameter_override():
     m = mg.registry_lookup("EX-EX 2(1)S", c2="1/2")
     assert m.fast.c[1] == 0.5
