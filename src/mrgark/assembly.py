@@ -159,17 +159,12 @@ def _last_nonzero(block: np.ndarray) -> np.ndarray:
 def place_slow_stages(method: MrGarkMethod, fs_blocks, sf_blocks) -> tuple[tuple, tuple[int, ...]]:
     """Place each slow stage, in index order, right after the last fast stage feeding it.
 
-    ``fs_blocks`` and ``sf_blocks`` are the stacks of
-    :meth:`MrGarkMethod.couplings`; only their zero pattern is read, in
-    O(M*s_f*s_s).  Returns the slow stages to compute before each fast stage
-    (lambda-1)*s_f + i, and those left for after the last micro-step.
+    ``fs_blocks`` and ``sf_blocks`` are the stacks of :meth:`MrGarkMethod.couplings`;
+    only their zero pattern is read, in O(M*s_f*s_s).  Returns the slow stages to
+    compute before each fast stage (lambda-1)*s_f + i, and those left for after the
+    last micro-step.  A cycle, the one fault left to find here, raises :class:`CoupledMethod`.
     """
     s_f, s_s = method.stage_counts
-    for base, label in ((method.fast, "fast"), (method.slow, "slow")):
-        if np.any(np.triu(base.A, 1) != 0.0):
-            raise CoupledMethod(f"{method.name}: {label} stages depend on later {label} stages")
-        if base.kind is not TableauKind.SDIRK and np.any(np.diag(base.A) != 0.0):
-            raise CoupledMethod(f"{method.name}: a {label} stage is implicit but its partition is explicit")
     # last fast stage feeding each slow stage; slow stages each fast stage needs
     last_feed = np.full(s_s, -1)
     needs: list[int] = []
@@ -197,8 +192,7 @@ def derive_schedule(method: MrGarkMethod, M: int) -> tuple[int, ...]:
     (lambda-1)*s_f + i, slow stage j is M*s_f + j) in computation order.
     Ready slow stages go first, in index order, then the next fast stage (see
     :func:`place_slow_stages`), so the permuted assembled tableau is lower
-    triangular.  Cyclic dependencies, or an implicit stage in an explicit
-    partition, raise :class:`CoupledMethod`.
+    triangular.  Cyclic dependencies raise :class:`CoupledMethod`.
     """
     before, trailing = place_slow_stages(method, *method.couplings(M))
     n_fast = M * method.fast.stage_count

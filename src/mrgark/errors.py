@@ -38,7 +38,7 @@ class NotImplicitPartition(MrGarkError):
 
 
 class CoupledMethod(MrGarkError):
-    """Stage dependency graph has a cycle; no decoupled evaluation order exists."""
+    """Stage dependency graph has a cycle, and only that; no decoupled evaluation order exists."""
 
 
 class SingularResolvent(MrGarkError):

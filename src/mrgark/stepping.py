@@ -8,8 +8,9 @@ values and the slow stages to compute right before it; per slow stage its row
 stages it is computed after; and per micro-step the slow stages computed
 later that its fast stages feed.
 It is the stage order of :func:`assembly.derive_schedule` (both come from
-:func:`assembly.place_slow_stages`), so a cyclic method is rejected before any
-right-hand side runs.
+:func:`assembly.place_slow_stages`), so a method with cyclic coupling
+dependencies is rejected before any right-hand side runs; its base tableaus
+and coupling blocks were checked when they were built.
 
 The stage right-hand sides live in one array K: the s_s slow stages, then the
 s_f fast stages of the current micro-step.  Scaled once per step by H on the
@@ -45,8 +46,9 @@ right-hand side, and a converged stage costs no extra call.
 
 Each right-hand side result is checked where it is counted: anything but a
 real array of shape (dimension,) raises :class:`InvalidInput` naming
-``f_slow`` or ``f_fast``.  ``integrate_fixed`` and ``adaptivity.drive``
-reject a non-finite y0 up front; ``step`` does not check its y_n for that.
+``f_slow`` or ``f_fast``; so does a Newton solve's result, at the update.
+``integrate_fixed`` and ``adaptivity.drive`` reject a non-finite y0 up
+front; ``step`` does not check its y_n for that.
 
 For methods with the first-same-as-last property (an explicit fast base, see
 :class:`MrGarkMethod`) the value of the last fast stage of each micro-step
@@ -101,7 +103,7 @@ class StructuredJacobian(Protocol):
     """A Jacobian J held in a form with an exact solve of its shifted systems."""
 
     def shifted_solver(self, a: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The solve r -> x of (I - a*J) x = r; raises NewtonDivergence if that system is singular."""
+        """The solve r -> x of (I - a*J) x = r, x a real array of r's shape; NewtonDivergence if it is singular."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +201,9 @@ def newton_solve(
     one).  The returned ``y`` is the very array of the last ``residual`` call.
 
     ``jac`` returns dG/dy as a real (n, n) array, a float (size 1 only) or a
-    *solve* callable r -> x of dG/dy x = r (size > 1 only); anything else
-    raises :class:`InvalidInput`.  Omitted, dG/dy is a forward-difference
+    *solve* callable r -> x of dG/dy x = r (size > 1 only); anything else,
+    or a solve whose x is not a real array of y's shape, raises
+    :class:`InvalidInput`.  Omitted, dG/dy is a forward-difference
     array with increment sqrt(eps) * (1 + |y_i|), one residual call per
     column.  A matrix is held as a float slope at size 1 and as a solve above:
     an array is kept as its inverse, one inversion per build and one product
@@ -251,7 +254,7 @@ def newton_solve(
         if rebuild:
             matrix = _newton_matrix(_forward_difference(residual, y, g) if jac is None else jac(y), y.size)
             rebuild, fresh, builds = False, True, builds + 1
-        y_new = y + matrix(-g)
+        y_new = _newton_update(y, matrix, g)
         y_new_norm = _norm(y_new)
         if not math.isfinite(y_new_norm):
             if fresh:
@@ -268,6 +271,16 @@ def newton_solve(
         rebuild = g_new_norm > NEWTON_RATE * g_norm
         y, y_norm, g, g_norm, fresh = y_new, y_new_norm, g_new, g_new_norm, False
     raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
+
+
+def _newton_update(y: np.ndarray, solve: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> np.ndarray:
+    """y + solve(-g); InvalidInput unless the solve returns a real array of y's shape."""
+    dy = solve(-g)
+    if not (type(dy) is np.ndarray and dy.dtype is _FLOAT and dy.shape == y.shape):  # the common case, cheaply
+        dy = check_real_array(dy, "the result of a Newton solve")  # cast, unless complex, bool or not numeric
+        if dy.shape != y.shape:
+            raise InvalidInput(f"the result of a Newton solve must have the iterate's shape {y.shape}, got {dy.shape}")
+    return y + dy
 
 
 def _norm(v: np.ndarray) -> float:
@@ -482,9 +495,11 @@ def step(
             for i, row in enumerate(rows):
                 for j in before[i]:
                     compute_slow(j)
-                rhs = ytilde + row @ K  # zero weights on the slow stages not yet computed and fast stages >= i
+                reuse = i == 0 and f_prev_last is not None  # FSAL: the stage input would go unused
+                if not reuse:
+                    rhs = ytilde + row @ K  # zero weights on the slow stages not yet computed and fast stages >= i
                 t0 = time.perf_counter()
-                F = f_prev_last if i == 0 and f_prev_last is not None else fast_stage(rhs)
+                F = f_prev_last if reuse else fast_stage(rhs)
                 seconds[1] += time.perf_counter() - t0
                 K[s_s + i] = F
             if fold < s_s:

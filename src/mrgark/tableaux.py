@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import InvalidInput, LambdaOutOfRange, check_choice, check_count
+from .errors import InvalidInput, LambdaOutOfRange, check_choice, check_count, check_real_array
 
 __all__ = [
     "TableauKind",
@@ -27,7 +27,7 @@ __all__ = [
     "MrGarkMethod",
 ]
 
-#: defaults for the structural invariants checked by ``ButcherTableau.validate``
+#: a tableau's sums and diagonal hold within this times max(1, the size of their terms), e.g. sum|b| for sum(b) = 1
 _ROWSUM_TOL = 1e-13
 
 
@@ -56,9 +56,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class ButcherTableau:
     """One base Runge-Kutta method (A, b, embedded b_hat, c).
 
-    ``kind`` distinguishes explicit tableaus (strictly lower triangular A)
-    from SDIRK ones (lower triangular with constant diagonal ``gamma``).
-    Instances are immutable; the arrays are read-only views.
+    Checked when built (InvalidInput): finite real A (s, s) and b, b_hat, c (s,), s >= 1,
+    rows of A summing to c and b summing to 1; ``kind`` EXPLICIT with A strictly lower
+    triangular and no ``gamma``, or SDIRK with A lower triangular and its diagonal a
+    finite ``gamma`` > 0.  Instances are immutable; the arrays are read-only.
     """
 
     A: np.ndarray
@@ -69,29 +70,29 @@ class ButcherTableau:
     gamma: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _freeze(self.A))
-        object.__setattr__(self, "b", _freeze(self.b))
-        object.__setattr__(self, "b_hat", _freeze(self.b_hat))
-        object.__setattr__(self, "c", _freeze(self.c))
+        for key in ("A", "b", "b_hat", "c"):
+            object.__setattr__(self, key, _freeze(check_real_array(getattr(self, key), f"tableau {key}")))
+        A, b, c, s = self.A, self.b, self.c, self.b.size
+        shapes = A.shape, b.shape, self.b_hat.shape, c.shape
+        if not s or shapes != ((s, s), (s,), (s,), (s,)) or not np.isfinite(np.vstack([A, b, self.b_hat, c])).all():
+            raise InvalidInput(f"tableau A, b, b_hat, c must be finite, shaped (s, s), (s,), (s,), (s,), got {shapes}")
+        if not isinstance(self.kind, TableauKind) or self.is_implicit == (self.gamma is None):
+            raise InvalidInput(f"tableau needs a TableauKind, gamma None iff EXPLICIT: {self.kind!r}, {self.gamma!r}")
+        if self.is_implicit:
+            gamma = check_real_array(self.gamma, "SDIRK gamma")  # unlike check_real, refuses an int past the float range
+            if gamma.shape or not 0.0 < gamma < np.inf:
+                raise InvalidInput(f"SDIRK gamma must be a finite real > 0, got {self.gamma!r}")
+            object.__setattr__(self, "gamma", float(gamma))
+        g = self.gamma or 0.0  # the diagonal; an explicit one is zero exactly
+        if np.triu(A, int(self.is_implicit)).any() or np.any(np.abs(np.diag(A) - g) > _ROWSUM_TOL * max(1.0, g)):
+            raise InvalidInput(f"{self.kind.value} tableau A must be lower triangular with diagonal {g}")
+        if (np.any(np.abs(A.sum(axis=1) - c) > _ROWSUM_TOL * np.maximum(1.0, np.abs(A).sum(axis=1)))
+                or abs(b.sum() - 1.0) > _ROWSUM_TOL * max(1.0, np.abs(b).sum())):
+            raise InvalidInput("the rows of a tableau's A must sum to c, and b must sum to 1")
 
     @property
     def stage_count(self) -> int:
         return self.b.shape[0]
-
-    def validate(self, tol: float = _ROWSUM_TOL) -> None:
-        """Raise AssertionError if the structural invariants do not hold."""
-        s = self.stage_count
-        assert self.A.shape == (s, s)
-        assert self.b_hat.shape == (s,) and self.c.shape == (s,)
-        assert np.max(np.abs(self.A.sum(axis=1) - self.c)) < tol, "row sums of A must equal c"
-        assert abs(self.b.sum() - 1.0) < tol, "sum(b) must be 1"
-        if self.kind is TableauKind.EXPLICIT:
-            assert self.gamma is None
-            assert not np.any(np.triu(self.A) != 0.0), "explicit A must be strictly lower triangular"
-        else:
-            assert self.gamma is not None and self.gamma > 0
-            assert not np.any(np.triu(self.A, 1) != 0.0), "SDIRK A must be lower triangular"
-            assert np.max(np.abs(np.diag(self.A) - self.gamma)) < tol, "SDIRK diagonal must equal gamma"
 
     @property
     def is_implicit(self) -> bool:
@@ -105,9 +106,9 @@ class MrGarkMethod:
     ``name`` follows the multirate GARK naming convention
     ``FAST-SLOW p(phat) [stages] type``, e.g. ``"EX-IM 2(1)A"``.
     ``order`` is the order of the main solution, ``embedded_order`` that of
-    the embedded solution used for error estimation.  ``fs_coupling`` and
-    ``sf_coupling`` are pure functions (lambda, M) -> block; ``free_parameters``
-    names the constants baked into them (the type-S abscissa c2, ...).
+    the embedded solution used for error estimation (integers >= 1).  ``fs_coupling``
+    and ``sf_coupling`` are pure functions (lambda, M) -> finite real block;
+    ``free_parameters`` names the constants baked into them (the type-S abscissa c2, ...).
     ``m_max`` is the largest M the M-adapting controllers may choose for the
     pair (None: no ceiling); it narrows their M bounds and never lowers their
     floor.  Fixed-M callers (``step``, ``verify``, ``stability``) ignore it.
@@ -127,10 +128,12 @@ class MrGarkMethod:
     m_max: int | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.fast, ButcherTableau) and isinstance(self.slow, ButcherTableau)):
+            raise InvalidInput(f"{self.name}: fast and slow must be ButcherTableau instances")
         if MethodFlag.FSAL in self.flags and self.fast.is_implicit:
             raise InvalidInput(f"{self.name}: first-same-as-last needs an explicit fast base, not an SDIRK one")
-        if self.m_max is not None:
-            object.__setattr__(self, "m_max", check_count(self.m_max, "m_max"))
+        for key in ("order", "embedded_order") + (("m_max",) if self.m_max is not None else ()):
+            object.__setattr__(self, key, check_count(getattr(self, key), key))
 
     @property
     def stage_counts(self) -> tuple[int, int]:
@@ -147,10 +150,11 @@ class MrGarkMethod:
             raise LambdaOutOfRange(f"lambda={lam} outside 1..{M}")
         s_f, s_s = self.stage_counts
         shape, rule = ((s_f, s_s), self.fs_coupling) if side == "fs" else ((s_s, s_f), self.sf_coupling)
-        out = _freeze(rule(lam, M))
-        if out.shape != shape:
-            raise InvalidInput(f"{self.name}: {side} coupling returned shape {out.shape}, stage counts give {shape}")
-        return out
+        where = f"{self.name}: {side} coupling at lambda={lam}, M={M}"
+        out = check_real_array(rule(lam, M), where)
+        if out.shape != shape or not np.isfinite(out).all():
+            raise InvalidInput(f"{where} must be a finite {shape} array (the stage counts), got shape {out.shape}")
+        return _freeze(out)
 
     # typed: a bool or float M is its own key, so it is checked, not served a cached int's stacks
     @lru_cache(maxsize=1024, typed=True)

@@ -1,5 +1,6 @@
 """The argument rules of ``mrgark.errors`` at the public entry points."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -38,7 +39,55 @@ def _drive(**kwargs):
     return mg.drive(METHOD, NO_RHS_ODE, **{**defaults, **kwargs})
 
 
+SDIRK2 = mg.registry_lookup("EX-IM 2(1)A").slow  # gamma = 1 - 1/sqrt(2)
+
+
+def _sdirk2(A_11=SDIRK2.gamma, **changes):
+    """EX-IM 2(1)A's SDIRK base with A[1, 1] = ``A_11`` and c its row sums, so no other rule breaks."""
+    A = SDIRK2.A.copy()
+    A[1, 1] = A_11
+    return dataclasses.replace(SDIRK2, **{"A": A, "c": A.sum(axis=1), **changes})
+
+
+def _couplings(fs_block):
+    """Step EX-EX 2(1)A with every fast-slow block replaced by ``fs_block``."""
+    return mg.step(dataclasses.replace(METHOD, fs_coupling=lambda lam, M: fs_block), NO_RHS_ODE, Y0, 0.0, 0.1, 2)
+
+
+def _newton(update):
+    """A size-2 Newton solve whose dG/dy solve returns ``update``; the residual is no right-hand side."""
+    return mg.newton_solve(lambda y: y - 1.0, np.zeros(2), jac=lambda y: lambda r: update)
+
+
 BAD_INPUT = [
+    # a base tableau or a pair is checked when built, before anything steps with it
+    pytest.param(lambda: _sdirk2(A_11=0.5), InvalidInput, id="ButcherTableau-diagonal-not-gamma"),
+    pytest.param(lambda: _sdirk2(A_11=-0.3, gamma=-0.3), InvalidInput, id="ButcherTableau-gamma-negative"),
+    pytest.param(lambda: _sdirk2(gamma=None), InvalidInput, id="ButcherTableau-gamma-None"),
+    pytest.param(lambda: _sdirk2(gamma=10**400), InvalidInput, id="ButcherTableau-gamma-int-past-float"),
+    pytest.param(lambda: _sdirk2(kind="sdirk"), InvalidInput, id="ButcherTableau-kind-str"),
+    pytest.param(lambda: _sdirk2(b=SDIRK2.b + 0j), InvalidInput, id="ButcherTableau-b-complex"),
+    pytest.param(lambda: _sdirk2(c=SDIRK2.c + [0.0, 0.1]), InvalidInput, id="ButcherTableau-c-not-row-sums"),
+    pytest.param(lambda: _sdirk2(b=[0.5, 0.6]), InvalidInput, id="ButcherTableau-b-sum"),
+    pytest.param(lambda: _sdirk2(b_hat=[0.5, math.nan]), InvalidInput, id="ButcherTableau-b_hat-nan"),
+    pytest.param(lambda: dataclasses.replace(METHOD.fast, b=np.array([0.25, 0.75, 0.0])), InvalidInput,
+                 id="ButcherTableau-shapes"),
+    pytest.param(lambda: dataclasses.replace(METHOD.fast, gamma=0.5), InvalidInput, id="ButcherTableau-explicit-gamma"),
+    pytest.param(lambda: dataclasses.replace(METHOD.fast, A=np.diag([0.0, 0.5]) + METHOD.fast.A), InvalidInput,
+                 id="ButcherTableau-explicit-diagonal"),
+    pytest.param(lambda: dataclasses.replace(METHOD, order=0), InvalidInput, id="MrGarkMethod-order-0"),
+    pytest.param(lambda: dataclasses.replace(METHOD, order=-1), InvalidInput, id="MrGarkMethod-order-negative"),
+    pytest.param(lambda: dataclasses.replace(METHOD, embedded_order=1.0), InvalidInput,
+                 id="MrGarkMethod-embedded_order-float"),
+    pytest.param(lambda: dataclasses.replace(METHOD, slow="EX-EX 2(1)A"), InvalidInput, id="MrGarkMethod-slow-str"),
+    # a coupling block is checked when the stacks are built
+    pytest.param(lambda: _couplings(np.zeros((2, 2), dtype=complex)), InvalidInput, id="coupling-complex"),
+    pytest.param(lambda: _couplings(np.full((2, 2), math.nan)), InvalidInput, id="coupling-nan"),
+    pytest.param(lambda: _couplings("block"), InvalidInput, id="coupling-str"),
+    # a Newton solve's result is checked at the update
+    pytest.param(lambda: _newton(np.zeros(3)), InvalidInput, id="newton_solve-update-size"),
+    pytest.param(lambda: _newton(np.zeros((2, 2))), InvalidInput, id="newton_solve-update-shape"),
+    pytest.param(lambda: _newton(np.zeros(2, dtype=complex)), InvalidInput, id="newton_solve-update-complex"),
     pytest.param(lambda: _step(t_n="0"), InvalidInput, id="step-t_n-str"),
     pytest.param(lambda: _step(t_n=True), InvalidInput, id="step-t_n-bool"),
     pytest.param(lambda: _step(H=True), InvalidInput, id="step-H-bool"),

@@ -705,6 +705,25 @@ def test_size_one_partition_with_a_shifted_solver_is_rejected(name, implicit):
         step(mg.registry_lookup(name), ode, np.array([1.0]), 0.0, 0.05, 2)
 
 
+class _BadSolve:
+    """A structured Jacobian whose shifted solve returns ``update``, whatever it is given."""
+
+    def __init__(self, update):
+        self.update = update
+
+    def shifted_solver(self, a):
+        return lambda r: self.update
+
+
+@pytest.mark.parametrize("update", [np.zeros(3), np.zeros((2, 2)), np.zeros(2, dtype=complex), [0.0, 1j], "xy"],
+                         ids=["size", "shape", "complex", "complex-list", "str"])
+def test_bad_structured_solve_in_step_is_invalid_input(update):
+    # caught at the Newton update, not broadcast into the iterate or blamed on f_slow
+    ode = PartitionedOde(2, f_slow=lambda y: -y, f_fast=lambda y: -10.0 * y, jac_slow=lambda y: _BadSolve(update))
+    with pytest.raises(InvalidInput, match="Newton solve"):
+        step(mg.registry_lookup("EX-IM 2(1)A"), ode, np.ones(2), 0.0, 0.05, 2)
+
+
 @pytest.mark.parametrize("name, implicit", SIZE_ONE_IMPLICIT)
 def test_size_one_float_jacobian_steps_as_its_array(name, implicit):
     p = CoupledNonlinearScalar()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,9 +19,23 @@ def test_registry_has_twelve_methods():
 
 @pytest.mark.parametrize("name", mg.METHOD_NAMES)
 def test_base_tableaus_valid(name):
+    # a tableau is checked when built: each registered base passes its rules again, unchanged
     m = mg.registry_lookup(name)
-    m.fast.validate()
-    m.slow.validate()
+    for base in (m.fast, m.slow):
+        again = dataclasses.replace(base)
+        for key in ("A", "b", "b_hat", "c"):
+            assert np.array_equal(getattr(again, key), getattr(base, key))
+        assert again.kind is base.kind and again.gamma == base.gamma
+
+
+@pytest.mark.parametrize("name", ["EX-EX 2(1)S", "EX-EX 3(2)S"])
+def test_type_s_overrides_construct_across_c2(name):
+    # the exact b of EX-EX 3(2)S grows like 1/c2, so sum(b) = 1 holds only relative to sum|b|;
+    # the lookup builds (and so checks) both bases, the stacks check each coupling block
+    for c2 in [F(k, 97) for k in range(1, 97)] + [1e-9, 1 - 1e-9]:
+        m = mg.registry_lookup(name, c2=c2)
+        for M in (1, 2, 5):
+            m.couplings(M)
 
 
 def test_registry_lookup_exex21a_coefficients():
@@ -224,3 +239,10 @@ def test_coupling_of_the_wrong_shape_is_invalid_input():
     with pytest.raises(InvalidInput):
         wrong.couplings(2)
     assert wrong.coupling("sf", 1, 2).shape == (2, 2)
+
+
+def test_bad_coupling_block_names_its_side_lambda_and_m():
+    nan_at_2 = lambda lam, M: np.full((2, 2), math.nan if lam == 2 else 0.0)
+    m = dataclasses.replace(mg.registry_lookup("EX-EX 2(1)A"), sf_coupling=nan_at_2)
+    with pytest.raises(InvalidInput, match=r"EX-EX 2\(1\)A: sf coupling at lambda=2, M=3"):
+        m.couplings(3)
