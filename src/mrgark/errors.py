@@ -8,13 +8,16 @@ module, so it alone decides what a valid argument is: ``check_count``,
 """
 
 import cmath
-import math
 import numbers
 import operator
+import sys
 from contextlib import suppress
 from fractions import Fraction
 
 import numpy as np
+
+_FLOAT_MAX = sys.float_info.max
+_FLOAT64_MAX = np.float64(_FLOAT_MAX)
 
 
 class MrGarkError(Exception):
@@ -70,10 +73,12 @@ def check_count(value, name: str = "M", least: int = 1) -> int:
 
 
 def check_real(value, name: str, positive: bool = False):
-    """``value`` unchanged; InvalidInput unless it is a finite real, and > 0 if ``positive`` (bools are not reals)."""
-    # an exact float, the case of every step, skips the type tests; the comparisons also reject NaN
-    if (type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real))
-            or not (0 if positive else -math.inf) < value < math.inf):
+    """``value`` unchanged; InvalidInput unless a real within the float range, > 0 if ``positive`` (bools are not)."""
+    # an exact float, the case of every step, skips the type tests; the comparisons also reject NaN and any real
+    # beyond the float range, a numpy scalar's against a float64 bound (cast to a float32 the bound would overflow)
+    real = type(value) is float or not isinstance(value, bool) and isinstance(value, numbers.Real)
+    bound = _FLOAT64_MAX if isinstance(value, np.generic) else _FLOAT_MAX
+    if not real or not (0 < value if positive else -bound <= value) or not value <= bound:
         raise InvalidInput(f"{name} must be a finite real{' > 0' if positive else ''}, got {value!r}")
     return value
 

@@ -7,11 +7,12 @@
 * ``GrayScott``: the two-species reaction-diffusion model on a cell-centered
   n-by-n grid over the unit square, with either constant or state- and
   position-dependent diffusion coefficients.  Diffusion is one second-order
-  flux-form kernel over both species and both axes; its zero-flux (or
-  periodic) closure is one face rule, which the diffusion Jacobians are built
-  from too.  Each instance holds the work buffers of its diffusion kernel, so
-  one instance must not run ``diffusion`` from two threads at once; the
-  kernels always return fresh arrays.  Reaction is the fast partition,
+  flux-form kernel over both species and both axes, in contiguous passes over
+  the flat state; its zero-flux (or periodic) closure is one face rule, which
+  the diffusion Jacobians are built from too.  Each instance holds the
+  kernel's work buffers, so a call allocates only its result and one instance
+  must not run ``diffusion`` from two threads at once; the kernels always
+  return fresh arrays.  Reaction is the fast partition,
   diffusion the slow one; ``swap_roles`` flips that assignment.  Its
   Jacobians are structured (:class:`ReactionJacobian`,
   :class:`DiffusionJacobian` for linear diffusion,
@@ -333,10 +334,10 @@ class GrayScott:
     over the grid rows, O(n^4) per factor).  The fields are frozen, since that
     shared Jacobian and the sin(pi x) sin(pi y) grid are derived from them.
 
-    Each instance allocates the work buffers of :meth:`diffusion` once, so
-    one instance must not run it from two threads at once.  :meth:`diffusion`
-    and :meth:`reaction` always return fresh arrays, which later calls leave
-    alone.
+    Each instance allocates the work buffers of :meth:`diffusion` once, so a
+    call allocates only its result and one instance must not run it from two
+    threads at once.  :meth:`diffusion` and :meth:`reaction` always return
+    fresh arrays, which later calls leave alone.
     """
 
     n: int = 32
@@ -368,12 +369,9 @@ class GrayScott:
         object.__setattr__(self, "_sin_grid", np.sin(np.pi * x)[:, None] * np.sin(np.pi * x)[None, :])
         # (eps_u, eps_v) shaped (2, 1, 1), to broadcast over the stacked (2, n, n) state
         object.__setattr__(self, "_eps", np.array([self.eps_u, self.eps_v]).reshape(2, 1, 1))
-        # work buffers of `diffusion`: w, and e in nonlinear mode, each as (axis, species, row, column),
-        # where axis 1 holds the transposes; under periodic closure a last row repeats row 0
-        rows = n + (self.boundary == "periodic")
-        object.__setattr__(self, "_cells", np.zeros((1 + (self.diffusion_mode == "nonlinear"), 2, 2, rows, n)))
-        # (axis, species, face, column): faces 0 and n stay zero, the closed boundary's zero flux
-        object.__setattr__(self, "_faces", np.zeros((2, 2, n + 1, n)))
+        # work buffers of `diffusion`: cells (2n^2); faces across rows (2n^2 + n), along rows (2n^2 + 1), wrapped (2n)
+        object.__setattr__(self, "_cells", np.zeros(2 * n * n))
+        object.__setattr__(self, "_faces", np.zeros(4 * n * n + 3 * n + 1))
 
     @property
     def dimension(self) -> int:
@@ -394,8 +392,9 @@ class GrayScott:
         """Nonlinear diffusion coefficient of each cell of the stacked state: eps * exp(-w/100) * sin(pi x) sin(pi y)."""
         e = np.divide(w, -100.0, out=out)  # w / -100 is -w / 100 exactly
         np.exp(e, out=e)
-        np.multiply(self._eps, e, out=e)
-        return np.multiply(e, self._sin_grid, out=e)
+        for eps, e_w in zip(self._eps.ravel(), e):  # per species: a broadcast product in place copies its operand
+            np.multiply(np.multiply(eps, e_w, out=e_w), self._sin_grid, out=e_w)
+        return e
 
     def reaction(self, y: np.ndarray) -> np.ndarray:
         """-u v^2 + feed (1 - u) and u v^2 - (feed + kill) v, in a fresh array."""
@@ -412,43 +411,51 @@ class GrayScott:
         return out
 
     def diffusion(self, y: np.ndarray) -> np.ndarray:
-        """Flux-form div(e grad w) of both species, in a fresh array.
+        """Flux-form div(e grad w) of both species in a fresh array, the only allocation of a call.
 
-        Both axes run as one stacked pass in the instance's work buffers: the face
-        between cells a and b carries 0.5 * (e_a + e_b) * (w_b - w_a) / h, or
-        eps * (w_b - w_a) / h in linear mode, and each cell gains the difference of
-        its two face fluxes over h.
+        The face between cells a and b carries 0.5 * (e_a + e_b) * (w_b - w_a) / h (eps * (w_b - w_a) / h in linear
+        mode), and each cell gains the difference of its two face fluxes over h, across rows plus along rows.  Faces
+        are contiguous passes over the flat state, w[n:] - w[:-n] and w[1:] - w[:-1], into the slot before each cell;
+        slots at row ends and at the species boundary hold zero flux, or under periodic closure the wrapped faces.
         """
-        n, h = self.n, self.spacing
-        cells, faces = self._cells, self._faces
+        n, n2, w = self.n, self.n * self.n, np.asarray(y, dtype=float).reshape(-1)
+        cells, faces, out = self._cells, self._faces, np.empty(self.dimension)
         linear, periodic = self.diffusion_mode == "linear", self.boundary == "periodic"
         # x / h in place; for n a power of two h is exact, so x * n is the same number at a product's cost
-        over_h, by = (np.multiply, float(n)) if n & (n - 1) == 0 else (np.divide, h)
-        np.copyto(cells[0, 0, :, :n], y.reshape(2, n, n))
+        over_h, by = (np.multiply, float(n)) if n & (n - 1) == 0 else (np.divide, self.spacing)
         if not linear:
-            self._eps_fields(cells[0, 0, :, :n], out=cells[1, 0, :, :n])
-        # faces along axis 2 are faces along the rows of the transposes
-        np.copyto(cells[:, 1, :, :n], cells[:, 0, :, :n].swapaxes(-1, -2))
-        if periodic:  # the face between row n-1 and the copy of row 0 is the wrapped face
-            cells[..., n, :] = cells[..., 0, :]
-        lo, hi, flux = cells[..., :-1, :], cells[..., 1:, :], faces[:, :, 1:n + periodic]
-        if linear:
-            np.subtract(hi[0], lo[0], out=flux)
-            np.multiply(self._eps, flux, out=flux)  # 0.5 * (eps + eps) is eps exactly
-        else:
-            np.add(hi[1], lo[1], out=flux)
-            np.multiply(0.5, flux, out=flux)
-            slope = lo[1]  # e is spent
-            np.subtract(hi[0], lo[0], out=slope)
-            np.multiply(flux, slope, out=flux)
-        over_h(flux, by, out=flux)
-        if periodic:
-            faces[:, :, 0] = faces[:, :, n]
-        div = cells[0, :, :, :n]  # w is spent
-        np.subtract(faces[:, :, 1:], faces[:, :, :-1], out=div)
-        over_h(div, by, out=div)
-        out = np.empty(self.dimension)
-        np.add(div[0], div[1].swapaxes(-1, -2), out=out.reshape(2, n, n))
+            self._eps_fields(w.reshape(2, n, n), out=cells.reshape(2, n, n))
+        # the faces before cell k across rows and along rows, then the wrapped face of each column
+        across, along, wrapped = faces[:2 * n2 + n], faces[2 * n2 + n:-2 * n], faces[-2 * n:].reshape(2, n)
+
+        def flux(into, hi, lo, w=w, e=cells):  # the faces from cells w[lo] to w[hi]
+            if linear:
+                np.subtract(w[hi], w[lo], out=into)
+                mid = (len(into) + 1) // 2  # the species meet mid-way, at slots that the closure overwrites
+                for eps, part in zip(self._eps.ravel(), (into[:mid], into[mid:])):
+                    np.multiply(eps, part, out=part)  # 0.5 * (eps + eps) is eps exactly
+            else:
+                np.add(e[hi], e[lo], out=into)
+                np.multiply(0.5, into, out=into)
+                slope = np.subtract(w[hi], w[lo], out=out[:into.size].reshape(into.shape))
+                np.multiply(into, slope, out=into)
+            over_h(into, by, out=into)
+
+        flux(across[n:-n], np.s_[n:], np.s_[:-n])
+        flux(along[1:-1], np.s_[1:], np.s_[:-1])
+        across[n2:n2 + n] = along[n:-1:n] = 0.0
+        if periodic:  # each row's wrapped face goes to its row-end slot
+            flux(along[n::n], np.s_[::n], np.s_[n - 1::n])
+            flux(wrapped, np.s_[:, 0], np.s_[:, -1], w.reshape(2, n, n), cells.reshape(2, n, n))
+        np.subtract(along[1:], along[:-1], out=cells)  # e is spent; cells take the along-row divergence
+        np.subtract(across[n:], across[:-n], out=out)
+        if periodic:  # the edge cells directly: 0 - a + b would lose the sign of a zero
+            np.subtract(along[1::n], along[n::n], out=cells[::n])
+            np.subtract(across[n:].reshape(2, n, n)[:, 0], wrapped, out=out.reshape(2, n, n)[:, 0])
+            np.subtract(wrapped, across[:-n].reshape(2, n, n)[:, -1], out=out.reshape(2, n, n)[:, -1])
+        over_h(cells, by, out=cells)
+        over_h(out, by, out=out)
+        out += cells
         return out
 
     def f_fast(self, y):
@@ -480,16 +487,9 @@ class GrayScott:
         return ReactionJacobian(self, y)
 
     def to_ode(self) -> PartitionedOde:
-        jac_slow, jac_fast = self.diffusion_jacobian, self.reaction_jacobian
-        if self.swap_roles:
-            jac_slow, jac_fast = jac_fast, jac_slow
-        return PartitionedOde(
-            dimension=self.dimension,
-            f_slow=self.f_slow,
-            f_fast=self.f_fast,
-            jac_slow=jac_slow,
-            jac_fast=jac_fast,
-        )
+        jacobians = self.diffusion_jacobian, self.reaction_jacobian
+        jac_slow, jac_fast = jacobians[::-1] if self.swap_roles else jacobians
+        return PartitionedOde(self.dimension, self.f_slow, self.f_fast, jac_slow=jac_slow, jac_fast=jac_fast)
 
 
 def reference_error(problem, y_T: np.ndarray, T: float, reference_state: np.ndarray | None = None) -> float:

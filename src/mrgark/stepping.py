@@ -584,9 +584,14 @@ def _scaled_rms(x: np.ndarray, ys: np.ndarray, tolerances: Tolerances) -> list[f
     check_tolerance_shapes((abs_tol, rel_tol), x.size)
     # a zero scale or a non-finite state is settled below, without warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(ys))
+        # abs_tol + rel_tol * max(|x|, |ys|) and the squared scaled deviations, each built in place in one array
+        scale = np.abs(ys)
+        np.maximum(np.abs(x), scale, out=scale)
+        np.add(abs_tol, np.multiply(rel_tol, scale, out=scale), out=scale)
+        deviations = np.subtract(x, ys)
+        np.square(np.divide(deviations, scale, out=deviations), out=deviations)
         # np.mean's own reduction and division, bit for bit, without its Python-level wrapper
-        values = np.sqrt(np.add.reduce(((x - ys) / scale) ** 2, axis=-1) / x.size).tolist()
+        values = np.sqrt(np.add.reduce(deviations, axis=-1) / x.size).tolist()
         if any(map(math.isnan, values)):
             # 0/0 where states and tolerance all vanish is no deviation (rows
             # without a NaN keep their floats); a NaN state is no estimate

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,9 @@ BAD_INPUT = [
     pytest.param(lambda: _step(t_n="0"), InvalidInput, id="step-t_n-str"),
     pytest.param(lambda: _step(t_n=True), InvalidInput, id="step-t_n-bool"),
     pytest.param(lambda: _step(H=True), InvalidInput, id="step-H-bool"),
+    # an int beyond the float range is not finite
+    pytest.param(lambda: _step(H=10**400), InvalidInput, id="step-H-int-past-float"),
+    pytest.param(lambda: _step(t_n=10**400), InvalidInput, id="step-t_n-int-past-float"),
     pytest.param(lambda: _integrate(H="0.1"), InvalidInput, id="integrate_fixed-H-str"),
     pytest.param(lambda: _integrate(H=True), InvalidInput, id="integrate_fixed-H-bool"),
     pytest.param(lambda: _integrate(t0=False), InvalidInput, id="integrate_fixed-t0-bool"),
@@ -99,6 +103,7 @@ BAD_INPUT = [
     pytest.param(lambda: _drive(t0=False), InvalidInput, id="drive-t0-bool"),
     pytest.param(lambda: _drive(t_end=True), InvalidInput, id="drive-t_end-bool"),
     pytest.param(lambda: _drive(H0=True), InvalidInput, id="drive-H0-bool"),
+    pytest.param(lambda: _drive(t_end=10**400), InvalidInput, id="drive-t_end-int-past-float"),
     pytest.param(lambda: _drive(t0=-1e308, t_end=1e308), InvalidInput, id="drive-span-overflows"),
     pytest.param(lambda: _drive(config=mg.ControllerConfig(abs_tol=np.ones(3))), InvalidInput,
                  id="drive-tolerance-size"),
@@ -166,16 +171,26 @@ def test_entry_points_reject_bad_arguments(call, error):
         call()
 
 
-@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5), 1, np.int64(2), Fraction(1, 2), 10**400])
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5), 1, np.int64(2), Fraction(1, 2),
+                                   pytest.param(sys.float_info.max, id="float-max"),
+                                   pytest.param(int(sys.float_info.max), id="int-at-float-max")])
 def test_check_real_accepts_finite_reals(value):
     assert check_real(value, "x", positive=True) is value
+    assert check_real(-value, "x") == -value
 
 
 @pytest.mark.parametrize("value", [True, np.bool_(True), "1", None, 1j, math.nan, np.float64(math.nan), math.inf,
-                                   -math.inf])
+                                   -math.inf,
+                                   # beyond the float range, though Python compares them below inf
+                                   pytest.param(10**400, id="int-past-float"),
+                                   pytest.param(-10**400, id="negative-int-past-float"),
+                                   pytest.param(int(sys.float_info.max) + 1, id="int-just-past-float"),
+                                   pytest.param(Fraction(10**400, 3), id="Fraction-past-float")])
 def test_check_real_rejects_non_reals_and_non_finite_values(value):
     with pytest.raises(InvalidInput):
         check_real(value, "x")
+    with pytest.raises(InvalidInput):
+        check_real(value, "x", positive=True)
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, 0, Fraction(-1, 2)])
