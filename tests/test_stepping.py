@@ -362,7 +362,26 @@ def test_step_plan_matches_derived_schedule(name, M):
     np.testing.assert_array_equal(plan.rows[:, :, :s_s], fs)
     for rows in plan.rows:
         np.testing.assert_array_equal(rows[:, s_s:], np.tril(m.fast.A, -1))
+    # the base columns over [y_n | ytilde | K]: fast stages start from ytilde, slow stages from y_n;
+    # rows and slow_rows are the K parts of the same arrays, not copies
+    np.testing.assert_array_equal(plan.fast_inputs[..., :2], np.broadcast_to([0.0, 1.0], (M, s_f, 2)))
+    np.testing.assert_array_equal(plan.slow_inputs[:, :2], np.broadcast_to([1.0, 0.0], (s_s, 2)))
+    assert plan.rows.base is plan.fast_inputs and plan.slow_rows.base is plan.slow_inputs
     _assert_slow_inputs_match_couplings(m, M, plan)
+
+
+@pytest.mark.parametrize("n", [1, 512, stepping._DOT_MAX_SIZE, 8192])
+def test_dot_and_matmul_give_the_same_bits_on_step_products(n):
+    # step picks ndarray.dot or matmul by state size; either must give the same bits, so that the
+    # choice moves no result: a stage input row . [y_n | ytilde | K], a fold or fast-weight product
+    # over K_fast, and the slow-weight product over K_slow, for every pair's stage counts
+    rng = np.random.default_rng(n)
+    for s_f, s_s in {mg.registry_lookup(name).stage_counts for name in mg.METHOD_NAMES}:
+        Kx = rng.standard_normal((2 + s_s + s_f, n)) * 10.0 ** rng.uniform(-3, 3, (2 + s_s + s_f, 1))
+        products = [(rng.standard_normal(2 + s_s + s_f), Kx), (rng.standard_normal((2, s_f)), Kx[2 + s_s:]),
+                    (rng.standard_normal((s_s, s_f)), Kx[2 + s_s:]), (rng.standard_normal((2, s_s)), Kx[2:2 + s_s])]
+        for coefficients, stages in products:
+            assert np.ndarray.dot(coefficients, stages).tobytes() == np.matmul(coefficients, stages).tobytes()
 
 
 def _assert_slow_inputs_match_couplings(m, M, plan):
@@ -772,6 +791,10 @@ def test_error_norm_non_finite_state_is_infinite():
     with np.errstate(invalid="ignore"):
         assert error_norm(np.array([1.0, np.nan]), np.array([1.0, 1.0]), tol) == np.inf
     assert error_norm(np.array([1.0]), np.array([2.0]), Tolerances(0.0, 0.0)) == np.inf
+    # equal infinite entries are no finite deviation either
+    assert error_norm(np.array([np.inf]), np.array([np.inf]), Tolerances()) == np.inf
+    assert error_norm(np.array([-np.inf]), np.array([-np.inf]), Tolerances(0.0, 0.0)) == np.inf
+    assert error_norm(np.array([1.0, np.inf]), np.array([1.0, np.inf]), tol) == np.inf
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3)])
@@ -788,6 +811,8 @@ def test_error_norm_fallbacks_emit_no_warning():
         assert error_norm(np.array([1.0]), np.array([2.0]), Tolerances(0.0, 0.0)) == np.inf
         assert error_norm(np.array([1.0, np.nan]), np.array([1.0, 1.0]), Tolerances(1e-6, 1e-6)) == np.inf
         assert error_norm(np.array([np.inf]), np.array([1.0]), Tolerances(1e-6, 1e-6)) == np.inf
+        assert error_norm(np.array([np.inf]), np.array([np.inf]), Tolerances()) == np.inf
+        assert error_norm(np.array([-np.inf]), np.array([-np.inf]), Tolerances(0.0, 0.0)) == np.inf
 
 
 def test_integrate_fixed_snaps_step_and_reports_each():
@@ -969,12 +994,20 @@ PARITY_PROBLEMS = {
     "nonlinear-scalar": (CoupledNonlinearScalar(), 0.05),
     "gs16-reaction-fast": (GrayScott(n=16), 2e-3),
     "gs16-swapped": (GrayScott(n=16, swap_roles=True), 2e-3),
+    # above the dot/matmul crossover, at an H where explicit diffusion does not amplify
+    "gs64-reaction-fast": (GrayScott(n=64), 1e-3),
+    "gs64-swapped": (GrayScott(n=64, swap_roles=True), 1e-3),
 }
+# every pair on the small problems; at 64^2, the Gray-Scott explicit pair, a pair that folds every
+# micro-step into running sums (EX-EX 4(3)A) and one pair with each partition implicit
+PARITY_CASES = [
+    *itertools.product(mg.METHOD_NAMES, [1, 2, 5, 8], list(PARITY_PROBLEMS)[:4]),
+    *itertools.product(["EX-EX 3(2)4s-A", "EX-EX 4(3)A", "EX-IM 3(2)A", "IM-EX 3(2)A"], [2, 10],
+                       ["gs64-reaction-fast", "gs64-swapped"]),
+]
 
 
-@pytest.mark.parametrize("problem", list(PARITY_PROBLEMS))
-@pytest.mark.parametrize("M", [1, 2, 5, 8])
-@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+@pytest.mark.parametrize("name, M, problem", PARITY_CASES)
 def test_step_matches_frozen_scatter_engine(name, M, problem):
     # slow stages formed from their rows over K and per-micro-step folds, against the per-fast-stage scatter:
     # two chained steps, FSAL carries included, agree to rounding with the same work
@@ -1112,7 +1145,8 @@ def _frozen_scaled_rms(x, ys, abs_tol, rel_tol):
         scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(ys))
         values = np.sqrt(np.mean(((x - ys) / scale) ** 2, axis=-1)).tolist()
         if any(map(math.isnan, values)):
-            values = np.sqrt(np.mean(np.where(x == ys, 0.0, (x - ys) / scale) ** 2, axis=-1)).tolist()
+            same = (x == ys) & np.isfinite(x)
+            values = np.sqrt(np.mean(np.where(same, 0.0, (x - ys) / scale) ** 2, axis=-1)).tolist()
             values = [math.inf if math.isnan(v) else v for v in values]
     return values
 
