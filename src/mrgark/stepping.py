@@ -2,10 +2,10 @@
 
 The engine never materializes the assembled tableau.  The first step at a
 given (method, M) compiles a plan, cached from then on: per fast stage its
-coefficient row [0, 1 | A^{fs,lambda}_i | tril(A_ff, -1)_i] over the stage
-array and the slow stages to compute right before it; per slow stage its row
-[1, 0 | tril(A_ss, -1)_j | A^{sf,lambda}_j] for the micro-step lambda whose
-fast stages it is computed after; and per micro-step the slow stages computed
+coefficient row [A^{fs,lambda}_i | tril(A_ff, -1)_i] over the stage values
+and the slow stages to compute right before it; per slow stage its row
+[tril(A_ss, -1)_j | A^{sf,lambda}_j] for the micro-step lambda whose fast
+stages it is computed after; and per micro-step the slow stages computed
 later that its fast stages feed.
 It is the stage order of :func:`assembly.derive_schedule` (both come from
 :func:`assembly.place_slow_stages`), so a method with cyclic coupling
@@ -14,8 +14,9 @@ and coupling blocks were checked when they were built.
 
 The stage array is [y_n | ytilde | K]: the step's start, the fast solution so
 far, and the stage right-hand sides K, the s_s slow stages then the s_f fast
-stages of the current micro-step.  Scaled once per step by H on the slow
-columns and h = H/M on the fast ones, a row gives its stage input as one
+stages of the current micro-step.  Once per step the rows are scaled by H on
+the slow columns and h = H/M on the fast ones, behind base columns [0, 1] for
+fast stages and [1, 0] for slow ones, so a row gives its stage input as one
 product row . [y_n | ytilde | K]: fast stages start from ytilde, slow ones
 from y_n, and entries for slow stages not yet computed and for fast stages
 >= i are zero.  A slow stage's input also takes a running sum of the earlier
@@ -27,9 +28,8 @@ fast-stage value outlives its micro-step, and a step holds at most
 into the b_f and b_hat_f sums with one weight product, and adds the b_f one
 to ytilde in place, so all four solutions (main, embedded, and both mixed
 pairs used to split the error estimate) come from the same stage evaluations
-at no extra cost.  Up to a state size of :data:`_DOT_MAX_SIZE` the products
-go through ``ndarray.dot``, which costs less per call than ``@``, and above it
-through ``@``; both give the same bits on these shapes.
+at no extra cost.  The products go through ``ndarray.dot``, which costs less
+per call than ``@`` on small states.
 
 Each partition is one stage routine, built once per step: rhs_known -> f(Y)
 at its stage value Y = rhs_known + a*f(Y).  An explicit partition's is its
@@ -102,9 +102,8 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 #: an RHS result of this dtype and the state's shape is used as it comes
 _FLOAT = np.dtype(float)
-#: up to this state size a step's products go through ndarray.dot, above it through matmul: dot costs
-#: less per call on small operands, matmul less on the (2, s) weight products of large ones
-_DOT_MAX_SIZE = 2048
+#: the base columns of a scaled stage row over [y_n | ytilde]: fast stages start from ytilde, slow ones from y_n
+_FAST_BASE, _SLOW_BASE = np.array([0.0, 1.0]), np.array([1.0, 0.0])
 
 
 class StructuredJacobian(Protocol):
@@ -351,29 +350,18 @@ def _inverse(m: np.ndarray) -> np.ndarray:
 class _StepPlan:
     """Stage order and stage coefficients of one (method, M); see the module docstring."""
 
-    # (M, s_f, 2 + s_s + s_f): fast_inputs[lambda-1][i] = [0, 1 | A^{fs,lambda}_i | tril(A_ff, -1)_i]
-    fast_inputs: np.ndarray
+    rows: np.ndarray  # (M, s_f, s_s + s_f): rows[lambda-1][i] = [A^{fs,lambda}_i | tril(A_ff, -1)_i]
     before: tuple[tuple[tuple[int, ...], ...], ...]  # [lambda-1][i]: slow stages to compute first
     trailing: tuple[int, ...]  # slow stages after the last micro-step
     sf: np.ndarray  # (M, s_s, s_f): sf[lambda-1] = A^{sf,lambda}
-    # (s_s, 2 + s_s + s_f): slow_inputs[j] = [1, 0 | tril(A_ss, -1)_j | A^{sf,lambda}_j], lambda the
-    # micro-step whose fast stages K holds when slow stage j is computed
-    slow_inputs: np.ndarray
+    # (s_s, s_s + s_f): slow_rows[j] = [tril(A_ss, -1)_j | A^{sf,lambda}_j], lambda the micro-step
+    # whose fast stages K holds when slow stage j is computed
+    slow_rows: np.ndarray
     # [lambda-1]: the first slow stage computed after micro-step lambda that its fast stages feed;
     # s_s if none. At its end, micro-step lambda folds into the running sums from there on.
     folds: tuple[int, ...]
     fast_weights: np.ndarray  # (2, s_f): b_f, b_hat_f
     slow_weights: np.ndarray  # (2, s_s): b_s, b_hat_s
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The K part of ``fast_inputs``, a view: (M, s_f, s_s + s_f)."""
-        return self.fast_inputs[..., 2:]
-
-    @property
-    def slow_rows(self) -> np.ndarray:
-        """The K part of ``slow_inputs``, a view: (s_s, s_s + s_f)."""
-        return self.slow_inputs[:, 2:]
 
 
 @lru_cache(maxsize=4096)
@@ -381,19 +369,16 @@ def _step_plan(method: MrGarkMethod, M: int) -> _StepPlan:
     s_f, s_s = method.stage_counts
     fs, sf = method.couplings(M)
     before, trailing = place_slow_stages(method, fs, sf)
-    fast_inputs = np.concatenate([np.broadcast_to([0.0, 1.0], (M, s_f, 2)), fs,
-                                  np.broadcast_to(np.tril(method.fast.A, -1), (M, s_f, s_f))], axis=2)
+    rows = np.concatenate([fs, np.broadcast_to(np.tril(method.fast.A, -1), (M, s_f, s_f))], axis=2)
     # per slow stage, the micro-step (0-based) of the last fast stage computed before it; nothing feeds
     # a slow stage computed before fast stage 0, so micro-step 0's zero row serves it
     reads = [max(k - 1, 0) // s_f for k, stages in enumerate(before) for _ in stages] + [M - 1] * len(trailing)
-    slow_inputs = np.concatenate([np.broadcast_to([1.0, 0.0], (s_s, 2)), np.tril(method.slow.A, -1),
-                                  sf[reads, range(s_s)]], axis=1)
+    slow_rows = np.concatenate([np.tril(method.slow.A, -1), sf[reads, range(s_s)]], axis=1)
     # micro-step lambda feeds the slow stages from starts[lambda] on only through their running sums
     starts = np.searchsorted(reads, range(M), side="right").tolist()
     folds = tuple(start if sf[lam, start:].any() else s_s for lam, start in enumerate(starts))
-    return _StepPlan(fast_inputs, tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), trailing, sf,
-                     slow_inputs, folds, np.array([method.fast.b, method.fast.b_hat]),
-                     np.array([method.slow.b, method.slow.b_hat]))
+    return _StepPlan(rows, tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), trailing, sf, slow_rows, folds,
+                     np.array([method.fast.b, method.fast.b_hat]), np.array([method.slow.b, method.slow.b_hat]))
 
 
 def step(
@@ -493,12 +478,11 @@ def step(
     Kx = np.zeros((2 + s_s + s_f, n))
     Kx[:2] = y_n
     ytilde, K_slow, K_fast = Kx[1], Kx[2:2 + s_s], Kx[2 + s_s:]
-    dot = np.ndarray.dot if n <= _DOT_MAX_SIZE else np.matmul
     summed = min(plan.folds)  # the first slow stage with a running sum
     sf_acc = np.zeros((s_s - summed, n))  # per slow stage from there, its h * A^{sf} terms folded so far
 
     def compute_slow(j):
-        rhs = dot(slow_coef[j], Kx)  # zero weights on the slow stages >= j and the fast stages not yet computed
+        rhs = slow_coef[j].dot(Kx)  # zero weights on the slow stages >= j and the fast stages not yet computed
         if j >= summed:
             rhs += sf_acc[j - summed]
         t0 = time.perf_counter()
@@ -514,24 +498,28 @@ def step(
     # unstable step sizes overflow before the explicit finiteness checks fire, a huge H already
     # in the scaled coefficients; silence the intermediate warnings, NonFiniteState is the real signal
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.array([1.0, 1.0] + [H] * s_s + [h] * s_f)
-        coef, slow_coef = plan.fast_inputs * scale, plan.slow_inputs * scale
+        # the scaled rows behind their base columns over [y_n | ytilde]
+        scale = np.array([H] * s_s + [h] * s_f)
+        coef, slow_coef = np.empty((M, s_f, 2 + s_s + s_f)), np.empty((s_s, 2 + s_s + s_f))
+        coef[..., :2], slow_coef[:, :2] = _FAST_BASE, _SLOW_BASE
+        np.multiply(plan.rows, scale, out=coef[..., 2:])
+        np.multiply(plan.slow_rows, scale, out=slow_coef[:, 2:])
         for lam, (rows, before, fold) in enumerate(zip(coef, plan.before, plan.folds), 1):
             for i, row in enumerate(rows):
                 for j in before[i]:
                     compute_slow(j)
                 reuse = i == 0 and f_prev_last is not None  # FSAL: the stage input would go unused
                 if not reuse:
-                    rhs = dot(row, Kx)  # zero weights on y_n, the slow stages not yet computed and fast stages >= i
+                    rhs = row.dot(Kx)  # zero weights on y_n, the slow stages not yet computed and fast stages >= i
                 t0 = time.perf_counter()
                 F = f_prev_last if reuse else fast_stage(rhs)
                 seconds[1] += time.perf_counter() - t0
                 K_fast[i] = F
             if fold < s_s:
-                sf_acc[fold - summed:] += dot(h * plan.sf[lam - 1, fold:], K_fast)
+                sf_acc[fold - summed:] += (h * plan.sf[lam - 1, fold:]).dot(K_fast)
             if fsal:
                 f_prev_last = K_fast[-1]  # read at the next micro-step's first stage, before it is overwritten
-            increments = dot(plan.fast_weights, K_fast)
+            increments = plan.fast_weights.dot(K_fast)
             acc += increments
             ytilde += h * increments[0]
             if not np.logical_and.reduce(np.isfinite(ytilde)):  # ndarray.all without its Python-level wrapper
@@ -541,7 +529,7 @@ def step(
 
         # the four solutions share their fast (h * ...) and slow (H * ...) parts
         with_bf, with_bf_hat = y_n + h * acc
-        slow_b, slow_b_hat = H * dot(plan.slow_weights, K_slow)
+        slow_b, slow_b_hat = H * plan.slow_weights.dot(K_slow)
         y_next = with_bf + slow_b
         if not np.logical_and.reduce(np.isfinite(y_next)):
             raise NonFiniteState("macro-step produced non-finite state")
