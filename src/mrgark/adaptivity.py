@@ -39,7 +39,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .errors import (InvalidInput, NewtonDivergence, NonFiniteState, StepSizeUnderflow, check_choice, check_count,
-                     check_real, check_span, check_state, check_tolerance_shapes)
+                     check_real, check_span, check_state, check_tolerance_shapes, check_type)
 from .stepping import PartitionedOde, Tolerances, error_estimates, step
 from .tableaux import MrGarkMethod
 
@@ -216,7 +216,7 @@ def drive(
     M0 (default: the strategy's floor) is clamped to the strategy's bounds, cut to the pair's ceiling.
     """
     span = check_span(t0, t_end)
-    lo, hi = _m_bounds(config.strategy, method.m_max)
+    lo, hi = _m_bounds(check_type(config, "config", ControllerConfig).strategy, method.m_max)
     state = AdaptivityState(
         H=check_real(H0, "H0", positive=True) if H0 is not None else span / 100.0,
         M=min(max(check_count(M0) if M0 is not None else lo, lo), hi),

@@ -3,8 +3,8 @@
 Every public entry point checks its arguments with the rules at the end of this
 module, so it alone decides what a valid argument is: ``check_count``,
 ``check_real``, ``check_complex``, ``check_rational``, ``check_choice``,
-``check_span``, ``check_real_array``, ``check_state`` and
-``check_tolerance_shapes``.
+``check_span``, ``check_real_array``, ``check_state``,
+``check_tolerance_shapes`` and ``check_type``.
 """
 
 import cmath
@@ -141,3 +141,10 @@ def check_tolerance_shapes(tolerances, size: int) -> None:
     for tol in tolerances:
         if tol.shape not in ((), (1,), (size,)):
             raise InvalidInput(f"abs_tol and rel_tol must be scalars or 1-D arrays of 1 or {size} entries, got {tol.shape}")
+
+
+def check_type(value, name: str, kind: type, optional: bool = False):
+    """``value`` unchanged; InvalidInput unless a ``kind`` (``Callable``: any callable), or None if ``optional``."""
+    if not (isinstance(value, kind) or optional and value is None):
+        raise InvalidInput(f"{name} must be a {kind.__name__}{' or None' * optional}, got a {type(value).__name__}")
+    return value

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import GarkMatrix
-from .errors import SingularResolvent, check_complex, check_count, check_real
+from .errors import SingularResolvent, check_complex, check_count, check_real, check_type
 from .stepping import _step_plan
 from .tableaux import MrGarkMethod
 
@@ -89,7 +89,7 @@ def _recurrence(method: MrGarkMethod, M: int, z_f: np.ndarray, z_s: np.ndarray) 
         return (z * Y).view(float)
 
     scale = np.repeat([1.0, h], (s_s, s_f))
-    coef, slow_coef = plan.rows * scale, plan.slow_rows * scale
+    coef, slow_coef = plan.rows[..., 3:] * scale, plan.slow_rows[:, 3:] * scale
 
     def compute_slow(j):
         K[j] = evaluate(combine(one + sf_acc[j], slow_coef[j], K), 0)
@@ -118,6 +118,7 @@ def _recurrence(method: MrGarkMethod, M: int, z_f: np.ndarray, z_s: np.ndarray) 
 
 def stability_value(g: GarkMatrix, z_f: complex, z_s: complex) -> complex:
     """R(z_f, z_s) by the stage recurrence; SingularResolvent where 1 - a*gamma*z = 0 or R is not finite."""
+    check_type(g, "g", GarkMatrix)
     check_complex(z_f, "z_f")
     check_complex(z_s, "z_s")
     r = _stability_values(g.method, g.M, np.full(1, z_f, dtype=complex), np.full(1, z_s, dtype=complex))[0]

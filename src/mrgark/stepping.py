@@ -2,34 +2,34 @@
 
 The engine never materializes the assembled tableau.  The first step at a
 given (method, M) compiles a plan, cached from then on: per fast stage its
-coefficient row [A^{fs,lambda}_i | tril(A_ff, -1)_i] over the stage values
-and the slow stages to compute right before it; per slow stage its row
-[tril(A_ss, -1)_j | A^{sf,lambda}_j] for the micro-step lambda whose fast
-stages it is computed after; and per micro-step the slow stages computed
-later that its fast stages feed.
+coefficient row over the stage array and the slow stages to compute right
+before it; per slow stage its row for the micro-step lambda whose fast stages
+it is computed after; and per micro-step the slow stages computed later that
+its fast stages feed.
 It is the stage order of :func:`assembly.derive_schedule` (both come from
 :func:`assembly.place_slow_stages`), so a method with cyclic coupling
 dependencies is rejected before any right-hand side runs; its base tableaus
 and coupling blocks were checked when they were built.
 
-The stage array is [y_n | ytilde | K]: the step's start, the fast solution so
-far, and the stage right-hand sides K, the s_s slow stages then the s_f fast
-stages of the current micro-step.  Once per step the rows are scaled by H on
-the slow columns and h = H/M on the fast ones, behind base columns [0, 1] for
-fast stages and [1, 0] for slow ones, so a row gives its stage input as one
-product row . [y_n | ytilde | K]: fast stages start from ytilde, slow ones
-from y_n, and entries for slow stages not yet computed and for fast stages
->= i are zero.  A slow stage's input also takes a running sum of the earlier
-micro-steps that feed it: a micro-step whose fast stages feed slow stages
-computed after it folds them into their sums with one product at its end,
-and only slow stages that some micro-step folds into have a sum.  So no
-fast-stage value outlives its micro-step, and a step holds at most
-2 + 2*s_s + s_f state-sized rows at any M.  Each micro-step folds its stages
-into the b_f and b_hat_f sums with one weight product, and adds the b_f one
-to ytilde in place, so all four solutions (main, embedded, and both mixed
-pairs used to split the error estimate) come from the same stage evaluations
-at no extra cost.  The products go through ``ndarray.dot``, which costs less
-per call than ``@`` on small states.
+The stage array is [y_n | ytilde | ytilde_hat | K]: the step's start, the
+fast solution and the embedded fast solution so far, and the stage values K,
+each right-hand side times its step size: H*f for the s_s slow stages, then
+h*f, h = H/M, for the s_f fast stages of the current micro-step.  So the
+plan's rows are the method's coefficients as they are, and a stage input is
+one product row . [y_n | ytilde | ytilde_hat | K]: a fast stage's row is
+[0, 1, 0 | A^{fs,lambda}_i | tril(A_ff, -1)_i] and a slow stage's
+[1, 0, 0 | tril(A_ss, -1)_j | A^{sf,lambda}_j], with zero entries for slow
+stages not yet computed and for fast stages >= i.  A slow stage's input also
+takes a running sum of the earlier micro-steps that feed it: a micro-step
+whose fast stages feed slow stages computed after it folds them into their
+sums with one product at its end, and only slow stages that some micro-step
+folds into have a sum.  So no fast-stage value outlives its micro-step, and a
+step holds at most 3 + 2*s_s + s_f state-sized rows at any M, one more for
+an FSAL pair.  Each micro-step adds its b_f and b_hat_f sums to ytilde and
+ytilde_hat with one weight product, so all four solutions (main, embedded,
+and both mixed pairs used to split the error estimate) come from the same
+stage evaluations at no extra cost.  The products go through ``ndarray.dot``,
+which costs less per call than ``@`` on small states.
 
 Each partition is one stage routine, built once per step: rhs_known -> f(Y)
 at its stage value Y = rhs_known + a*f(Y).  An explicit partition's is its
@@ -58,7 +58,8 @@ front; ``step`` does not check its y_n for that.
 For methods with the first-same-as-last property (an explicit fast base, see
 :class:`MrGarkMethod`) the value of the last fast stage of each micro-step
 equals the first stage of the next one, so its right-hand side is reused
-across micro-steps and across accepted macro-steps.
+across micro-steps and across accepted macro-steps; the step keeps it
+unscaled, as h may change between steps.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ import numpy as np
 
 from .assembly import place_slow_stages
 from .errors import (InvalidInput, NewtonDivergence, NonFiniteState, check_count, check_real, check_real_array,
-                     check_span, check_state, check_tolerance_shapes)
-from .tableaux import MethodFlag, MrGarkMethod
+                     check_span, check_state, check_tolerance_shapes, check_type)
+from .tableaux import MethodFlag, MrGarkMethod, _freeze
 
 __all__ = [
     "PartitionedOde",
@@ -100,10 +101,8 @@ NEWTON_RATE = 0.1
 #: Newton converges when ||G|| <= NEWTON_TOL * (1 + ||y||), and fails after NEWTON_MAX_ITER updates
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-#: an RHS result of this dtype and the state's shape is used as it comes
+#: a value of this dtype and the expected shape (an RHS result, a residual, a solve) is used as it comes
 _FLOAT = np.dtype(float)
-#: the base columns of a scaled stage row over [y_n | ytilde]: fast stages start from ytilde, slow ones from y_n
-_FAST_BASE, _SLOW_BASE = np.array([0.0, 1.0]), np.array([1.0, 0.0])
 
 
 class StructuredJacobian(Protocol):
@@ -131,6 +130,8 @@ class PartitionedOde:
 
     def __post_init__(self):
         check_count(self.dimension, "dimension")
+        for name in ("f_slow", "f_fast", "jac_slow", "jac_fast"):
+            check_type(getattr(self, name), name, Callable, optional=name.startswith("jac"))
 
 
 @dataclass(frozen=True)
@@ -207,18 +208,24 @@ def newton_solve(
     a reused matrix would add, and run on Python floats (a residual may return
     one).  The returned ``y`` is the very array of the last ``residual`` call.
 
-    ``jac`` returns dG/dy as a real (n, n) array, a float (size 1 only) or a
-    *solve* callable r -> x of dG/dy x = r (size > 1 only); anything else,
-    or a solve whose x is not a real array of y's shape, raises
-    :class:`InvalidInput`.  Omitted, dG/dy is a forward-difference
-    array with increment sqrt(eps) * (1 + |y_i|), one residual call per
-    column.  A matrix is held as a float slope at size 1 and as a solve above:
-    an array is kept as its inverse, one inversion per build and one product
-    per update, and a singular one raises :class:`NewtonDivergence` when it is
-    built.  A ``matrix`` passed in is converted once, on entry.  The result
-    carries the matrix last used and the number built.
+    ``y_guess`` is a real array, 1-D above size 1, and each residual a real
+    value of its size at size 1 and of y's shape above; ``jac`` returns dG/dy
+    as a real (n, n) array, a float (size 1 only) or a *solve* callable
+    r -> x of dG/dy x = r (size > 1 only); anything else, or a solve whose x
+    is not a real array of y's shape, raises :class:`InvalidInput`.  Omitted,
+    dG/dy is a forward-difference array with increment sqrt(eps) * (1 + |y_i|),
+    one residual call per column.  A matrix is held as a float slope at size 1
+    and as a solve above: an array is kept as its inverse, one inversion per
+    build and one product per update, and a singular one raises
+    :class:`NewtonDivergence` when it is built.  A ``matrix`` passed in is
+    converted once, on entry.  The result carries the matrix last used and the
+    number built.
     """
-    y = np.array(y_guess, dtype=float)
+    if not (type(y_guess) is np.ndarray and y_guess.dtype is _FLOAT):  # the common case passes as it comes
+        y_guess = check_real_array(y_guess, "the Newton guess")  # cast, unless complex, bool or not numeric
+    if y_guess.ndim != 1 and y_guess.size != 1:
+        raise InvalidInput(f"the Newton guess must be a 1-D array above size 1, got shape {y_guess.shape}")
+    y = y_guess.copy()
     builds = 0
     if y.size == 1:
         # full Newton on floats: the same IEEE operations as the 1x1 LU solve, and
@@ -228,7 +235,7 @@ def newton_solve(
             matrix = _slope(matrix)
         for iteration in range(NEWTON_MAX_ITER + 1):
             g = residual(y)
-            g_f = g if type(g) is float else float(np.asarray(g, dtype=float).item())
+            g_f = g if type(g) is float else _residual_value(g, y)
             if not math.isfinite(g_f):
                 raise NewtonDivergence("residual is non-finite")
             if abs(g_f) <= NEWTON_TOL * (1.0 + abs(y_f)):
@@ -248,7 +255,7 @@ def newton_solve(
         raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
     if matrix is not None:
         matrix = _newton_matrix(matrix, y.size)
-    g = np.asarray(residual(y), dtype=float)
+    g = _real_of_shape(residual(y), y.shape, "a Newton residual")
     y_norm, g_norm = _norm(y), _norm(g)
     if not math.isfinite(g_norm):
         raise NewtonDivergence("residual is non-finite")
@@ -261,14 +268,14 @@ def newton_solve(
         if rebuild:
             matrix = _newton_matrix(_forward_difference(residual, y, g) if jac is None else jac(y), y.size)
             rebuild, fresh, builds = False, True, builds + 1
-        y_new = _newton_update(y, matrix, g)
+        y_new = y + _real_of_shape(matrix(-g), y.shape, "the result of a Newton solve")
         y_new_norm = _norm(y_new)
         if not math.isfinite(y_new_norm):
             if fresh:
                 raise NewtonDivergence("iterate is non-finite")
             rebuild = True
             continue
-        g_new = np.asarray(residual(y_new), dtype=float)
+        g_new = _real_of_shape(residual(y_new), y.shape, "a Newton residual")
         g_new_norm = _norm(g_new)
         if not fresh and not g_new_norm < g_norm:
             rebuild = True
@@ -280,14 +287,23 @@ def newton_solve(
     raise NewtonDivergence(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
-def _newton_update(y: np.ndarray, solve: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> np.ndarray:
-    """y + solve(-g); InvalidInput unless the solve returns a real array of y's shape."""
-    dy = solve(-g)
-    if not (type(dy) is np.ndarray and dy.dtype is _FLOAT and dy.shape == y.shape):  # the common case, cheaply
-        dy = check_real_array(dy, "the result of a Newton solve")  # cast, unless complex, bool or not numeric
-        if dy.shape != y.shape:
-            raise InvalidInput(f"the result of a Newton solve must have the iterate's shape {y.shape}, got {dy.shape}")
-    return y + dy
+def _real_of_shape(v, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``v`` as a float array; InvalidInput unless it is a real array of ``shape``."""
+    if not (type(v) is np.ndarray and v.dtype is _FLOAT and v.shape == shape):  # the common case, cheaply
+        v = check_real_array(v, name)  # cast, unless complex, bool or not numeric
+        if v.shape != shape:
+            raise InvalidInput(f"{name} must be a real array of shape {shape}, got {v.shape}")
+    return v
+
+
+def _residual_value(g, y: np.ndarray) -> np.ndarray | float:
+    """A Newton residual at y as a float at size 1, above as a float array of y's shape; InvalidInput unless real."""
+    if y.size != 1:
+        return _real_of_shape(g, y.shape, "a Newton residual")
+    g = check_real_array(g, "a Newton residual")
+    if g.size != 1:
+        raise InvalidInput(f"a Newton residual of a size-1 system must have size 1, got shape {g.shape}")
+    return float(g.item())
 
 
 def _norm(v: np.ndarray) -> float:
@@ -312,30 +328,20 @@ def _forward_difference(residual, y: np.ndarray, g: np.ndarray | float) -> np.nd
         dy = _SQRT_EPS * (1.0 + abs(y[i]))
         yp = y.copy()
         yp[i] += dy
-        j[:, i] = (np.asarray(residual(yp)) - g) / dy
+        j[:, i] = (_residual_value(residual(yp), y) - g) / dy
     return j
-
-
-def _dense(m, n: int) -> np.ndarray:
-    """``m`` as a float array; InvalidInput unless it is a real (n, n) array."""
-    m = check_real_array(m, "a Jacobian or Newton matrix")
-    if m.shape != (n, n):
-        raise InvalidInput(f"a Jacobian or Newton matrix of a size-{n} system must be ({n}, {n}), got {m.shape}")
-    return m
 
 
 def _slope(m) -> float:
     """A size-1 Jacobian or Newton matrix, given as a float or a real (1, 1) array, as a float."""
-    if type(m) is np.ndarray and m.shape == (1, 1) and m.dtype.kind in "iuf":  # the common case, checked cheaply
-        return float(m.item())
     if callable(m):
         raise InvalidInput("a solve callable for dG/dy needs a system of size > 1")
-    return float(m) if isinstance(m, float) else float(_dense(m, 1)[0, 0])
+    return float(m) if isinstance(m, float) else float(_real_of_shape(m, (1, 1), "a Jacobian or Newton matrix").item())
 
 
 def _newton_matrix(m, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """A size-n Newton matrix, n > 1, as its solve: a callable as it comes, a real (n, n) array by its inverse."""
-    return m if callable(m) else _inverse(_dense(m, n)).dot
+    return m if callable(m) else _inverse(_real_of_shape(m, (n, n), "a Jacobian or Newton matrix")).dot
 
 
 def _inverse(m: np.ndarray) -> np.ndarray:
@@ -348,14 +354,16 @@ def _inverse(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _StepPlan:
-    """Stage order and stage coefficients of one (method, M); see the module docstring."""
+    """Stage order and stage coefficients of one (method, M), arrays read-only; see the module docstring."""
 
-    rows: np.ndarray  # (M, s_f, s_s + s_f): rows[lambda-1][i] = [A^{fs,lambda}_i | tril(A_ff, -1)_i]
+    # (M, s_f, 3 + s_s + s_f) over [y_n | ytilde | ytilde_hat | K]:
+    # rows[lambda-1][i] = [0, 1, 0 | A^{fs,lambda}_i | tril(A_ff, -1)_i]
+    rows: np.ndarray
     before: tuple[tuple[tuple[int, ...], ...], ...]  # [lambda-1][i]: slow stages to compute first
     trailing: tuple[int, ...]  # slow stages after the last micro-step
     sf: np.ndarray  # (M, s_s, s_f): sf[lambda-1] = A^{sf,lambda}
-    # (s_s, s_s + s_f): slow_rows[j] = [tril(A_ss, -1)_j | A^{sf,lambda}_j], lambda the micro-step
-    # whose fast stages K holds when slow stage j is computed
+    # (s_s, 3 + s_s + s_f): slow_rows[j] = [1, 0, 0 | tril(A_ss, -1)_j | A^{sf,lambda}_j], lambda the
+    # micro-step whose fast stages K holds when slow stage j is computed
     slow_rows: np.ndarray
     # [lambda-1]: the first slow stage computed after micro-step lambda that its fast stages feed;
     # s_s if none. At its end, micro-step lambda folds into the running sums from there on.
@@ -369,16 +377,19 @@ def _step_plan(method: MrGarkMethod, M: int) -> _StepPlan:
     s_f, s_s = method.stage_counts
     fs, sf = method.couplings(M)
     before, trailing = place_slow_stages(method, fs, sf)
-    rows = np.concatenate([fs, np.broadcast_to(np.tril(method.fast.A, -1), (M, s_f, s_f))], axis=2)
+    rows = np.concatenate([np.broadcast_to([0.0, 1.0, 0.0], (M, s_f, 3)), fs,
+                           np.broadcast_to(np.tril(method.fast.A, -1), (M, s_f, s_f))], axis=2)
     # per slow stage, the micro-step (0-based) of the last fast stage computed before it; nothing feeds
     # a slow stage computed before fast stage 0, so micro-step 0's zero row serves it
     reads = [max(k - 1, 0) // s_f for k, stages in enumerate(before) for _ in stages] + [M - 1] * len(trailing)
-    slow_rows = np.concatenate([np.tril(method.slow.A, -1), sf[reads, range(s_s)]], axis=1)
+    slow_rows = np.concatenate([np.broadcast_to([1.0, 0.0, 0.0], (s_s, 3)), np.tril(method.slow.A, -1),
+                                sf[reads, range(s_s)]], axis=1)
     # micro-step lambda feeds the slow stages from starts[lambda] on only through their running sums
     starts = np.searchsorted(reads, range(M), side="right").tolist()
     folds = tuple(start if sf[lam, start:].any() else s_s for lam, start in enumerate(starts))
-    return _StepPlan(rows, tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), trailing, sf, slow_rows, folds,
-                     np.array([method.fast.b, method.fast.b_hat]), np.array([method.slow.b, method.slow.b_hat]))
+    return _StepPlan(_freeze(rows), tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), trailing, sf,
+                     _freeze(slow_rows), folds, _freeze([method.fast.b, method.fast.b_hat]),
+                     _freeze([method.slow.b, method.slow.b_hat]))
 
 
 def step(
@@ -404,6 +415,7 @@ def step(
     M = check_count(M)
     check_real(H, "H", positive=True)
     check_real(t_n, "t_n")
+    check_type(fsal_carry, "fsal_carry", FsalCarry, optional=True)
     plan = _step_plan(method, M)
     y_n = check_state(y_n, ode.dimension)
     n = y_n.size
@@ -414,15 +426,11 @@ def step(
     newton_iterations = jacobians = 0
 
     def counted(fn, part, name):
+        shape, label = (n,), f"the result of {name}"
+
         def call(y):
             calls[part] += 1
-            f = fn(y)
-            if type(f) is np.ndarray and f.dtype is _FLOAT and f.shape == (n,):  # the common case, checked cheaply
-                return f
-            f = check_real_array(f, f"the result of {name}")  # cast, unless complex, bool or not numeric
-            if f.shape != (n,):
-                raise InvalidInput(f"the result of {name} must be a real 1-D array of {n} entries, got shape {f.shape}")
-            return f
+            return _real_of_shape(fn(y), shape, label)
         return call
 
     f_slow, f_fast = counted(ode.f_slow, 0, "f_slow"), counted(ode.f_fast, 1, "f_fast")
@@ -454,7 +462,7 @@ def step(
                     return shifted_solver(a_diag)
             if n == 1:  # the slope 1 - a*J
                 return 1.0 - _slope(J) * a_diag
-            m = _dense(J, n) * -a_diag  # a copy: the problem may share its J
+            m = _real_of_shape(J, (n, n), "a Jacobian") * -a_diag  # a copy: the problem may share its J
             m.flat[:: n + 1] += 1.0
             return m
 
@@ -472,83 +480,61 @@ def step(
     slow_stage = stage_solver(H * method.slow.gamma, f_slow, ode.jac_slow) if method.slow.is_implicit else f_slow
     fast_stage = stage_solver(h * method.fast.gamma, f_fast, ode.jac_fast) if method.fast.is_implicit else f_fast
 
-    # the stage array [y_n | ytilde | K]: the step's start, the fast solution so far, and the stage RHS
-    # values K, the slow stages then the fast stages of the current micro-step; every stage input is
-    # one product of its scaled row with it
-    Kx = np.zeros((2 + s_s + s_f, n))
-    Kx[:2] = y_n
-    ytilde, K_slow, K_fast = Kx[1], Kx[2:2 + s_s], Kx[2 + s_s:]
+    # the stage array [y_n | ytilde | ytilde_hat | K]: the step's start, the fast solutions so far, and the
+    # stage values H*f slow, then h*f for the fast stages of the current micro-step; every stage input is
+    # one product of its plan row with it
+    Kx = np.zeros((3 + s_s + s_f, n))
+    Kx[:3] = y_n
+    K_slow, K_fast = Kx[3:3 + s_s], Kx[3 + s_s:]
     summed = min(plan.folds)  # the first slow stage with a running sum
-    sf_acc = np.zeros((s_s - summed, n))  # per slow stage from there, its h * A^{sf} terms folded so far
+    sf_acc = np.zeros((s_s - summed, n))  # per slow stage from there, its A^{sf} terms folded so far
 
     def compute_slow(j):
-        rhs = slow_coef[j].dot(Kx)  # zero weights on the slow stages >= j and the fast stages not yet computed
+        rhs = plan.slow_rows[j].dot(Kx)  # zero weights on the slow stages >= j and the fast stages not yet computed
         if j >= summed:
             rhs += sf_acc[j - summed]
         t0 = time.perf_counter()
-        K_slow[j] = slow_stage(rhs)
+        f = slow_stage(rhs)
         seconds[0] += time.perf_counter() - t0
+        np.multiply(f, H, out=K_slow[j])
 
-    fsal = method.has_flag(MethodFlag.FSAL)
-    f_prev_last: np.ndarray | None = None
-    if fsal and fsal_carry is not None and np.array_equal(fsal_carry.y_next, y_n):
-        f_prev_last = fsal_carry.f_fast_last
+    fsal = method.has_flag(MethodFlag.FSAL)  # the carry's f_fast_last is f at y_n if its y_next is y_n
+    f_prev_last = fsal_carry.f_fast_last if fsal and fsal_carry and np.array_equal(fsal_carry.y_next, y_n) else None
 
-    acc = np.zeros((2, n))  # sums of b_f- and b_hat_f-weighted fast stages over micro-steps
-    # unstable step sizes overflow before the explicit finiteness checks fire, a huge H already
-    # in the scaled coefficients; silence the intermediate warnings, NonFiniteState is the real signal
+    # unstable step sizes overflow before the explicit finiteness checks fire, a huge H already in the
+    # stage values; silence the intermediate warnings, NonFiniteState is the real signal
     with np.errstate(over="ignore", invalid="ignore"):
-        # the scaled rows behind their base columns over [y_n | ytilde]
-        scale = np.array([H] * s_s + [h] * s_f)
-        coef, slow_coef = np.empty((M, s_f, 2 + s_s + s_f)), np.empty((s_s, 2 + s_s + s_f))
-        coef[..., :2], slow_coef[:, :2] = _FAST_BASE, _SLOW_BASE
-        np.multiply(plan.rows, scale, out=coef[..., 2:])
-        np.multiply(plan.slow_rows, scale, out=slow_coef[:, 2:])
-        for lam, (rows, before, fold) in enumerate(zip(coef, plan.before, plan.folds), 1):
+        for lam, (rows, before, fold) in enumerate(zip(plan.rows, plan.before, plan.folds), 1):
             for i, row in enumerate(rows):
                 for j in before[i]:
                     compute_slow(j)
                 reuse = i == 0 and f_prev_last is not None  # FSAL: the stage input would go unused
                 if not reuse:
-                    rhs = row.dot(Kx)  # zero weights on y_n, the slow stages not yet computed and fast stages >= i
+                    rhs = row.dot(Kx)  # zero weights but on ytilde, the slow stages computed and fast stages < i
                 t0 = time.perf_counter()
                 F = f_prev_last if reuse else fast_stage(rhs)
                 seconds[1] += time.perf_counter() - t0
-                K_fast[i] = F
+                np.multiply(F, h, out=K_fast[i])
             if fold < s_s:
-                sf_acc[fold - summed:] += (h * plan.sf[lam - 1, fold:]).dot(K_fast)
+                sf_acc[fold - summed:] += plan.sf[lam - 1, fold:].dot(K_fast)
             if fsal:
-                f_prev_last = K_fast[-1]  # read at the next micro-step's first stage, before it is overwritten
-            increments = plan.fast_weights.dot(K_fast)
-            acc += increments
-            ytilde += h * increments[0]
-            if not np.logical_and.reduce(np.isfinite(ytilde)):  # ndarray.all without its Python-level wrapper
+                f_prev_last = F.copy()  # unscaled and private: an RHS may reuse its result array
+            Kx[1:3] += plan.fast_weights.dot(K_fast)  # ytilde and ytilde_hat take their b_f and b_hat_f sums
+            if not np.logical_and.reduce(np.isfinite(Kx[1])):  # ndarray.all without its Python-level wrapper
                 raise NonFiniteState(f"fast solution non-finite in micro-step {lam}")
         for j in plan.trailing:
             compute_slow(j)
 
-        # the four solutions share their fast (h * ...) and slow (H * ...) parts
-        with_bf, with_bf_hat = y_n + h * acc
-        slow_b, slow_b_hat = H * plan.slow_weights.dot(K_slow)
-        y_next = with_bf + slow_b
+        # the four solutions pair the fast solutions with the slow sums
+        slow_b, slow_b_hat = plan.slow_weights.dot(K_slow)
+        y_next = Kx[1] + slow_b
         if not np.logical_and.reduce(np.isfinite(y_next)):
             raise NonFiniteState("macro-step produced non-finite state")
-        y_hat, y_hat_slow, y_hat_fast = with_bf_hat + slow_b_hat, with_bf + slow_b_hat, with_bf_hat + slow_b
+        y_hat, y_hat_slow, y_hat_fast = Kx[2] + slow_b_hat, Kx[1] + slow_b_hat, Kx[2] + slow_b
 
-    carry = FsalCarry(y_next=y_next, f_fast_last=f_prev_last.copy()) if fsal and f_prev_last is not None else None
-    return StepResult(
-        y_next=y_next,
-        y_hat=y_hat,
-        y_hat_slow=y_hat_slow,
-        y_hat_fast=y_hat_fast,
-        t=t_n + H,
-        H=H,
-        M=M,
-        t_slow=seconds[0],
-        t_fast=seconds[1],
-        counters=WorkCounters(calls[1], calls[0], newton_iterations, jacobians),
-        fsal_carry=carry,
-    )
+    carry = FsalCarry(y_next, f_prev_last) if fsal and f_prev_last is not None else None
+    return StepResult(y_next, y_hat, y_hat_slow, y_hat_fast, t_n + H, H, M, *seconds,
+                      WorkCounters(calls[1], calls[0], newton_iterations, jacobians), carry)
 
 
 def integrate_fixed(method: MrGarkMethod, ode: PartitionedOde, y0: np.ndarray, t0: float, t_end: float,
@@ -559,6 +545,7 @@ def integrate_fixed(method: MrGarkMethod, ode: PartitionedOde, y0: np.ndarray, t
     """
     span = check_span(t0, t_end)
     n = max(1, int(round(span / check_real(H, "H", positive=True))))
+    check_type(on_step, "on_step", Callable, optional=True)
     y, t, carry = check_state(y0, ode.dimension), t0, None
     if not np.isfinite(y).all():  # step itself checks only the states it produces
         raise InvalidInput("y0 must be finite")

@@ -89,6 +89,27 @@ BAD_INPUT = [
     pytest.param(lambda: _newton(np.zeros(3)), InvalidInput, id="newton_solve-update-size"),
     pytest.param(lambda: _newton(np.zeros((2, 2))), InvalidInput, id="newton_solve-update-shape"),
     pytest.param(lambda: _newton(np.zeros(2, dtype=complex)), InvalidInput, id="newton_solve-update-complex"),
+    # a guess is a real array, 1-D above size 1, and a residual a real value of its size
+    pytest.param(lambda: mg.newton_solve(lambda y: np.zeros(3), np.zeros(2)), InvalidInput,
+                 id="newton_solve-residual-shape"),
+    pytest.param(lambda: mg.newton_solve(lambda y: y + 1j, np.zeros(2)), InvalidInput,
+                 id="newton_solve-residual-complex"),
+    pytest.param(lambda: mg.newton_solve(lambda y: np.zeros(2), np.zeros(1)), InvalidInput,
+                 id="newton_solve-size-one-residual-size"),
+    pytest.param(lambda: mg.newton_solve(lambda y: y + 1j, np.zeros(1)), InvalidInput,
+                 id="newton_solve-size-one-residual-complex"),
+    pytest.param(lambda: mg.newton_solve(lambda y: y, "x"), InvalidInput, id="newton_solve-guess-str"),
+    pytest.param(lambda: mg.newton_solve(lambda y: y - 1.0, np.zeros((2, 2))), InvalidInput,
+                 id="newton_solve-guess-2d"),
+    pytest.param(lambda: mg.newton_solve(lambda y: y - 1.0, np.zeros(2, dtype=complex)), InvalidInput,
+                 id="newton_solve-guess-complex"),
+    pytest.param(lambda: mg.PartitionedOde(1, 3, 4), InvalidInput, id="PartitionedOde-f-int"),
+    pytest.param(lambda: mg.PartitionedOde(1, _no_rhs, _no_rhs, jac_fast="J"), InvalidInput,
+                 id="PartitionedOde-jac-str"),
+    pytest.param(lambda: _step(fsal_carry="x"), InvalidInput, id="step-fsal_carry-str"),
+    pytest.param(lambda: _integrate(on_step=3), InvalidInput, id="integrate_fixed-on_step-int"),
+    pytest.param(lambda: _drive(config="efficiency"), InvalidInput, id="drive-config-str"),
+    pytest.param(lambda: mg.stability_value("x", 1, 1), InvalidInput, id="stability_value-g-str"),
     pytest.param(lambda: _step(t_n="0"), InvalidInput, id="step-t_n-str"),
     pytest.param(lambda: _step(t_n=True), InvalidInput, id="step-t_n-bool"),
     pytest.param(lambda: _step(H=True), InvalidInput, id="step-H-bool"),

@@ -213,6 +213,27 @@ def test_fsal_reuse_preserves_result():
     assert without.counters.fast_evals - with_reuse.counters.fast_evals == 1
 
 
+def test_fsal_keeps_its_own_copy_of_an_rhs_result():
+    # an RHS may return one array it owns and overwrites on every call; the FSAL value kept for the next
+    # micro-step and carried to the next step must not change with it
+    fresh = CoupledNonlinearScalar().to_ode()
+    buffer = np.empty(fresh.dimension)
+
+    def into_buffer(f):
+        def call(y):
+            buffer[:] = f(y)
+            return buffer
+        return call
+
+    shared = PartitionedOde(fresh.dimension, into_buffer(fresh.f_slow), into_buffer(fresh.f_fast))
+    m = mg.registry_lookup("EX-EX 4(3)A")
+    results = []
+    for ode in (fresh, shared):
+        r1 = step(m, ode, np.array([0.5]), 0.0, 0.05, 3)
+        results.append(step(m, ode, r1.y_next, r1.t, 0.02, 3, fsal_carry=r1.fsal_carry).y_next)
+    np.testing.assert_array_equal(results[1], results[0])
+
+
 @pytest.mark.parametrize("name", ["EX-IM 3(2)A", "IM-EX 3(2)A"])
 def test_implicit_partition_counts(name):
     m = mg.registry_lookup(name)
@@ -359,9 +380,11 @@ def test_step_plan_matches_derived_schedule(name, M):
     assert sorted(order) == list(range(M * s_f + s_s))
     assert tuple(order) == mg.derive_schedule(m, M)
     fs, sf = m.couplings(M)
-    np.testing.assert_array_equal(plan.rows[:, :, :s_s], fs)
+    # over [y_n | ytilde | ytilde_hat | K]: a fast stage starts from ytilde
+    np.testing.assert_array_equal(plan.rows[:, :, :3], np.broadcast_to([0.0, 1.0, 0.0], (M, s_f, 3)))
+    np.testing.assert_array_equal(plan.rows[:, :, 3:3 + s_s], fs)
     for rows in plan.rows:
-        np.testing.assert_array_equal(rows[:, s_s:], np.tril(m.fast.A, -1))
+        np.testing.assert_array_equal(rows[:, 3 + s_s:], np.tril(m.fast.A, -1))
     _assert_slow_inputs_match_couplings(m, M, plan)
 
 
@@ -373,7 +396,8 @@ def _assert_slow_inputs_match_couplings(m, M, plan):
     for lam, stages in enumerate(plan.before, 1):
         for i, slow in enumerate(stages):
             reads.update(dict.fromkeys(slow, lam - 1 if i == 0 and lam > 1 else lam))
-    np.testing.assert_array_equal(plan.slow_rows[:, :s_s], np.tril(m.slow.A, -1))
+    np.testing.assert_array_equal(plan.slow_rows[:, :3], np.broadcast_to([1.0, 0.0, 0.0], (s_s, 3)))  # from y_n
+    np.testing.assert_array_equal(plan.slow_rows[:, 3:3 + s_s], np.tril(m.slow.A, -1))
     assert plan.sf.shape == (M, s_s, s_f) and len(plan.folds) == M
     for lam in range(1, M + 1):
         a_sf = m.coupling("sf", lam, M)
@@ -382,7 +406,7 @@ def _assert_slow_inputs_match_couplings(m, M, plan):
         assert all(reads[j] > lam for j in range(fold, s_s))  # no sum is added to after its stage ran
         for j in range(s_s):
             if reads[j] == lam:
-                np.testing.assert_array_equal(plan.slow_rows[j, s_s:], a_sf[j])
+                np.testing.assert_array_equal(plan.slow_rows[j, 3 + s_s:], a_sf[j])
             elif a_sf[j].any():
                 assert reads[j] > lam and fold <= j, (lam, j)
 
@@ -395,6 +419,14 @@ def test_step_plan_compiles_up_to_controller_cap(name):
         plan = _step_plan(m, M)
         assert len(plan.rows) == len(plan.before) == M
         _assert_slow_inputs_match_couplings(m, M, plan)
+
+
+@pytest.mark.parametrize("field", ["rows", "slow_rows", "fast_weights", "slow_weights"])
+def test_step_plan_is_read_only(field):
+    # step reads the cached plan's rows as its coefficients on every step, so no caller may write into them
+    a = getattr(_step_plan(mg.registry_lookup("EX-EX 4(3)A"), 3), field)
+    with pytest.raises(ValueError, match="read-only"):
+        a[(0,) * a.ndim] = 1.0
 
 
 def test_gray_scott_explicit_pair_keeps_no_running_sums():
@@ -937,7 +969,7 @@ def _scatter_step(method, ode, y_n, H, M, fsal_carry=None):
     slow_stage = stage_solver(H * method.slow.gamma, 0, f_slow, ode.jac_slow) if method.slow.is_implicit else f_slow
     fast_stage = stage_solver(h * method.fast.gamma, 1, f_fast, ode.jac_fast) if method.fast.is_implicit else f_fast
     K, sf_acc = np.zeros((s_s + s_f, n)), np.zeros((s_s, n))
-    coef = plan.rows * np.array([H] * s_s + [h] * s_f)
+    coef = plan.rows[..., 3:] * np.array([H] * s_s + [h] * s_f)
 
     def compute_slow(j):
         K[j] = slow_stage(y_n + H * (K[:j].T @ Ass[j, :j]) + h * sf_acc[j])
