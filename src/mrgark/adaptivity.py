@@ -216,6 +216,8 @@ def drive(
     M0 (default: the strategy's floor) is clamped to the strategy's bounds, cut to the pair's ceiling.
     """
     span = check_span(t0, t_end)
+    check_type(method, "method", MrGarkMethod)
+    check_type(ode, "ode", PartitionedOde)
     lo, hi = _m_bounds(check_type(config, "config", ControllerConfig).strategy, method.m_max)
     state = AdaptivityState(
         H=check_real(H0, "H0", positive=True) if H0 is not None else span / 100.0,

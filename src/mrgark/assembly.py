@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoupledMethod, InvalidInput, NotImplicitPartition, check_choice, check_count
+from .errors import CoupledMethod, InvalidInput, NotImplicitPartition, check_choice, check_count, check_type
 from .tableaux import MrGarkMethod, TableauKind
 
 __all__ = [
@@ -81,6 +81,7 @@ def coupling_superblocks(method: MrGarkMethod, M: int) -> tuple[np.ndarray, np.n
 
 def assemble(method: MrGarkMethod, M: int) -> GarkMatrix:
     """Build the full tableau of the multirate pair at ratio ``M``, an integer in 1..MAX_ASSEMBLED_M."""
+    check_type(method, "method", MrGarkMethod)
     M = check_count(M)
     if M > MAX_ASSEMBLED_M:
         raise InvalidInput(f"M must be in 1..{MAX_ASSEMBLED_M}, got {M}")

@@ -8,7 +8,9 @@
   n-by-n grid over the unit square, with either constant or state- and
   position-dependent diffusion coefficients.  Diffusion is one second-order
   flux-form kernel over both species and both axes, in contiguous passes over
-  the flat state; its zero-flux (or periodic) closure is one face rule, which
+  the flat state, with its exact factors (the 0.5 of a face's mean
+  coefficient, and 1/h^2 for n a power of two) applied once per call and not
+  per face; its zero-flux (or periodic) closure is one face rule, which
   the diffusion Jacobians are built from too.  Each instance holds the
   kernel's work buffers, so a call allocates only its result and one instance
   must not run ``diffusion`` from two threads at once; the kernels always
@@ -388,12 +390,15 @@ class GrayScott:
         n2 = self.n * self.n
         return y[:n2].reshape(self.n, self.n), y[n2:].reshape(self.n, self.n)
 
-    def _eps_fields(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Nonlinear diffusion coefficient of each cell of the stacked state: eps * exp(-w/100) * sin(pi x) sin(pi y)."""
+    def _eps_fields(self, w: np.ndarray, out: np.ndarray | None = None, factor: float = 1.0) -> np.ndarray:
+        """Nonlinear diffusion coefficient of each cell of the stacked state: eps * exp(-w/100) * sin(pi x) sin(pi y).
+
+        ``factor`` scales eps, and so each coefficient: by 0.5 it halves them exactly while they stay normal floats.
+        """
         e = np.divide(w, -100.0, out=out)  # w / -100 is -w / 100 exactly
         np.exp(e, out=e)
         for eps, e_w in zip(self._eps.ravel(), e):  # per species: a broadcast product in place copies its operand
-            np.multiply(np.multiply(eps, e_w, out=e_w), self._sin_grid, out=e_w)
+            np.multiply(np.multiply(factor * eps, e_w, out=e_w), self._sin_grid, out=e_w)
         return e
 
     def reaction(self, y: np.ndarray) -> np.ndarray:
@@ -417,14 +422,18 @@ class GrayScott:
         mode), and each cell gains the difference of its two face fluxes over h, across rows plus along rows.  Faces
         are contiguous passes over the flat state, w[n:] - w[:-n] and w[1:] - w[:-1], into the slot before each cell;
         slots at row ends and at the species boundary hold zero flux, or under periodic closure the wrapped faces.
+        The 0.5 rides on each cell's coefficient, (0.5 * e_a + 0.5 * e_b) being 0.5 * (e_a + e_b) exactly.  For n a
+        power of two h = 1/n is exact, so the two divisions by h become one final product by n^2; for other n each
+        face and each cell difference is still divided by h.  Scaling by a power of two rounds nowhere, so the result
+        is the unscaled formula's bit for bit, as long as no coefficient e is subnormal (|w| near 7e4, or a subnormal
+        eps) and nothing in that formula overflows (in linear mode at n = 64, |w| from about 3e305).
         """
         n, n2, w = self.n, self.n * self.n, np.asarray(y, dtype=float).reshape(-1)
         cells, faces, out = self._cells, self._faces, np.empty(self.dimension)
         linear, periodic = self.diffusion_mode == "linear", self.boundary == "periodic"
-        # x / h in place; for n a power of two h is exact, so x * n is the same number at a product's cost
-        over_h, by = (np.multiply, float(n)) if n & (n - 1) == 0 else (np.divide, self.spacing)
+        per_face_h = n & (n - 1) != 0  # h = 1/n rounds: divide each face and each difference by h
         if not linear:
-            self._eps_fields(w.reshape(2, n, n), out=cells.reshape(2, n, n))
+            self._eps_fields(w.reshape(2, n, n), out=cells.reshape(2, n, n), factor=0.5)
         # the faces before cell k across rows and along rows, then the wrapped face of each column
         across, along, wrapped = faces[:2 * n2 + n], faces[2 * n2 + n:-2 * n], faces[-2 * n:].reshape(2, n)
 
@@ -435,11 +444,11 @@ class GrayScott:
                 for eps, part in zip(self._eps.ravel(), (into[:mid], into[mid:])):
                     np.multiply(eps, part, out=part)  # 0.5 * (eps + eps) is eps exactly
             else:
-                np.add(e[hi], e[lo], out=into)
-                np.multiply(0.5, into, out=into)
+                np.add(e[hi], e[lo], out=into)  # halved coefficients: 0.5 * (e_hi + e_lo)
                 slope = np.subtract(w[hi], w[lo], out=out[:into.size].reshape(into.shape))
                 np.multiply(into, slope, out=into)
-            over_h(into, by, out=into)
+            if per_face_h:
+                np.divide(into, self.spacing, out=into)
 
         flux(across[n:-n], np.s_[n:], np.s_[:-n])
         flux(along[1:-1], np.s_[1:], np.s_[:-1])
@@ -453,9 +462,12 @@ class GrayScott:
             np.subtract(along[1::n], along[n::n], out=cells[::n])
             np.subtract(across[n:].reshape(2, n, n)[:, 0], wrapped, out=out.reshape(2, n, n)[:, 0])
             np.subtract(wrapped, across[:-n].reshape(2, n, n)[:, -1], out=out.reshape(2, n, n)[:, -1])
-        over_h(cells, by, out=cells)
-        over_h(out, by, out=out)
+        if per_face_h:
+            np.divide(cells, self.spacing, out=cells)
+            np.divide(out, self.spacing, out=out)
         out += cells
+        if not per_face_h:
+            out *= n2  # both divisions by h = 1/n at once
         return out
 
     def f_fast(self, y):

@@ -165,6 +165,7 @@ def scan_region(
     n_rho: int = 129,
 ) -> RegionGrid:
     """|R| of ``method`` at ratio ``M`` over the angular box; NaN where 1 - a*gamma*z = 0 or R is not finite."""
+    check_type(method, "method", MrGarkMethod)
     M = check_count(M)
     n_theta, n_rho = check_count(n_theta, "n_theta", 2), check_count(n_rho, "n_rho", 2)
     check_real(rho_max, "rho_max", positive=True)

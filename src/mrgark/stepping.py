@@ -19,7 +19,11 @@ plan's rows are the method's coefficients as they are, and a stage input is
 one product row . [y_n | ytilde | ytilde_hat | K]: a fast stage's row is
 [0, 1, 0 | A^{fs,lambda}_i | tril(A_ff, -1)_i] and a slow stage's
 [1, 0, 0 | tril(A_ss, -1)_j | A^{sf,lambda}_j], with zero entries for slow
-stages not yet computed and for fast stages >= i.  A slow stage's input also
+stages not yet computed and for fast stages >= i.  The product runs over the
+row's span only, row[lo:hi] . [...][lo:hi] on views: the plan records per
+fast stage, over all micro-steps, and per slow stage the columns from its
+first nonzero weight to its last, so the zero weights past the stages a
+stage reads cost nothing.  A slow stage's input also
 takes a running sum of the earlier micro-steps that feed it: a micro-step
 whose fast stages feed slow stages computed after it folds them into their
 sums with one product at its end, and only slow stages that some micro-step
@@ -365,9 +369,17 @@ class _StepPlan:
     # (s_s, 3 + s_s + s_f): slow_rows[j] = [1, 0, 0 | tril(A_ss, -1)_j | A^{sf,lambda}_j], lambda the
     # micro-step whose fast stages K holds when slow stage j is computed
     slow_rows: np.ndarray
+    # per fast stage i, then per slow stage j, its span: the columns of the stage array from the first nonzero
+    # of its rows to their last, over all micro-steps (column 1, ytilde, or 0, y_n, to the last stage value it
+    # reads); its rows weight no column outside it
+    fast_spans: tuple[slice, ...]
+    slow_spans: tuple[slice, ...]
+    fast_span_rows: tuple[np.ndarray, ...]  # [i]: rows[:, i, fast_spans[i]], a view
+    slow_span_rows: tuple[np.ndarray, ...]  # [j]: slow_rows[j, slow_spans[j]], a view
     # [lambda-1]: the first slow stage computed after micro-step lambda that its fast stages feed;
     # s_s if none. At its end, micro-step lambda folds into the running sums from there on.
     folds: tuple[int, ...]
+    summed: int  # min(folds): the first slow stage with a running sum; s_s if none
     fast_weights: np.ndarray  # (2, s_f): b_f, b_hat_f
     slow_weights: np.ndarray  # (2, s_s): b_s, b_hat_s
 
@@ -387,9 +399,22 @@ def _step_plan(method: MrGarkMethod, M: int) -> _StepPlan:
     # micro-step lambda feeds the slow stages from starts[lambda] on only through their running sums
     starts = np.searchsorted(reads, range(M), side="right").tolist()
     folds = tuple(start if sf[lam, start:].any() else s_s for lam, start in enumerate(starts))
-    return _StepPlan(_freeze(rows), tuple(before[k:k + s_f] for k in range(0, M * s_f, s_f)), trailing, sf,
-                     _freeze(slow_rows), folds, _freeze([method.fast.b, method.fast.b_hat]),
-                     _freeze([method.slow.b, method.slow.b_hat]))
+    rows, slow_rows = _freeze(rows), _freeze(slow_rows)
+    fast_spans, slow_spans = _spans(rows.any(axis=0)), _spans(slow_rows != 0.0)
+    # micro-steps with the same slow stages to compute first share one tuple of them: at large M that saves
+    # far more than the spans and their row views hold
+    shared = {}
+    before = tuple(shared.setdefault(b, b) for b in (before[k:k + s_f] for k in range(0, M * s_f, s_f)))
+    return _StepPlan(rows, before, trailing, sf, slow_rows, fast_spans, slow_spans,
+                     tuple(rows[:, i, span] for i, span in enumerate(fast_spans)),
+                     tuple(slow_rows[j, span] for j, span in enumerate(slow_spans)), folds, min(folds),
+                     _freeze([method.fast.b, method.fast.b_hat]), _freeze([method.slow.b, method.slow.b_hat]))
+
+
+def _spans(nonzero: np.ndarray) -> tuple[slice, ...]:
+    """Per row of a boolean array, the slice from its first True to its last; each row has one."""
+    first, last = nonzero.argmax(axis=1), nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1)
+    return tuple(slice(lo, hi) for lo, hi in zip(first.tolist(), last.tolist()))
 
 
 def step(
@@ -415,6 +440,9 @@ def step(
     M = check_count(M)
     check_real(H, "H", positive=True)
     check_real(t_n, "t_n")
+    if not (type(method) is MrGarkMethod and type(ode) is PartitionedOde):  # the common case, cheaply
+        check_type(method, "method", MrGarkMethod)
+        check_type(ode, "ode", PartitionedOde)
     check_type(fsal_carry, "fsal_carry", FsalCarry, optional=True)
     plan = _step_plan(method, M)
     y_n = check_state(y_n, ode.dimension)
@@ -486,11 +514,13 @@ def step(
     Kx = np.zeros((3 + s_s + s_f, n))
     Kx[:3] = y_n
     K_slow, K_fast = Kx[3:3 + s_s], Kx[3 + s_s:]
-    summed = min(plan.folds)  # the first slow stage with a running sum
-    sf_acc = np.zeros((s_s - summed, n))  # per slow stage from there, its A^{sf} terms folded so far
+    fast_in = list(map(Kx.__getitem__, plan.fast_spans))  # per fast stage, the stage array over its span
+    summed = plan.summed  # the first slow stage with a running sum
+    # per slow stage from there, its A^{sf} terms folded so far; none if no micro-step folds
+    sf_acc = np.zeros((s_s - summed, n)) if summed < s_s else None
 
     def compute_slow(j):
-        rhs = plan.slow_rows[j].dot(Kx)  # zero weights on the slow stages >= j and the fast stages not yet computed
+        rhs = plan.slow_span_rows[j].dot(Kx[plan.slow_spans[j]])  # past its span: stages not yet computed
         if j >= summed:
             rhs += sf_acc[j - summed]
         t0 = time.perf_counter()
@@ -504,13 +534,13 @@ def step(
     # unstable step sizes overflow before the explicit finiteness checks fire, a huge H already in the
     # stage values; silence the intermediate warnings, NonFiniteState is the real signal
     with np.errstate(over="ignore", invalid="ignore"):
-        for lam, (rows, before, fold) in enumerate(zip(plan.rows, plan.before, plan.folds), 1):
-            for i, row in enumerate(rows):
-                for j in before[i]:
+        for lam, (before, fold) in enumerate(zip(plan.before, plan.folds), 1):
+            for i, (rows, stage_in, slow_first) in enumerate(zip(plan.fast_span_rows, fast_in, before)):
+                for j in slow_first:
                     compute_slow(j)
                 reuse = i == 0 and f_prev_last is not None  # FSAL: the stage input would go unused
                 if not reuse:
-                    rhs = row.dot(Kx)  # zero weights but on ytilde, the slow stages computed and fast stages < i
+                    rhs = rows[lam - 1].dot(stage_in)  # past ytilde, the slow stages computed and fast stages < i
                 t0 = time.perf_counter()
                 F = f_prev_last if reuse else fast_stage(rhs)
                 seconds[1] += time.perf_counter() - t0
@@ -545,6 +575,8 @@ def integrate_fixed(method: MrGarkMethod, ode: PartitionedOde, y0: np.ndarray, t
     """
     span = check_span(t0, t_end)
     n = max(1, int(round(span / check_real(H, "H", positive=True))))
+    check_type(method, "method", MrGarkMethod)
+    check_type(ode, "ode", PartitionedOde)
     check_type(on_step, "on_step", Callable, optional=True)
     y, t, carry = check_state(y0, ode.dimension), t0, None
     if not np.isfinite(y).all():  # step itself checks only the states it produces
@@ -568,6 +600,7 @@ def error_estimates(result: StepResult, tolerances: Tolerances) -> tuple[float, 
     Each equals :func:`error_norm` of ``y_next`` against ``y_hat``, ``y_hat_slow``
     and ``y_hat_fast``; the three come from one pass over the stacked deviations.
     """
+    check_type(result, "result", StepResult)
     hats = np.array([result.y_hat, result.y_hat_slow, result.y_hat_fast], dtype=float)
     eps_total, eps_slow, eps_fast = _scaled_rms(result.y_next, hats, tolerances)
     return eps_total, eps_slow, eps_fast
@@ -575,6 +608,7 @@ def error_estimates(result: StepResult, tolerances: Tolerances) -> tuple[float, 
 
 def _scaled_rms(x: np.ndarray, ys: np.ndarray, tolerances: Tolerances) -> list[float]:
     """:func:`error_norm` of x against each row of ys."""
+    check_type(tolerances, "tolerances", Tolerances)
     x, ys = np.asarray(x, dtype=float), np.asarray(ys, dtype=float)
     if ys.shape[-1] != x.size:
         raise InvalidInput(f"states compared must have the same size, got {x.size} and {ys.shape[-1]}")

@@ -107,6 +107,24 @@ BAD_INPUT = [
     pytest.param(lambda: mg.PartitionedOde(1, _no_rhs, _no_rhs, jac_fast="J"), InvalidInput,
                  id="PartitionedOde-jac-str"),
     pytest.param(lambda: _step(fsal_carry="x"), InvalidInput, id="step-fsal_carry-str"),
+    # a method, ODE, step result or tolerances of another type is named, not left to an AttributeError
+    pytest.param(lambda: mg.step("EX-EX 2(1)A", NO_RHS_ODE, Y0, 0.0, 0.1, 2), InvalidInput, id="step-method-str"),
+    pytest.param(lambda: mg.step(METHOD, "ode", Y0, 0.0, 0.1, 2), InvalidInput, id="step-ode-str"),
+    pytest.param(lambda: mg.integrate_fixed("EX-EX 2(1)A", NO_RHS_ODE, Y0, 0.0, 2.0, 0.1, 2), InvalidInput,
+                 id="integrate_fixed-method-str"),
+    pytest.param(lambda: mg.integrate_fixed(METHOD, "ode", Y0, 0.0, 2.0, 0.1, 2), InvalidInput,
+                 id="integrate_fixed-ode-str"),
+    pytest.param(lambda: mg.drive("EX-EX 2(1)A", NO_RHS_ODE, Y0, 0.0, 2.0, mg.ControllerConfig()), InvalidInput,
+                 id="drive-method-str"),
+    pytest.param(lambda: mg.drive(METHOD, "ode", Y0, 0.0, 2.0, mg.ControllerConfig()), InvalidInput,
+                 id="drive-ode-str"),
+    pytest.param(lambda: mg.error_estimates("r", mg.Tolerances()), InvalidInput, id="error_estimates-result-str"),
+    pytest.param(lambda: mg.error_estimates(mg.step(METHOD, LinearTwoRate().to_ode(), Y0, 0.0, 0.1, 2), "1e-6"),
+                 InvalidInput, id="error_estimates-tolerances-str"),
+    pytest.param(lambda: mg.error_norm(Y0, Y0, 1e-6), InvalidInput, id="error_norm-tolerances-float"),
+    pytest.param(lambda: mg.scan_region("EX-EX 2(1)A", 2, n_theta=3, n_rho=3), InvalidInput,
+                 id="scan_region-method-str"),
+    pytest.param(lambda: mg.assemble("EX-EX 2(1)A", 2), InvalidInput, id="assemble-method-str"),
     pytest.param(lambda: _integrate(on_step=3), InvalidInput, id="integrate_fixed-on_step-int"),
     pytest.param(lambda: _drive(config="efficiency"), InvalidInput, id="drive-config-str"),
     pytest.param(lambda: mg.stability_value("x", 1, 1), InvalidInput, id="stability_value-g-str"),

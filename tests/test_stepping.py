@@ -2,7 +2,6 @@ import itertools
 import math
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from mrgark.problems import CoupledNonlinearScalar, GrayScott, LinearTwoRate
 from mrgark.stepping import (
     FsalCarry,
     PartitionedOde,
+    StepResult,
     Tolerances,
     WorkCounters,
     error_estimates,
@@ -427,6 +427,36 @@ def test_step_plan_is_read_only(field):
     a = getattr(_step_plan(mg.registry_lookup("EX-EX 4(3)A"), 3), field)
     with pytest.raises(ValueError, match="read-only"):
         a[(0,) * a.ndim] = 1.0
+
+
+@pytest.mark.parametrize("name", mg.METHOD_NAMES)
+@pytest.mark.parametrize("M", [1, 2, 5, 8, 33])
+def test_step_plan_rows_are_zero_outside_their_spans(name, M):
+    # step forms each stage input over its span only, so a weight outside the span would be dropped
+    plan = _step_plan(mg.registry_lookup(name), M)
+    fast = [(plan.rows[:, i], span, rows, plan.rows)
+            for i, (span, rows) in enumerate(zip(plan.fast_spans, plan.fast_span_rows))]
+    slow = [(plan.slow_rows[j:j + 1], span, rows[None], plan.slow_rows)
+            for j, (span, rows) in enumerate(zip(plan.slow_spans, plan.slow_span_rows))]
+    for full, span, span_rows, base in fast + slow:
+        assert np.all(full[:, :span.start] == 0.0) and np.all(full[:, span.stop:] == 0.0)
+        assert full[:, span.start].any() and full[:, span.stop - 1].any()  # no wider than its rows
+        assert np.shares_memory(span_rows, base) and np.array_equal(span_rows, full[:, span])
+        assert not span_rows.flags.writeable
+
+
+def test_step_plan_size_at_large_m():
+    # the spans cost O(s_f + s_s) per plan, and equal micro-steps share their tuple of slow stages to compute
+    # first; before the spans, this plan held 6,164,862 bytes, its (M, s_f, 13) rows 5.2 MB of them
+    m = mg.registry_lookup("EX-EX 4(3)A")
+    m.couplings(10000)  # cached apart from the plan
+    tracemalloc.start()
+    try:
+        plan = _step_plan.__wrapped__(m, 10000)  # not cached
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.before) == 10000 and held <= 6_164_862
 
 
 def test_gray_scott_explicit_pair_keeps_no_running_sums():
@@ -1181,6 +1211,6 @@ def test_error_norm_matches_frozen_mean_oracle(n):
     for (x_case, ys), tol in itertools.product(cases, tolerances):
         abs_tol, rel_tol = np.asarray(tol.abs_tol, dtype=float), np.asarray(tol.rel_tol, dtype=float)
         expected = [v.hex() for v in _frozen_scaled_rms(x_case, ys, abs_tol, rel_tol)]
-        result = SimpleNamespace(y_next=x_case, y_hat=ys[0], y_hat_slow=ys[1], y_hat_fast=ys[2])
+        result = StepResult(x_case, *ys, t=1.0, H=1.0, M=1, t_slow=0.0, t_fast=0.0, counters=WorkCounters())
         assert [v.hex() for v in error_estimates(result, tol)] == expected
         assert [error_norm(x_case, row, tol).hex() for row in ys] == expected
