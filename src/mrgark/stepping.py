@@ -440,9 +440,8 @@ def step(
     M = check_count(M)
     check_real(H, "H", positive=True)
     check_real(t_n, "t_n")
-    if not (type(method) is MrGarkMethod and type(ode) is PartitionedOde):  # the common case, cheaply
-        check_type(method, "method", MrGarkMethod)
-        check_type(ode, "ode", PartitionedOde)
+    check_type(method, "method", MrGarkMethod)
+    check_type(ode, "ode", PartitionedOde)
     check_type(fsal_carry, "fsal_carry", FsalCarry, optional=True)
     plan = _step_plan(method, M)
     y_n = check_state(y_n, ode.dimension)
