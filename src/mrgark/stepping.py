@@ -11,12 +11,12 @@ It is the stage order of :func:`assembly.derive_schedule` (both come from
 dependencies is rejected before any right-hand side runs; its base tableaus
 and coupling blocks were checked when they were built.
 
-The stage array is [y_n | ytilde | ytilde_hat | K]: the step's start, the
-fast solution and the embedded fast solution so far, and the stage values K,
-each right-hand side times its step size: H*f for the s_s slow stages, then
-h*f, h = H/M, for the s_f fast stages of the current micro-step.  So the
-plan's rows are the method's coefficients as they are, and a stage input is
-one product row . [y_n | ytilde | ytilde_hat | K]: a fast stage's row is
+The stage array is [y_n | ytilde | d_f | K]: the step's start, the fast
+solution so far and the fast deviation so far, and the stage values K, each
+right-hand side times its step size: H*f for the s_s slow stages, then h*f,
+h = H/M, for the s_f fast stages of the current micro-step.  So the plan's
+rows are the method's coefficients as they are, and a stage input is one
+product row . [y_n | ytilde | d_f | K]: a fast stage's row is
 [0, 1, 0 | A^{fs,lambda}_i | tril(A_ff, -1)_i] and a slow stage's
 [1, 0, 0 | tril(A_ss, -1)_j | A^{sf,lambda}_j], with zero entries for slow
 stages not yet computed and for fast stages >= i.  The product runs over the
@@ -29,11 +29,13 @@ whose fast stages feed slow stages computed after it folds them into their
 sums with one product at its end, and only slow stages that some micro-step
 folds into have a sum.  So no fast-stage value outlives its micro-step, and a
 step holds at most 3 + 2*s_s + s_f state-sized rows at any M, one more for
-an FSAL pair.  Each micro-step adds its b_f and b_hat_f sums to ytilde and
-ytilde_hat with one weight product, so all four solutions (main, embedded,
-and both mixed pairs used to split the error estimate) come from the same
-stage evaluations at no extra cost.  The products go through ``ndarray.dot``,
-which costs less per call than ``@`` on small states.
+an FSAL pair, and returns three: y_next and its deviations from two embedded
+solutions, each sum_i (b_i - b_hat_i) k_i (Hairer, Norsett and Wanner,
+*Solving ODEs I*, II.4).  With the plan's weight rows [b, b - b_hat], one
+product per micro-step adds the b_f and b_f - b_hat_f sums to ytilde and d_f,
+and one over the slow stages gives y_next's b_s sum and the slow deviation.
+The products go through ``ndarray.dot``, which costs less per call than ``@``
+on small states.
 
 Each partition is one stage routine, built once per step: rhs_known -> f(Y)
 at its stage value Y = rhs_known + a*f(Y).  An explicit partition's is its
@@ -149,6 +151,7 @@ class Tolerances:
         abs_tol, rel_tol = check_real_array(self.abs_tol, "abs_tol"), check_real_array(self.rel_tol, "rel_tol")
         if not (np.all(abs_tol >= 0.0) and np.all(rel_tol >= 0.0)):
             raise InvalidInput("abs_tol and rel_tol must be >= 0 and not NaN")
+        object.__setattr__(self, "_floats", (abs_tol, rel_tol))  # as float arrays, once, for every error norm
 
 
 @dataclass
@@ -172,9 +175,8 @@ class FsalCarry:
 @dataclass(eq=False)
 class StepResult:
     y_next: np.ndarray
-    y_hat: np.ndarray
-    y_hat_slow: np.ndarray  # weights (b_f, b_hat_s)
-    y_hat_fast: np.ndarray  # weights (b_hat_f, b_s)
+    slow_deviation: np.ndarray  # y_next less the embedded solution of weights (b_f, b_hat_s)
+    fast_deviation: np.ndarray  # y_next less the embedded solution of weights (b_hat_f, b_s)
     t: float
     H: float
     M: int
@@ -360,7 +362,7 @@ def _inverse(m: np.ndarray) -> np.ndarray:
 class _StepPlan:
     """Stage order and stage coefficients of one (method, M), arrays read-only; see the module docstring."""
 
-    # (M, s_f, 3 + s_s + s_f) over [y_n | ytilde | ytilde_hat | K]:
+    # (M, s_f, 3 + s_s + s_f) over [y_n | ytilde | d_f | K]:
     # rows[lambda-1][i] = [0, 1, 0 | A^{fs,lambda}_i | tril(A_ff, -1)_i]
     rows: np.ndarray
     before: tuple[tuple[tuple[int, ...], ...], ...]  # [lambda-1][i]: slow stages to compute first
@@ -380,8 +382,8 @@ class _StepPlan:
     # s_s if none. At its end, micro-step lambda folds into the running sums from there on.
     folds: tuple[int, ...]
     summed: int  # min(folds): the first slow stage with a running sum; s_s if none
-    fast_weights: np.ndarray  # (2, s_f): b_f, b_hat_f
-    slow_weights: np.ndarray  # (2, s_s): b_s, b_hat_s
+    fast_weights: np.ndarray  # (2, s_f): b_f, b_f - b_hat_f
+    slow_weights: np.ndarray  # (2, s_s): b_s, b_s - b_hat_s
 
 
 @lru_cache(maxsize=4096)
@@ -408,7 +410,7 @@ def _step_plan(method: MrGarkMethod, M: int) -> _StepPlan:
     return _StepPlan(rows, before, trailing, sf, slow_rows, fast_spans, slow_spans,
                      tuple(rows[:, i, span] for i, span in enumerate(fast_spans)),
                      tuple(slow_rows[j, span] for j, span in enumerate(slow_spans)), folds, min(folds),
-                     _freeze([method.fast.b, method.fast.b_hat]), _freeze([method.slow.b, method.slow.b_hat]))
+                     *(_freeze([tab.b, tab.b - tab.b_hat]) for tab in (method.fast, method.slow)))
 
 
 def _spans(nonzero: np.ndarray) -> tuple[slice, ...]:
@@ -507,11 +509,11 @@ def step(
     slow_stage = stage_solver(H * method.slow.gamma, f_slow, ode.jac_slow) if method.slow.is_implicit else f_slow
     fast_stage = stage_solver(h * method.fast.gamma, f_fast, ode.jac_fast) if method.fast.is_implicit else f_fast
 
-    # the stage array [y_n | ytilde | ytilde_hat | K]: the step's start, the fast solutions so far, and the
-    # stage values H*f slow, then h*f for the fast stages of the current micro-step; every stage input is
-    # one product of its plan row with it
+    # the stage array [y_n | ytilde | d_f | K]: the step's start, the fast solution and fast deviation so far,
+    # and the stage values H*f slow, then h*f for the fast stages of the current micro-step; every stage input
+    # is one product of its plan row with it
     Kx = np.zeros((3 + s_s + s_f, n))
-    Kx[:3] = y_n
+    Kx[:2] = y_n
     K_slow, K_fast = Kx[3:3 + s_s], Kx[3 + s_s:]
     fast_in = list(map(Kx.__getitem__, plan.fast_spans))  # per fast stage, the stage array over its span
     summed = plan.summed  # the first slow stage with a running sum
@@ -548,21 +550,20 @@ def step(
                 sf_acc[fold - summed:] += plan.sf[lam - 1, fold:].dot(K_fast)
             if fsal:
                 f_prev_last = F.copy()  # unscaled and private: an RHS may reuse its result array
-            Kx[1:3] += plan.fast_weights.dot(K_fast)  # ytilde and ytilde_hat take their b_f and b_hat_f sums
+            Kx[1:3] += plan.fast_weights.dot(K_fast)  # ytilde and d_f take their b_f and b_f - b_hat_f sums
             if not np.logical_and.reduce(np.isfinite(Kx[1])):  # ndarray.all without its Python-level wrapper
                 raise NonFiniteState(f"fast solution non-finite in micro-step {lam}")
         for j in plan.trailing:
             compute_slow(j)
 
-        # the four solutions pair the fast solutions with the slow sums
-        slow_b, slow_b_hat = plan.slow_weights.dot(K_slow)
-        y_next = Kx[1] + slow_b
+        # the b_s sum, to which y_next adds ytilde, and the slow deviation: rows of one array apart from Kx
+        y_next, slow_deviation = plan.slow_weights.dot(K_slow)
+        y_next += Kx[1]
         if not np.logical_and.reduce(np.isfinite(y_next)):
             raise NonFiniteState("macro-step produced non-finite state")
-        y_hat, y_hat_slow, y_hat_fast = Kx[2] + slow_b_hat, Kx[1] + slow_b_hat, Kx[2] + slow_b
 
     carry = FsalCarry(y_next, f_prev_last) if fsal and f_prev_last is not None else None
-    return StepResult(y_next, y_hat, y_hat_slow, y_hat_fast, t_n + H, H, M, *seconds,
+    return StepResult(y_next, slow_deviation, Kx[2].copy(), t_n + H, H, M, *seconds,
                       WorkCounters(calls[1], calls[0], newton_iterations, jacobians), carry)
 
 
@@ -588,47 +589,45 @@ def integrate_fixed(method: MrGarkMethod, ode: PartitionedOde, y0: np.ndarray, t
     return result
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # _scaled_rms settles a 0/0 or non-finite state
 def error_norm(x: np.ndarray, y: np.ndarray, tolerances: Tolerances) -> float:
     """Scaled RMS deviation: values <= 1 mean "within tolerance"; never NaN."""
-    return _scaled_rms(np.ravel(check_real_array(x, "x")), np.ravel(check_real_array(y, "y"))[None], tolerances)[0]
+    x = np.ravel(check_real_array(x, "x"))
+    y = _real_of_shape(np.ravel(check_real_array(y, "y")), x.shape, "y")  # not broadcast against x
+    return _scaled_rms(x, np.array([y]), np.subtract(x, y)[None], tolerances)[0]
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def error_estimates(result: StepResult, tolerances: Tolerances) -> tuple[float, float, float]:
-    """(total, slow, fast) local error estimates from the embedded solutions.
-
-    Each equals :func:`error_norm` of ``y_next`` against ``y_hat``, ``y_hat_slow``
-    and ``y_hat_fast``; the three come from one pass over the stacked deviations.
-    """
+    """(total, slow, fast) local error estimates: for d the slow plus the fast deviation, the slow one and the fast
+    one, :func:`error_norm` of ``y_next`` against its embedded solution y_next - d, with d itself as the deviation."""
     check_type(result, "result", StepResult)
-    hats = np.array([result.y_hat, result.y_hat_slow, result.y_hat_fast], dtype=float)
-    eps_total, eps_slow, eps_fast = _scaled_rms(result.y_next, hats, tolerances)
-    return eps_total, eps_slow, eps_fast
+    shape = (np.size(result.y_next),)  # each 1-D, none broadcast against another
+    x = _real_of_shape(result.y_next, shape, "y_next")
+    slow = _real_of_shape(result.slow_deviation, shape, "slow_deviation")
+    fast = _real_of_shape(result.fast_deviation, shape, "fast_deviation")
+    deviations = np.array([slow + fast, slow, fast])
+    return tuple(_scaled_rms(x, x - deviations, deviations, tolerances))
 
 
-def _scaled_rms(x: np.ndarray, ys: np.ndarray, tolerances: Tolerances) -> list[float]:
-    """:func:`error_norm` of x against each row of ys."""
+def _scaled_rms(x: np.ndarray, states: np.ndarray, deviations: np.ndarray, tolerances: Tolerances) -> list[float]:
+    """Scaled RMS of each row of ``deviations``, x's deviation from that row of ``states`` (overwritten), with the
+    scale abs_tol + rel_tol * max(|x|, |state|); call with divide, invalid and over errors ignored."""
     check_type(tolerances, "tolerances", Tolerances)
-    x, ys = np.asarray(x, dtype=float), np.asarray(ys, dtype=float)
-    if ys.shape[-1] != x.size:
-        raise InvalidInput(f"states compared must have the same size, got {x.size} and {ys.shape[-1]}")
     if x.size == 0:
         raise InvalidInput("states compared must not be empty")
-    abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
+    abs_tol, rel_tol = tolerances._floats
     check_tolerance_shapes((abs_tol, rel_tol), x.size)
-    # a zero scale or a non-finite state is settled below, without warnings
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # abs_tol + rel_tol * max(|x|, |ys|) and the squared scaled deviations, each built in place in one array
-        scale = np.abs(ys)
-        np.maximum(np.abs(x), scale, out=scale)
-        np.add(abs_tol, np.multiply(rel_tol, scale, out=scale), out=scale)
-        deviations = np.subtract(x, ys)
-        np.square(np.divide(deviations, scale, out=deviations), out=deviations)
-        # np.mean's own reduction and division, bit for bit, without its Python-level wrapper
-        values = np.sqrt(np.add.reduce(deviations, axis=-1) / x.size).tolist()
-        if any(map(math.isnan, values)):
-            # 0/0 where states and tolerance all vanish is no deviation (rows without a
-            # NaN keep their floats); a NaN or infinite state is no estimate, even inf vs inf
-            same = (x == ys) & np.isfinite(x)
-            values = np.sqrt(np.add.reduce(np.where(same, 0.0, (x - ys) / scale) ** 2, axis=-1) / x.size).tolist()
-            values = [math.inf if math.isnan(v) else v for v in values]
-    return values
+    peaks = np.maximum(np.abs(x), np.abs(states, out=states), out=states)
+    # the entries where x or a state compared with it is not finite, or False for none
+    unknown = False if math.isfinite(np.maximum.reduce(peaks, None)) else ~np.isfinite(peaks)
+    scale = np.add(abs_tol, np.multiply(rel_tol, peaks, out=peaks), out=peaks)
+    scaled = np.divide(deviations, scale)
+    sums = np.add.reduce(np.square(scaled, out=scaled), axis=-1).tolist()
+    if unknown is not False or any(map(math.isnan, sums)):
+        # 0/0 where a deviation, its states and the tolerance all vanish is no deviation (rows without a NaN
+        # keep their floats); a non-finite state is no estimate, even where its deviation is 0
+        scaled = np.where(unknown, math.nan, np.where(deviations == 0.0, 0.0, deviations / scale))
+        sums = [math.inf if math.isnan(v) else v for v in np.add.reduce(scaled**2, axis=-1).tolist()]
+    # np.mean's own reduction and division, bit for bit, without its Python-level wrapper
+    return [math.sqrt(v / x.size) for v in sums]

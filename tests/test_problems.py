@@ -320,7 +320,7 @@ def test_implicit_nonlinear_diffusion_step_equals_frozen_kernels(swap):
     y0 = _perturbed_state(gs)
     r, ref = step(m, ode, y0, 0.0, 0.02, 3), step(m, frozen, y0, 0.0, 0.02, 3)
     assert r.counters == ref.counters and r.counters.newton_iterations > 0
-    for name in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+    for name in ("y_next", "slow_deviation", "fast_deviation"):
         assert np.array_equal(getattr(r, name), getattr(ref, name)), name
 
 

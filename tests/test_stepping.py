@@ -26,6 +26,8 @@ from mrgark.stepping import (
 from mrgark.tableaux import ButcherTableau, MethodFlag, MrGarkMethod, TableauKind
 
 LINEAR = LinearTwoRate(-10.0, -1.0)
+#: what a step returns per state entry: its result and its deviations from the embedded solutions
+FIELDS = ("y_next", "slow_deviation", "fast_deviation")
 
 
 def rk_run(tab: ButcherTableau, f, y0, H, n_steps):
@@ -148,14 +150,15 @@ def test_error_norm_examples():
 def test_error_estimates_identical_states_are_zero():
     m = mg.registry_lookup("EX-EX 2(1)A")
     r = step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 0.01, 2)
-    r.y_hat = r.y_next.copy()
-    r.y_hat_slow = r.y_next.copy()
-    r.y_hat_fast = r.y_next.copy()
-    assert error_estimates(r, Tolerances(1.0, 0.0)) == (0.0, 0.0, 0.0)
+    r.slow_deviation, r.fast_deviation = np.zeros(1), np.zeros(1)
+    for tol in (Tolerances(1.0, 0.0), Tolerances(0.0, 0.0)):
+        estimates = error_estimates(r, tol)
+        assert estimates == (0.0, 0.0, 0.0)
+        assert _hex(estimates) == _hex(_frozen_estimates(r.y_next, r.slow_deviation, r.fast_deviation, tol))
 
 
 def test_slow_error_estimate_order():
-    # the slow estimate y - y_hat_slow differs at the embedded order + 1:
+    # the slow deviation, y_next less the embedded solution of weights (b_f, b_hat_s), is of the embedded order + 1:
     # halving H scales it by about 2^-(q+1) with q = min(p, p_hat) = 1
     m = mg.registry_lookup("EX-EX 2(1)A")
     ode = CoupledNonlinearScalar().to_ode()
@@ -380,12 +383,15 @@ def test_step_plan_matches_derived_schedule(name, M):
     assert sorted(order) == list(range(M * s_f + s_s))
     assert tuple(order) == mg.derive_schedule(m, M)
     fs, sf = m.couplings(M)
-    # over [y_n | ytilde | ytilde_hat | K]: a fast stage starts from ytilde
+    # over [y_n | ytilde | d_f | K]: a fast stage starts from ytilde
     np.testing.assert_array_equal(plan.rows[:, :, :3], np.broadcast_to([0.0, 1.0, 0.0], (M, s_f, 3)))
     np.testing.assert_array_equal(plan.rows[:, :, 3:3 + s_s], fs)
     for rows in plan.rows:
         np.testing.assert_array_equal(rows[:, 3 + s_s:], np.tril(m.fast.A, -1))
     _assert_slow_inputs_match_couplings(m, M, plan)
+    # the weight rows give y_next's sums and the deviations from the embedded solutions
+    for weights, tab in ((plan.fast_weights, m.fast), (plan.slow_weights, m.slow)):
+        np.testing.assert_array_equal(weights, [tab.b, tab.b - tab.b_hat])
 
 
 def _assert_slow_inputs_match_couplings(m, M, plan):
@@ -584,9 +590,9 @@ def test_finite_difference_newton_matrix_matches_analytic(name, M, mode):
     y0 = gs.initial_condition()
     analytic = step(m, gs.to_ode(), y0, 0.0, 0.02, M)
     fd = step(m, _without_jacobians(gs.to_ode()), y0, 0.0, 0.02, M)
-    for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+    for field in FIELDS:  # a deviation to the bound of the state it deviates from
         a, b = getattr(analytic, field), getattr(fd, field)
-        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a), field
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(analytic.y_next), field
 
 
 def _full_newton(residual, y_guess, jac=None, tol=1e-12, max_iter=50, matrix=None):
@@ -614,8 +620,8 @@ def test_stalling_newton_matrix_is_rebuilt(monkeypatch):
     monkeypatch.setattr(stepping, "newton_solve", _full_newton)
     ref = step(m, ode, y0, 0.0, 0.2, 2)
     # both stop at ||G|| <= 1e-12 (1 + ||y||) per stage, so they agree to a few 1e-12
-    for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
-        np.testing.assert_allclose(getattr(r, field), getattr(ref, field), rtol=1e-10, atol=0)
+    for field in FIELDS:  # a deviation to the bound of the state it deviates from
+        assert np.all(np.abs(getattr(r, field) - getattr(ref, field)) <= 1e-10 * np.abs(ref.y_next)), field
 
 
 def _dense_jacobians(ode):
@@ -637,9 +643,9 @@ def test_structured_newton_solves_match_dense(name, M):
         dense = step(m, _dense_jacobians(gs.to_ode()), y0, 0.0, 0.02, M)
         case = (n, boundary, mode, swap)
         assert structured.counters == dense.counters, case
-        for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+        for field in FIELDS:  # a deviation to the bound of the state it deviates from
             a, b = getattr(structured, field), getattr(dense, field)
-            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (field, case)
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(dense.y_next), (field, case)
 
 
 @pytest.mark.parametrize("name", ["EX-IM 3(2)A", "IM-EX 3(2)A"])
@@ -795,7 +801,7 @@ def test_size_one_float_jacobian_steps_as_its_array(name, implicit):
     as_float = step(mg.registry_lookup(name), _size_one_ode(implicit, p.f_fast, slope), np.array([0.5]), 0.0, 0.05, 2)
     as_array = step(mg.registry_lookup(name), _size_one_ode(implicit, p.f_fast, lambda y: np.array([[slope(y)]])),
                     np.array([0.5]), 0.0, 0.05, 2)
-    for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+    for field in FIELDS:
         np.testing.assert_array_equal(getattr(as_float, field), getattr(as_array, field))
     assert as_float.counters == as_array.counters
 
@@ -820,7 +826,7 @@ def test_integer_step_size_steps_as_its_float():
         m = mg.registry_lookup(name)
         as_int = step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 1, M)
         as_float = step(m, LINEAR.to_ode(), np.array([1.0]), 0.0, 1.0, M)
-        for field in ("y_next", "y_hat", "y_hat_slow", "y_hat_fast"):
+        for field in FIELDS:
             np.testing.assert_array_equal(getattr(as_int, field), getattr(as_float, field))
 
 
@@ -906,8 +912,9 @@ def test_newton_size_one_keeps_the_guess_shape(shape):
 def _reference_step(method, ode, y, H, M):
     """One macro-step through the assembled tableau, stage by stage in derive_schedule order.
 
-    Returns (y_next, y_hat, y_hat_slow, y_hat_fast); an implicit stage is solved
-    by newton_solve with the dense Newton matrix I - H*a_kk*J.
+    Returns y_next and its deviations y_next - y_hat from the embedded solutions
+    of weights (b_f, b_hat_s) and (b_hat_f, b_s), each y_hat formed in full; an
+    implicit stage is solved by newton_solve with the dense Newton matrix I - H*a_kk*J.
     """
     g = mg.assemble(method, M)
     s_f, s_s = method.stage_counts
@@ -926,8 +933,8 @@ def _reference_step(method, ode, y, H, M):
         F[k] = f(Y)
     fast = [np.tile(w / M, M) @ F[:n_fast] for w in (method.fast.b, method.fast.b_hat)]
     slow = [w @ F[n_fast:] for w in (method.slow.b, method.slow.b_hat)]
-    return (y + H * (fast[0] + slow[0]), y + H * (fast[1] + slow[1]),
-            y + H * (fast[0] + slow[1]), y + H * (fast[1] + slow[0]))
+    y_next = y + H * (fast[0] + slow[0])
+    return y_next, y_next - (y + H * (fast[0] + slow[1])), y_next - (y + H * (fast[1] + slow[0]))
 
 
 REFERENCE_PROBLEMS = {
@@ -948,10 +955,9 @@ def test_step_matches_assembled_tableau_reference(name, M, problem):
     ode, y0 = p.to_ode(), p.initial_condition()
     r = step(m, ode, y0, 0.0, H, M)
     bound = 1e-14 if name.startswith("EX-EX") else 1e-12
-    fields = ("y_next", "y_hat", "y_hat_slow", "y_hat_fast")
-    for field, expected in zip(fields, _reference_step(m, ode, y0, H, M)):
-        got = getattr(r, field)
-        assert np.all(np.abs(got - expected) <= bound * (1.0 + np.abs(expected))), field
+    expected = _reference_step(m, ode, y0, H, M)
+    for field, want in zip(FIELDS, expected):  # a deviation to the bound of the state it deviates from
+        assert np.all(np.abs(getattr(r, field) - want) <= bound * (1.0 + np.abs(expected[0]))), field
 
 
 def _scatter_step(method, ode, y_n, H, M, fsal_carry=None):
@@ -959,12 +965,14 @@ def _scatter_step(method, ode, y_n, H, M, fsal_carry=None):
 
     Each fast-stage value is scattered into one running sum per slow stage, and
     slow stage j's input is y_n + H * (K[:j].T @ A_ss[j, :j]) + h * sum_j.
-    Returns ((y_next, y_hat, y_hat_slow, y_hat_fast), counters, fsal_carry).
+    Returns ((y_next, y_next - y_hat_slow, y_next - y_hat_fast), counters, fsal_carry), each embedded
+    solution y_hat formed in full, with b and b_hat taken from the method's tableaus.
     """
     plan = _step_plan(method, M)
     _, sf = method.couplings(M)
     s_f, s_s = method.stage_counts
     n, h, Ass = y_n.size, H / M, method.slow.A
+    fast_weights, slow_weights = (np.array([tab.b, tab.b_hat]) for tab in (method.fast, method.slow))
     counters, matrices = WorkCounters(), [None, None]
 
     def f_slow(y):
@@ -1022,16 +1030,16 @@ def _scatter_step(method, ode, y_n, H, M, fsal_carry=None):
                 sf_acc += a_sf[:, i:i + 1] * F
         if fsal:
             f_prev_last = K[-1]
-        increments = plan.fast_weights @ K[s_s:]
+        increments = fast_weights @ K[s_s:]
         acc += increments
         ytilde = ytilde + h * increments[0]
     for j in plan.trailing:
         compute_slow(j)
     with_bf, with_bf_hat = y_n + h * acc
-    slow_b, slow_b_hat = H * (plan.slow_weights @ K[:s_s])
+    slow_b, slow_b_hat = H * (slow_weights @ K[:s_s])
     y_next = with_bf + slow_b
     carry = FsalCarry(y_next, f_prev_last.copy()) if fsal and f_prev_last is not None else None
-    return (y_next, with_bf_hat + slow_b_hat, with_bf + slow_b_hat, with_bf_hat + slow_b), counters, carry
+    return (y_next, y_next - (with_bf + slow_b_hat), y_next - (with_bf_hat + slow_b)), counters, carry
 
 
 PARITY_PROBLEMS = {
@@ -1063,9 +1071,8 @@ def test_step_matches_frozen_scatter_engine(name, M, problem):
     for k in range(2):
         r = step(m, ode, y, k * H, H, M, fsal_carry=carry)
         expected, counters, carry_old = _scatter_step(m, ode, y_old, H, M, carry_old)
-        for field, want in zip(("y_next", "y_hat", "y_hat_slow", "y_hat_fast"), expected):
-            got = getattr(r, field)
-            assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want))), (field, k)
+        for field, want in zip(FIELDS, expected):  # a deviation to the bound of the state it deviates from
+            assert np.all(np.abs(getattr(r, field) - want) <= 1e-15 * (1.0 + np.abs(expected[0]))), (field, k)
         assert r.counters == counters, k
         y, carry, y_old = r.y_next, r.fsal_carry, expected[0]
 
@@ -1165,23 +1172,83 @@ def test_a_huge_step_size_fails_without_a_warning(name):
         assert np.isfinite(r.y_next).all()
 
 
+def _result(y_next, slow_deviation, fast_deviation):
+    """A hand-built step result."""
+    return StepResult(np.asarray(y_next, dtype=float), np.asarray(slow_deviation, dtype=float),
+                      np.asarray(fast_deviation, dtype=float), t=1.0, H=1.0, M=1, t_slow=0.0, t_fast=0.0,
+                      counters=WorkCounters())
+
+
+def _frozen_estimates(x, slow, fast, tolerances):
+    """(total, slow, fast) as the scaled RMS of each deviation d of x, total = slow + fast, in np.mean form: the
+    bit-for-bit oracle of the error estimates.
+
+    Each scale is abs_tol + rel_tol * max(|x|, |x - d|), with x - d the embedded solution formed in full; 0/0 is
+    no deviation, and an entry where x or x - d is NaN or infinite makes its estimate inf.
+    """
+    abs_tol, rel_tol = np.asarray(tolerances.abs_tol, dtype=float), np.asarray(tolerances.rel_tol, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        deviations = np.array([slow + fast, slow, fast])
+        y_hat = x - deviations
+        scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(y_hat))
+        scaled = np.where(deviations == 0.0, 0.0, deviations / scale)
+        scaled[~(np.isfinite(x) & np.isfinite(y_hat))] = np.nan
+        values = np.sqrt(np.mean(scaled**2, axis=-1)).tolist()
+    return [math.inf if math.isnan(v) else v for v in values]
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
 def test_error_estimates_equal_three_error_norms():
-    # the reduction over the stacked (3, n) deviations gives each row the same
-    # float as error_norm on it, NaN fallbacks, zero scales and infinities included
+    # each estimate is the scaled norm of one deviation row against the embedded solution y_next - d, the same
+    # float as the frozen oracle, NaN fallbacks, zero scales and infinities included
     def three(r, tol):
-        return tuple(error_norm(r.y_next, hat, tol) for hat in (r.y_hat, r.y_hat_slow, r.y_hat_fast))
+        return _hex(_frozen_estimates(r.y_next, r.slow_deviation, r.fast_deviation, tol))
 
     gs = GrayScott(n=16, swap_roles=True)
     r = step(mg.registry_lookup("EX-EX 3(2)4s-A"), gs.to_ode(), gs.initial_condition(), 0.0, 1e-3, 4)
     for tol in (Tolerances(1e-4, 1e-4), Tolerances(0.0, 1e-6), Tolerances(np.full(gs.dimension, 1e-5), 1e-3)):
-        assert error_estimates(r, tol) == three(r, tol)
+        estimates = error_estimates(r, tol)
+        assert _hex(estimates) == three(r, tol)
+        # and error_norm against y_next - d, whose deviation y_next - (y_next - d) rounds d by an ulp of y_next
+        deviations = (r.slow_deviation + r.fast_deviation, r.slow_deviation, r.fast_deviation)
+        for estimate, d in zip(estimates, deviations):
+            assert abs(estimate - error_norm(r.y_next, r.y_next - d, tol)) <= 1e-9 * (1.0 + estimate)
     rng = np.random.default_rng(11)
     specials = np.array([0.0, 1.0, -2.0, np.nan, np.inf, 1e-300, 1e300])
     for _ in range(300):
         n = int(rng.integers(1, 5))
-        r.y_next, r.y_hat, r.y_hat_slow, r.y_hat_fast = (rng.choice(specials, size=n) for _ in range(4))
+        r.y_next, r.slow_deviation, r.fast_deviation = (rng.choice(specials, size=n) for _ in range(3))
         tol = Tolerances(float(rng.choice([0.0, 1e-6])), float(rng.choice([0.0, 1e-3])))
-        assert error_estimates(r, tol) == three(r, tol)
+        assert _hex(error_estimates(r, tol)) == three(r, tol)
+
+
+def test_error_estimates_rules_on_hand_built_results():
+    # 0/0, where a deviation, its states and the tolerance vanish, is no deviation
+    r = _result([0.0, 1.0], [0.0, 1e-3], [0.0, 0.0])
+    assert error_estimates(r, Tolerances(0.0, 1e-3)) == (math.sqrt(0.5), math.sqrt(0.5), 0.0)
+    # a non-finite y_next makes every estimate inf, even where every deviation is 0
+    for bad in (np.inf, -np.inf, np.nan):
+        assert error_estimates(_result([1.0, bad], [0.0, 0.0], [0.0, 0.0]), Tolerances()) == (math.inf,) * 3
+    # a non-finite deviation makes the estimates that contain it inf; the others keep their values
+    for bad in (np.inf, -np.inf, np.nan):
+        assert error_estimates(_result([1.0, 1.0], [0.0, bad], [0.0, 0.0]), Tolerances()) == (math.inf, math.inf, 0.0)
+        assert error_estimates(_result([1.0], [0.0], [bad]), Tolerances(0.0, 0.0)) == (math.inf, 0.0, math.inf)
+    # an embedded solution y_next - d beyond the float range is no estimate either
+    assert error_estimates(_result([1e308], [-1e308], [0.0]), Tolerances()) == (math.inf, math.inf, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert error_estimates(_result([np.inf], [np.inf], [-np.inf]), Tolerances()) == (math.inf,) * 3
+
+
+@pytest.mark.parametrize("shapes", [((3,), (2,), (3,)), ((3,), (3,), (1,)), ((3,), (1,), (1,)),
+                                    ((3,), (3, 1), (3,)), ((1, 3), (1, 3), (1, 3)), ((0,), (0,), (0,))])
+def test_error_estimates_reject_deviations_of_the_wrong_size(shapes):
+    # not broadcast against y_next or each other
+    with pytest.raises(InvalidInput):
+        error_estimates(_result(*(np.ones(shape) for shape in shapes)), Tolerances())
 
 
 def _frozen_scaled_rms(x, ys, abs_tol, rel_tol):
@@ -1213,6 +1280,9 @@ def test_error_norm_matches_frozen_mean_oracle(n):
     for (x_case, ys), tol in itertools.product(cases, tolerances):
         abs_tol, rel_tol = np.asarray(tol.abs_tol, dtype=float), np.asarray(tol.rel_tol, dtype=float)
         expected = [v.hex() for v in _frozen_scaled_rms(x_case, ys, abs_tol, rel_tol)]
-        result = StepResult(x_case, *ys, t=1.0, H=1.0, M=1, t_slow=0.0, t_fast=0.0, counters=WorkCounters())
-        assert [v.hex() for v in error_estimates(result, tol)] == expected
         assert [error_norm(x_case, row, tol).hex() for row in ys] == expected
+        # the estimates of a step whose deviations are these states' differences, specials included
+        with np.errstate(invalid="ignore"):
+            slow, fast = x_case - ys[1], x_case - ys[2]
+        expected = _hex(_frozen_estimates(x_case, slow, fast, tol))
+        assert _hex(error_estimates(_result(x_case, slow, fast), tol)) == expected
